@@ -43,6 +43,15 @@ DEFAULT_KAPPA_POINTS = 50
 #: when there are at most this many, quantiles of them otherwise.
 MAX_EPS_GRID = 512
 
+#: largest cube dimension accepted by sep_hamming_analytic.  Tiny kappa
+#: (about 2**(-0.8 d)) is the slowest: 40 s at d=850, 63 s at d=900
+#: (Python 3.11, one core of a 2-core Xeon).
+MAX_ANALYTIC_CUBE_DIM = 850
+
+#: largest cube dimension accepted by sep_hamming_profile: 40 s at d=100,
+#: 55 s at d=105 on the same machine.
+MAX_PROFILE_CUBE_DIM = 105
+
 
 # -- profiles -------------------------------------------------------------------
 
@@ -355,16 +364,6 @@ def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
 # -- heuristics -------------------------------------------------------------------
 
 
-def _min_dist_to(space: MMSpace, ids: np.ndarray) -> np.ndarray:
-    """min over a in ids of d(x, a), for every x; chunked for big sets."""
-    out = None
-    step = max(1, (4 << 20) // max(space.n, 1))
-    for i0 in range(0, len(ids), step):
-        blk = space.dist_block(ids[i0 : i0 + step]).min(axis=0)
-        out = blk if out is None else np.minimum(out, blk)
-    return out
-
-
 def _witness_outside_profile(space: MMSpace, d_to_a: np.ndarray,
                              grid: np.ndarray) -> np.ndarray:
     order = np.argsort(d_to_a, kind="stable")
@@ -403,13 +402,13 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     for f in dictionary:
         med = weighted_median(f.values, w, "lower")
         ids = np.flatnonzero(f.values <= med)
-        d_to_a = _min_dist_to(space, ids)
+        d_to_a = space.min_dist_to(ids)
         np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
     for c in np.asarray(ball_centers, dtype=int):
         row = space.dist_row(int(c))
         radius = weighted_median(row, w, "lower")
         ids = np.flatnonzero(row <= radius)
-        d_to_a = _min_dist_to(space, ids)
+        d_to_a = space.min_dist_to(ids)
         np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
     best = np.minimum(np.maximum(best, 0.0), 0.5)
     best[(grid >= diam) & (grid > 0)] = 0.0
@@ -561,21 +560,24 @@ def greedy_separated_subset(space: MMSpace, min_distance: float) -> np.ndarray:
     """Greedy maximal subset with all pairwise distances >= min_distance.
 
     Scans points in index order, keeping a point unless an already kept
-    point lies strictly closer than `min_distance`.
+    point lies strictly closer than `min_distance`.  The rows of the next
+    ``space.block_rows`` still-alive candidates come from one block; a
+    candidate that a point kept earlier in its block removes wastes its row.
     """
     if not (min_distance > 0):
         raise InputError(f"min_distance must be positive, got {min_distance!r}")
-    n = space.n
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(space.n, dtype=bool)
     kept = []
-    for i in range(n):
-        if not alive[i]:
-            continue
-        kept.append(i)
-        row = space.dist_row(i)
-        alive &= ~(row < min_distance)
-        alive[i] = False
-    return np.asarray(kept, dtype=int)
+    start = 0
+    while True:
+        cand = start + np.flatnonzero(alive[start:])[: space.block_rows]
+        if cand.size == 0:
+            return np.asarray(kept, dtype=int)
+        for i, row in zip(cand.tolist(), space.dist_block(cand)):
+            if alive[i]:
+                kept.append(i)
+                alive &= row >= min_distance
+        start = int(cand[-1]) + 1
 
 
 def split_witness(space: MMSpace, subset_ids) -> tuple[float, np.ndarray, np.ndarray]:
@@ -615,9 +617,18 @@ def _cascade_shadow(s: int, k: int) -> int:
         return 0
     total = 0
     while s > 0 and k >= 1:
-        a = k
-        while math.comb(a + 1, k) <= s:
-            a += 1
+        # the digit is the largest a with comb(a, k) <= s: double, then bisect
+        a, step = k, 1
+        while math.comb(a + step, k) <= s:
+            a += step
+            step *= 2
+        hi = a + step
+        while hi - a > 1:
+            mid = (a + hi) // 2
+            if math.comb(mid, k) <= s:
+                a = mid
+            else:
+                hi = mid
         total += math.comb(a, k - 1)
         s -= math.comb(a, k)
         k -= 1
@@ -650,13 +661,6 @@ def _closure_step(m: int, d: int, balls: list[int]) -> int:
     return balls[r + 1] + _cascade_shadow(s, d - r)
 
 
-def _min_closure(a: int, steps: int, d: int, balls: list[int]) -> int:
-    m = a
-    for _ in range(steps):
-        m = _closure_step(m, d, balls)
-    return m
-
-
 def _max_bit_separation(a: int, d: int, balls: list[int]) -> int:
     """Largest j such that some pair of a-vertex sets is j bits apart."""
     full = 1 << d
@@ -672,10 +676,10 @@ def _max_bit_separation(a: int, d: int, balls: list[int]) -> int:
             return j
 
 
-def _check_cube_dim(d: int) -> int:
+def _check_cube_dim(d: int, limit: int) -> int:
     d = int(d)
-    if not (1 <= d <= 10_000):
-        raise InputError(f"d must lie in [1, 10000], got {d}")
+    if not (1 <= d <= limit):
+        raise InputError(f"d must lie in [1, {limit}], got {d}")
     return d
 
 
@@ -688,7 +692,7 @@ def sep_hamming_analytic(d: int, kappa) -> float:
     complement of its neighborhood closure.  Exact integer arithmetic
     throughout; `kappa` may be a float or a Fraction.
     """
-    d = _check_cube_dim(d)
+    d = _check_cube_dim(d, MAX_ANALYTIC_CUBE_DIM)
     kap = Fraction(kappa)
     if not (0 < kap <= Fraction(1, 2)):
         raise InputError(f"kappa must lie in (0, 1/2], got {kappa!r}")
@@ -703,7 +707,7 @@ def sep_hamming_profile(d: int) -> SeparationProfile:
     grows, so the step quadrature of this profile integrates the
     separation function exactly.
     """
-    d = _check_cube_dim(d)
+    d = _check_cube_dim(d, MAX_PROFILE_CUBE_DIM)
     balls = _ball_sizes(d)
     full = 1 << d
     half = full // 2

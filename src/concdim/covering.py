@@ -69,12 +69,7 @@ class CoveringProfile:
 def _eccentricities(space: MMSpace) -> np.ndarray:
     if space.is_dense or space.n <= 4096:
         return space.dist.max(axis=1)
-    out = np.empty(space.n)
-    step = max(1, (4 << 20) // space.n)
-    for i0 in range(0, space.n, step):
-        ids = np.arange(i0, min(i0 + step, space.n))
-        out[ids] = space.dist_block(ids).max(axis=1)
-    return out
+    return np.concatenate([blk.max(axis=1) for _, blk in space.iter_blocks()])
 
 
 def _farthest_point_sweep(space: MMSpace, stop_radius: float
@@ -136,8 +131,7 @@ def covering_profile(space: MMSpace, u_grid) -> CoveringProfile:
 
 def net_is_valid(space: MMSpace, net_ids, u: float) -> bool:
     """Exhaustive check that open u-balls at the net cover every point."""
-    mind = space.dist_block(np.asarray(net_ids, dtype=int)).min(axis=0)
-    return bool((mind < u).all())
+    return bool((space.min_dist_to(net_ids) < u).all())
 
 
 def sample_size_bound(eps: float, delta: float, profile: CoveringProfile,

@@ -12,8 +12,10 @@ sphere_separation
     separation-function lower bounds for sphere samples across dimensions.
 sphere_alpha_line
     concentration-function lower bounds across dimensions together with
-    the crossing of the line ``alpha = eps/2`` and the resulting
-    point-distance brackets.
+    the crossing of the line ``alpha = eps/2``, the resulting
+    point-distance brackets, and whether each sample resolves the
+    crossing (mean nearest-neighbour spacing at most half the bracket's
+    lower end).
 hamming_dimension
     separation dimension of Hamming cubes from the analytic profile.
 noise_instability
@@ -36,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ResourceLimitError
 from .concentration import (
     SeparationProfile,
     alpha_lower,
@@ -47,7 +48,7 @@ from .concentration import (
     split_witness,
 )
 from .dimension import dconc_to_point_bracket, dim_separation
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .features import dictionary as make_dictionary
 from .mmspace import GeneratorSpec, MMSpace, diameter, generate
 
@@ -144,11 +145,20 @@ def _run_sphere_separation(spec: ExperimentSpec, out_dir: Path) -> dict:
             "mode": "lower_bound", "kappa_grid_size": int(grid.size)}
 
 
+def _mean_nn_spacing(space: MMSpace) -> float:
+    """Mean distance from each point to its nearest other point."""
+    if space.n < 2:
+        return 0.0
+    nearest = [np.partition(blk, 1, axis=1)[:, 1] for _, blk in space.iter_blocks()]
+    return float(np.concatenate(nearest).mean())
+
+
 def _run_sphere_alpha_line(spec: ExperimentSpec, out_dir: Path) -> dict:
-    p = _params(spec, {"dims": [3, 10, 30, 100], "n": 3000, "anchors": 16})
+    p = _params(spec, {"dims": [1, 2, 3], "n": 3000, "anchors": 16})
     outputs = []
     crossings = []
     midpoints = []
+    spacings = []
     for idx, dim in enumerate(p["dims"]):
         seed = derived_seed(spec.seed, idx)
         space = _sphere(dim, p["n"], seed)
@@ -162,6 +172,7 @@ def _run_sphere_alpha_line(spec: ExperimentSpec, out_dir: Path) -> dict:
         bracket = dconc_to_point_bracket(prof)
         crossings.append(2.0 * bracket.lo)
         midpoints.append(bracket.midpoint)
+        spacings.append(_mean_nn_spacing(space))
     return {
         "curves": outputs,
         "alpha_eq_half_eps_crossings": crossings,
@@ -169,6 +180,10 @@ def _run_sphere_alpha_line(spec: ExperimentSpec, out_dir: Path) -> dict:
         "midpoints_strictly_decreasing": all(
             a > b for a, b in zip(midpoints, midpoints[1:])
         ),
+        # a sample coarser than the crossing scale keeps alpha at 1/2 there,
+        # so its bracket measures the sampling, not the sphere
+        "mean_nn_spacing_by_dim": spacings,
+        "resolved": all(sp <= c / 4.0 for sp, c in zip(spacings, crossings)),
         "mode": "lower_bound",
     }
 

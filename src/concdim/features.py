@@ -70,10 +70,7 @@ def _exact_max_ratio(space: MMSpace, values: np.ndarray) -> tuple[float, tuple[i
     if n == 1:
         return 0.0, (0, 0)
     best, pair = 0.0, (0, 0)
-    step = max(1, (2 << 20) // n)
-    for i0 in range(0, n, step):
-        ids = np.arange(i0, min(i0 + step, n))
-        blk = space.dist_block(ids)
+    for ids, blk in space.iter_blocks():
         diffs = np.abs(values[ids][:, None] - values[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(blk > 0, diffs / blk, 0.0)
@@ -134,7 +131,7 @@ def distance_feature(space: MMSpace, anchor_set) -> Feature:
         raise InputError("anchor set must be nonempty")
     if ids.min() < 0 or ids.max() >= space.n:
         raise InputError(f"anchor ids out of range for n={space.n}")
-    values = space.dist_block(ids).min(axis=0)
+    values = space.min_dist_to(ids)
     name = f"dist_to_{{{','.join(map(str, ids.tolist()))}}}" if ids.size <= 4 \
         else f"dist_to_set(|A|={ids.size})"
     return _certify_distance_combination(space, values, name)

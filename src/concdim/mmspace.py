@@ -19,6 +19,39 @@ Conventions
 * Distance matrices are materialized only up to ``MATERIALIZE_LIMIT``
   points; larger spaces must be built from coordinates and are evaluated
   row by row.
+
+The distance layer
+------------------
+Every distance of a coordinate-backed space comes from one kernel,
+``MMSpace._pairwise``, and every caller reads it through ``dist``,
+``dist_row``, ``dist_block``, ``submatrix``, ``distance``, ``min_dist_to``
+or the block iterator ``iter_blocks``.
+
+* Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
+  Euclidean spaces with fewer than ``GEMM_MIN_DIM`` coordinates use
+  ``cdist`` too, which is faster there; from ``GEMM_MIN_DIM`` on, squared
+  distances are ``|x|^2 + |y|^2 - 2 x.y`` on coordinates centred at their
+  mean, computed as one BLAS GEMM (one GEMV for a single row) with the
+  squared norms folded into the product as two extra columns.
+* Cancellation guard.  That formula loses accuracy when a squared
+  distance is tiny against the squared norms.  Every entry below
+  ``tau(d) * (|x_i|^2 + max_j |x_j|^2)`` (centred norms, ``d``
+  coordinates) is recomputed by direct differences of the original
+  coordinates; a row whose minimum clears that threshold is left as it
+  is, and a point's own entry is excluded and set to exactly 0.  The
+  threshold ``tau(d)`` is chosen from the worst-case rounding of a
+  ``d + 2`` term dot product so that every distance lies within
+  ``GEMM_ACCURACY * (1 + largest centred norm)`` of the exact one;
+  duplicate points get exactly 0, and no entry is negative.  Where that
+  threshold would cover every pair (``tau(d) >= 1``, beyond about 2000
+  coordinates), or the squared norms could overflow, ``cdist`` is used.
+* One block budget.  Loops over rows (``iter_blocks``, ``min_dist_to``,
+  the statistics below, the greedy separated-subset scan in
+  ``concentration``) hold at most ``BLOCK_ENTRIES`` distances per block
+  (``iter_blocks`` reuses one buffer for all its blocks), and the dense
+  matrix is built through blocks of the same size; on the
+  GEMM kernel each block holds the upper triangle and is mirrored, so the
+  matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -42,6 +75,18 @@ MATERIALIZE_LIMIT = 12_000
 #: coordinate-backed spaces at most this large are materialized eagerly by
 #: the statistics below; larger ones are processed in row blocks.
 AUTO_DENSE = 6_000
+
+#: distances held by one block of rows, the memory budget of every blocked
+#: loop (16 MiB of float64).
+BLOCK_ENTRIES = 2 << 20
+
+#: Euclidean spaces with at least this many coordinates use the GEMM kernel;
+#: below it ``cdist`` is faster.
+GEMM_MIN_DIM = 16
+
+#: worst-case error of a GEMM-kernel distance, as a fraction of
+#: ``1 + largest centred norm``; the cancellation guard enforces it.
+GEMM_ACCURACY = 1e-12
 
 #: point count up to which metric axioms are checked exhaustively (O(n^3));
 #: above it a deterministic 200-point submatrix is checked instead.
@@ -94,6 +139,36 @@ def _check_triangle_dense(dist: np.ndarray, tol: float) -> None:
             )
 
 
+def _gemm_operands(coords: np.ndarray):
+    """``(aug, thr)`` for the GEMM kernel, or None where ``cdist`` is used.
+
+    ``aug`` holds the centred coordinates, a column of ones and the squared
+    centred norms, so ``[-2x_i, |x_i|^2, 1] . aug[j]`` is the squared
+    distance; ``thr[i]`` is the guard threshold of row i.  A dot product of
+    ``k = d + 2`` terms is off by at most about ``k*u`` times the sum of
+    their magnitudes, here at most ``2 S`` with ``S = |x_i|^2 + |x_j|^2``;
+    adding the rounding of the norms gives ``c S``, ``c = 3 k u``.  An
+    entry of at least ``tau S`` then has a square root within
+    ``c M / sqrt(2 (tau - c))`` of the exact one (``M`` the largest
+    centred norm), which
+    ``tau = c + 2 (c / GEMM_ACCURACY)**2`` keeps below half the accuracy.
+    """
+    n, d = coords.shape
+    c = 3.0 * (d + 2) * np.finfo(float).eps / 2.0
+    tau = c + 2.0 * (c / GEMM_ACCURACY) ** 2
+    if d < GEMM_MIN_DIM or tau >= 1.0:
+        return None
+    aug = np.empty((n, d + 2))
+    np.subtract(coords, coords.mean(axis=0), out=aug[:, :d])
+    aug[:, d] = 1.0
+    sq = np.einsum("ij,ij->i", aug[:, :d], aug[:, :d])
+    if not sq.max() <= np.finfo(float).max / 4:  # the products could overflow
+        return None
+    aug[:, d + 1] = sq
+    aug.setflags(write=False)
+    return aug, tau * (sq + sq.max())
+
+
 class MMSpace:
     """A finite metric space with a probability measure.
 
@@ -143,6 +218,7 @@ class MMSpace:
             self._coords.setflags(write=False)
             self._metric = metric
             self._dist = None
+            self._gemm = _gemm_operands(coords) if metric == "euclidean" else None
             n = coords.shape[0]
         else:
             dist = np.asarray(dist, dtype=float)
@@ -170,6 +246,7 @@ class MMSpace:
             self._dist = dist
             self._coords = None
             self._metric = None
+            self._gemm = None
         self.n = n
         self.weights = _as_weights(weights, n)
         self.label = label
@@ -193,55 +270,122 @@ class MMSpace:
 
     @property
     def dist(self) -> np.ndarray:
-        """The full distance matrix, materialized and cached on first use."""
+        """The full distance matrix, materialized and cached on first use.
+
+        Built in row blocks; the GEMM kernel's rounding is not symmetric, so
+        there each block holds the upper triangle and is mirrored into the
+        lower one, and the matrix is exactly symmetric either way.
+        """
         if self._dist_cache is None:
             if self.n > MATERIALIZE_LIMIT:
                 raise ResourceLimitError(
                     f"n={self.n} exceeds the dense-matrix limit "
                     f"{MATERIALIZE_LIMIT}; use dist_row()/dist_block() instead"
                 )
-            m = self._pairwise(self._coords, self._coords)
-            np.fill_diagonal(m, 0.0)
+            n = self.n
+            m = np.empty((n, n))
+            for i0 in range(0, n, self.block_rows):
+                i1 = min(i0 + self.block_rows, n)
+                rows = np.arange(i0, i1)
+                if self._gemm is None:
+                    self._pairwise(rows, self_cols=rows, out=m[i0:i1])
+                    continue
+                self._pairwise(rows, slice(i0, None), rows - i0, out=m[i0:i1, i0:])
+                m[i1:, i0:i1] = m[i0:i1, i1:].T
+                lower = np.tril_indices(i1 - i0, -1)
+                m[i0:i1, i0:i1][lower] = m[i0:i1, i0:i1].T[lower]
             m.setflags(write=False)
             self._dist_cache = m
         return self._dist_cache
 
-    def _pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._metric == "euclidean":
-            return cdist(a, b)
-        return cdist(a, b, metric="hamming")
+    @property
+    def block_rows(self) -> int:
+        """Rows per block under the ``BLOCK_ENTRIES`` budget."""
+        return max(1, BLOCK_ENTRIES // self.n)
+
+    def _pairwise(self, rows: np.ndarray, cols=slice(None), self_cols=None,
+                  out=None) -> np.ndarray:
+        """Distances from the points `rows` to the points `cols` (slice or
+        ids), written to `out` if given; ``self_cols[k]``, when given, is
+        the column of row k's own point, which is set to exactly 0."""
+        if self._gemm is None:
+            metric = "euclidean" if self._metric == "euclidean" else "hamming"
+            out = cdist(self._coords[rows], self._coords[cols], metric=metric, out=out)
+        else:
+            out = self._gemm_pairwise(rows, cols, self_cols, out)
+        if self_cols is not None:
+            out[np.arange(len(rows)), self_cols] = 0.0
+        return out
+
+    def _gemm_pairwise(self, rows, cols, self_cols, out) -> np.ndarray:
+        """The GEMM kernel with its cancellation guard; see the module notes."""
+        aug, thr = self._gemm
+        d = aug.shape[1] - 2
+        a = aug[rows]
+        a[:, :d] *= -2.0
+        a[:, d] = a[:, d + 1]
+        a[:, d + 1] = 1.0
+        d2 = np.matmul(a, aug[cols].T, out=out)
+        if self_cols is not None:
+            d2[np.arange(len(rows)), self_cols] = np.inf
+        t = thr[rows]
+        for k in np.flatnonzero(d2.min(axis=1) < t):
+            js = np.flatnonzero(d2[k] < t[k])
+            diff = self._coords[np.arange(self.n)[cols][js]] - self._coords[rows[k]]
+            d2[k, js] = np.einsum("ij,ij->i", diff, diff)
+        return np.sqrt(d2, out=d2)
 
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from point `i` to every point."""
         if self._dist_cache is not None:
             return self._dist_cache[i]
-        row = self._pairwise(self._coords[i : i + 1], self._coords)[0]
-        row[i] = 0.0
-        return row
+        return self._pairwise(np.array([i]), self_cols=[i])[0]
 
-    def dist_block(self, ids) -> np.ndarray:
-        """Distance rows for the given point ids, shape ``(len(ids), n)``."""
+    def dist_block(self, ids, out=None) -> np.ndarray:
+        """Distance rows for the given point ids, shape ``(len(ids), n)``,
+        written to `out` (C-contiguous) if given."""
         ids = np.asarray(ids, dtype=int)
+        if ids.size and not (-self.n <= ids.min() and ids.max() < self.n):
+            raise IndexError(f"point ids out of range for n={self.n}")
         if self._dist_cache is not None:
-            return self._dist_cache[ids]
-        blk = self._pairwise(self._coords[ids], self._coords)
-        blk[np.arange(len(ids)), ids] = 0.0
-        return blk
+            # in-range ids: "wrap" indexes as [] does, without buffering `out`
+            return np.take(self._dist_cache, ids, axis=0, out=out, mode="wrap")
+        return self._pairwise(ids, self_cols=ids, out=out)
+
+    def iter_blocks(self, ids=None):
+        """Yield ``(block_ids, dist_block(block_ids))`` over `ids` (default:
+        every point) in order, ``block_rows`` rows at a time.
+
+        Every block is written into one buffer, so a block is valid only
+        until the next is yielded: copy what must outlive it.  Reusing the
+        buffer saves allocating, and faulting in, a block per step.
+        """
+        ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=int)
+        buf = np.empty((min(self.block_rows, len(ids)), self.n))
+        for i0 in range(0, len(ids), self.block_rows):
+            part = ids[i0 : i0 + self.block_rows]
+            yield part, self.dist_block(part, out=buf[: len(part)])
+
+    def min_dist_to(self, ids) -> np.ndarray:
+        """``min over a in ids of d(x, a)`` for every point x (ids nonempty)."""
+        out = None
+        for _, blk in self.iter_blocks(ids):
+            m = blk.min(axis=0)
+            out = m if out is None else np.minimum(out, m, out=out)
+        return out
 
     def submatrix(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=int)
         if self._dist_cache is not None:
             return self._dist_cache[np.ix_(ids, ids)]
-        sub = self._pairwise(self._coords[ids], self._coords[ids])
-        np.fill_diagonal(sub, 0.0)
-        return sub
+        return self._pairwise(ids, ids, np.arange(len(ids)))
 
     def distance(self, i: int, j: int) -> float:
         if self._dist_cache is not None:
             return float(self._dist_cache[i, j])
         if i == j:
             return 0.0
-        return float(self._pairwise(self._coords[i : i + 1], self._coords[j : j + 1])[0, 0])
+        return float(self._pairwise(np.array([i]), np.array([j]))[0, 0])
 
     # -- derived spaces --------------------------------------------------------
 
@@ -459,11 +603,7 @@ def diameter(space: MMSpace) -> float:
         if space.is_dense or space.n <= AUTO_DENSE:
             d = float(space.dist.max())
         else:
-            d = 0.0
-            step = max(1, (4 << 20) // space.n)
-            for i0 in range(0, space.n, step):
-                ids = np.arange(i0, min(i0 + step, space.n))
-                d = max(d, float(space.dist_block(ids).max()))
+            d = max(float(blk.max()) for _, blk in space.iter_blocks())
         space._diameter_cache = d
     return space._diameter_cache
 
@@ -498,11 +638,10 @@ def _uniform_pair_order_stat(space: MMSpace, k: int) -> float:
     # histogram refinement over row blocks; exact selection without
     # materializing the n**2 values
     lo, hi = 0.0, diameter(space) + 1e-12
-    step = max(1, (4 << 20) // n)
 
     def blocks():
-        for i0 in range(0, n, step):
-            yield space.dist_block(np.arange(i0, min(i0 + step, n))).ravel()
+        for _, blk in space.iter_blocks():
+            yield blk.ravel()
 
     for _ in range(64):
         nbins = 4096
@@ -586,10 +725,7 @@ def product_distance_moments(space: MMSpace, include_diagonal: bool = True
         m2 = float(w @ (d * d) @ w)
     else:
         m1 = m2 = 0.0
-        step = max(1, (4 << 20) // space.n)
-        for i0 in range(0, space.n, step):
-            ids = np.arange(i0, min(i0 + step, space.n))
-            blk = space.dist_block(ids)
+        for ids, blk in space.iter_blocks():
             m1 += float(w[ids] @ (blk @ w))
             m2 += float(w[ids] @ ((blk * blk) @ w))
     if not include_diagonal:

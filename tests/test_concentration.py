@@ -1,9 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from concdim.concentration import (
+    MAX_ANALYTIC_CUBE_DIM,
+    MAX_PROFILE_CUBE_DIM,
+    _cascade_shadow,
     alpha_exact,
     alpha_exact_profile,
     alpha_lower,
@@ -198,6 +202,39 @@ def test_hamming_analytic_matches_exact_on_dyadic_grid():
         for i in range(1, 2 ** (d - 1) + 1):
             kap = Fraction(i, 2**d)
             assert sep_hamming_analytic(d, kap) == sep_exact(c, float(kap))
+
+
+def linear_cascade_shadow(s: int, k: int) -> int:
+    """Cascade shadow with each digit found by a linear scan."""
+    total = 0
+    while s > 0 and k >= 1:
+        a = k
+        while math.comb(a + 1, k) <= s:
+            a += 1
+        total += math.comb(a, k - 1)
+        s -= math.comb(a, k)
+        k -= 1
+    return total
+
+
+def test_cascade_shadow_search_matches_linear_search():
+    for k in range(1, 14):
+        sizes = list(range(0, 300))
+        for a in (k + 1, 2 * k + 3, 40):
+            c = math.comb(a, k)
+            sizes += [c - 1, c, c + 1, 3 * c + 7]
+        for s in sizes:
+            assert _cascade_shadow(s, k) == linear_cascade_shadow(s, k), (s, k)
+
+
+def test_hamming_cube_dimension_ceilings():
+    with pytest.raises(InputError):
+        sep_hamming_analytic(MAX_ANALYTIC_CUBE_DIM + 1, 0.25)
+    with pytest.raises(InputError):
+        sep_hamming_profile(MAX_PROFILE_CUBE_DIM + 1)
+    with pytest.raises(InputError):
+        sep_hamming_analytic(0, 0.25)
+    assert sep_hamming_analytic(200, 0.25) == 0.05
 
 
 def test_hamming_analytic_rejects_bad_kappa():

@@ -78,6 +78,21 @@ def test_sphere_alpha_line_small(tmp_path):
     s = manifest["summary"]
     assert len(s["alpha_eq_half_eps_crossings"]) == 2
     assert (tmp_path / "alpha_sphere_d3.csv").exists()
+    spacing = s["mean_nn_spacing_by_dim"]
+    assert len(spacing) == 2 and all(sp > 0 for sp in spacing)
+    # 600 points on S^10 are far coarser than its alpha = eps/2 crossing
+    assert spacing[1] > s["alpha_eq_half_eps_crossings"][1] / 4
+    assert s["resolved"] is False
+
+
+def test_sphere_alpha_line_defaults_resolve_the_crossing(tmp_path):
+    s = run(ExperimentSpec("sphere_alpha_line", 0), tmp_path)["summary"]
+    assert [p.name for p in sorted(tmp_path.glob("alpha_sphere_d*.csv"))] == [
+        "alpha_sphere_d1.csv", "alpha_sphere_d2.csv", "alpha_sphere_d3.csv"]
+    assert s["resolved"] is True
+    assert all(sp <= c / 4 for sp, c in zip(s["mean_nn_spacing_by_dim"],
+                                            s["alpha_eq_half_eps_crossings"]))
+    assert s["midpoints_strictly_decreasing"] is True
 
 
 def test_rerun_byte_identical(tmp_path):
