@@ -26,9 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import Feature, dictionary as make_dictionary
-from .mmspace import MMSpace, diameter, weighted_median
+from .mmspace import MMSpace, diameter, require_pair_table, weighted_median
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
 ORACLE_LIMIT = 22
@@ -273,6 +274,15 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
 
     On the default grid the profile captures every step of alpha, so its
     step quadrature integrates alpha exactly.
+
+    The minimal half-mass subsets are processed in batches of masks under
+    the ``mmspace.BLOCK_ENTRIES`` budget.  Every distance is ranked once
+    against the grid; ranking is monotone, so the least rank over a set's
+    members is the rank of the distance to the set.  A batch takes the
+    element-wise minimum of its members' rank columns, buckets the weights
+    of every mask with one ``bincount`` (adding in point order, as a
+    per-subset ``np.add.at`` would) and keeps, at each grid point, the
+    least cumulative mass inside the neighborhoods.
     """
     _require_oracle_size(space, "alpha_lower")
     diam = diameter(space)
@@ -283,18 +293,25 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
         if grid[0] < 0:
             raise InputError("eps grid must be nonnegative")
     subs, _ = _minimal_half_subsets(space.weights)
-    best = np.zeros(grid.size)
-    members = [np.flatnonzero((int(s) >> np.arange(space.n)) & 1) for s in subs]
-    w = space.weights
-    for ids in members:
-        d_to_a = space.dist[:, ids].min(axis=1)
-        idx = np.searchsorted(grid, d_to_a, side="left")
-        # grid[j] >= d_to_a[x] iff j >= idx[x]; x lies outside A_eps below that
-        bucket = np.zeros(grid.size + 1)
-        np.add.at(bucket, idx, w)
-        inside = np.cumsum(bucket[:-1])
-        np.maximum(best, 1.0 - inside, out=best)
-    best = np.minimum(np.maximum(best, 0.0), 0.5)
+    n, g = space.n, grid.size
+    # rank[x, a] is the first grid index with grid[j] >= d(x, a); x lies in
+    # the closed grid[j]-neighborhood of A from the least rank over A on
+    rank = np.searchsorted(grid, space.dist, side="left")
+    # per mask a batch holds n ranks, g + 1 buckets and g cumulative sums
+    batch = max(1, mmspace.BLOCK_ENTRIES // (n + 2 * g))
+    inside = np.ones(g)
+    for start in range(0, subs.size, batch):
+        masks = subs[start : start + batch]
+        member = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        idx = np.full((masks.size, n), g)
+        for a in range(n):
+            np.minimum(idx, np.where(member[:, a, None], rank[:, a], g), out=idx)
+        idx += np.arange(masks.size)[:, None] * (g + 1)
+        bucket = np.bincount(idx.ravel(), weights=np.tile(space.weights, masks.size),
+                             minlength=masks.size * (g + 1))
+        np.minimum(inside, bucket.reshape(masks.size, g + 1)[:, :-1].cumsum(axis=1)
+                   .min(axis=0), out=inside)
+    best = np.minimum(np.maximum(1.0 - inside, 0.0), 0.5)
     best[(grid >= diam) & (grid > 0)] = 0.0
     best[0] = 0.5  # convention at eps = 0
     best = np.minimum.accumulate(best)
@@ -782,6 +799,7 @@ def _feature_obs_diameter(space: MMSpace, values: np.ndarray, kappa: float) -> f
         if allowed_above + 1 > total:
             return 0.0
         return _kth_largest_abs_diff(values, allowed_above + 1)
+    require_pair_table(space, "observable_diameter")
     flat = np.abs(values[:, None] - values[None, :]).ravel()
     w = np.multiply.outer(space.weights, space.weights).ravel()
     vs, inverse = np.unique(flat, return_inverse=True)

@@ -73,7 +73,11 @@ WEIGHT_SUM_TOL = 1e-12
 MATERIALIZE_LIMIT = 12_000
 
 #: coordinate-backed spaces at most this large are materialized eagerly by
-#: the statistics below; larger ones are processed in row blocks.
+#: the statistics below; larger ones are processed in row blocks.  The
+#: weighted-median statistics over all n**2 pairs under non-uniform weights
+#: (``char_size`` and the observable diameter of a feature) have no blocked
+#: form and refuse larger spaces: they hold 48 and 61 bytes per pair, and at
+#: n=6000 peaked at 1.7 and 2.2 GB RSS (15.6 and 9.5 s).
 AUTO_DENSE = 6_000
 
 #: distances held by one block of rows, the memory budget of every blocked
@@ -684,6 +688,15 @@ def _uniform_pair_order_stat(space: MMSpace, k: int) -> float:
     raise InvariantViolation("pair order-statistic refinement did not converge")
 
 
+def require_pair_table(space: MMSpace, what: str) -> None:
+    """Refuse a statistic that sorts all n**2 weighted pairs above AUTO_DENSE."""
+    if space.n > AUTO_DENSE:
+        raise ResourceLimitError(
+            f"{what} with non-uniform weights sorts all n**2 pairs and is "
+            f"limited to n <= {AUTO_DENSE} points, got {space.n}"
+        )
+
+
 def _pair_median(space: MMSpace, which: str) -> float:
     n = space.n
     uniform = bool(np.all(space.weights == space.weights[0]))
@@ -691,6 +704,7 @@ def _pair_median(space: MMSpace, which: str) -> float:
         total = n * n
         k = (total + 1) // 2 if which == "lower" else total // 2 + 1
         return _uniform_pair_order_stat(space, k)
+    require_pair_table(space, "char_size")
     flat = space.dist.ravel()
     w = np.multiply.outer(space.weights, space.weights).ravel()
     return weighted_median(flat, w, which=which)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
@@ -21,7 +22,9 @@ from .mmspace import MMSpace
 MARGINAL_TOL = 1e-9
 CERT_TOL = 1e-9
 
-#: transportation LPs have n**2 variables; refuse above this size.
+#: transportation LPs have n**2 variables and 2n-1 equality rows, passed to
+#: HiGHS as a sparse matrix with 2n**2 - n nonzeros; refuse above this size.
+#: At n=512 a solve took 2.3 s and 345 MB peak RSS (README, Limits).
 EMD_LIMIT = 512
 
 
@@ -95,20 +98,15 @@ def emd(space: MMSpace, mu, nu) -> TransportPlan:
     elif k == 1:
         sub = mu[rows][:, None].copy()
     else:
-        a_eq = []
-        b_eq = []
-        for i in range(m):
-            r = np.zeros((m, k))
-            r[i, :] = 1.0
-            a_eq.append(r.ravel())
-            b_eq.append(mu[rows[i]])
-        for j in range(k - 1):  # drop one redundant constraint
-            r = np.zeros((m, k))
-            r[:, j] = 1.0
-            a_eq.append(r.ravel())
-            b_eq.append(nu[cols[j]])
-        res = linprog(d.ravel(), A_eq=np.asarray(a_eq), b_eq=np.asarray(b_eq),
-                      bounds=(0, None), method="highs")
+        # row sums over the (m, k) plan raveled row-major, then all but one
+        # column sum (the last is implied by the totals)
+        a_eq = sparse.vstack([
+            sparse.kron(sparse.eye(m), np.ones((1, k))),
+            sparse.kron(np.ones((1, m)), sparse.eye(k), format="csr")[: k - 1],
+        ], format="csr")
+        b_eq = np.concatenate([mu[rows], nu[cols[: k - 1]]])
+        res = linprog(d.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs")
         if not res.success:  # pragma: no cover - well-posed by construction
             raise InvariantViolation(f"transport solve failed: {res.message}")
         sub = res.x.reshape(m, k)

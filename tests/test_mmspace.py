@@ -3,6 +3,7 @@ import pytest
 
 from concdim.errors import InputError, ResourceLimitError
 from concdim.mmspace import (
+    AUTO_DENSE,
     GeneratorSpec,
     char_size,
     char_size_interval,
@@ -15,6 +16,8 @@ from concdim.mmspace import (
     product_distance_moments,
     weighted_median,
 )
+
+from util import run_fresh
 
 
 def test_single_point():
@@ -223,3 +226,33 @@ def test_scaled_space():
     s = from_points([[0.0], [1.0], [3.0]])
     t = s.scaled(2.0)
     assert np.allclose(t.dist, 2.0 * s.dist)
+
+
+def test_weighted_pair_statistics_refuse_above_bound():
+    # one n**2 float64 table at this size is 288 MB; the refused paths
+    # would peak near 1.7 GB (char_size) and 2.2 GB (observable diameter)
+    setup = f"""
+import numpy as np
+from concdim.concentration import observable_diameter
+from concdim.errors import ResourceLimitError
+from concdim.features import dictionary
+from concdim.mmspace import char_size, from_points
+rng = np.random.default_rng(0)
+n = {AUTO_DENSE + 1}
+w = rng.random(n) + 0.5
+s = from_points(rng.normal(size=(n, 3)), weights=w / w.sum())
+feats = dictionary(s, "anchors_random", k=1, seed=0)
+def refused(call):
+    try:
+        call()
+    except ResourceLimitError:
+        return True
+    return False
+def check():
+    return [refused(lambda: char_size(s)),
+            refused(lambda: observable_diameter(s, 0.25, feats)), s.is_dense]
+"""
+    (pair_refused, obs_refused, materialized), _, peak_rss_mb = run_fresh(setup, "check()")
+    assert pair_refused and obs_refused
+    assert not materialized
+    assert peak_rss_mb < 250.0

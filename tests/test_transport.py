@@ -5,9 +5,9 @@ import pytest
 
 from concdim.errors import InputError, ResourceLimitError
 from concdim.mmspace import diameter, from_distance_matrix, from_points
-from concdim.transport import dconc_upper_via_emd, emd
+from concdim.transport import EMD_LIMIT, MARGINAL_TOL, dconc_upper_via_emd, emd
 
-from util import random_space
+from util import random_space, run_fresh
 
 
 def vertex_minimum(dist: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -107,6 +107,26 @@ def test_size_limit():
     s = from_points(np.arange(600, dtype=float)[:, None])
     with pytest.raises(ResourceLimitError):
         emd(s, s.weights, s.weights)
+
+
+def test_emd_at_size_limit_fits_in_memory():
+    # full-support measures give the largest LP: n**2 variables, 2n - 1 rows
+    setup = f"""
+import numpy as np
+from concdim.transport import emd
+from concdim.mmspace import from_points
+rng = np.random.default_rng(17)
+s = from_points(rng.normal(size=({EMD_LIMIT}, 3)))
+mu, nu = (v / v.sum() for v in rng.random((2, {EMD_LIMIT})) + 0.05)
+s.dist
+def solve():
+    plan = emd(s, mu, nu)  # raises unless the dual certificate holds
+    return [plan.cost, *plan.marginal_residuals]
+"""
+    (cost, res_mu, res_nu), _, peak_rss_mb = run_fresh(setup, "solve()")
+    assert cost > 0.0
+    assert res_mu <= MARGINAL_TOL and res_nu <= MARGINAL_TOL
+    assert peak_rss_mb < 1024.0
 
 
 def test_zero_weight_points_reinserted():

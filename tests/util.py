@@ -1,4 +1,5 @@
-"""Shared test helpers: random instances and naive reference oracles.
+"""Shared test helpers: random instances, naive reference oracles and a
+fresh-process runner for resource limits.
 
 The oracles here deliberately reimplement the quantities with plain
 itertools enumeration so the library's bitmask/DP paths are checked
@@ -8,6 +9,11 @@ against an independent computation.
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -69,3 +75,39 @@ def naive_sep(space: MMSpace, kappa: float) -> float:
             continue
         best = max(best, float(d[np.ix_(a, b)].min()))
     return best
+
+
+_FRESH_CHILD = """
+import json, re, sys, time
+setup, call = json.loads(sys.argv[1])
+scope = {}
+exec(setup, scope)
+t0 = time.perf_counter()
+value = eval(call, scope)
+wall_s = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    peak_kb = int(re.search(r"VmHWM:\\s+(\\d+)", fh.read()).group(1))
+print(json.dumps([value, wall_s, peak_kb / 1024.0]))
+"""
+
+
+def run_fresh(setup: str, call: str):
+    """Evaluate `call` in a fresh interpreter after executing `setup` there.
+
+    Returns ``(value, wall_s, peak_rss_mb)``: the call's JSON-serializable
+    value, its wall time alone (imports and `setup` excluded) and the
+    child's peak resident set size in MB over its whole life.  A limit
+    test asserts on the last two, which an in-process measurement would
+    mix with whatever earlier tests left allocated.  The peak is the
+    child's ``VmHWM`` (Linux): its ``ru_maxrss`` would not do, because
+    Linux carries the peak of the spawning process, here the test runner,
+    into it across ``exec``.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD, json.dumps([setup, call])],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    return tuple(json.loads(out.stdout.splitlines()[-1]))
