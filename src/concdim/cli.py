@@ -30,6 +30,7 @@ from .covering import covering_profile, greedy_net, sample_size_bound, CoveringP
 from .dimension import dimension_report
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .experiments import RNG_ALGORITHM, EXPERIMENT_NAMES, ExperimentSpec, run as run_experiment
+from .experiments import _write_csv, _write_json
 from .features import dictionary as make_dictionary
 from .mmspace import (
     GeneratorSpec,
@@ -95,12 +96,6 @@ class _Unwritable(Exception):
     pass
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _base_manifest(args, **extra) -> dict:
     info = {
         "package_version": __version__,
@@ -131,13 +126,8 @@ def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family, args.seed, _parse_params(args.param))
     space = generate(spec)
     path = out / "points.csv"
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(space.coords.shape[1])])
-        for row in space.coords:
-            w.writerow([repr(float(v)) for v in row])
+    _write_csv(path, [f"x{i}" for i in range(space.coords.shape[1])],
+               space.coords.tolist())
     _write_json(out / "manifest.json", _base_manifest(
         args, generator=spec.to_json_dict(), n=space.n,
         metric=space.metric, outputs=["points.csv"], weights="uniform"))

@@ -67,6 +67,20 @@ def _write_two_column_csv(path, header: tuple[str, str], grid, values) -> None:
             w.writerow([repr(float(g)), repr(float(v))])
 
 
+def _check_eps_grid(g: np.ndarray, diameter: float) -> None:
+    if np.any(np.diff(g) <= 0):
+        raise InputError("eps grid must be strictly ascending")
+    if g.size and (g.min() < 0 or g.max() > diameter + 1e-9):
+        raise InputError("eps grid must lie within [0, diameter]")
+
+
+def _check_kappa_grid(g: np.ndarray) -> None:
+    if np.any(np.diff(g) <= 0):
+        raise InputError("kappa grid must be strictly ascending")
+    if g.size and (g.min() <= 0 or g.max() > 0.5 + 1e-12):
+        raise InputError("kappa grid must lie within (0, 1/2]")
+
+
 @dataclass(frozen=True)
 class ConcentrationProfile:
     """alpha estimates on an ascending eps grid with a certificate mode.
@@ -88,10 +102,7 @@ class ConcentrationProfile:
         a = np.asarray(self.alpha, dtype=float)
         if g.ndim != 1 or g.shape != a.shape or g.size == 0:
             raise InputError("profile grid and values must be matching 1-D arrays")
-        if np.any(np.diff(g) <= 0):
-            raise InputError("eps grid must be strictly ascending")
-        if g[0] < 0 or g[-1] > self.diameter + 1e-9:
-            raise InputError("eps grid must lie within [0, diameter]")
+        _check_eps_grid(g, self.diameter)
         if np.any(a < -1e-12) or np.any(a > 0.5 + 1e-9):
             raise InvariantViolation("alpha values outside [0, 1/2]")
         if np.any(np.diff(a) > 1e-9):
@@ -144,10 +155,7 @@ class SeparationProfile:
         s = np.asarray(self.sep, dtype=float)
         if g.ndim != 1 or g.shape != s.shape or g.size == 0:
             raise InputError("profile grid and values must be matching 1-D arrays")
-        if np.any(np.diff(g) <= 0):
-            raise InputError("kappa grid must be strictly ascending")
-        if g[0] <= 0 or g[-1] > 0.5 + 1e-12:
-            raise InputError("kappa grid must lie within (0, 1/2]")
+        _check_kappa_grid(g)
         if np.any(s < -1e-12) or np.any(s > self.diameter + 1e-9):
             raise InvariantViolation("sep values outside [0, diameter]")
         if np.any(np.diff(s) > 1e-9):
@@ -184,20 +192,23 @@ def default_kappa_grid(m: int = DEFAULT_KAPPA_POINTS) -> np.ndarray:
     return np.arange(1, m + 1) / (2.0 * m)
 
 
-def default_eps_grid(space: MMSpace, max_points: int = MAX_EPS_GRID) -> np.ndarray:
+def default_eps_grid(space: MMSpace) -> np.ndarray:
     """Sorted distinct realized distances, quantile-subsampled when huge.
 
+    The distances are all of them where the space holds its distance
+    matrix (``MMSpace.dense``), else those among 1024 seeded points.
     Always contains 0 and the diameter, so exact profiles on this grid
     capture every step of alpha.
     """
-    if space.is_dense or space.n <= 2048:
-        vals = np.unique(space.dist)
+    m = space.dense()
+    if m is not None:
+        vals = np.unique(m)
     else:
         rng = np.random.default_rng(0)
         ids = rng.choice(space.n, size=min(space.n, 1024), replace=False)
         vals = np.unique(space.submatrix(ids))
-    if vals.size > max_points:
-        qs = np.quantile(vals, np.linspace(0.0, 1.0, max_points))
+    if vals.size > MAX_EPS_GRID:
+        qs = np.quantile(vals, np.linspace(0.0, 1.0, MAX_EPS_GRID))
         vals = np.unique(np.concatenate([[0.0], qs, [diameter(space)]]))
     else:
         vals = np.unique(np.concatenate([[0.0], vals, [diameter(space)]]))
@@ -290,8 +301,7 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
         grid = np.unique(np.concatenate([[0.0, diam], np.unique(space.dist)]))
     else:
         grid = np.unique(np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
-        if grid[0] < 0:
-            raise InputError("eps grid must be nonnegative")
+        _check_eps_grid(grid, diam)
     subs, _ = _minimal_half_subsets(space.weights)
     n, g = space.n, grid.size
     # rank[x, a] is the first grid index with grid[j] >= d(x, a); x lies in
@@ -370,6 +380,7 @@ def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
     """Exact separation profile on a kappa grid (default {i/100})."""
     _require_oracle_size(space, "sep_lower")
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
+    _check_kappa_grid(grid)
     thresholds, kappas = _threshold_curve(space)
     vals = np.zeros(grid.size)
     for j, k in enumerate(grid):
@@ -531,7 +542,8 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
               seed: int = 0) -> SeparationProfile:
     """Witness-based lower bounds on the separation profile.
 
-    Restart 0 seeds the two sets with a deterministic far-apart pair; later
+    Restart 0 seeds the two sets with the two-sweep far pair: the point
+    ``a`` farthest from point 0, and the point farthest from ``a``.  Later
     restarts use a random point and its farthest partner.  Each seed pair
     contributes the greedy growth witness (grow both sets by the point
     farthest from the other side until they reach the target mass) and the
@@ -546,14 +558,8 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     best = np.zeros(grid.size)
     if n >= 2:
         rng = np.random.default_rng(seed)
-        seeds: list[tuple[int, int]] = []
-        if space.is_dense:
-            flat = int(np.argmax(space.dist))
-            seeds.append(tuple(map(int, np.unravel_index(flat, (n, n)))))
-        else:
-            a = int(np.argmax(space.dist_row(0)))
-            b = int(np.argmax(space.dist_row(a)))
-            seeds.append((a, b))
+        a = int(np.argmax(space.dist_row(0)))
+        seeds = [(a, int(np.argmax(space.dist_row(a))))]
         for _ in range(restarts - 1):
             i = int(rng.integers(n))
             j = int(np.argmax(space.dist_row(i)))

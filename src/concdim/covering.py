@@ -67,8 +67,6 @@ class CoveringProfile:
 
 
 def _eccentricities(space: MMSpace) -> np.ndarray:
-    if space.is_dense or space.n <= 4096:
-        return space.dist.max(axis=1)
     return np.concatenate([blk.max(axis=1) for _, blk in space.iter_blocks()])
 
 

@@ -92,12 +92,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> Path:
-    path = out_dir / "manifest.json"
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return path
 
 
 def _params(spec: ExperimentSpec, defaults: dict) -> dict:
@@ -306,5 +304,5 @@ def run(spec: ExperimentSpec, out_dir) -> dict:
         "package_version": __version__,
         "summary": summary,
     }
-    _write_manifest(out, manifest)
+    _write_json(out / "manifest.json", manifest)
     return manifest

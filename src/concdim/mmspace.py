@@ -16,9 +16,6 @@ Conventions
 * Weighted medians use the lower-median convention: the smallest value
   whose cumulative mass reaches one half.  Where the lower and upper
   medians differ, both are available via :func:`char_size_interval`.
-* Distance matrices are materialized only up to ``MATERIALIZE_LIMIT``
-  points; larger spaces must be built from coordinates and are evaluated
-  row by row.
 
 The distance layer
 ------------------
@@ -26,6 +23,17 @@ Every distance of a coordinate-backed space comes from one kernel,
 ``MMSpace._pairwise``, and every caller reads it through ``dist``,
 ``dist_row``, ``dist_block``, ``submatrix``, ``distance``, ``min_dist_to``
 or the block iterator ``iter_blocks``.
+
+* When the matrix is held.  One rule, on the input alone, so results do
+  not depend on call order: a space built from a matrix holds it; a
+  coordinate space holds it iff ``n <= AUTO_DENSE`` and builds it, through
+  ``dist``, on its first read of the whole space (``dist``, ``dist_row``,
+  or ``iter_blocks()`` over every point, which then yields views of it).
+  Reads of caller-chosen rows (``dist_block``, ``min_dist_to``,
+  ``submatrix``, ``distance``, the axiom check at construction) use the
+  matrix only if it exists.  ``dense()`` applies the rule.  An explicit
+  ``dist`` request builds the matrix of any space up to
+  ``MATERIALIZE_LIMIT`` points.
 
 * Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
   Euclidean spaces with fewer than ``GEMM_MIN_DIM`` coordinates use
@@ -72,8 +80,8 @@ WEIGHT_SUM_TOL = 1e-12
 #: 12_000 points correspond to a ~1.2 GB float64 matrix.
 MATERIALIZE_LIMIT = 12_000
 
-#: coordinate-backed spaces at most this large are materialized eagerly by
-#: the statistics below; larger ones are processed in row blocks.  The
+#: coordinate-backed spaces at most this large hold their distance matrix
+#: (see the module notes); larger ones are processed in row blocks.  The
 #: weighted-median statistics over all n**2 pairs under non-uniform weights
 #: (``char_size`` and the observable diameter of a feature) have no blocked
 #: form and refuse larger spaces: they hold 48 and 61 bytes per pair, and at
@@ -221,7 +229,7 @@ class MMSpace:
             self._coords = coords
             self._coords.setflags(write=False)
             self._metric = metric
-            self._dist = None
+            self._dist_cache = None
             self._gemm = _gemm_operands(coords) if metric == "euclidean" else None
             n = coords.shape[0]
         else:
@@ -247,14 +255,13 @@ class MMSpace:
                 )
             dist = (dist + dist.T) / 2.0 if asym.max() > 0 else dist.copy()
             dist.setflags(write=False)
-            self._dist = dist
+            self._dist_cache = dist
             self._coords = None
             self._metric = None
             self._gemm = None
         self.n = n
         self.weights = _as_weights(weights, n)
         self.label = label
-        self._dist_cache = self._dist
         self._diameter_cache: float | None = None
         self._verify_metric_axioms()
 
@@ -302,6 +309,13 @@ class MMSpace:
             self._dist_cache = m
         return self._dist_cache
 
+    def dense(self) -> np.ndarray | None:
+        """The distance matrix if the space holds one under the
+        materialization rule (building it on first use), else None."""
+        if self._dist_cache is not None:
+            return self._dist_cache
+        return self.dist if self.n <= AUTO_DENSE else None
+
     @property
     def block_rows(self) -> int:
         """Rows per block under the ``BLOCK_ENTRIES`` budget."""
@@ -341,8 +355,9 @@ class MMSpace:
 
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from point `i` to every point."""
-        if self._dist_cache is not None:
-            return self._dist_cache[i]
+        m = self.dense()
+        if m is not None:
+            return m[i]
         return self._pairwise(np.array([i]), self_cols=[i])[0]
 
     def dist_block(self, ids, out=None) -> np.ndarray:
@@ -360,15 +375,20 @@ class MMSpace:
         """Yield ``(block_ids, dist_block(block_ids))`` over `ids` (default:
         every point) in order, ``block_rows`` rows at a time.
 
-        Every block is written into one buffer, so a block is valid only
+        Over every point of a space that holds its matrix (see
+        :meth:`dense`) the blocks are read-only views of it.  Otherwise
+        every block is written into one buffer, so a block is valid only
         until the next is yielded: copy what must outlive it.  Reusing the
         buffer saves allocating, and faulting in, a block per step.
         """
+        m = self.dense() if ids is None else None
         ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=int)
-        buf = np.empty((min(self.block_rows, len(ids)), self.n))
+        if m is None:
+            buf = np.empty((min(self.block_rows, len(ids)), self.n))
         for i0 in range(0, len(ids), self.block_rows):
             part = ids[i0 : i0 + self.block_rows]
-            yield part, self.dist_block(part, out=buf[: len(part)])
+            yield part, (self.dist_block(part, out=buf[: len(part)]) if m is None
+                         else m[i0 : i0 + len(part)])
 
     def min_dist_to(self, ids) -> np.ndarray:
         """``min over a in ids of d(x, a)`` for every point x (ids nonempty)."""
@@ -415,27 +435,22 @@ class MMSpace:
     # -- validation -----------------------------------------------------------
 
     def _verify_metric_axioms(self) -> None:
-        if self._dist_cache is not None and self.n <= EXHAUSTIVE_CHECK_LIMIT:
+        if self._coords is None and self.n <= EXHAUSTIVE_CHECK_LIMIT:
             _check_triangle_dense(self._dist_cache, TRIANGLE_TOL)
             return
-        if self._dist_cache is not None:
-            sub_ids = np.random.default_rng(_CHECK_SEED).choice(
-                self.n, size=_CHECK_SUBSET_SIZE, replace=False
-            )
-            _check_triangle_dense(self.dist[np.ix_(sub_ids, sub_ids)], TRIANGLE_TOL)
-            return
-        # coordinate-backed spaces: the named metrics satisfy the axioms by
-        # construction; spot-check a deterministic subset anyway.
+        # a deterministic subset; the named metrics of coordinate-backed
+        # spaces satisfy the axioms by construction, so it is a spot check
         m = min(self.n, _CHECK_SUBSET_SIZE)
         sub_ids = np.random.default_rng(_CHECK_SEED).choice(self.n, size=m, replace=False)
-        sub = self.submatrix(sub_ids)
         try:
-            _check_triangle_dense(sub, TRIANGLE_TOL)
-        except InputError as exc:  # pragma: no cover - unreachable for true metrics
-            raise InvariantViolation(str(exc)) from exc
+            _check_triangle_dense(self.submatrix(sub_ids), TRIANGLE_TOL)
+        except InputError as exc:
+            if self._coords is None:
+                raise
+            raise InvariantViolation(str(exc)) from exc  # pragma: no cover
 
     def __repr__(self) -> str:
-        kind = "dense" if self.is_dense else f"coords/{self._metric}"
+        kind = "dense" if self._coords is None else f"coords/{self._metric}"
         lbl = f", label={self.label!r}" if self.label else ""
         return f"MMSpace(n={self.n}, {kind}{lbl})"
 
@@ -604,11 +619,7 @@ def generate(spec: GeneratorSpec) -> MMSpace:
 def diameter(space: MMSpace) -> float:
     """Largest pairwise distance; 0 for a singleton."""
     if space._diameter_cache is None:
-        if space.is_dense or space.n <= AUTO_DENSE:
-            d = float(space.dist.max())
-        else:
-            d = max(float(blk.max()) for _, blk in space.iter_blocks())
-        space._diameter_cache = d
+        space._diameter_cache = max(float(blk.max()) for _, blk in space.iter_blocks())
     return space._diameter_cache
 
 
@@ -635,10 +646,9 @@ def weighted_median(values, weights, which: str = "lower") -> float:
 
 def _uniform_pair_order_stat(space: MMSpace, k: int) -> float:
     """k-th smallest (1-indexed) of the n**2 ordered pairwise distances."""
-    n = space.n
-    if space.is_dense or n <= AUTO_DENSE:
-        flat = space.dist.ravel()
-        return float(np.partition(flat, k - 1)[k - 1])
+    m = space.dense()
+    if m is not None:
+        return float(np.partition(m.ravel(), k - 1)[k - 1])
     # histogram refinement over row blocks; exact selection without
     # materializing the n**2 values
     lo, hi = 0.0, diameter(space) + 1e-12
@@ -733,15 +743,10 @@ def product_distance_moments(space: MMSpace, include_diagonal: bool = True
     index pairs (renormalized by ``1 - sum(w_i**2)``).
     """
     w = space.weights
-    if space.is_dense or space.n <= AUTO_DENSE:
-        d = space.dist
-        m1 = float(w @ d @ w)
-        m2 = float(w @ (d * d) @ w)
-    else:
-        m1 = m2 = 0.0
-        for ids, blk in space.iter_blocks():
-            m1 += float(w[ids] @ (blk @ w))
-            m2 += float(w[ids] @ ((blk * blk) @ w))
+    m1 = m2 = 0.0
+    for ids, blk in space.iter_blocks():
+        m1 += float(w[ids] @ (blk @ w))
+        m2 += float(w[ids] @ ((blk * blk) @ w))
     if not include_diagonal:
         off = 1.0 - float(np.sum(w * w))
         if off <= 0.0:

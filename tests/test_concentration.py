@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from concdim import mmspace
+from concdim import concentration as conc, mmspace
 from concdim.concentration import (
     MAX_ANALYTIC_CUBE_DIM,
     MAX_PROFILE_CUBE_DIM,
@@ -116,6 +116,21 @@ def test_alpha_profile_rejects_grid_beyond_diameter():
     s = _weighted_space(np.random.default_rng(12), 6)
     with pytest.raises(InputError, match="diameter"):
         alpha_exact_profile(s, [0.1, 1.5 * diameter(s)])
+
+
+def test_oracle_profiles_check_the_grid_before_enumerating(monkeypatch):
+    def enumerate_subsets(*args):
+        raise AssertionError("enumerated before the grid was checked")
+
+    monkeypatch.setattr(conc, "_minimal_half_subsets", enumerate_subsets)
+    monkeypatch.setattr(conc, "_threshold_curve", enumerate_subsets)
+    s = _weighted_space(np.random.default_rng(12), 6)
+    for grid in ([0.1, 1.5 * diameter(s)], [-0.1, 0.1]):
+        with pytest.raises(InputError, match="eps grid"):
+            alpha_exact_profile(s, grid)
+    for grid in ([0.0, 0.25], [0.25, 0.6], [0.3, 0.2]):
+        with pytest.raises(InputError, match="kappa grid"):
+            sep_exact_profile(s, grid)
 
 
 def test_alpha_profile_batches_split_subset_list(monkeypatch):

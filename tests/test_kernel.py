@@ -1,12 +1,15 @@
 """The distance layer: the GEMM kernel, its guard, and the blocked scans.
 
 ``scipy.spatial.distance.cdist`` is used here only as the reference.
+With ``mmspace.AUTO_DENSE`` at 0 no space holds its matrix unless asked
+for ``dist``, so every accessor computes its rows.
 """
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from concdim import mmspace
 from concdim.concentration import greedy_separated_subset
 from concdim.features import Feature, check_lipschitz
 from concdim.mmspace import GEMM_ACCURACY, GEMM_MIN_DIM, MMSpace, from_points
@@ -25,7 +28,7 @@ def cloud(d: int, n: int = 300, seed: int = 0) -> np.ndarray:
 
 def every_path(x: np.ndarray) -> list[np.ndarray]:
     """The full matrix as read through each distance accessor."""
-    rows = from_points(x)  # never materialized
+    rows = from_points(x)
     ids = np.arange(rows.n)
     return [
         np.vstack([rows.dist_row(i) for i in ids]),
@@ -46,19 +49,22 @@ TRANSFORMS = {
 
 @pytest.mark.parametrize("name", sorted(TRANSFORMS))
 @pytest.mark.parametrize("d", [GEMM_MIN_DIM - 1, GEMM_MIN_DIM, 50])
-def test_kernel_matches_cdist(name, d):
+def test_kernel_matches_cdist(name, d, monkeypatch):
     x = TRANSFORMS[name](cloud(d))
     space = from_points(x)
     assert (space._gemm is not None) == (d >= GEMM_MIN_DIM)
     ref = cdist(x, x)
     centred = x - x.mean(axis=0)
     bound = GEMM_ACCURACY * (1.0 + np.sqrt((centred * centred).sum(axis=1)).max())
-    for got in every_path(x):
-        k = got.shape[0]
-        assert np.abs(got - ref[:k, :k]).max() <= bound
-        assert (got >= 0).all()
-        assert got[3, 7] == got[7, 3] == got[3, 50] == 0.0
-        assert np.all(np.diag(got) == 0.0)
+    # the matrix read by the rule, then rows computed one call at a time
+    for auto_dense in (mmspace.AUTO_DENSE, 0):
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", auto_dense)
+        for got in every_path(x):
+            k = got.shape[0]
+            assert np.abs(got - ref[:k, :k]).max() <= bound
+            assert (got >= 0).all()
+            assert got[3, 7] == got[7, 3] == got[3, 50] == 0.0
+            assert np.all(np.diag(got) == 0.0)
     m = space.dist
     assert np.array_equal(m, m.T)
     for i, j in [(10, 11), (199, 200)]:
@@ -76,6 +82,7 @@ def test_kernel_falls_back_where_squared_norms_overflow():
 
 def test_kernel_self_entry_does_not_trip_the_guard(monkeypatch):
     # rows are recomputed by direct differences only for their close pairs
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
     space = from_points(cloud(50) + 1e3)
     direct = []
     einsum = np.einsum

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from concdim import mmspace
 from concdim.errors import InputError, ResourceLimitError
 from concdim.mmspace import (
     AUTO_DENSE,
@@ -174,14 +175,16 @@ def test_product_moments_two_point():
     assert var == pytest.approx(0.25)
 
 
-def test_lazy_rows_match_dense():
+def test_lazy_rows_match_dense(monkeypatch):
     spec = GeneratorSpec("gaussian_cloud", 2, {"d": 3, "sigma": 1.0, "n": 25})
     s = generate(spec)
     dense = s.dist
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)  # rows computed one at a time
     lazy = generate(spec)
     for i in (0, 7, 24):
         row = lazy.dist_row(i)
         assert np.allclose(row, dense[i], atol=1e-12)
+    assert not lazy.is_dense
 
 
 def test_points_csv_roundtrip(tmp_path):
