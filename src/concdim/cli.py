@@ -30,8 +30,8 @@ from .covering import covering_profile, greedy_net, sample_size_bound, CoveringP
 from .dimension import dimension_report
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .experiments import RNG_ALGORITHM, EXPERIMENT_NAMES, ExperimentSpec, run as run_experiment
-from .experiments import _write_csv, _write_json
 from .features import dictionary as make_dictionary
+from .io import write_csv, write_json
 from .mmspace import (
     GeneratorSpec,
     MMSpace,
@@ -126,9 +126,9 @@ def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family, args.seed, _parse_params(args.param))
     space = generate(spec)
     path = out / "points.csv"
-    _write_csv(path, [f"x{i}" for i in range(space.coords.shape[1])],
-               space.coords.tolist())
-    _write_json(out / "manifest.json", _base_manifest(
+    write_csv(path, [f"x{i}" for i in range(space.coords.shape[1])],
+              space.coords.tolist())
+    write_json(out / "manifest.json", _base_manifest(
         args, generator=spec.to_json_dict(), n=space.n,
         metric=space.metric, outputs=["points.csv"], weights="uniform"))
     print(f"wrote {path} (n={space.n}, metric={space.metric})")
@@ -161,7 +161,7 @@ def _cmd_alpha(args) -> int:
             idx = min(idx, profile.alpha.size - 1)
             payload["alpha_at_eps"] = {"eps": args.eps,
                                        "alpha": float(profile.alpha[idx])}
-    _write_json(out / "alpha.json", payload)
+    write_json(out / "alpha.json", payload)
     print(f"mode: {profile.mode}")
     print(f"wrote {out / 'alpha.csv'}")
     return EXIT_OK
@@ -173,7 +173,7 @@ def _cmd_sep(args) -> int:
         if args.kappa is None:
             raise InputError("--analytic-d requires --kappa")
         val = sep_hamming_analytic(args.analytic_d, args.kappa)
-        _write_json(out / "sep.json", _base_manifest(
+        write_json(out / "sep.json", _base_manifest(
             args, mode="analytic", d=args.analytic_d,
             kappa=args.kappa, sep=val))
         print(f"mode: analytic\nsep_{args.kappa}(hamming_cube({args.analytic_d})) = {val}")
@@ -199,7 +199,7 @@ def _cmd_sep(args) -> int:
             payload["sep_at_kappa"] = {"kappa": args.kappa,
                                        "sep": float(profile.sep[min(idx, profile.sep.size - 1)])}
         print(f"sep at kappa={args.kappa}: {payload['sep_at_kappa']['sep']}")
-    _write_json(out / "sep.json", payload)
+    write_json(out / "sep.json", payload)
     print(f"mode: {profile.mode}")
     print(f"wrote {out / 'sep.csv'}")
     return EXIT_OK
@@ -210,7 +210,7 @@ def _cmd_obsdiam(args) -> int:
     space = _load_space(args)
     feats = _make_features(space, args.dictionary, args.seed)
     val = observable_diameter(space, args.kappa, feats)
-    _write_json(out / "obsdiam.json", _base_manifest(
+    write_json(out / "obsdiam.json", _base_manifest(
         args, **_space_provenance(args, space), kappa=args.kappa,
         dictionary=args.dictionary, observable_diameter=val,
         mode="lower_bound"))
@@ -229,7 +229,7 @@ def _cmd_dims(args) -> int:
         alpha_profile = alpha_lower(space, dictionary=feats)
         sep_profile = sep_lower(space, restarts=args.restarts, seed=args.seed)
     report = dimension_report(space, alpha_profile, sep_profile)
-    _write_json(out / "dimensions.json", _base_manifest(
+    write_json(out / "dimensions.json", _base_manifest(
         args, **_space_provenance(args, space), report=report.to_json_dict()))
     print(f"modes: alpha={alpha_profile.mode}, sep={sep_profile.mode}")
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -247,7 +247,7 @@ def _cmd_emd(args) -> int:
 
     plan = solve_emd(space, mu, nu)
     plan.to_csv(out / "plan.csv")
-    _write_json(out / "emd.json", _base_manifest(
+    write_json(out / "emd.json", _base_manifest(
         args, space=args.space, cost=plan.cost,
         dconc_upper=float(np.sqrt(plan.cost)),
         marginal_residuals=list(plan.marginal_residuals),
@@ -263,14 +263,14 @@ def _cmd_net(args) -> int:
     if args.grid:
         profile = covering_profile(space, np.asarray(args.grid, dtype=float))
         profile.to_csv(out / "covering.csv")
-        _write_json(out / "net.json", _base_manifest(
+        write_json(out / "net.json", _base_manifest(
             args, **_space_provenance(args, space), outputs=["covering.csv"]))
         print(f"wrote {out / 'covering.csv'}")
         return EXIT_OK
     if args.radius is None:
         raise InputError("net requires --radius or --grid")
     ids = greedy_net(space, args.radius)
-    _write_json(out / "net.json", _base_manifest(
+    write_json(out / "net.json", _base_manifest(
         args, **_space_provenance(args, space), radius=args.radius,
         net_size=int(ids.size), net_ids=[int(i) for i in ids]))
     print(f"net size at radius {args.radius}: {ids.size}")
@@ -283,7 +283,7 @@ def _cmd_bound(args) -> int:
     profile = CoveringProfile(rows[:, 0], rows[:, 1].astype(int),
                               rows[:, 2].astype(int))
     n = sample_size_bound(args.eps, args.delta, profile, args.constant_C)
-    _write_json(out / "bound.json", _base_manifest(
+    write_json(out / "bound.json", _base_manifest(
         args, eps=args.eps, delta=args.delta, constant_C=args.constant_C,
         cover=args.cover, sample_size=n))
     print(f"sample-size bound: {n}")

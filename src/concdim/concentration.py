@@ -29,6 +29,7 @@ import numpy as np
 from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import Feature, dictionary as make_dictionary
+from .io import write_csv
 from .mmspace import MMSpace, diameter, require_pair_table, weighted_median
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
@@ -55,16 +56,6 @@ MAX_PROFILE_CUBE_DIM = 105
 
 
 # -- profiles -------------------------------------------------------------------
-
-
-def _write_two_column_csv(path, header: tuple[str, str], grid, values) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for g, v in zip(grid, values):
-            w.writerow([repr(float(g)), repr(float(v))])
 
 
 def _check_eps_grid(g: np.ndarray, diameter: float) -> None:
@@ -132,7 +123,7 @@ class ConcentrationProfile:
         }
 
     def to_csv(self, path) -> None:
-        _write_two_column_csv(path, ("eps", "alpha"), self.eps_grid, self.alpha)
+        write_csv(path, ("eps", "alpha"), zip(self.eps_grid, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -184,7 +175,7 @@ class SeparationProfile:
         }
 
     def to_csv(self, path) -> None:
-        _write_two_column_csv(path, ("kappa", "sep"), self.kappa_grid, self.sep)
+        write_csv(path, ("kappa", "sep"), zip(self.kappa_grid, self.sep))
 
 
 def default_kappa_grid(m: int = DEFAULT_KAPPA_POINTS) -> np.ndarray:
@@ -414,6 +405,7 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     diam = diameter(space)
     grid = default_eps_grid(space) if eps_grid is None else np.unique(
         np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
+    _check_eps_grid(grid, diam)
     if dictionary is None:
         if space.n <= 64:
             dictionary = make_dictionary(space, "anchors_all")
@@ -552,6 +544,7 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     distance.
     """
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
+    _check_kappa_grid(grid)
     if restarts < 1:
         raise InputError("restarts must be >= 1")
     n = space.n

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .io import write_csv
 from .mmspace import MMSpace
 
 #: nodes used by the quadrature inside sample_size_bound.
@@ -57,13 +58,8 @@ class CoveringProfile:
         return int(self.n_upper[idx])
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "n_upper", "n_lower"])
-            for u, nu_, nl in zip(self.u_grid, self.n_upper, self.n_lower):
-                w.writerow([repr(float(u)), int(nu_), int(nl)])
+        write_csv(path, ["u", "n_upper", "n_lower"],
+                  zip(self.u_grid, self.n_upper, self.n_lower))
 
 
 def _eccentricities(space: MMSpace) -> np.ndarray:

@@ -29,8 +29,6 @@ sampling_convergence
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +48,7 @@ from .concentration import (
 from .dimension import dconc_to_point_bracket, dim_separation
 from .errors import InputError, ResourceLimitError
 from .features import dictionary as make_dictionary
+from .io import write_csv, write_json
 from .mmspace import GeneratorSpec, MMSpace, diameter, generate
 
 RNG_ALGORITHM = "numpy PCG64"
@@ -82,20 +81,6 @@ class ExperimentSpec:
 def derived_seed(root: int, *path: int) -> int:
     """Deterministic child seed for an indexed sub-task."""
     return int(np.random.SeedSequence([root, *path]).generate_state(1)[0])
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _params(spec: ExperimentSpec, defaults: dict) -> dict:
@@ -195,7 +180,7 @@ def _run_hamming_dimension(spec: ExperimentSpec, out_dir: Path) -> dict:
         dim = dim_separation(prof)
         rows.append([int(d), float(dim)])
         dims.append(dim)
-    _write_csv(out_dir / "hamming_sep_dimension.csv", ["d", "dim_separation"], rows)
+    write_csv(out_dir / "hamming_sep_dimension.csv", ["d", "dim_separation"], rows)
     return {
         "curves": ["hamming_sep_dimension.csv"],
         "monotone_increasing": all(a < b for a, b in zip(dims, dims[1:])),
@@ -235,9 +220,9 @@ def _run_noise_instability(spec: ExperimentSpec, out_dir: Path) -> dict:
         dim = dim_separation(prof)
         rows.append([s, float(coverage), float(min_side), sep_0475, float(dim)])
         summaries.append((coverage, sep_0475, dim))
-    _write_csv(out_dir / "noise_instability.csv",
-               ["seed_index", "separated_coverage", "witness_side_mass",
-                "sep_at_0.475", "dim_separation"], rows)
+    write_csv(out_dir / "noise_instability.csv",
+              ["seed_index", "separated_coverage", "witness_side_mass",
+               "sep_at_0.475", "dim_separation"], rows)
     coverages = [c for c, _, _ in summaries]
     return {
         "curves": ["noise_instability.csv"],
@@ -268,8 +253,8 @@ def _run_sampling_convergence(spec: ExperimentSpec, out_dir: Path) -> dict:
             err = abs(dim - cube_dim)
             rows.append([s, int(size), float(dim), float(err)])
             errors[size].append(err)
-    _write_csv(out_dir / "sampling_convergence.csv",
-               ["seed_index", "sample_size", "dim_separation", "abs_error"], rows)
+    write_csv(out_dir / "sampling_convergence.csv",
+              ["seed_index", "sample_size", "dim_separation", "abs_error"], rows)
     medians = [float(np.median(errors[size])) for size in p["sizes"]]
     return {
         "curves": ["sampling_convergence.csv"],
@@ -304,5 +289,5 @@ def run(spec: ExperimentSpec, out_dir) -> dict:
         "package_version": __version__,
         "summary": summary,
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     return manifest

@@ -1,12 +1,12 @@
 """1-Lipschitz features on a finite metric measure space.
 
 A feature is a real-valued function on the points, stored together with a
-certified Lipschitz constant (the exact maximum of ``|f(x)-f(y)|/d(x,y)``
-over pairs at positive distance) and its sup norm.  Finite dictionaries of
-features stand in for the full non-expanding function class when estimating
-observable diameters and concentration profiles; estimates built on them
-are one-sided and can only under-report suprema taken over all
-non-expanding functions.
+certified Lipschitz constant (a bound on ``|f(x)-f(y)|/d(x,y)`` over pairs
+at positive distance, see :class:`Feature`) and its sup norm.  Finite
+dictionaries of features stand in for the full non-expanding function class
+when estimating observable diameters and concentration profiles; estimates
+built on them are one-sided and can only under-report suprema taken over
+all non-expanding functions.
 """
 
 from __future__ import annotations
@@ -16,23 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .io import write_csv
 from .mmspace import MMSpace, weighted_median
 
 #: slack admitted when asserting that a certified constant is at most 1.
 LIPSCHITZ_TOL = 1e-12
-
-#: spaces at most this large are certified by the exhaustive pair scan;
-#: larger ones use the closed-form constants proved in the builders.
-_EXHAUSTIVE_CERT_LIMIT = 2048
 
 
 @dataclass(frozen=True)
 class Feature:
     """Real values on the points with a certified Lipschitz constant.
 
-    ``lipschitz_bound`` is the exact maximum ratio ``|f(x)-f(y)|/d(x,y)``
-    over pairs at positive distance (0 on a singleton); ``sup_norm`` is
-    ``max|f|``.
+    ``lipschitz_bound`` bounds the ratio ``|f(x)-f(y)|/d(x,y)`` over pairs
+    at positive distance (0 on a singleton).  :func:`check_lipschitz`
+    measures the maximum by a scan of every pair.  Distance-to-a-set
+    features and half-differences of distance rows carry, with no scan,
+    the closed form 1 (0 when the values are all equal) that the triangle
+    inequality certifies; it is the maximum except where values differ by
+    rounding alone (the half-difference of two coincident points).
+    ``sup_norm`` is ``max|f|``.
     """
 
     values: np.ndarray
@@ -108,14 +110,8 @@ def _certify_distance_combination(space: MMSpace, values: np.ndarray,
     Used for min-distance and half-difference features: the triangle
     inequality caps the ratio at 1 and the bound is attained at an
     (anchor, point) pair, so the exact constant is 1 whenever the values
-    are not all equal and 0 otherwise.  Small spaces are certified by the
-    exhaustive scan instead so both paths stay observable in tests.
+    are not all equal and 0 otherwise.
     """
-    if space.n <= _EXHAUSTIVE_CERT_LIMIT:
-        got = check_lipschitz(space, values, name)
-        if isinstance(got, LipschitzViolation):  # pragma: no cover - safety net
-            raise InputError(str(got))
-        return got
     bound = 1.0 if float(values.max() - values.min()) > 0.0 else 0.0
     return Feature(values, bound, float(np.abs(values).max()), name)
 
@@ -197,11 +193,6 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
 
 def features_to_csv(features: list[Feature], path) -> None:
     """Write features as CSV columns keyed by point id."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        names = [f.name or f"f{i}" for i, f in enumerate(features)]
-        w.writerow(["point_id", *names])
-        for i in range(len(features[0].values)):
-            w.writerow([i, *(repr(float(f.values[i])) for f in features)])
+    names = [f.name or f"f{i}" for i, f in enumerate(features)]
+    write_csv(path, ["point_id", *names],
+              zip(range(len(features[0].values)), *(f.values for f in features)))

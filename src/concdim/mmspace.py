@@ -30,9 +30,9 @@ or the block iterator ``iter_blocks``.
   ``dist``, on its first read of the whole space (``dist``, ``dist_row``,
   or ``iter_blocks()`` over every point, which then yields views of it).
   Reads of caller-chosen rows (``dist_block``, ``min_dist_to``,
-  ``submatrix``, ``distance``, the axiom check at construction) use the
-  matrix only if it exists.  ``dense()`` applies the rule.  An explicit
-  ``dist`` request builds the matrix of any space up to
+  ``submatrix``, ``distance``) use the matrix only if it exists, and
+  construction computes no distance.  ``dense()`` applies the rule.  An
+  explicit ``dist`` request builds the matrix of any space up to
   ``MATERIALIZE_LIMIT`` points.
 
 * Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
@@ -100,8 +100,9 @@ GEMM_MIN_DIM = 16
 #: ``1 + largest centred norm``; the cancellation guard enforces it.
 GEMM_ACCURACY = 1e-12
 
-#: point count up to which metric axioms are checked exhaustively (O(n^3));
-#: above it a deterministic 200-point submatrix is checked instead.
+#: point count up to which a given distance matrix is checked for the
+#: triangle inequality exhaustively (O(n^3)); above it a deterministic
+#: 200-point submatrix is checked instead.
 EXHAUSTIVE_CHECK_LIMIT = 500
 
 #: hard ceiling on generated sample sizes.
@@ -137,13 +138,14 @@ def _as_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _check_triangle_dense(dist: np.ndarray, tol: float) -> None:
-    n = dist.shape[0]
-    for k in range(n):
-        slack = dist - (dist[:, k][:, None] + dist[k, :][None, :])
-        bad = np.argwhere(slack > tol)
+def _check_triangle(dist: np.ndarray, ids: np.ndarray) -> None:
+    """Raise InputError naming a violated triangle among the points `ids`."""
+    sub = dist[np.ix_(ids, ids)]
+    for k in range(len(ids)):
+        slack = sub - (sub[:, k][:, None] + sub[k, :][None, :])
+        bad = np.argwhere(slack > TRIANGLE_TOL)
         if bad.size:
-            i, j = map(int, bad[0])
+            i, j, k = (int(ids[t]) for t in (*bad[0], k))
             raise InputError(
                 "triangle inequality violated at points "
                 f"({i}, {j}, {k}): d({i},{j})={float(dist[i, j])!r} > "
@@ -188,11 +190,15 @@ class MMSpace:
     ----------
     dist : array, optional
         Symmetric ``(n, n)`` matrix of nonnegative distances with zero
-        diagonal.  Validated on construction (symmetry and triangle
-        inequality within ``1e-9``).
+        diagonal.  Validated on construction: finiteness, sign, diagonal,
+        symmetry within ``1e-9``, and the triangle inequality within
+        ``1e-9`` over every triple up to ``EXHAUSTIVE_CHECK_LIMIT`` points,
+        over the triples of a deterministic 200-point subset above.
     coords : array, optional
         ``(n, d)`` point coordinates; distances are derived on demand
-        under `metric`.  Exactly one of `dist` / `coords` must be given.
+        under `metric`, which satisfies the metric axioms by construction,
+        so only finiteness is validated and no distance is computed at
+        construction.  Exactly one of `dist` / `coords` must be given.
     metric : str, optional
         ``"euclidean"`` or ``"normalized_hamming"`` (fraction of differing
         coordinates).  Required with `coords`.
@@ -254,6 +260,11 @@ class MMSpace:
                     f"{float(dist[i, j])!r} vs {float(dist[j, i])!r}"
                 )
             dist = (dist + dist.T) / 2.0 if asym.max() > 0 else dist.copy()
+            ids = np.arange(n)
+            if n > EXHAUSTIVE_CHECK_LIMIT:
+                ids = np.random.default_rng(_CHECK_SEED).choice(
+                    n, size=_CHECK_SUBSET_SIZE, replace=False)
+            _check_triangle(dist, ids)
             dist.setflags(write=False)
             self._dist_cache = dist
             self._coords = None
@@ -263,7 +274,6 @@ class MMSpace:
         self.weights = _as_weights(weights, n)
         self.label = label
         self._diameter_cache: float | None = None
-        self._verify_metric_axioms()
 
     # -- distance access -----------------------------------------------------
 
@@ -432,23 +442,6 @@ class MMSpace:
                            weights=self.weights, label=label)
         return MMSpace(dist=self.dist * c, weights=self.weights, label=label)
 
-    # -- validation -----------------------------------------------------------
-
-    def _verify_metric_axioms(self) -> None:
-        if self._coords is None and self.n <= EXHAUSTIVE_CHECK_LIMIT:
-            _check_triangle_dense(self._dist_cache, TRIANGLE_TOL)
-            return
-        # a deterministic subset; the named metrics of coordinate-backed
-        # spaces satisfy the axioms by construction, so it is a spot check
-        m = min(self.n, _CHECK_SUBSET_SIZE)
-        sub_ids = np.random.default_rng(_CHECK_SEED).choice(self.n, size=m, replace=False)
-        try:
-            _check_triangle_dense(self.submatrix(sub_ids), TRIANGLE_TOL)
-        except InputError as exc:
-            if self._coords is None:
-                raise
-            raise InvariantViolation(str(exc)) from exc  # pragma: no cover
-
     def __repr__(self) -> str:
         kind = "dense" if self._coords is None else f"coords/{self._metric}"
         lbl = f", label={self.label!r}" if self.label else ""
@@ -472,8 +465,10 @@ def from_distance_matrix(dist, weights=None, label: str | None = None) -> MMSpac
     """Build a space from an explicit distance matrix.
 
     The matrix must be square and symmetric with zero diagonal and satisfy
-    the triangle inequality within ``1e-9``; violations are rejected with
-    the offending indices named.
+    the triangle inequality within ``1e-9``, checked over every triple up
+    to ``EXHAUSTIVE_CHECK_LIMIT`` points and over those of a deterministic
+    200-point subset above; violations found are rejected with the
+    offending indices named.
     """
     return MMSpace(dist=dist, weights=weights, label=label)
 

@@ -17,6 +17,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
+from .io import write_csv
 from .mmspace import MMSpace
 
 MARGINAL_TOL = 1e-9
@@ -52,13 +53,8 @@ class TransportPlan:
 
     def to_csv(self, path) -> None:
         """Write the plan as sparse (i, j, mass) triples."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "mass"])
-            for i, j in zip(*np.nonzero(self.coupling)):
-                w.writerow([int(i), int(j), repr(float(self.coupling[i, j]))])
+        i, j = np.nonzero(self.coupling)
+        write_csv(path, ["i", "j", "mass"], zip(i, j, self.coupling[i, j]))
 
 
 def _check_measure(name: str, v, n: int) -> np.ndarray:

@@ -66,6 +66,15 @@ def test_dims_singleton_reports_infinite(tmp_path):
     assert rep["dim_chavez"] == "inf"
 
 
+def test_dims_on_collinear_cloud_at_large_scale(tmp_path):
+    # exact collinear triples at 1e6 sit at the GEMM kernel's accuracy,
+    # 1e-12 x (1 + largest norm), far above an absolute 1e-9
+    x = np.linspace(0.0, 1e6, 200)[:, None] * np.ones(20)
+    points = tmp_path / "line.csv"
+    points.write_text("\n".join(",".join(repr(float(v)) for v in r) for r in x) + "\n")
+    assert run_cli("dims", "--points", str(points), "--out", str(tmp_path / "dims")) == 0
+
+
 def test_emd_self_is_zero(tmp_path):
     dist = tmp_path / "d.csv"
     dist.write_text("0,1\n1,0\n")

@@ -133,6 +133,21 @@ def test_oracle_profiles_check_the_grid_before_enumerating(monkeypatch):
             sep_exact_profile(s, grid)
 
 
+def test_witness_bounds_check_the_grid_before_witness_work(monkeypatch):
+    def witness_work(*args):
+        raise AssertionError("witness work before the grid was checked")
+
+    monkeypatch.setattr(mmspace.MMSpace, "min_dist_to", witness_work)
+    monkeypatch.setattr(conc, "_greedy_growth_curve", witness_work)
+    s = generate(GeneratorSpec("sphere", 3, {"n_dim": 30, "n": 300}))
+    for grid in ([0.1, 1.5 * diameter(s)], [-0.1, 0.1]):
+        with pytest.raises(InputError, match="eps grid"):
+            alpha_lower(s, grid)
+    for grid in ([0.0, 0.25], [0.25, 0.6], [0.3, 0.2]):
+        with pytest.raises(InputError, match="kappa grid"):
+            sep_lower(s, grid)
+
+
 def test_alpha_profile_batches_split_subset_list(monkeypatch):
     rng = np.random.default_rng(13)
     for n in (8, 9):

@@ -5,12 +5,13 @@ from concdim.errors import InputError
 from concdim.features import (
     Feature,
     LipschitzViolation,
+    _certify_distance_combination,
     check_lipschitz,
     dictionary,
     distance_feature,
     features_to_csv,
 )
-from concdim.mmspace import GeneratorSpec, from_points, generate
+from concdim.mmspace import GEMM_ACCURACY, GeneratorSpec, from_points, generate
 
 from util import random_space
 
@@ -37,8 +38,7 @@ def test_distance_feature_cube_is_hamming_weight():
     f = distance_feature(s, [0])
     weights = s.coords.sum(axis=1) / 3.0
     assert np.allclose(f.values, weights)
-    # the exhaustive ratio max over float distances may sit one ulp above 1
-    assert abs(f.lipschitz_bound - 1.0) <= 1e-12
+    assert f.lipschitz_bound == 1.0
 
 
 def test_distance_feature_rejects_empty_anchor_set():
@@ -118,22 +118,43 @@ def test_distance_feature_triangle_bound_property():
         assert np.all(v[:, None] <= v[None, :] + s.dist + 1e-9)
 
 
-def test_analytic_certificate_matches_exhaustive(monkeypatch):
-    # the closed-form constants used for big spaces must agree with the
-    # exhaustive scan wherever both run
-    import concdim.features as ft
-
+def test_closed_form_certificate_matches_pair_scan():
+    # distance features carry the closed form 1 (0 when constant); the
+    # exhaustive scan of check_lipschitz is the reference it must match
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        s = random_space(rng)
-        anchors = [int(rng.integers(s.n))]
-        exhaustive = distance_feature(s, anchors)
-        monkeypatch.setattr(ft, "_EXHAUSTIVE_CERT_LIMIT", 0)
-        shortcut = distance_feature(s, anchors)
-        monkeypatch.undo()
-        assert np.array_equal(exhaustive.values, shortcut.values)
-        assert shortcut.lipschitz_bound in (0.0, 1.0)
-        assert abs(exhaustive.lipschitz_bound - shortcut.lipschitz_bound) <= 1e-12
+    x = rng.normal(size=(150, 3))
+    spaces = [
+        from_points(rng.normal(size=(200, 3))),
+        from_points(rng.normal(size=(200, 20)) * 1e3),
+        from_points(rng.normal(size=(200, 50))),
+        generate(GeneratorSpec("hamming_sample", 1, {"d": 6, "n": 200})),  # ties, duplicates
+        from_points(np.vstack([x, x[:50]])),  # duplicate points
+        *(random_space(rng, n=12) for _ in range(6)),
+    ]
+    for s in spaces:
+        feats = [distance_feature(s, [a]) for a in rng.choice(s.n, 3, replace=False)]
+        feats.append(distance_feature(s, rng.choice(s.n, 7, replace=False)))
+        feats.append(distance_feature(s, np.arange(s.n)))
+        feats += dictionary(s, "halfspace_differences", k=8, seed=int(rng.integers(99)))
+        for f in feats:
+            measured = check_lipschitz(s, f.values)
+            assert isinstance(measured, Feature)
+            assert f.lipschitz_bound in (0.0, 1.0)
+            assert abs(f.lipschitz_bound - measured.lipschitz_bound) <= 1e-12, f.name
+
+
+def test_closed_form_is_an_upper_bound_on_coincident_gemm_rows():
+    # two coincident points may read rows that differ in the last bits
+    # on the GEMM kernel; their half-difference then has spread at that
+    # level and the closed form 1 only bounds its measured constant
+    x = np.random.default_rng(5).normal(size=(150, 20))
+    s = from_points(np.vstack([x, x]))
+    norm = np.linalg.norm(x - x.mean(axis=0), axis=1).max()
+    for p in range(150):
+        values = (s.dist_row(p) - s.dist_row(p + 150)) / 2.0
+        f = _certify_distance_combination(s, values, "half_diff")
+        assert np.ptp(values) <= GEMM_ACCURACY * (1.0 + norm)
+        assert check_lipschitz(s, values).lipschitz_bound <= f.lipschitz_bound
 
 
 def test_centered_features_have_sup_norm_within_diameter():

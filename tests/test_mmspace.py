@@ -67,6 +67,41 @@ def test_distance_matrix_triangle_violation_names_triple():
         from_distance_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
 
+def test_matrix_above_exhaustive_limit_checks_a_subset():
+    n = 600
+    rng = np.random.default_rng(4)
+    m = rng.uniform(0.5, 1.0, size=(n, n))  # any such matrix is a metric
+    m = (m + m.T) / 2.0
+    np.fill_diagonal(m, 0.0)
+    ids = np.random.default_rng(mmspace._CHECK_SEED).choice(
+        n, size=mmspace._CHECK_SUBSET_SIZE, replace=False)
+    i, j, k = (int(ids[t]) for t in (5, 17, 0))
+    m[i, j] = m[j, i] = 2.5
+    with pytest.raises(InputError, match=rf"triangle .* \({i}, {j}, {k}\)"):
+        from_distance_matrix(m)
+
+
+def test_construction_computes_no_distance(monkeypatch):
+    def pairwise(*args, **kwargs):
+        raise AssertionError("distance computed at construction")
+
+    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", pairwise)
+    rng = np.random.default_rng(2)
+    for d in (3, 20):
+        s = from_points(rng.normal(size=(700, d)))
+        s.subspace(np.arange(0, 700, 2))
+        s.scaled(3.0)
+    from_points(rng.integers(0, 2, size=(700, 8)), metric="normalized_hamming")
+    sphere = generate(GeneratorSpec("sphere", 1, {"n_dim": 2, "n": 700}))
+    for fam, params in [
+        ("hamming_cube", {"d": 10}),
+        ("hamming_sample", {"d": 8, "n": 700}),
+        ("gaussian_cloud", {"d": 30, "sigma": 1.0, "n": 700}),
+        ("noisy_embedding", {"base": sphere, "ambient_d": 20, "sigma": 0.1, "n": 700}),
+    ]:
+        generate(GeneratorSpec(fam, 1, params)).subspace([0, 1, 2])
+
+
 def test_generator_determinism():
     for fam, params in [
         ("sphere", {"n_dim": 5, "n": 64}),
