@@ -135,7 +135,16 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _bound_at(grid: np.ndarray, bounds: np.ndarray, x: float) -> float:
+    """Lower bound at `x` on a non-increasing function: the bound at the
+    least grid point >= x, 0 beyond the grid."""
+    i = int(np.searchsorted(grid, x))
+    return float(bounds[i]) if i < bounds.size else 0.0
+
+
 def _cmd_alpha(args) -> int:
+    if args.eps is not None and not args.eps >= 0:
+        raise InputError(f"eps must be nonnegative, got {args.eps!r}")
     out = _out_dir(args)
     space = _load_space(args)
     mode = args.mode
@@ -151,16 +160,9 @@ def _cmd_alpha(args) -> int:
     payload = _base_manifest(args, **_space_provenance(args, space),
                              profile=profile.metadata(), outputs=["alpha.csv"])
     if args.eps is not None:
-        if mode == "exact":
-            payload["alpha_at_eps"] = {"eps": args.eps,
-                                       "alpha": alpha_exact(space, args.eps)}
-        else:
-            # certified direction: report the bound at the next grid point,
-            # which alpha at the requested eps dominates
-            idx = int(np.searchsorted(profile.eps_grid, args.eps, side="left"))
-            idx = min(idx, profile.alpha.size - 1)
-            payload["alpha_at_eps"] = {"eps": args.eps,
-                                       "alpha": float(profile.alpha[idx])}
+        payload["alpha_at_eps"] = {"eps": args.eps, "alpha": (
+            alpha_exact(space, args.eps) if mode == "exact"
+            else _bound_at(profile.eps_grid, profile.alpha, args.eps))}
     write_json(out / "alpha.json", payload)
     print(f"mode: {profile.mode}")
     print(f"wrote {out / 'alpha.csv'}")
@@ -168,6 +170,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_sep(args) -> int:
+    if args.kappa is not None and not 0 < args.kappa <= 0.5:
+        raise InputError(f"kappa must lie in (0, 1/2], got {args.kappa!r}")
     out = _out_dir(args)
     if args.analytic_d is not None:
         if args.kappa is None:
@@ -191,13 +195,9 @@ def _cmd_sep(args) -> int:
     payload = _base_manifest(args, **_space_provenance(args, space),
                              profile=profile.metadata(), outputs=["sep.csv"])
     if args.kappa is not None:
-        if mode == "exact":
-            payload["sep_at_kappa"] = {"kappa": args.kappa,
-                                       "sep": sep_exact(space, args.kappa)}
-        else:
-            idx = int(np.searchsorted(profile.kappa_grid, args.kappa - 1e-12))
-            payload["sep_at_kappa"] = {"kappa": args.kappa,
-                                       "sep": float(profile.sep[min(idx, profile.sep.size - 1)])}
+        payload["sep_at_kappa"] = {"kappa": args.kappa, "sep": (
+            sep_exact(space, args.kappa) if mode == "exact"
+            else _bound_at(profile.kappa_grid, profile.sep, args.kappa - 1e-12))}
         print(f"sep at kappa={args.kappa}: {payload['sep_at_kappa']['sep']}")
     write_json(out / "sep.json", payload)
     print(f"mode: {profile.mode}")

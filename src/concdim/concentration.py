@@ -30,7 +30,7 @@ from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import Feature, dictionary as make_dictionary
 from .io import write_csv
-from .mmspace import MMSpace, diameter, require_pair_table, weighted_median
+from .mmspace import MMSpace, diameter, weighted_median
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
 ORACLE_LIMIT = 22
@@ -59,15 +59,15 @@ MAX_PROFILE_CUBE_DIM = 105
 
 
 def _check_eps_grid(g: np.ndarray, diameter: float) -> None:
-    if np.any(np.diff(g) <= 0):
-        raise InputError("eps grid must be strictly ascending")
+    if not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+        raise InputError("eps grid must be finite and strictly ascending")
     if g.size and (g.min() < 0 or g.max() > diameter + 1e-9):
         raise InputError("eps grid must lie within [0, diameter]")
 
 
 def _check_kappa_grid(g: np.ndarray) -> None:
-    if np.any(np.diff(g) <= 0):
-        raise InputError("kappa grid must be strictly ascending")
+    if not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+        raise InputError("kappa grid must be finite and strictly ascending")
     if g.size and (g.min() <= 0 or g.max() > 0.5 + 1e-12):
         raise InputError("kappa grid must lie within (0, 1/2]")
 
@@ -199,11 +199,8 @@ def default_eps_grid(space: MMSpace) -> np.ndarray:
         ids = rng.choice(space.n, size=min(space.n, 1024), replace=False)
         vals = np.unique(space.submatrix(ids))
     if vals.size > MAX_EPS_GRID:
-        qs = np.quantile(vals, np.linspace(0.0, 1.0, MAX_EPS_GRID))
-        vals = np.unique(np.concatenate([[0.0], qs, [diameter(space)]]))
-    else:
-        vals = np.unique(np.concatenate([[0.0], vals, [diameter(space)]]))
-    return vals
+        vals = np.quantile(vals, np.linspace(0.0, 1.0, MAX_EPS_GRID))
+    return np.unique(np.concatenate([[0.0], vals, [diameter(space)]]))
 
 
 # -- exact oracles ---------------------------------------------------------------
@@ -259,7 +256,7 @@ def alpha_exact(space: MMSpace, eps: float, convention_at_zero: bool = True) -> 
     enumeration value is used.
     """
     _require_oracle_size(space, "alpha_lower")
-    if eps < 0:
+    if not eps >= 0:
         raise InputError(f"eps must be nonnegative, got {eps!r}")
     if eps == 0.0 and convention_at_zero:
         return 0.5
@@ -288,11 +285,9 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     """
     _require_oracle_size(space, "alpha_lower")
     diam = diameter(space)
-    if eps_grid is None:
-        grid = np.unique(np.concatenate([[0.0, diam], np.unique(space.dist)]))
-    else:
-        grid = np.unique(np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
-        _check_eps_grid(grid, diam)
+    extra = space.dist if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    grid = np.unique(np.concatenate([[0.0, diam], extra.ravel()]))
+    _check_eps_grid(grid, diam)
     subs, _ = _minimal_half_subsets(space.weights)
     n, g = space.n, grid.size
     # rank[x, a] is the first grid index with grid[j] >= d(x, a); x lies in
@@ -362,9 +357,7 @@ def sep_exact(space: MMSpace, kappa: float) -> float:
         raise InputError(f"kappa must be positive, got {kappa!r}")
     thresholds, kappas = _threshold_curve(space)
     ok = kappas >= kappa - MASS_TOL
-    if not ok.any():
-        return 0.0
-    return float(thresholds[ok].max())
+    return float(thresholds[ok].max()) if ok.any() else 0.0
 
 
 def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
@@ -372,12 +365,7 @@ def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
     _require_oracle_size(space, "sep_lower")
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
     _check_kappa_grid(grid)
-    thresholds, kappas = _threshold_curve(space)
-    vals = np.zeros(grid.size)
-    for j, k in enumerate(grid):
-        ok = kappas >= k - MASS_TOL
-        vals[j] = float(thresholds[ok].max()) if ok.any() else 0.0
-    return SeparationProfile(grid, vals, "exact", diameter(space))
+    return SeparationProfile(grid, [sep_exact(space, k) for k in grid], "exact", diameter(space))
 
 
 # -- heuristics -------------------------------------------------------------------
@@ -756,73 +744,55 @@ def sep_hamming_profile(d: int) -> SeparationProfile:
 # -- observable diameter and margins ----------------------------------------------
 
 
-def _kth_largest_abs_diff(values: np.ndarray, k: int) -> float:
-    """k-th largest |v_a - v_b| over all ordered pairs, without the n**2 table.
+def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
+    """Largest D whose pairs with ``v_b <= v_a - D`` carry mass at least
+    `target`; the pair (a, b) has mass ``u_a * u_b``, or 1 if `u` is None.
 
-    Bisection over the value range with an O(n log n) pair count per probe;
-    the count function is a step function of the probe, so once the
-    bracketing floats become adjacent the lower end is the exact order
-    statistic.
+    Bisection; a probe sums the mass by binary search in the sorted values
+    and prefix sums of their weights (exact counts when `u` is None).  The
+    mass is a step function of D, so the lower end is exact once the
+    bracketing floats are adjacent.
     """
-    v = np.sort(values)
-    n = v.size
-    total = n * n
-
-    def count_at_least(d: float) -> int:
-        if d <= 0:
-            return total
-        return 2 * int(np.searchsorted(v, v - d, side="right").sum())
-
-    if k >= total:
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    w = np.ones(v.size) if u is None else u[order]
+    prefix = np.concatenate([[0.0], np.cumsum(w)])
+    # v - d rounds to v for d below half an ulp of v, so cap each count
+    # before v's own ties
+    first = np.searchsorted(v, v, side="left")
+    if target >= prefix[-1] ** 2:
         return 0.0
     lo, hi = 0.0, float(v[-1] - v[0]) + 1.0
-    if count_at_least(lo) < k:  # pragma: no cover - k >= 1 makes this impossible
-        return 0.0
     while True:
         mid = (lo + hi) / 2.0
         if mid <= lo or mid >= hi:
             return lo
-        if count_at_least(mid) >= k:
+        below = prefix[np.minimum(np.searchsorted(v, v - mid, side="right"), first)]
+        if 2.0 * float(w @ below) >= target:
             lo = mid
         else:
             hi = mid
-
-
-def _feature_obs_diameter(space: MMSpace, values: np.ndarray, kappa: float) -> float:
-    """Least D with product-measure mass of {|f(x)-f(y)| >= D} below kappa."""
-    n = space.n
-    uniform = bool(np.all(space.weights == space.weights[0]))
-    if uniform:
-        total = n * n
-        allowed_above = math.ceil(kappa * total) - 1
-        if allowed_above + 1 > total:
-            return 0.0
-        return _kth_largest_abs_diff(values, allowed_above + 1)
-    require_pair_table(space, "observable_diameter")
-    flat = np.abs(values[:, None] - values[None, :]).ravel()
-    w = np.multiply.outer(space.weights, space.weights).ravel()
-    vs, inverse = np.unique(flat, return_inverse=True)
-    masses = np.bincount(inverse, weights=w, minlength=vs.size)
-    tail_above = 1.0 - np.cumsum(masses)  # mass strictly above vs[k]
-    ok = np.flatnonzero(tail_above < kappa - 1e-15)
-    return float(vs[ok[0]]) if ok.size else float(vs[-1])
 
 
 def observable_diameter(space: MMSpace, kappa: float,
                         dictionary: list[Feature]) -> float:
     """Largest observable diameter over a feature dictionary (lower bound).
 
-    For each feature the least D with
-    ``P[|f(x) - f(y)| >= D] < kappa`` under the product measure is
-    computed exactly from the n**2 value pairs; the maximum over the
-    finite dictionary can only under-report the supremum over all
-    non-expanding functions.
+    For each feature the least D with ``P[|f(x) - f(y)| > D] < kappa``
+    under the product measure, by bisection on its n values under any
+    weights (O(n) memory).  It tests ``v_b <= v_a - D``, so it may sit up
+    to 2 ulp of the largest ``|v|`` from the exact ``|v_a - v_b|``.  The
+    maximum over the finite dictionary can only under-report the supremum
+    over all non-expanding functions.
     """
     if not (0 < kappa < 1):
         raise InputError(f"kappa must lie in (0, 1), got {kappa!r}")
     if not dictionary:
         raise InputError("observable_diameter requires a nonempty dictionary")
-    return max(_feature_obs_diameter(space, f.values, kappa) for f in dictionary)
+    w = space.weights
+    u, target = ((None, math.ceil(kappa * space.n * space.n)) if np.all(w == w[0])
+                 else (w, kappa - 1e-15))
+    return max(_kth_largest_abs_diff(f.values, u, target) for f in dictionary)
 
 
 def margin_error(space: MMSpace, labels, feature: Feature, gamma: float) -> float:
@@ -842,7 +812,7 @@ def margin_error(space: MMSpace, labels, feature: Feature, gamma: float) -> floa
             f"feature is not certified 1-Lipschitz "
             f"(bound {feature.lipschitz_bound!r})"
         )
-    if gamma < 0:
+    if not gamma >= 0:
         raise InputError(f"gamma must be nonnegative, got {gamma!r}")
     margin = np.abs(feature.values - 0.5)
     return float(space.weights[margin < gamma].sum())

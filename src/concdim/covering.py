@@ -113,8 +113,8 @@ def covering_profile(space: MMSpace, u_grid) -> CoveringProfile:
     u-balls).
     """
     grid = np.unique(np.asarray(u_grid, dtype=float))
-    if grid.size == 0 or grid[0] <= 0:
-        raise InputError("u grid must be positive")
+    if grid.size == 0 or grid[0] <= 0 or not np.all(np.isfinite(grid)):
+        raise InputError("u grid must be positive and finite")
     _, radii = _farthest_point_sweep(space, grid[0])
     radii_arr = np.asarray(radii[1:], dtype=float)  # start point has radius inf
     n_upper = np.array([1 + int((radii_arr >= u).sum()) for u in grid], dtype=np.int64)

@@ -59,11 +59,14 @@ or the block iterator ``iter_blocks``.
   (``iter_blocks`` reuses one buffer for all its blocks), and the dense
   matrix is built through blocks of the same size; on the
   GEMM kernel each block holds the upper triangle and is mirrored, so the
-  matrix is exactly symmetric.
+  matrix is exactly symmetric.  ``char_size`` selects over these blocks
+  (``_pair_order_stat``) under any weights, keeping at most
+  ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -81,11 +84,7 @@ WEIGHT_SUM_TOL = 1e-12
 MATERIALIZE_LIMIT = 12_000
 
 #: coordinate-backed spaces at most this large hold their distance matrix
-#: (see the module notes); larger ones are processed in row blocks.  The
-#: weighted-median statistics over all n**2 pairs under non-uniform weights
-#: (``char_size`` and the observable diameter of a feature) have no blocked
-#: form and refuse larger spaces: they hold 48 and 61 bytes per pair, and at
-#: n=6000 peaked at 1.7 and 2.2 GB RSS (15.6 and 9.5 s).
+#: (see the module notes); larger ones are processed in row blocks.
 AUTO_DENSE = 6_000
 
 #: distances held by one block of rows, the memory budget of every blocked
@@ -114,6 +113,7 @@ MAX_CUBE_DIM = 20
 _KNOWN_METRICS = ("euclidean", "normalized_hamming")
 _CHECK_SUBSET_SIZE = 200
 _CHECK_SEED = 0x5EED
+_PAIR_SAMPLE = 1 << 18  # pairs sampled to bracket a pair order statistic
 
 
 def _as_weights(weights, n: int) -> np.ndarray:
@@ -639,80 +639,103 @@ def weighted_median(values, weights, which: str = "lower") -> float:
     return float(v[min(k, len(v) - 1)])
 
 
-def _uniform_pair_order_stat(space: MMSpace, k: int) -> float:
-    """k-th smallest (1-indexed) of the n**2 ordered pairwise distances."""
-    m = space.dense()
-    if m is not None:
-        return float(np.partition(m.ravel(), k - 1)[k - 1])
-    # histogram refinement over row blocks; exact selection without
-    # materializing the n**2 values
-    lo, hi = 0.0, diameter(space) + 1e-12
+def _pair_sample_bracket(space: MMSpace, u, p: float) -> tuple[float, float]:
+    """A range likely to hold the pair quantile at mass fraction `p`: 4
+    standard errors to each side of `p` among ``_PAIR_SAMPLE`` pairs drawn
+    by mass, with a fixed seed, from every block."""
+    rng = np.random.default_rng(0)
+    cum = np.cumsum(np.ones(space.n) if u is None else u)
+    x, k0 = np.empty(_PAIR_SAMPLE), 0
+    for ids, blk in space.iter_blocks():
+        start = cum[ids[0] - 1] if ids[0] else 0.0
+        k1 = int(_PAIR_SAMPLE * cum[ids[-1]] / cum[-1])
+        rows = np.searchsorted(cum, rng.uniform(start, cum[ids[-1]], k1 - k0), side="right")
+        cols = np.searchsorted(cum, rng.uniform(0.0, cum[-1], k1 - k0), side="right")
+        x[k0:k1] = blk[np.minimum(rows, ids[-1]) - ids[0], np.minimum(cols, space.n - 1)]
+        k0 = k1
+    x.sort()
+    half = 4.0 * math.sqrt(p * (1.0 - p) / _PAIR_SAMPLE) + 1.0 / _PAIR_SAMPLE
+    lo, hi = int((p - half) * _PAIR_SAMPLE), math.ceil((p + half) * _PAIR_SAMPLE)
+    return (float(x[lo]) if lo > 0 else 0.0,
+            float(x[hi]) if hi < _PAIR_SAMPLE else diameter(space))
 
-    def blocks():
-        for _, blk in space.iter_blocks():
-            yield blk.ravel()
+
+def _pair_order_stat(space: MMSpace, u, target) -> float:
+    """Smallest distance whose pair mass up to and including it reaches
+    `target`; pair (i, j) has mass ``u_i * u_j``, or 1 if `u` is None,
+    when `target` is a rank.
+
+    Exact.  Each pass over ``iter_blocks`` counts the mass below a bracket
+    ``[a, b]`` and collects the values inside it, at most ``BLOCK_ENTRIES``;
+    a pair sample picks the first bracket.  The collected values, or a
+    single distinct one, give the answer.  A bracket that misses `target`
+    drops its side of the range ``[lo, hi]`` known to hold the answer; one
+    holding too many values narrows to the one of 4096 bins reaching it.
+    """
+    n2 = space.n * space.n
+    lo, hi = a, b = 0.0, diameter(space)
+    if n2 > BLOCK_ENTRIES:
+        a, b = _pair_sample_bracket(
+            space, u, target / (n2 if u is None else float(u.sum()) ** 2))
+    vals, masses = np.empty(min(BLOCK_ENTRIES, n2)), np.empty(min(BLOCK_ENTRIES, n2))
+
+    def bins(x, m):
+        return np.bincount(np.searchsorted(edges, x, side="right"), weights=m,
+                           minlength=edges.size + 1)
 
     for _ in range(64):
-        nbins = 4096
-        edges = np.linspace(lo, hi, nbins + 1)
-        counts = np.zeros(nbins, dtype=np.int64)
-        below = 0
-        for blk in blocks():
-            below += int((blk < lo).sum())
-            inside = blk[(blk >= lo) & (blk <= hi)]
-            counts += np.histogram(inside, bins=edges)[0]
-        target = k - below
-        cum = np.cumsum(counts)
-        b = int(np.searchsorted(cum, target, side="left"))
-        if b >= nbins:
-            return float(hi)
-        blo, bhi = edges[b], edges[b + 1]
-        in_bin = int(counts[b])
-        before = int(cum[b - 1]) if b > 0 else 0
-        if in_bin <= (1 << 21):
-            vals = np.concatenate([
-                blk[(blk >= blo) & (blk <= bhi)] for blk in blocks()
-            ])
-            vals.sort()
-            return float(vals[target - before - 1])
-        # heavily tied bin: select among its distinct values exactly
-        uniq: dict[float, int] = {}
-        for blk in blocks():
-            vs, cs = np.unique(blk[(blk >= blo) & (blk <= bhi)], return_counts=True)
-            for v, c in zip(vs.tolist(), cs.tolist()):
-                uniq[v] = uniq.get(v, 0) + c
-            if len(uniq) > 65536:
-                break
-        if len(uniq) <= 65536:
-            run = before
-            for v in sorted(uniq):
-                run += uniq[v]
-                if run >= target:
-                    return float(v)
-        lo, hi = blo, bhi
-    raise InvariantViolation("pair order-statistic refinement did not converge")
-
-
-def require_pair_table(space: MMSpace, what: str) -> None:
-    """Refuse a statistic that sorts all n**2 weighted pairs above AUTO_DENSE."""
-    if space.n > AUTO_DENSE:
-        raise ResourceLimitError(
-            f"{what} with non-uniform weights sorts all n**2 pairs and is "
-            f"limited to n <= {AUTO_DENSE} points, got {space.n}"
-        )
+        below = inside = kept = 0
+        vmin, vmax, counts = np.inf, -np.inf, None
+        for ids, blk in space.iter_blocks():
+            sel = blk < a
+            below += np.count_nonzero(sel) if u is None else float(u[ids] @ (sel @ u))
+            np.logical_xor(sel, blk <= b, out=sel)  # now a <= d <= b
+            if u is None:
+                x, m = blk[sel], None
+            else:
+                r, c = np.nonzero(sel)
+                x, m = blk[r, c], u[ids[r]] * u[c]
+            inside += x.size if u is None else float(m.sum())
+            vmin, vmax = min(vmin, x.min(initial=np.inf)), max(vmax, x.max(initial=-np.inf))
+            if counts is None and kept + x.size <= vals.size:
+                vals[kept : kept + x.size] = x
+                if u is not None:
+                    masses[kept : kept + x.size] = m
+                kept += x.size
+                continue
+            if counts is None:  # too many: bin the values kept and to come
+                edges = np.append(np.linspace(a, b, 4097)[1:-1], b)
+                counts = bins(vals[:kept], None if u is None else masses[:kept])
+            counts = counts + bins(x, m)
+        if below >= target:
+            lo, hi = a, b = lo, np.nextafter(a, -np.inf)
+        elif below + inside < target:
+            lo, hi = a, b = np.nextafter(b, np.inf), hi
+        elif vmin == vmax:
+            return float(vmin)
+        elif counts is None and u is None:  # the rank, selected in place
+            vals[:kept].partition(target - below - 1)
+            return float(vals[target - below - 1])
+        elif counts is None:
+            order = np.argsort(vals[:kept], kind="stable")
+            k = int(np.searchsorted(below + np.cumsum(masses[:kept][order]), target))
+            return float(vals[order[min(k, kept - 1)]])
+        else:
+            k = int(np.searchsorted(below + np.cumsum(counts), target))
+            lo, hi = a, b
+            a = a if k == 0 else edges[k - 1]
+            b = b if k == edges.size else np.nextafter(edges[k], -np.inf)
+    raise InvariantViolation("pair order statistic did not converge")
 
 
 def _pair_median(space: MMSpace, which: str) -> float:
-    n = space.n
-    uniform = bool(np.all(space.weights == space.weights[0]))
-    if uniform:
-        total = n * n
-        k = (total + 1) // 2 if which == "lower" else total // 2 + 1
-        return _uniform_pair_order_stat(space, k)
-    require_pair_table(space, "char_size")
-    flat = space.dist.ravel()
-    w = np.multiply.outer(space.weights, space.weights).ravel()
-    return weighted_median(flat, w, which=which)
+    """Lower or upper pair median, with :func:`weighted_median`'s thresholds."""
+    n2, w = space.n * space.n, space.weights
+    if np.all(w == w[0]):
+        return _pair_order_stat(space, None, (n2 + 1) // 2 if which == "lower" else n2 // 2 + 1)
+    half = 0.5 * float(w.sum()) ** 2
+    return _pair_order_stat(space, w, half - 1e-12 if which == "lower"
+                            else np.nextafter(half + 1e-12, np.inf))
 
 
 def char_size(space: MMSpace) -> float:
@@ -720,7 +743,12 @@ def char_size(space: MMSpace) -> float:
 
     Uses the product measure over ordered pairs (diagonal included) and
     the lower-median convention; see :func:`char_size_interval` for both
-    median variants.
+    median variants.  Under uniform weights it is exactly the
+    ``ceil(n**2 / 2)``-th smallest pair distance; under other weights it
+    meets the thresholds of :func:`weighted_median` (half the mass, less
+    ``1e-12``).  Exact selection over distance blocks, of any size and
+    under any weights: memory beyond the current block stays within
+    ``BLOCK_ENTRIES`` values (see ``_pair_order_stat``).
     """
     return _pair_median(space, "lower")
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from concdim.cli import main
+from concdim.concentration import sep_exact
+from concdim.mmspace import GeneratorSpec, generate
 
 
 def run_cli(*args) -> int:
@@ -174,3 +176,47 @@ def test_experiment_cli_runs_small(tmp_path):
 def test_exit_code_experiment_resource_limit(tmp_path):
     assert run_cli("experiment", "--name", "noise_instability",
                    "--param", "n=200000", "--out", str(tmp_path)) == 3
+
+
+def test_sep_heuristic_at_kappa_never_exceeds_the_exact_value(tmp_path):
+    # sep is non-increasing in kappa: the certified value at kappa is the
+    # bound at the least grid point >= kappa, and 0 beyond the grid
+    grid = ["0.1", "0.2", "0.3"]
+    for seed, n in ((0, 20), (1, 17), (2, 12)):
+        params = ["--family", "gaussian_cloud", "--param", "d=3",
+                  "--param", "sigma=1", "--param", f"n={n}", "--seed", str(seed)]
+        space = generate(GeneratorSpec("gaussian_cloud", seed,
+                                       {"d": 3, "sigma": 1.0, "n": n}))
+        for kappa in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.45, 0.5):
+            out = tmp_path / f"sep{seed}_{kappa}"
+            assert run_cli("sep", *params, "--mode", "heuristic", "--grid", *grid,
+                           "--kappa", str(kappa), "--out", str(out)) == 0
+            payload = json.loads((out / "sep.json").read_text())
+            got = payload["sep_at_kappa"]["sep"]
+            assert got <= sep_exact(space, kappa) + 1e-12
+            if kappa > 0.3:
+                assert got == 0.0
+        rows = (tmp_path / f"sep{seed}_0.2" / "sep.csv").read_text().splitlines()[1:]
+        at = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
+        assert json.loads((tmp_path / f"sep{seed}_0.2" / "sep.json").read_text())[
+            "sep_at_kappa"]["sep"] == at[0.2]
+        assert json.loads((tmp_path / f"sep{seed}_0.15" / "sep.json").read_text())[
+            "sep_at_kappa"]["sep"] == at[0.2]
+
+
+@pytest.mark.parametrize("args", [
+    ["sep", "--mode", "heuristic", "--kappa", "0.7"],
+    ["sep", "--mode", "exact", "--kappa", "0.7"],
+    ["sep", "--mode", "heuristic", "--kappa", "0"],
+    ["sep", "--mode", "exact", "--kappa", "nan"],
+    ["alpha", "--mode", "heuristic", "--eps", "-0.1"],
+    ["alpha", "--mode", "heuristic", "--eps", "nan"],
+    ["alpha", "--mode", "heuristic", "--grid", "0.5", "nan"],
+    ["alpha", "--mode", "exact", "--grid", "0.5", "nan"],
+])
+def test_out_of_range_parameters_exit_2(tmp_path, args):
+    out = tmp_path / "out"
+    assert run_cli(*args, "--family", "gaussian_cloud", "--param", "d=3",
+                   "--param", "sigma=1", "--param", "n=12",
+                   "--out", str(out)) == 2
+    assert not (out / "alpha.csv").exists() and not (out / "sep.csv").exists()

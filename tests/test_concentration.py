@@ -25,6 +25,7 @@ from concdim.concentration import (
     sep_lower,
     split_witness,
 )
+from concdim.covering import covering_profile
 from concdim.errors import InputError, ResourceLimitError
 from concdim.features import check_lipschitz, dictionary, distance_feature
 from concdim.mmspace import GeneratorSpec, diameter, from_points, generate
@@ -399,6 +400,8 @@ def test_obsdiam_two_point_identity_feature():
     s = two_point()
     f = check_lipschitz(s, [0.0, 1.0])
     assert observable_diameter(s, 0.3, [f]) == 1.0
+    # the off-diagonal pairs carry mass 1/2, so above it the value is 0
+    assert observable_diameter(s, 0.6, [f]) == 0.0
 
 
 def test_obsdiam_rejects_bad_kappa():
@@ -440,6 +443,31 @@ def test_obsdiam_weighted_and_uniform_paths_agree():
         for kappa in (0.05, 0.3, 0.7):
             assert observable_diameter(uni, kappa, [fu]) == pytest.approx(
                 observable_diameter(wtd, kappa, [fw]), abs=1e-12)
+
+
+def _obsdiam_table(space, values, kappa):
+    """Observable diameter of one feature from the weighted n**2 table."""
+    flat = np.abs(values[:, None] - values[None, :]).ravel()
+    w = np.multiply.outer(space.weights, space.weights).ravel()
+    vs, inverse = np.unique(flat, return_inverse=True)
+    masses = np.bincount(inverse, weights=w, minlength=vs.size)
+    tail_above = 1.0 - np.cumsum(masses)  # mass strictly above vs[k]
+    ok = np.flatnonzero(tail_above < kappa - 1e-15)
+    return float(vs[ok[0]]) if ok.size else float(vs[-1])
+
+
+def test_obsdiam_weighted_matches_the_pair_table():
+    # the bisection tests v_b <= v_a - D, so it may sit up to 2 ulp of the
+    # largest |value| away from the table's |v_a - v_b|
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 40, 300):
+        w = rng.random(n) + 0.5
+        s = from_points(rng.normal(size=(n, 3)), weights=w / w.sum())
+        for f in dictionary(s, "anchors_random", k=4, seed=n):
+            tol = 2 * np.spacing(np.abs(f.values).max())
+            for kappa in (0.001, 0.01, 0.1, 0.25, 0.45, 0.9):
+                assert abs(observable_diameter(s, kappa, [f])
+                           - _obsdiam_table(s, f.values, kappa)) <= tol
 
 
 def test_obsdiam_sphere_scaling_ratio():
@@ -536,3 +564,22 @@ def test_oracles_with_zero_weight_points():
     assert alpha_exact(s, 0.25) == 0.5
     assert sep_exact(s, 0.5) == 1.0
     assert naive_sep(s, 0.5) == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, f: alpha_lower(s, [0.5, np.nan], dictionary=[f]),
+    lambda s, f: alpha_exact_profile(s, [np.nan]),
+    lambda s, f: alpha_exact(s, np.nan),
+    lambda s, f: sep_lower(s, [0.25, np.nan]),
+    lambda s, f: sep_exact_profile(s, [np.inf]),
+    lambda s, f: covering_profile(s, [0.5, np.nan]),
+    lambda s, f: covering_profile(s, [0.5, np.inf]),
+    lambda s, f: margin_error(s, [0, 1, 0], f, np.nan),
+], ids=["alpha_lower", "alpha_exact_profile", "alpha_exact", "sep_lower",
+        "sep_exact_profile", "covering_profile_nan", "covering_profile_inf",
+        "margin_error"])
+def test_non_finite_parameters_are_input_errors(call):
+    s = from_points([[0.0], [1.0], [3.0]])
+    f = check_lipschitz(s, [0.0, 0.5, 0.5])
+    with pytest.raises(InputError):
+        call(s, f)

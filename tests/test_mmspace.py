@@ -266,31 +266,137 @@ def test_scaled_space():
     assert np.allclose(t.dist, 2.0 * s.dist)
 
 
-def test_weighted_pair_statistics_refuse_above_bound():
-    # one n**2 float64 table at this size is 288 MB; the refused paths
-    # would peak near 1.7 GB (char_size) and 2.2 GB (observable diameter)
+def test_weighted_pair_statistics_run_above_auto_dense():
+    # the weighted n**2 tables these statistics used to sort took 1.7 and
+    # 2.2 GB at n=6000; the blocked selection and the weighted bisection
+    # hold no such table, and the matrix is never built
     setup = f"""
 import numpy as np
+from scipy.spatial.distance import cdist
 from concdim.concentration import observable_diameter
-from concdim.errors import ResourceLimitError
 from concdim.features import dictionary
 from concdim.mmspace import char_size, from_points
 rng = np.random.default_rng(0)
 n = {AUTO_DENSE + 1}
 w = rng.random(n) + 0.5
-s = from_points(rng.normal(size=(n, 3)), weights=w / w.sum())
+w = w / w.sum()
+x = rng.normal(size=(n, 3))
+s = from_points(x, weights=w)
 feats = dictionary(s, "anchors_random", k=1, seed=0)
-def refused(call):
-    try:
-        call()
-    except ResourceLimitError:
-        return True
-    return False
+def masses(c):
+    below = at_most = 0.0
+    for i0 in range(0, n, 500):
+        d = cdist(x[i0 : i0 + 500], x)
+        below += float(w[i0 : i0 + 500] @ ((d < c) @ w))
+        at_most += float(w[i0 : i0 + 500] @ ((d <= c) @ w))
+    return below, at_most
 def check():
-    return [refused(lambda: char_size(s)),
-            refused(lambda: observable_diameter(s, 0.25, feats)), s.is_dense]
+    c = char_size(s)
+    obs = observable_diameter(s, 0.25, feats)
+    return [c, obs, s.is_dense, *masses(c)]
 """
-    (pair_refused, obs_refused, materialized), _, peak_rss_mb = run_fresh(setup, "check()")
-    assert pair_refused and obs_refused
+    (c, obs, materialized, below, at_most), _, peak_rss_mb = run_fresh(setup, "check()")
+    assert below < 0.5 - 1e-12 <= at_most
+    assert obs > 0.0
     assert not materialized
     assert peak_rss_mb < 250.0
+
+
+def _pair_table_medians(s):
+    """char_size_interval from the whole n**2 table of the distances `s`
+    reads: np.partition for uniform weights, weighted_median of the
+    weighted table otherwise."""
+    flat = np.concatenate([blk.ravel().copy() for _, blk in s.iter_blocks()])
+    if np.all(s.weights == s.weights[0]):
+        total = flat.size
+        return (float(np.partition(flat, (total + 1) // 2 - 1)[(total + 1) // 2 - 1]),
+                float(np.partition(flat, total // 2)[total // 2]))
+    w = np.multiply.outer(s.weights, s.weights).ravel()
+    return weighted_median(flat, w, "lower"), weighted_median(flat, w, "upper")
+
+
+def _pair_statistic_spaces():
+    rng = np.random.default_rng(23)
+    yield from_points([[0.5, 1.0]])
+    yield from_points([[0.0], [1.0]])
+    yield from_points([[0.0], [1.0]], weights=[0.75, 0.25])
+    yield generate(GeneratorSpec("hamming_cube", 0, {"d": 6}))
+    cube = generate(GeneratorSpec("hamming_cube", 0, {"d": 6}))
+    w = rng.random(cube.n) + 0.5
+    yield from_points(cube.coords, metric="normalized_hamming", weights=w / w.sum())
+    for n, d in ((7, 2), (40, 3), (61, 20)):
+        x = rng.normal(size=(n, d))
+        yield from_points(x)
+        w = rng.random(n) + 0.5
+        yield from_points(x, weights=w / w.sum())
+    m = rng.uniform(0.5, 1.0, size=(30, 30))
+    m = (m + m.T) / 2.0
+    np.fill_diagonal(m, 0.0)
+    yield from_distance_matrix(m)
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("block_entries", [mmspace.BLOCK_ENTRIES, 64])
+def test_pair_medians_match_the_full_table(monkeypatch, held, block_entries):
+    # small blocks send every space of more than 8 points through the
+    # sampled bracket
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", block_entries)
+    if not held:
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    for s in _pair_statistic_spaces():
+        ref = _pair_table_medians(s)
+        assert char_size_interval(s) == ref
+        assert char_size(s) == ref[0]
+        assert s.is_dense == (held or s.coords is None)
+
+
+def _count_passes(monkeypatch):
+    passes = []
+    inner = mmspace.MMSpace.iter_blocks
+
+    def iter_blocks(self, ids=None):
+        passes.append(ids)
+        return inner(self, ids)
+
+    monkeypatch.setattr(mmspace.MMSpace, "iter_blocks", iter_blocks)
+    return passes
+
+
+@pytest.mark.parametrize("bracket, passes", [
+    ("sampled", 5), ("everything", 5), ("below", 7), ("above", 7)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
+    """Every exit of the selection loop gives the full-table value.  With
+    128 values per bracket, the 2304 pairs here are collected from a
+    sampled bracket; a bracket holding all of them is narrowed by bins
+    and then collected; a bracket that misses on either side costs one
+    more pass.  The diameter takes the first pass."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(48, 3))
+    w = None
+    if weighted:
+        w = rng.random(48) + 0.5
+        w = w / w.sum()
+    ref = _pair_table_medians(from_points(x, weights=w))
+    if bracket != "sampled":
+        # pair distances of this cloud lie in (0.1, 6)
+        top = diameter(from_points(x))
+        fake = {"everything": (0.0, top), "below": (0.0, 0.1), "above": (6.0, top)}
+        monkeypatch.setattr(mmspace, "_pair_sample_bracket",
+                            lambda *args: fake[bracket])
+    s = from_points(x, weights=w)
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 128)
+    seen = _count_passes(monkeypatch)
+    assert char_size_interval(s) == ref
+    assert len(seen) == passes
+
+
+def test_pair_selection_returns_a_single_valued_bracket(monkeypatch):
+    s = generate(GeneratorSpec("hamming_cube", 0, {"d": 8}))
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 1024)
+    monkeypatch.setattr(mmspace, "_pair_sample_bracket", lambda *args: (0.5, 0.5))
+    seen = _count_passes(monkeypatch)
+    # a fifth of the 65536 pairs lie at distance 1/2, the median: far more
+    # than a bracket holds, so only the single-valued exit ends the loop
+    assert char_size_interval(s) == (0.5, 0.5)
+    assert len(seen) == 3
