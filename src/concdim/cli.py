@@ -135,13 +135,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bound_at(grid: np.ndarray, bounds: np.ndarray, x: float) -> float:
-    """Lower bound at `x` on a non-increasing function: the bound at the
-    least grid point >= x, 0 beyond the grid."""
-    i = int(np.searchsorted(grid, x))
-    return float(bounds[i]) if i < bounds.size else 0.0
-
-
 def _cmd_alpha(args) -> int:
     if args.eps is not None and not args.eps >= 0:
         raise InputError(f"eps must be nonnegative, got {args.eps!r}")
@@ -161,8 +154,7 @@ def _cmd_alpha(args) -> int:
                              profile=profile.metadata(), outputs=["alpha.csv"])
     if args.eps is not None:
         payload["alpha_at_eps"] = {"eps": args.eps, "alpha": (
-            alpha_exact(space, args.eps) if mode == "exact"
-            else _bound_at(profile.eps_grid, profile.alpha, args.eps))}
+            alpha_exact(space, args.eps) if mode == "exact" else profile.at(args.eps))}
     write_json(out / "alpha.json", payload)
     print(f"mode: {profile.mode}")
     print(f"wrote {out / 'alpha.csv'}")
@@ -196,8 +188,7 @@ def _cmd_sep(args) -> int:
                              profile=profile.metadata(), outputs=["sep.csv"])
     if args.kappa is not None:
         payload["sep_at_kappa"] = {"kappa": args.kappa, "sep": (
-            sep_exact(space, args.kappa) if mode == "exact"
-            else _bound_at(profile.kappa_grid, profile.sep, args.kappa - 1e-12))}
+            sep_exact(space, args.kappa) if mode == "exact" else profile.at(args.kappa))}
         print(f"sep at kappa={args.kappa}: {payload['sep_at_kappa']['sep']}")
     write_json(out / "sep.json", payload)
     print(f"mode: {profile.mode}")

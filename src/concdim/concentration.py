@@ -20,6 +20,7 @@ Definitions and conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +59,13 @@ MAX_PROFILE_CUBE_DIM = 105
 # -- profiles -------------------------------------------------------------------
 
 
+def _value_at(knots: np.ndarray, values: np.ndarray, x):
+    """The value at the least knot >= `x` (a number or an array), 0 beyond
+    the last: a lower bound at `x` on a non-increasing function."""
+    i = np.searchsorted(knots, x)
+    return np.where(i < knots.size, values[np.minimum(i, knots.size - 1)], 0.0)
+
+
 def _check_eps_grid(g: np.ndarray, diameter: float) -> None:
     if not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
         raise InputError("eps grid must be finite and strictly ascending")
@@ -79,7 +87,9 @@ class ConcentrationProfile:
     ``mode`` is ``"exact"`` or ``"lower_bound"``; ``step=True`` marks
     exact profiles evaluated at every realized distance, for which the
     right-continuous step quadrature reproduces the integral of alpha
-    exactly.
+    exactly.  ``step=False`` takes the trapezoid rule, an estimate: alpha
+    may drop right after a knot, so even on a lower-bound profile it can
+    exceed the exact integral (the right-end rule cannot).
     """
 
     eps_grid: np.ndarray
@@ -105,13 +115,23 @@ class ConcentrationProfile:
         object.__setattr__(self, "eps_grid", g)
         object.__setattr__(self, "alpha", a)
 
-    def integral(self) -> float:
-        """Integral of alpha over [grid start, grid end]."""
-        if self.eps_grid.size == 1:
+    def integral(self, upper: float = math.inf) -> float:
+        """Integral of alpha over [grid start, min(upper, grid end)]; a cut
+        inside the grid ends it at `upper`, at the interpolated value."""
+        g, a = self.eps_grid, self.alpha
+        if upper < g[-1]:
+            hi = int(np.searchsorted(g, upper, side="right"))
+            end = a[hi] if self.step else np.interp(upper, g, a)
+            g, a = np.append(g[:hi], upper), np.append(a[:hi], end)
+        if g.size == 1:
             return 0.0
         if self.step:
-            return float(np.sum(self.alpha[:-1] * np.diff(self.eps_grid)))
-        return float(np.trapezoid(self.alpha, self.eps_grid))
+            return float(np.sum(a[:-1] * np.diff(g)))
+        return float(np.trapezoid(a, g))
+
+    def at(self, eps: float) -> float:
+        """Lower bound on alpha at `eps`."""
+        return float(_value_at(self.eps_grid, self.alpha, eps))
 
     def metadata(self) -> dict:
         return {
@@ -132,7 +152,9 @@ class SeparationProfile:
 
     ``mode`` is ``"exact"``, ``"lower_bound"`` or ``"analytic"``.  The
     separation function is extended to ``kappa -> 0`` by its value at the
-    smallest grid point when integrating.
+    smallest grid point when integrating, by the right-end rule
+    (``step=True``) or by the trapezoid rule, which even on a lower-bound
+    profile can exceed the exact integral.
     """
 
     kappa_grid: np.ndarray
@@ -164,6 +186,10 @@ class SeparationProfile:
         if self.step:
             return head + float(np.sum(self.sep[1:] * np.diff(self.kappa_grid)))
         return head + float(np.trapezoid(self.sep, self.kappa_grid))
+
+    def at(self, kappa: float) -> float:
+        """Lower bound on sep at `kappa`, read at ``kappa - MASS_TOL``."""
+        return float(_value_at(self.kappa_grid, self.sep, kappa - MASS_TOL))
 
     def metadata(self) -> dict:
         return {
@@ -384,39 +410,32 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
                 ball_centers=None) -> ConcentrationProfile:
     """Certified lower bounds on alpha from an explicit witness family.
 
-    Witnesses are the half-mass sublevel sets ``{x : f(x) <= median_f}``
-    of each dictionary feature plus weight-balanced metric balls around
-    `ball_centers` (default: up to 32 seeded points).  Every reported
-    value is ``1 - mu(A_eps)`` for one of these sets, hence at most the
-    exact alpha.
+    Witnesses are the half-mass sublevel sets ``{x : v(x) <= median_v}`` of
+    each dictionary feature and of the distance to each ball center (a
+    weight-balanced ball); both default to the anchors at all points up to
+    64, else at 32 seeded ones.  Each distinct set is evaluated once.  Every
+    value is ``1 - mu(A_eps)`` for one of them, hence at most the exact alpha.
     """
     diam = diameter(space)
     grid = default_eps_grid(space) if eps_grid is None else np.unique(
         np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
     _check_eps_grid(grid, diam)
+    k = space.n if space.n <= 64 else 32
     if dictionary is None:
-        if space.n <= 64:
-            dictionary = make_dictionary(space, "anchors_all")
-        else:
-            dictionary = make_dictionary(space, "anchors_random", k=32, seed=0)
+        dictionary = make_dictionary(space, "anchors_random", k=k, seed=0)
     if ball_centers is None:
-        if space.n <= 64:
-            ball_centers = np.arange(space.n)
-        else:
-            ball_centers = np.random.default_rng(0).choice(space.n, size=32,
-                                                           replace=False)
+        ball_centers = np.random.default_rng(0).choice(space.n, size=k, replace=False)
     w = space.weights
     best = np.zeros(grid.size)
-    for f in dictionary:
-        med = weighted_median(f.values, w, "lower")
-        ids = np.flatnonzero(f.values <= med)
-        d_to_a = space.min_dist_to(ids)
-        np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
-    for c in np.asarray(ball_centers, dtype=int):
-        row = space.dist_row(int(c))
-        radius = weighted_median(row, w, "lower")
-        ids = np.flatnonzero(row <= radius)
-        d_to_a = space.min_dist_to(ids)
+    seen = set()
+    rows = (space.dist_row(int(c)) for c in np.asarray(ball_centers, dtype=int))
+    for v in itertools.chain((f.values for f in dictionary), rows):
+        inside = v <= weighted_median(v, w, "lower")
+        key = np.packbits(inside).tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        d_to_a = space.min_dist_to(np.flatnonzero(inside))
         np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
     best = np.minimum(np.maximum(best, 0.0), 0.5)
     best[(grid >= diam) & (grid > 0)] = 0.0
@@ -524,12 +543,12 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
 
     Restart 0 seeds the two sets with the two-sweep far pair: the point
     ``a`` farthest from point 0, and the point farthest from ``a``.  Later
-    restarts use a random point and its farthest partner.  Each seed pair
-    contributes the greedy growth witness (grow both sets by the point
-    farthest from the other side until they reach the target mass) and the
-    complementary-ball witness around the seeds.  Every value is certified
-    by an explicit admissible pair, hence at most the exact separation
-    distance.
+    restarts use a random point and its farthest partner; a pair drawn
+    again is skipped.  Each seed pair contributes the greedy growth witness
+    (grow both sets by the point farthest from the other side until they
+    reach the target mass) and the complementary-ball witness around the
+    seeds.  Every value is certified by an explicit admissible pair, hence
+    at most the exact separation distance.
     """
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
     _check_kappa_grid(grid)
@@ -544,14 +563,11 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
         for _ in range(restarts - 1):
             i = int(rng.integers(n))
             j = int(np.argmax(space.dist_row(i)))
-            if i == j:
-                continue
-            seeds.append((i, j))
+            if i != j and (i, j) not in seeds:
+                seeds.append((i, j))
         for i, j in seeds:
             minmass, crosses = _greedy_growth_curve(space, i, j)
-            idx = np.searchsorted(minmass, grid - MASS_TOL, side="left")
-            vals = np.where(idx < len(crosses), crosses[np.minimum(idx, len(crosses) - 1)], 0.0)
-            np.maximum(best, vals, out=best)
+            np.maximum(best, _value_at(minmass, crosses, grid - MASS_TOL), out=best)
             np.maximum(best, _ball_pair_witness(space, i, j, grid), out=best)
         if n <= _BALL_COMPLEMENT_LIMIT:
             for c in seeds[0]:
@@ -760,7 +776,7 @@ def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
     # v - d rounds to v for d below half an ulp of v, so cap each count
     # before v's own ties
     first = np.searchsorted(v, v, side="left")
-    if target >= prefix[-1] ** 2:
+    if 2.0 * float(w @ prefix[first]) < target:  # no probe beats pairs v_b < v_a
         return 0.0
     lo, hi = 0.0, float(v[-1] - v[0]) + 1.0
     while True:

@@ -21,30 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import ConcentrationProfile, SeparationProfile
-from .errors import InputError
 from .mmspace import MMSpace, product_distance_moments
-
-_INTEGRAL_FLOOR = 0.0
-
-
-def _truncated_integral(profile: ConcentrationProfile, upper: float) -> float:
-    """Integral of alpha over [grid start, upper], following the profile's
-    quadrature convention."""
-    g = profile.eps_grid
-    a = profile.alpha
-    if upper >= g[-1]:
-        return profile.integral()
-    if upper <= g[0]:
-        return 0.0
-    hi = int(np.searchsorted(g, upper, side="right"))
-    gt = np.concatenate([g[:hi], [upper]])
-    if profile.step:
-        at = a[: gt.size]  # right-continuous: value at the left knot rules
-        return float(np.sum(at[:-1] * np.diff(gt)))
-    a_up = float(np.interp(upper, g, a))
-    at = np.concatenate([a[:hi], [a_up]])
-    return float(np.trapezoid(at, gt))
-
 
 def dim_concentration(profile: ConcentrationProfile, unit_range: bool = False) -> float:
     """Concentration dimension ``1 / (2 I)**2`` with ``I = int alpha``.
@@ -54,10 +31,8 @@ def dim_concentration(profile: ConcentrationProfile, unit_range: bool = False) -
     ``[0, 1]`` (identical whenever the diameter is at most 1).  Returns
     ``inf`` when the integral vanishes.
     """
-    if profile.eps_grid.size == 0:
-        raise InputError("empty concentration profile")
-    i = _truncated_integral(profile, 1.0) if unit_range else profile.integral()
-    if i <= _INTEGRAL_FLOOR:
+    i = profile.integral(1.0 if unit_range else math.inf)
+    if i <= 0.0:
         return math.inf
     return 1.0 / (2.0 * i) ** 2
 
@@ -68,10 +43,8 @@ def dim_separation(profile: SeparationProfile) -> float:
     The profile value at its smallest grid point extends the integrand to
     ``kappa -> 0``; returns ``inf`` when the integral vanishes.
     """
-    if profile.kappa_grid.size == 0:
-        raise InputError("empty separation profile")
     j = profile.integral()
-    if j <= _INTEGRAL_FLOOR:
+    if j <= 0.0:
         return math.inf
     return 1.0 / (2.0 * j) ** 2
 
@@ -116,8 +89,6 @@ def dconc_to_point_bracket(profile: ConcentrationProfile) -> PointBracket:
     lower-bound profile only the lower end is certified and the upper end
     is the diameter, flagged via ``certified_upper=False``.
     """
-    if profile.eps_grid.size == 0:
-        raise InputError("empty concentration profile")
     if profile.diameter == 0.0:
         return PointBracket(0.0, 0.0, True)
     below = profile.alpha <= profile.eps_grid / 2.0

@@ -118,8 +118,7 @@ def _run_sphere_separation(spec: ExperimentSpec, out_dir: Path) -> dict:
         curves[dim] = prof
     checks = {}
     for kap in p["check_kappas"]:
-        j = int(np.searchsorted(grid, kap))
-        vals = [float(curves[d].sep[j]) for d in p["dims"]]
+        vals = [curves[d].at(kap) for d in p["dims"]]
         checks[repr(kap)] = {
             "values_by_dim": vals,
             "pointwise_decreasing": all(a > b for a, b in zip(vals, vals[1:])),
@@ -215,8 +214,7 @@ def _run_noise_instability(spec: ExperimentSpec, out_dir: Path) -> dict:
         min_side, _, _ = split_witness(space, subset)
         prof = _noise_profile(space, min_side, p["min_distance"],
                               derived_seed(spec.seed, s, 1), p["restarts"])
-        at = int(np.searchsorted(prof.kappa_grid, 0.475))
-        sep_0475 = float(prof.sep[at])
+        sep_0475 = prof.at(0.475)
         dim = dim_separation(prof)
         rows.append([s, float(coverage), float(min_side), sep_0475, float(dim)])
         summaries.append((coverage, sep_0475, dim))

@@ -60,7 +60,7 @@ or the block iterator ``iter_blocks``.
   matrix is built through blocks of the same size; on the
   GEMM kernel each block holds the upper triangle and is mirrored, so the
   matrix is exactly symmetric.  ``char_size`` selects over these blocks
-  (``_pair_order_stat``) under any weights, keeping at most
+  (``_pair_order_stats``) under any weights, keeping at most
   ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
 """
 
@@ -639,10 +639,11 @@ def weighted_median(values, weights, which: str = "lower") -> float:
     return float(v[min(k, len(v) - 1)])
 
 
-def _pair_sample_bracket(space: MMSpace, u, p: float) -> tuple[float, float]:
-    """A range likely to hold the pair quantile at mass fraction `p`: 4
-    standard errors to each side of `p` among ``_PAIR_SAMPLE`` pairs drawn
-    by mass, with a fixed seed, from every block."""
+def _pair_sample_bracket(space: MMSpace, u, p_lo: float, p_hi: float
+                         ) -> tuple[float, float]:
+    """A range likely to hold the pair quantiles at mass fractions `p_lo`
+    <= `p_hi`: 4 standard errors beyond them among ``_PAIR_SAMPLE`` pairs
+    drawn by mass, with a fixed seed, from every block."""
     rng = np.random.default_rng(0)
     cum = np.cumsum(np.ones(space.n) if u is None else u)
     x, k0 = np.empty(_PAIR_SAMPLE), 0
@@ -654,38 +655,43 @@ def _pair_sample_bracket(space: MMSpace, u, p: float) -> tuple[float, float]:
         x[k0:k1] = blk[np.minimum(rows, ids[-1]) - ids[0], np.minimum(cols, space.n - 1)]
         k0 = k1
     x.sort()
-    half = 4.0 * math.sqrt(p * (1.0 - p) / _PAIR_SAMPLE) + 1.0 / _PAIR_SAMPLE
-    lo, hi = int((p - half) * _PAIR_SAMPLE), math.ceil((p + half) * _PAIR_SAMPLE)
+    half = 4.0 * math.sqrt(p_lo * (1.0 - p_lo) / _PAIR_SAMPLE) + 1.0 / _PAIR_SAMPLE
+    lo, hi = int((p_lo - half) * _PAIR_SAMPLE), math.ceil((p_hi + half) * _PAIR_SAMPLE)
     return (float(x[lo]) if lo > 0 else 0.0,
             float(x[hi]) if hi < _PAIR_SAMPLE else diameter(space))
 
 
-def _pair_order_stat(space: MMSpace, u, target) -> float:
-    """Smallest distance whose pair mass up to and including it reaches
-    `target`; pair (i, j) has mass ``u_i * u_j``, or 1 if `u` is None,
-    when `target` is a rank.
+def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
+    """For each of the ascending `targets`, the smallest distance whose
+    pair mass up to and including it reaches it; pair (i, j) has mass
+    ``u_i * u_j``, or 1 if `u` is None, when targets are ranks.
 
     Exact.  Each pass over ``iter_blocks`` counts the mass below a bracket
     ``[a, b]`` and collects the values inside it, at most ``BLOCK_ENTRIES``;
-    a pair sample picks the first bracket.  The collected values, or a
-    single distinct one, give the answer.  A bracket that misses `target`
-    drops its side of the range ``[lo, hi]`` known to hold the answer; one
-    holding too many values narrows to the one of 4096 bins reaching it.
+    a pair sample picks the first bracket, wide enough for every target.
+    The collected values, or a single distinct one, answer each target
+    inside the bracket.  A bracket that misses a target drops its side of
+    the range ``[lo, hi]`` known to hold it; one holding too many values
+    narrows to the one of 4096 bins reaching it.  Targets that call for
+    the same next bracket share its passes.
     """
     n2 = space.n * space.n
-    lo, hi = a, b = 0.0, diameter(space)
+    a, b = 0.0, diameter(space)
     if n2 > BLOCK_ENTRIES:
-        a, b = _pair_sample_bracket(
-            space, u, target / (n2 if u is None else float(u.sum()) ** 2))
+        total = n2 if u is None else float(u.sum()) ** 2
+        a, b = _pair_sample_bracket(space, u, targets[0] / total, targets[-1] / total)
     vals, masses = np.empty(min(BLOCK_ENTRIES, n2)), np.empty(min(BLOCK_ENTRIES, n2))
 
     def bins(x, m):
         return np.bincount(np.searchsorted(edges, x, side="right"), weights=m,
                            minlength=edges.size + 1)
 
-    for _ in range(64):
+    found = {}
+    work = [(tuple(targets), (0.0, diameter(space), a, b))]
+    for _ in range(64 * len(targets)):
+        pending, (lo, hi, a, b) = work.pop()
         below = inside = kept = 0
-        vmin, vmax, counts = np.inf, -np.inf, None
+        vmin, vmax, counts, order = np.inf, -np.inf, None, None
         for ids, blk in space.iter_blocks():
             sel = blk < a
             below += np.count_nonzero(sel) if u is None else float(u[ids] @ (sel @ u))
@@ -707,35 +713,46 @@ def _pair_order_stat(space: MMSpace, u, target) -> float:
                 edges = np.append(np.linspace(a, b, 4097)[1:-1], b)
                 counts = bins(vals[:kept], None if u is None else masses[:kept])
             counts = counts + bins(x, m)
-        if below >= target:
-            lo, hi = a, b = lo, np.nextafter(a, -np.inf)
-        elif below + inside < target:
-            lo, hi = a, b = np.nextafter(b, np.inf), hi
-        elif vmin == vmax:
-            return float(vmin)
-        elif counts is None and u is None:  # the rank, selected in place
-            vals[:kept].partition(target - below - 1)
-            return float(vals[target - below - 1])
-        elif counts is None:
-            order = np.argsort(vals[:kept], kind="stable")
-            k = int(np.searchsorted(below + np.cumsum(masses[:kept][order]), target))
-            return float(vals[order[min(k, kept - 1)]])
-        else:
-            k = int(np.searchsorted(below + np.cumsum(counts), target))
-            lo, hi = a, b
-            a = a if k == 0 else edges[k - 1]
-            b = b if k == edges.size else np.nextafter(edges[k], -np.inf)
+        nxt, binned = {}, []
+        for t in pending:
+            if below >= t:
+                nxt.setdefault((lo, np.nextafter(a, -np.inf)) * 2, []).append(t)
+            elif below + inside < t:
+                nxt.setdefault((np.nextafter(b, np.inf), hi) * 2, []).append(t)
+            elif vmin == vmax:
+                found[t] = float(vmin)
+            elif counts is None and u is None:  # the rank, selected in place
+                vals[:kept].partition(t - below - 1)
+                found[t] = float(vals[t - below - 1])
+            elif counts is None:
+                if order is None:
+                    order = np.argsort(vals[:kept], kind="stable")
+                k = int(np.searchsorted(below + np.cumsum(masses[:kept][order]), t))
+                found[t] = float(vals[order[min(k, kept - 1)]])
+            else:
+                binned.append(t)
+        ks = np.searchsorted(below + np.cumsum(counts), binned).tolist() if binned else []
+        # the bins from the first target's to the last's, unless that is
+        # every bin: then each target goes on in its own
+        spans = ([(binned, ks[0], ks[-1])] if ks and (ks[0], ks[-1]) != (0, edges.size)
+                 else [([t], k, k) for t, k in zip(binned, ks)])
+        for ts, k0, k1 in spans:
+            nxt.setdefault((a, b, a if k0 == 0 else edges[k0 - 1], b if k1 == edges.size
+                            else np.nextafter(edges[k1], -np.inf)), []).extend(ts)
+        work.extend((tuple(ts), state) for state, ts in nxt.items())
+        if not work:
+            return [found[t] for t in targets]
     raise InvariantViolation("pair order statistic did not converge")
 
 
-def _pair_median(space: MMSpace, which: str) -> float:
-    """Lower or upper pair median, with :func:`weighted_median`'s thresholds."""
+def _pair_median_targets(space: MMSpace):
+    """`u` and the targets of the lower and upper pair medians, with
+    :func:`weighted_median`'s thresholds."""
     n2, w = space.n * space.n, space.weights
     if np.all(w == w[0]):
-        return _pair_order_stat(space, None, (n2 + 1) // 2 if which == "lower" else n2 // 2 + 1)
+        return None, ((n2 + 1) // 2, n2 // 2 + 1)
     half = 0.5 * float(w.sum()) ** 2
-    return _pair_order_stat(space, w, half - 1e-12 if which == "lower"
-                            else np.nextafter(half + 1e-12, np.inf))
+    return w, (half - 1e-12, np.nextafter(half + 1e-12, np.inf))
 
 
 def char_size(space: MMSpace) -> float:
@@ -748,14 +765,16 @@ def char_size(space: MMSpace) -> float:
     meets the thresholds of :func:`weighted_median` (half the mass, less
     ``1e-12``).  Exact selection over distance blocks, of any size and
     under any weights: memory beyond the current block stays within
-    ``BLOCK_ENTRIES`` values (see ``_pair_order_stat``).
+    ``BLOCK_ENTRIES`` values (see ``_pair_order_stats``).
     """
-    return _pair_median(space, "lower")
+    u, (lower, _) = _pair_median_targets(space)
+    return _pair_order_stats(space, u, [lower])[0]
 
 
 def char_size_interval(space: MMSpace) -> tuple[float, float]:
-    """(lower median, upper median) of the pairwise-distance distribution."""
-    return _pair_median(space, "lower"), _pair_median(space, "upper")
+    """(lower median, upper median) of the pairwise-distance distribution,
+    selected together."""
+    return tuple(_pair_order_stats(space, *_pair_median_targets(space)))
 
 
 def product_distance_moments(space: MMSpace, include_diagonal: bool = True

@@ -301,7 +301,9 @@ def run_noise(tmp_path, params: dict) -> tuple[dict, float]:
 
 def test_criterion_7_noise_instability(tmp_path):
     # the noise claim: at d=50, sigma^2=1/d the sample's separation
-    # dimension collapses; certified, since the profile is a lower bound
+    # dimension collapses; an estimate, not a certified upper bound: the
+    # profile is a lower bound, but its trapezoid integral can exceed the
+    # integral of sep
     noisy, noisy_time = run_noise(tmp_path / "d50", {})
     dim_ok = noisy["seeds_with_dim_le_1.125"] >= 4
     # the mechanism (near-1-separation gives sep(0.475) >= 1) is asymptotic

@@ -8,7 +8,9 @@ from concdim import concentration as conc, mmspace
 from concdim.concentration import (
     MAX_ANALYTIC_CUBE_DIM,
     MAX_PROFILE_CUBE_DIM,
+    MASS_TOL,
     ORACLE_LIMIT,
+    ConcentrationProfile,
     _cascade_shadow,
     _minimal_half_subsets,
     alpha_exact,
@@ -28,7 +30,13 @@ from concdim.concentration import (
 from concdim.covering import covering_profile
 from concdim.errors import InputError, ResourceLimitError
 from concdim.features import check_lipschitz, dictionary, distance_feature
-from concdim.mmspace import GeneratorSpec, diameter, from_points, generate
+from concdim.mmspace import (
+    GeneratorSpec,
+    diameter,
+    from_points,
+    generate,
+    weighted_median,
+)
 
 from util import naive_alpha, naive_sep, random_space, run_fresh
 
@@ -221,6 +229,164 @@ def test_alpha_lower_dominated_by_exact():
             assert val <= alpha_exact(s, float(eps)) + 1e-12
 
 
+def _alpha_lower_two_loops(space, eps_grid=None, dictionary=None, ball_centers=None):
+    """alpha_lower as one loop over the dictionary's sublevel sets and one
+    over the balls, with a default branch each, evaluating every set
+    wherever it occurs: the reference for the single loop."""
+    diam = diameter(space)
+    grid = conc.default_eps_grid(space) if eps_grid is None else np.unique(
+        np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
+    if dictionary is None:
+        if space.n <= 64:
+            dictionary = conc.make_dictionary(space, "anchors_all")
+        else:
+            dictionary = conc.make_dictionary(space, "anchors_random", k=32, seed=0)
+    if ball_centers is None:
+        if space.n <= 64:
+            ball_centers = np.arange(space.n)
+        else:
+            ball_centers = np.random.default_rng(0).choice(space.n, size=32,
+                                                           replace=False)
+    w = space.weights
+    best = np.zeros(grid.size)
+    for f in dictionary:
+        med = weighted_median(f.values, w, "lower")
+        ids = np.flatnonzero(f.values <= med)
+        d_to_a = space.min_dist_to(ids)
+        np.maximum(best, conc._witness_outside_profile(space, d_to_a, grid), out=best)
+    for c in np.asarray(ball_centers, dtype=int):
+        row = space.dist_row(int(c))
+        radius = weighted_median(row, w, "lower")
+        ids = np.flatnonzero(row <= radius)
+        d_to_a = space.min_dist_to(ids)
+        np.maximum(best, conc._witness_outside_profile(space, d_to_a, grid), out=best)
+    best = np.minimum(np.maximum(best, 0.0), 0.5)
+    best[(grid >= diam) & (grid > 0)] = 0.0
+    best[0] = 0.5
+    best = np.minimum.accumulate(best)
+    return ConcentrationProfile(grid, best, "lower_bound", diam, step=False)
+
+
+def _count_witness_sets(monkeypatch):
+    """Record the ids of every min_dist_to call on more than one point; the
+    singleton calls build anchor features."""
+    sets = []
+    inner = mmspace.MMSpace.min_dist_to
+
+    def min_dist_to(self, ids):
+        if len(ids) > 1:
+            sets.append(np.asarray(ids).tobytes())
+        return inner(self, ids)
+
+    monkeypatch.setattr(mmspace.MMSpace, "min_dist_to", min_dist_to)
+    return sets
+
+
+def test_alpha_lower_evaluates_each_witness_set_once(monkeypatch):
+    # the default features and balls share their 32 anchors, and an
+    # anchor's feature and ball have the same sublevel set
+    s = generate(GeneratorSpec("sphere", 0, {"n_dim": 2, "n": 3000}))
+    sets = _count_witness_sets(monkeypatch)
+    got = alpha_lower(s)
+    assert len(sets) == len(set(sets)) == 32
+    monkeypatch.undo()
+    want = _alpha_lower_two_loops(s)
+    assert got.eps_grid.tobytes() == want.eps_grid.tobytes()
+    assert got.alpha.tobytes() == want.alpha.tobytes()
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_alpha_lower_matches_the_two_loop_reference(monkeypatch, held):
+    if not held:
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    spaces = [
+        generate(GeneratorSpec("sphere", 1, {"n_dim": 2, "n": 40})),
+        generate(GeneratorSpec("gaussian_cloud", 2, {"d": 20, "sigma": 1.0, "n": 300})),
+        # 12 bits: many tied distances, so medians fall on ties
+        generate(GeneratorSpec("hamming_sample", 3, {"d": 12, "n": 200})),
+    ]
+    for s in spaces:
+        grid = np.linspace(0.0, diameter(s), 33)
+        feats = dictionary(s, "anchors_random", k=12, seed=4)
+        overlapping = np.concatenate([np.random.default_rng(4).choice(
+            s.n, size=12, replace=False)[:6], [0, 1, 2]])
+        for kwargs in ({}, {"eps_grid": grid},
+                       {"eps_grid": grid, "dictionary": feats,
+                        "ball_centers": overlapping}):
+            got = alpha_lower(s, **kwargs)
+            want = _alpha_lower_two_loops(s, **kwargs)
+            assert got.eps_grid.tobytes() == want.eps_grid.tobytes()
+            assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert s.is_dense == held
+
+
+# -- profile reads ----------------------------------------------------------------
+
+
+def _bound_at(grid, bounds, x):
+    """The lower bound the command line read off a profile before profiles
+    read themselves: the bound at the least grid point >= x, 0 beyond."""
+    i = int(np.searchsorted(grid, x))
+    return float(bounds[i]) if i < bounds.size else 0.0
+
+
+def _truncated_integral(profile, upper):
+    """The unit-range integral dimension functionals took before profiles
+    integrated up to a limit themselves."""
+    g = profile.eps_grid
+    a = profile.alpha
+    if upper >= g[-1]:
+        return profile.integral()
+    if upper <= g[0]:
+        return 0.0
+    hi = int(np.searchsorted(g, upper, side="right"))
+    gt = np.concatenate([g[:hi], [upper]])
+    if profile.step:
+        at = a[: gt.size]
+        return float(np.sum(at[:-1] * np.diff(gt)))
+    a_up = float(np.interp(upper, g, a))
+    at = np.concatenate([a[:hi], [a_up]])
+    return float(np.trapezoid(at, gt))
+
+
+def _probe_points(grid):
+    """Points below, on, between and beyond the grid points."""
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    return [grid[0] - 0.25, *grid, *mids, grid[-1] + 0.25, math.inf]
+
+
+def _concentration_profiles():
+    rng = np.random.default_rng(41)
+    s = from_points(rng.normal(size=(9, 2)) * 0.3)
+    yield alpha_exact_profile(s)
+    yield alpha_lower(s)
+    yield alpha_lower(s, np.linspace(0.0, diameter(s), 7))
+    for step in (True, False):
+        yield ConcentrationProfile([0.1, 0.4, 0.7, 1.3], [0.45, 0.3, 0.1, 0.0],
+                                   "lower_bound", 1.5, step=step)
+
+
+def test_integral_up_to_a_limit_matches_the_truncated_integral():
+    for prof in _concentration_profiles():
+        for upper in _probe_points(prof.eps_grid):
+            assert prof.integral(upper) == _truncated_integral(prof, upper)
+        assert prof.integral() == prof.integral(math.inf)
+
+
+def test_profile_reads_match_the_former_command_line_read():
+    for prof in _concentration_profiles():
+        for eps in _probe_points(prof.eps_grid)[:-1]:
+            assert prof.at(eps) == _bound_at(prof.eps_grid, prof.alpha, eps)
+    s = from_points(np.random.default_rng(42).normal(size=(60, 3)))
+    for prof in (sep_lower(s), sep_lower(s, [0.1, 0.2, 0.35, 0.5]),
+                 sep_hamming_profile(5)):
+        g = prof.kappa_grid
+        for kappa in [*_probe_points(g)[1:-1], 0.5]:
+            assert prof.at(kappa) == _bound_at(g, prof.sep, kappa - MASS_TOL)
+        for j, k in enumerate(g):
+            assert prof.at(k + 1e-13) == prof.at(k - 1e-13) == prof.sep[j]
+
+
 # -- separation oracle --------------------------------------------------------
 
 
@@ -270,6 +436,22 @@ def test_sep_lower_two_point():
     prof = sep_lower(two_point(), restarts=2)
     idx = int(np.searchsorted(prof.kappa_grid, 0.4))
     assert prof.sep[idx] == 1.0
+
+
+def test_sep_lower_grows_each_seed_pair_once(monkeypatch):
+    # 4 points have at most 4 (point, farthest partner) pairs, so 8
+    # restarts draw some pair again
+    s = from_points(np.random.default_rng(44).normal(size=(4, 2)))
+    grown = []
+    inner = conc._greedy_growth_curve
+
+    def growth(space, i, j):
+        grown.append((i, j))
+        return inner(space, i, j)
+
+    monkeypatch.setattr(conc, "_greedy_growth_curve", growth)
+    sep_lower(s, restarts=8)
+    assert len(grown) == len(set(grown)) < 8
 
 
 def test_sphere_separation_decreases_with_dimension():
@@ -468,6 +650,30 @@ def test_obsdiam_weighted_matches_the_pair_table():
             for kappa in (0.001, 0.01, 0.1, 0.25, 0.45, 0.9):
                 assert abs(observable_diameter(s, kappa, [f])
                            - _obsdiam_table(s, f.values, kappa)) <= tol
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_obsdiam_answers_zero_without_bisecting(monkeypatch, weighted):
+    # on two values, the pairs that differ carry about half the mass: the
+    # answer is 0 at kappa 0.6, which bisecting down to adjacent floats
+    # found after about 1076 probes
+    rng = np.random.default_rng(43)
+    w = rng.random(2000) + 0.5 if weighted else np.ones(2000)
+    s = from_points(np.repeat([[0.0], [1.0]], 1000, axis=0), weights=w / w.sum())
+    f = distance_feature(s, [0])
+    assert observable_diameter(s, 0.4, [f]) == _obsdiam_table(s, f.values, 0.4) == 1.0
+    probes = []
+    searchsorted = np.searchsorted
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    assert observable_diameter(s, 0.6, [f]) == 0.0
+    monkeypatch.undo()
+    assert _obsdiam_table(s, f.values, 0.6) == 0.0
+    assert len(probes) <= 2
 
 
 def test_obsdiam_sphere_scaling_ratio():

@@ -333,6 +333,16 @@ def _pair_statistic_spaces():
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, 0.0)
     yield from_distance_matrix(m)
+    # 450 of the 900 pairs lie at distance 0 or 1, the rest at 2: the lower
+    # median is 1 and the upper 2, and a bracket holding both holds all
+    # pairs but the diagonal, so the two selections go apart
+    iu = np.triu_indices(30, 1)
+    pick = rng.choice(iu[0].size, 210, replace=False)
+    m = np.full((30, 30), 2.0)
+    m[iu[0][pick], iu[1][pick]] = 1.0
+    m = np.minimum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    yield from_distance_matrix(m)
 
 
 @pytest.mark.parametrize("held", [True, False])
@@ -370,7 +380,9 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     128 values per bracket, the 2304 pairs here are collected from a
     sampled bracket; a bracket holding all of them is narrowed by bins
     and then collected; a bracket that misses on either side costs one
-    more pass.  The diameter takes the first pass."""
+    more pass.  The diameter takes the first pass.  `passes` counts them
+    for two separate selections of the medians; selected together, the
+    medians share every pass after the diameter's."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=(48, 3))
     w = None
@@ -388,7 +400,7 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 128)
     seen = _count_passes(monkeypatch)
     assert char_size_interval(s) == ref
-    assert len(seen) == passes
+    assert len(seen) == 1 + (passes - 1) // 2
 
 
 def test_pair_selection_returns_a_single_valued_bracket(monkeypatch):
@@ -397,6 +409,7 @@ def test_pair_selection_returns_a_single_valued_bracket(monkeypatch):
     monkeypatch.setattr(mmspace, "_pair_sample_bracket", lambda *args: (0.5, 0.5))
     seen = _count_passes(monkeypatch)
     # a fifth of the 65536 pairs lie at distance 1/2, the median: far more
-    # than a bracket holds, so only the single-valued exit ends the loop
+    # than a bracket holds, so only the single-valued exit ends the loop,
+    # for both medians in the pass after the diameter's
     assert char_size_interval(s) == (0.5, 0.5)
-    assert len(seen) == 3
+    assert len(seen) == 2
