@@ -672,8 +672,8 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
     The collected values, or a single distinct one, answer each target
     inside the bracket.  A bracket that misses a target drops its side of
     the range ``[lo, hi]`` known to hold it; one holding too many values
-    narrows to the one of 4096 bins reaching it.  Targets that call for
-    the same next bracket share its passes.
+    narrows to the one of 4096 bins reaching it.  Targets whose next
+    bracket is the same share its passes; the others go on apart.
     """
     n2 = space.n * space.n
     a, b = 0.0, diameter(space)
@@ -731,14 +731,10 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
                 found[t] = float(vals[order[min(k, kept - 1)]])
             else:
                 binned.append(t)
-        ks = np.searchsorted(below + np.cumsum(counts), binned).tolist() if binned else []
-        # the bins from the first target's to the last's, unless that is
-        # every bin: then each target goes on in its own
-        spans = ([(binned, ks[0], ks[-1])] if ks and (ks[0], ks[-1]) != (0, edges.size)
-                 else [([t], k, k) for t, k in zip(binned, ks)])
-        for ts, k0, k1 in spans:
-            nxt.setdefault((a, b, a if k0 == 0 else edges[k0 - 1], b if k1 == edges.size
-                            else np.nextafter(edges[k1], -np.inf)), []).extend(ts)
+        if binned:
+            for t, k in zip(binned, np.searchsorted(below + np.cumsum(counts), binned)):
+                nxt.setdefault((a, b, a if k == 0 else edges[k - 1], b if k == edges.size
+                                else np.nextafter(edges[k], -np.inf)), []).append(t)
         work.extend((tuple(ts), state) for state, ts in nxt.items())
         if not work:
             return [found[t] for t in targets]

@@ -343,6 +343,12 @@ def _pair_statistic_spaces():
     m = np.minimum(m, m.T)
     np.fill_diagonal(m, 0.0)
     yield from_distance_matrix(m)
+    # one pair moved from 2 to 1.5: the upper median is 1.5, inside the
+    # sampled bracket [1, 2] but below its top, and the ties at 1 keep the
+    # bracket overfull, so the two medians must narrow to their own bins
+    i = np.flatnonzero(m[iu] == 2.0)[0]
+    m[iu[0][i], iu[1][i]] = m[iu[1][i], iu[0][i]] = 1.5
+    yield from_distance_matrix(m)
 
 
 @pytest.mark.parametrize("held", [True, False])
@@ -381,8 +387,12 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     sampled bracket; a bracket holding all of them is narrowed by bins
     and then collected; a bracket that misses on either side costs one
     more pass.  The diameter takes the first pass.  `passes` counts them
-    for two separate selections of the medians; selected together, the
-    medians share every pass after the diameter's."""
+    for two separate selections of the medians.  Selected together, they
+    share every pass after the diameter's, but for the last when they
+    part: the weighted medians are one distance, and the uniform ones
+    share a bin of the range left by `above` but not of the ranges that
+    `everything` and `below` narrow, where each is collected on its own."""
+    parted = not weighted and bracket in ("everything", "below")
     rng = np.random.default_rng(5)
     x = rng.normal(size=(48, 3))
     w = None
@@ -400,7 +410,7 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 128)
     seen = _count_passes(monkeypatch)
     assert char_size_interval(s) == ref
-    assert len(seen) == 1 + (passes - 1) // 2
+    assert len(seen) == 1 + (passes - 1) // 2 + parted
 
 
 def test_pair_selection_returns_a_single_valued_bracket(monkeypatch):
