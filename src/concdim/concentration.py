@@ -20,6 +20,7 @@ Definitions and conventions
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,12 +48,12 @@ DEFAULT_KAPPA_POINTS = 50
 MAX_EPS_GRID = 512
 
 #: largest cube dimension accepted by sep_hamming_analytic.  Tiny kappa
-#: (about 2**(-0.8 d)) is the slowest: 40 s at d=850, 63 s at d=900
-#: (Python 3.11, one core of a 2-core Xeon).
+#: (about 2**(-0.8 d)) is the slowest: 0.3-0.4 s at d=850, against
+#: 0.03 s at kappa = 1/4 (Python 3.11, one core of a 2-core Xeon).
 MAX_ANALYTIC_CUBE_DIM = 850
 
-#: largest cube dimension accepted by sep_hamming_profile: 40 s at d=100,
-#: 55 s at d=105 on the same machine.
+#: largest cube dimension accepted by sep_hamming_profile: 12 s at d=105
+#: on the same machine.
 MAX_PROFILE_CUBE_DIM = 105
 
 
@@ -219,7 +220,9 @@ def default_eps_grid(space: MMSpace) -> np.ndarray:
     """
     m = space.dense()
     if m is not None:
-        vals = np.unique(m)
+        # a held matrix is exactly symmetric, so its upper triangle (with
+        # the diagonal's 0) holds every value once
+        vals = np.unique(m[np.triu(np.ones(m.shape, dtype=bool))])
     else:
         rng = np.random.default_rng(0)
         ids = rng.choice(space.n, size=min(space.n, 1024), replace=False)
@@ -340,58 +343,98 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     return ConcentrationProfile(grid, best, "exact", diam, step=eps_grid is None)
 
 
-def _threshold_curve(space: MMSpace) -> tuple[np.ndarray, np.ndarray]:
-    """For each distinct positive distance t (ascending), the largest
-    kappa admitting disjoint (A, B) with all cross distances >= t.
+def _threshold_kappa(dist: np.ndarray, t: float, masses: np.ndarray,
+                     neigh: np.ndarray, partner: np.ndarray) -> float:
+    """The largest kappa admitting disjoint (A, B) with all cross
+    distances >= t.
 
-    For a threshold graph with edges at distance >= t, the best partner of
-    a side A is the full common neighborhood N(A); the curve is
-    ``max_A min(mass(A), mass(N(A)))`` computed by a subset DP.
+    In the threshold graph with edges at distance >= t the best partner
+    of a side A is its full common neighborhood N(A), so this is
+    ``max_A min(mass(A), mass(N(A)))`` by one subset DP over the ``2**n``
+    masks.  `masses` holds every subset's mass; the DP writes into the
+    ``2**n`` buffers `neigh` (int64) and `partner` (float).
     """
-    cached = getattr(space, "_threshold_curve_cache", None)
-    if cached is not None:
-        return cached
-    n = space.n
+    n = dist.shape[0]
+    nbr = (dist >= t).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    neigh[0] = (1 << n) - 1
+    for i in range(n):
+        np.bitwise_and(neigh[: 1 << i], nbr[i], out=neigh[1 << i : 1 << (i + 1)])
+    np.take(masses, neigh, out=partner, mode="wrap")  # in range: unbuffered
+    return float(np.minimum(masses, partner, out=partner).max())
+
+
+def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
+    """For each mass floor f (``kappa - MASS_TOL``), the largest distinct
+    positive distance t with ``kappa(t) >= f``, or 0 if there is none;
+    ``kappa(t)`` is `_threshold_kappa`.
+
+    Lemma: ``kappa(t)`` is non-increasing in t, also in floating point.
+    Raising t only removes edges, so N(A) shrinks to a subset of itself;
+    `_subset_masses` adds a subset's weights in ascending bit order, and
+    rounding is monotone, so a subset's computed mass never exceeds its
+    superset's (induct over the bits: both partial sums take the same
+    weight or only the superset's does).  The admissible thresholds of a
+    floor are therefore a prefix of the ascending thresholds, and bisection
+    finds its last element exactly where a scan of every threshold would.
+
+    One bisection over the threshold index serves every floor: it
+    evaluates the middle threshold of an open range, sends the floors it
+    admits to the upper half and the rest to the lower half, and stops
+    where a range is empty.  Each evaluated ``kappa(t)`` is memoised on the
+    space as a scalar, so later calls share DPs; the ``2**n`` buffers live
+    only for this call.
+    """
     dist = space.dist
-    masses = _subset_masses(space.weights)
     thresholds = np.unique(dist[dist > 0])
-    full = (1 << n) - 1
-    kappas = np.zeros(thresholds.size)
-    powers = 1 << np.arange(n, dtype=np.int64)
-    neigh = np.empty(1 << n, dtype=np.int64)
-    for ti, t in enumerate(thresholds):
-        nbr = (dist >= t).astype(np.int64) @ powers
-        neigh[0] = full
-        for i in range(n):
-            np.bitwise_and(neigh[: 1 << i], nbr[i], out=neigh[1 << i : 1 << (i + 1)])
-        partner_mass = masses[neigh]
-        kappas[ti] = float(np.minimum(masses, partner_mass).max())
-    space._threshold_curve_cache = (thresholds, kappas)
-    return thresholds, kappas
+    memo = vars(space).setdefault("_threshold_kappas", {})
+    sep = np.zeros(floors.size)
+    bufs = None
+    # (lo, hi, ids): the answers of floors `ids` lie at thresholds[lo - 1]
+    # (0 if lo == 0) up to thresholds[hi - 1]
+    todo = [(0, thresholds.size, np.arange(floors.size))]
+    while todo:
+        lo, hi, ids = todo.pop()
+        if ids.size == 0:
+            continue
+        if lo == hi:
+            sep[ids] = thresholds[lo - 1] if lo else 0.0
+            continue
+        mid = (lo + hi) // 2
+        t = float(thresholds[mid])
+        if t not in memo:
+            if bufs is None:
+                size = 1 << space.n
+                bufs = (_subset_masses(space.weights), np.empty(size, dtype=np.int64),
+                        np.empty(size))
+            memo[t] = _threshold_kappa(dist, t, *bufs)
+        ok = memo[t] >= floors[ids]
+        todo += [(lo, mid, ids[~ok]), (mid + 1, hi, ids[ok])]
+    return sep
 
 
 def sep_exact(space: MMSpace, kappa: float) -> float:
     """Exact separation distance by threshold-graph search (n <= 22).
 
-    Descends through the distinct realized distances, testing each
-    threshold graph for a pair of disjoint vertex sets that are completely
+    Bisects over the distinct realized distances, testing a threshold
+    graph for a pair of disjoint vertex sets that are completely
     cross-connected and both carry mass at least kappa; returns 0 when no
-    admissible pair exists.
+    admissible pair exists.  At most ``ceil(log2(T + 1))`` subset DPs for
+    T distinct distances, fewer where earlier calls evaluated them.
     """
     _require_oracle_size(space, "sep_lower")
     if not (kappa > 0):
         raise InputError(f"kappa must be positive, got {kappa!r}")
-    thresholds, kappas = _threshold_curve(space)
-    ok = kappas >= kappa - MASS_TOL
-    return float(thresholds[ok].max()) if ok.any() else 0.0
+    return float(_sep_levels(space, np.array([kappa - MASS_TOL], dtype=float))[0])
 
 
 def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
-    """Exact separation profile on a kappa grid (default {i/100})."""
+    """Exact separation profile on a kappa grid (default {i/100}), from
+    one bisection shared by all grid points."""
     _require_oracle_size(space, "sep_lower")
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
     _check_kappa_grid(grid)
-    return SeparationProfile(grid, [sep_exact(space, k) for k in grid], "exact", diameter(space))
+    return SeparationProfile(grid, _sep_levels(space, grid - MASS_TOL), "exact",
+                             diameter(space))
 
 
 # -- heuristics -------------------------------------------------------------------
@@ -631,27 +674,28 @@ def split_witness(space: MMSpace, subset_ids) -> tuple[float, np.ndarray, np.nda
 # closure sizes follow from the cascade shadow formula.
 
 
-def _cascade_shadow(s: int, k: int) -> int:
-    """Minimal lower-shadow size of s many k-sets (cascade representation)."""
-    if s <= 0:
-        return 0
+def _cascade_shadow(s: int, k: int, d: int) -> int:
+    """Minimal lower-shadow size of s many k-subsets of a d-set, for
+    ``s < C(d, k)`` (Kruskal-Katona cascade representation).
+
+    The digit of column k is the largest a with ``C(a, k) <= s``; the
+    shadow adds ``C(a, k-1)``.  The digits strictly decrease, since the
+    remainder ``s - C(a, k)`` is below ``C(a, k-1)``, so one walk down the
+    columns finds them all: it starts at ``C(d, k)`` and steps by the exact
+    recurrences ``C(a-1, k) = C(a, k) (a-k) / a`` and
+    ``C(a, k-1) = C(a, k) k / (a-k+1)``, at most ``d`` steps down in all.
+    """
     total = 0
+    a, c = d, math.comb(d, k)  # c = C(a, k)
     while s > 0 and k >= 1:
-        # the digit is the largest a with comb(a, k) <= s: double, then bisect
-        a, step = k, 1
-        while math.comb(a + step, k) <= s:
-            a += step
-            step *= 2
-        hi = a + step
-        while hi - a > 1:
-            mid = (a + hi) // 2
-            if math.comb(mid, k) <= s:
-                a = mid
-            else:
-                hi = mid
-        total += math.comb(a, k - 1)
-        s -= math.comb(a, k)
+        while c > s:
+            c = c * (a - k) // a
+            a -= 1
+        below = c * k // (a - k + 1)
+        total += below
+        s -= c
         k -= 1
+        c = below
     return total
 
 
@@ -669,16 +713,14 @@ def _closure_step(m: int, d: int, balls: list[int]) -> int:
     full = 1 << d
     if m >= full:
         return full
-    r = 1
-    while balls[r] < m:  # smallest r with |ball(r-1)| >= m
-        r += 1
-    r -= 1  # now balls[r] < m <= balls[r+1]; partial layer index is r
+    r = bisect.bisect_left(balls, m) - 1
+    # now balls[r] < m <= balls[r+1]; partial layer index is r
     if m == balls[r + 1]:
         return balls[min(r + 2, d + 1)]
     s = m - balls[r]
     # min upper shadow of s weight-r elements = min lower shadow of their
-    # complements, which are (d-r)-sets
-    return balls[r + 1] + _cascade_shadow(s, d - r)
+    # complements, which are (d-r)-sets; s < C(d, r) = C(d, d-r)
+    return balls[r + 1] + _cascade_shadow(s, d - r, d)
 
 
 def _max_bit_separation(a: int, d: int, balls: list[int]) -> int:

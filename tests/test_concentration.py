@@ -6,7 +6,9 @@ import pytest
 
 from concdim import concentration as conc, mmspace
 from concdim.concentration import (
+    DEFAULT_KAPPA_POINTS,
     MAX_ANALYTIC_CUBE_DIM,
+    MAX_EPS_GRID,
     MAX_PROFILE_CUBE_DIM,
     MASS_TOL,
     ORACLE_LIMIT,
@@ -33,6 +35,7 @@ from concdim.features import check_lipschitz, dictionary, distance_feature
 from concdim.mmspace import (
     GeneratorSpec,
     diameter,
+    from_distance_matrix,
     from_points,
     generate,
     weighted_median,
@@ -132,7 +135,7 @@ def test_oracle_profiles_check_the_grid_before_enumerating(monkeypatch):
         raise AssertionError("enumerated before the grid was checked")
 
     monkeypatch.setattr(conc, "_minimal_half_subsets", enumerate_subsets)
-    monkeypatch.setattr(conc, "_threshold_curve", enumerate_subsets)
+    monkeypatch.setattr(conc, "_threshold_kappa", enumerate_subsets)
     s = _weighted_space(np.random.default_rng(12), 6)
     for grid in ([0.1, 1.5 * diameter(s)], [-0.1, 0.1]):
         with pytest.raises(InputError, match="eps grid"):
@@ -265,6 +268,28 @@ def _alpha_lower_two_loops(space, eps_grid=None, dictionary=None, ball_centers=N
     best[0] = 0.5
     best = np.minimum.accumulate(best)
     return ConcentrationProfile(grid, best, "lower_bound", diam, step=False)
+
+
+def _full_matrix_eps_grid(space):
+    """default_eps_grid of a held matrix from every entry, both triangles
+    and the diagonal: the reference for the upper-triangle read."""
+    vals = np.unique(space.dense())
+    if vals.size > MAX_EPS_GRID:
+        vals = np.quantile(vals, np.linspace(0.0, 1.0, MAX_EPS_GRID))
+    return np.unique(np.concatenate([[0.0], vals, [diameter(space)]]))
+
+
+def test_default_eps_grid_reads_the_upper_triangle_alone():
+    rng = np.random.default_rng(21)
+    spaces = [from_points(rng.normal(size=(n, d))) for n, d in ((20, 3), (400, 3), (300, 30))]
+    for n in (20, 120):
+        m = rng.uniform(0.5, 1.0, size=(n, n))
+        m = (m + m.T) / 2.0 + 1e-12 * rng.random((n, n))  # symmetrized on input
+        np.fill_diagonal(m, 0.0)
+        spaces.append(from_distance_matrix(m))
+    for s in spaces:
+        assert s.dense() is not None
+        assert conc.default_eps_grid(s).tobytes() == _full_matrix_eps_grid(s).tobytes()
 
 
 def _count_witness_sets(monkeypatch):
@@ -423,6 +448,156 @@ def test_sep_profile_monotone_and_bounded():
         assert prof.sep.max() <= diameter(s) + 1e-12
 
 
+def _threshold_curve(space):
+    """For each distinct positive distance t (ascending), the largest kappa
+    admitting disjoint (A, B) with all cross distances >= t, by one subset
+    DP per threshold: the full-curve reference for the bisection."""
+    n = space.n
+    dist = space.dist
+    masses = conc._subset_masses(space.weights)
+    thresholds = np.unique(dist[dist > 0])
+    full = (1 << n) - 1
+    kappas = np.zeros(thresholds.size)
+    powers = 1 << np.arange(n, dtype=np.int64)
+    neigh = np.empty(1 << n, dtype=np.int64)
+    for ti, t in enumerate(thresholds):
+        nbr = (dist >= t).astype(np.int64) @ powers
+        neigh[0] = full
+        for i in range(n):
+            np.bitwise_and(neigh[: 1 << i], nbr[i], out=neigh[1 << i : 1 << (i + 1)])
+        partner_mass = masses[neigh]
+        kappas[ti] = float(np.minimum(masses, partner_mass).max())
+    return thresholds, kappas
+
+
+def _sep_from_curve(curve, kappa):
+    thresholds, kappas = curve
+    ok = kappas >= kappa - MASS_TOL
+    return float(thresholds[ok].max()) if ok.any() else 0.0
+
+
+def _tied_space(rng, n):
+    """Points on a 3 x 3 integer grid: few distinct distances, many ties."""
+    return from_points(rng.integers(0, 3, size=(n, 2)).astype(float))
+
+
+def _weighted_matrix_space(rng, n):
+    m = rng.uniform(0.5, 1.0, size=(n, n))
+    m = (m + m.T) / 2.0
+    np.fill_diagonal(m, 0.0)
+    w = rng.random(n) + 0.25
+    return from_distance_matrix(m, weights=w / w.sum())
+
+
+def _bisection_spaces():
+    rng = np.random.default_rng(17)
+    spaces = [_weighted_space(rng, int(rng.integers(2, 15))) for _ in range(8)]
+    spaces += [_tied_space(rng, int(rng.integers(2, 13))) for _ in range(6)]
+    spaces += [cube(3), _weighted_matrix_space(rng, 9), _weighted_matrix_space(rng, 9),
+               from_points(rng.normal(size=(20, 3)))]
+    return spaces
+
+
+def test_sep_exact_bisection_matches_the_full_threshold_curve():
+    rng = np.random.default_rng(18)
+    for s in _bisection_spaces():
+        curve = _threshold_curve(s)
+        grids = [default_kappa_grid(), np.arange(1, 51) / 100.0,
+                 np.sort(rng.choice(np.arange(1, 500), 7, replace=False)) / 1000.0]
+        if s.n <= 14:
+            kappas = [*curve[1], *(curve[1] + MASS_TOL), *(curve[1] + 2 * MASS_TOL)]
+            grids.append(np.unique(np.clip(kappas, 1e-3, 0.5)))
+        for grid in grids:
+            want = np.array([_sep_from_curve(curve, k) for k in grid])
+            assert sep_exact_profile(s, grid).sep.tobytes() == want.tobytes()
+        fresh = from_distance_matrix(s.dist, weights=s.weights)
+        for kappa in [*rng.uniform(0.001, 0.5, 6), *curve[1][curve[1] > 0][:4]]:
+            want = _sep_from_curve(curve, kappa)
+            assert sep_exact(fresh, float(kappa)) == sep_exact(s, float(kappa)) == want
+
+
+def _count_dps(monkeypatch):
+    calls = []
+    inner = conc._threshold_kappa
+
+    def dp(dist, t, *bufs):
+        calls.append(t)
+        return inner(dist, t, *bufs)
+
+    monkeypatch.setattr(conc, "_threshold_kappa", dp)
+    return calls
+
+
+def test_sep_exact_needs_logarithmically_many_dps(monkeypatch):
+    calls = _count_dps(monkeypatch)
+    rng = np.random.default_rng(19)
+    for s in _bisection_spaces():
+        t_count = np.unique(s.dist[s.dist > 0]).size
+        bound = math.ceil(math.log2(t_count + 1)) + 1
+        for kappa in rng.uniform(0.001, 0.5, 3):
+            fresh = from_distance_matrix(s.dist, weights=s.weights)
+            calls.clear()
+            first = sep_exact(fresh, float(kappa))
+            assert len(calls) <= bound
+            calls.clear()
+            assert sep_exact(fresh, float(kappa)) == first
+            assert calls == []
+
+
+def test_sep_exact_profile_shares_dps_with_later_points(monkeypatch):
+    calls = _count_dps(monkeypatch)
+    s = from_points(np.random.default_rng(20).normal(size=(12, 2)))
+    prof = sep_exact_profile(s)
+    t_count = np.unique(s.dist[s.dist > 0]).size
+    assert len(calls) == len(set(calls)) < t_count
+    calls.clear()
+    assert [sep_exact(s, float(k)) for k in prof.kappa_grid] == prof.sep.tolist()
+    assert sep_exact_profile(s).sep.tobytes() == prof.sep.tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("points", [[[0.0]], [[1.0, 2.0]] * 5], ids=["singleton", "coincident"])
+def test_sep_exact_without_positive_distances_is_zero(monkeypatch, points):
+    calls = _count_dps(monkeypatch)
+    s = from_points(points)
+    assert sep_exact_profile(s).sep.tolist() == [0.0] * DEFAULT_KAPPA_POINTS
+    assert sep_exact(s, 0.5) == sep_exact(s, 1e-6) == 0.0
+    assert calls == []
+
+
+def test_sep_exact_profile_at_oracle_limit_holds_no_mask_arrays():
+    # every ndarray reachable from the space afterwards, through attributes
+    # and containers, must be smaller than the 2**n DP buffers
+    setup = f"""
+import numpy as np
+from concdim.concentration import sep_exact_profile
+from concdim.mmspace import from_points
+s = from_points(np.random.default_rng(5).normal(size=({ORACLE_LIMIT}, 3)))
+s.dist
+def reachable_sizes(obj, seen):
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj.size] + (reachable_sizes(obj.base, seen) if obj.base is not None else [])
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = list(obj)
+    else:
+        items = list(vars(obj).values()) if hasattr(obj, "__dict__") else []
+    return [size for item in items for size in reachable_sizes(item, seen)]
+def profile_and_held_sizes():
+    prof = sep_exact_profile(s)
+    return [prof.sep.tolist(), reachable_sizes(s, set())]
+"""
+    (sep, held), _, peak_rss_mb = run_fresh(setup, "profile_and_held_sizes()")
+    assert 0.0 < sep[-1] <= sep[0]
+    assert ORACLE_LIMIT**2 in held
+    assert max(held) < 2**ORACLE_LIMIT
+    assert peak_rss_mb <= 206.0
+
+
 def test_sep_lower_dominated_by_exact():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -508,7 +683,105 @@ def test_cascade_shadow_search_matches_linear_search():
             c = math.comb(a, k)
             sizes += [c - 1, c, c + 1, 3 * c + 7]
         for s in sizes:
-            assert _cascade_shadow(s, k) == linear_cascade_shadow(s, k), (s, k)
+            top = k
+            while math.comb(top, k) <= s:
+                top += 1
+            for d in (top, top + 1, top + 5):  # least d with s < C(d, k), and above
+                assert _cascade_shadow(s, k, d) == linear_cascade_shadow(s, k), (s, k, d)
+
+
+# the cube's separation as computed before the walk down the binomial
+# columns: every cascade digit by doubling and bisecting through math.comb,
+# the partial layer by a linear scan over the ball sizes
+
+
+def _reference_cascade_shadow(s: int, k: int) -> int:
+    total = 0
+    while s > 0 and k >= 1:
+        a, step = k, 1
+        while math.comb(a + step, k) <= s:
+            a += step
+            step *= 2
+        hi = a + step
+        while hi - a > 1:
+            mid = (a + hi) // 2
+            if math.comb(mid, k) <= s:
+                a = mid
+            else:
+                hi = mid
+        total += math.comb(a, k - 1)
+        s -= math.comb(a, k)
+        k -= 1
+    return total
+
+
+def _reference_ball_sizes(d):
+    sizes = [0]
+    for r in range(d + 1):
+        sizes.append(sizes[-1] + math.comb(d, r))
+    return sizes
+
+
+def _reference_max_bit_separation(a, d, balls):
+    full = 1 << d
+    if a > full - a:
+        return 0
+    j, m = 1, a
+    while True:
+        if m >= full:
+            m = full
+        else:
+            r = 1
+            while balls[r] < m:
+                r += 1
+            r -= 1
+            if m == balls[r + 1]:
+                m = balls[min(r + 2, d + 1)]
+            else:
+                m = balls[r + 1] + _reference_cascade_shadow(m - balls[r], d - r)
+        if m <= full - a and j < d:
+            j += 1
+        else:
+            return j
+
+
+def _reference_hamming_profile(d):
+    balls = _reference_ball_sizes(d)
+    full, half = 1 << d, 1 << (d - 1)
+    knots, vals = [], []
+    a = 1
+    while a <= half:
+        j = _reference_max_bit_separation(a, d, balls)
+        lo, hi = a, half
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _reference_max_bit_separation(mid, d, balls) >= j:
+                lo = mid
+            else:
+                hi = mid - 1
+        knots.append(lo / full)
+        vals.append(j / d)
+        a = lo + 1
+    return np.asarray(knots), np.asarray(vals)
+
+
+def test_hamming_profile_matches_the_bisected_digit_reference():
+    for d in [*range(1, 41), 50, 64]:
+        knots, vals = _reference_hamming_profile(d)
+        prof = sep_hamming_profile(d)
+        assert prof.kappa_grid.tobytes() == knots.tobytes(), d
+        assert prof.sep.tobytes() == vals.tobytes(), d
+
+
+def test_hamming_analytic_matches_the_bisected_digit_reference():
+    for d in (7, 33, 100, 200, 300):
+        balls = _reference_ball_sizes(d)
+        for kap in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 0.1234,
+                    Fraction(3, 2 ** (d // 2)), Fraction(1, 2 ** (d * 4 // 5)),
+                    Fraction(1, 2**d)):
+            a = math.ceil(Fraction(kap) * 2**d)
+            want = _reference_max_bit_separation(a, d, balls) / d
+            assert sep_hamming_analytic(d, kap) == want, (d, kap)
 
 
 def test_hamming_cube_dimension_ceilings():
