@@ -32,7 +32,7 @@ from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import Feature, dictionary as make_dictionary
 from .io import write_csv
-from .mmspace import MMSpace, diameter, weighted_median
+from .mmspace import MMSpace, RowCache, diameter, weighted_median
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
 ORACLE_LIMIT = 22
@@ -493,33 +493,38 @@ def _greedy_growth_curve(space: MMSpace, i: int, j: int
 
     Each step adds, to the lighter side, the free point farthest from the
     other side, so the recorded cross distance is non-increasing while the
-    min side mass is non-decreasing.
+    min side mass is non-decreasing.  A taken point's distances to both
+    sides are set to -inf, so the farthest free point is the first argmax,
+    ties included.  The rows come from a :class:`RowCache`, which computes
+    them ahead for the next picks of each side still growing: the free
+    points farthest from the other side.
     """
     n = space.n
     w = space.weights
-    free = np.ones(n, dtype=bool)
-    free[[i, j]] = False
-    d_a = space.dist_row(i).copy()
-    d_b = space.dist_row(j).copy()
+    rows = RowCache(space)
+    d_a = rows.take(i).copy()
+    d_b = rows.take(j).copy()
+    cross = float(d_a[j])
+    d_a[[i, j]] = d_b[[i, j]] = -np.inf
     mass_a, mass_b = float(w[i]), float(w[j])
-    cross = float(space.distance(i, j))
     minmass = [min(mass_a, mass_b)]
     crosses = [cross]
     target = 0.5 - MASS_TOL
-    while free.any() and (mass_a < target or mass_b < target):
+    for _ in range(n - 2):
+        if mass_a >= target and mass_b >= target:
+            break
         grow_a = (mass_a <= mass_b and mass_a < target) or mass_b >= target
-        gain = d_b if grow_a else d_a
-        cand = np.flatnonzero(free)
-        x = int(cand[np.argmax(gain[cand])])
-        free[x] = False
+        gain, grown = (d_b, d_a) if grow_a else (d_a, d_b)
+        x = int(np.argmax(gain))
         cross = min(cross, float(gain[x]))
-        row = space.dist_row(x)
+        d_a[x] = d_b[x] = -np.inf
+        both = mass_a < target and mass_b < target
+        row = rows.take(x, gain, grown) if both else rows.take(x, gain)
+        np.minimum(grown, row, out=grown)
         if grow_a:
             mass_a += float(w[x])
-            np.minimum(d_a, row, out=d_a)
         else:
             mass_b += float(w[x])
-            np.minimum(d_b, row, out=d_b)
         minmass.append(min(mass_a, mass_b))
         crosses.append(cross)
     return np.asarray(minmass), np.asarray(crosses)

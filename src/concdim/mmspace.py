@@ -21,8 +21,8 @@ The distance layer
 ------------------
 Every distance of a coordinate-backed space comes from one kernel,
 ``MMSpace._pairwise``, and every caller reads it through ``dist``,
-``dist_row``, ``dist_block``, ``submatrix``, ``distance``, ``min_dist_to``
-or the block iterator ``iter_blocks``.
+``dist_row``, ``dist_block``, ``submatrix``, ``distance``, ``min_dist_to``,
+the block iterator ``iter_blocks`` or the read-ahead reader ``RowCache``.
 
 * When the matrix is held.  One rule, on the input alone, so results do
   not depend on call order: a space built from a matrix holds it; a
@@ -30,17 +30,32 @@ or the block iterator ``iter_blocks``.
   ``dist``, on its first read of the whole space (``dist``, ``dist_row``,
   or ``iter_blocks()`` over every point, which then yields views of it).
   Reads of caller-chosen rows (``dist_block``, ``min_dist_to``,
-  ``submatrix``, ``distance``) use the matrix only if it exists, and
-  construction computes no distance.  ``dense()`` applies the rule.  An
-  explicit ``dist`` request builds the matrix of any space up to
+  ``submatrix``, ``distance``, ``RowCache``) use the matrix only if it
+  exists, and construction computes no distance.  ``dense()`` applies the
+  rule.  An explicit ``dist`` request builds the matrix of any space up to
   ``MATERIALIZE_LIMIT`` points.
 
 * Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
   Euclidean spaces with fewer than ``GEMM_MIN_DIM`` coordinates use
   ``cdist`` too, which is faster there; from ``GEMM_MIN_DIM`` on, squared
   distances are ``|x|^2 + |y|^2 - 2 x.y`` on coordinates centred at their
-  mean, computed as one BLAS GEMM (one GEMV for a single row) with the
-  squared norms folded into the product as two extra columns.
+  mean, computed as one BLAS GEMM with the squared norms folded into the
+  product as two extra columns.
+* Canonical rows.  A space that does not hold its matrix gives each
+  distance row the same bits however it is read: alone (``dist_row``,
+  ``dist_block([i])``, ``min_dist_to([i])``), entry by entry
+  (``distance``, ``submatrix``, which read full rows), or inside a block
+  of any height and composition (``dist_block``, ``iter_blocks``,
+  ``RowCache``).  ``cdist`` computes each pair on its own.  The GEMM
+  kernel computes every row in a product of at least two rows (a row read
+  alone is paired with a copy of itself) over a fixed number of columns
+  (``_gemm_cols``: zero columns pad the points to a multiple of 8, and to
+  at least 1024), the shapes for which OpenBLAS was measured to run one
+  kernel whatever the block; the guard sees only the rows and columns
+  asked for.  A held
+  matrix does not follow this rule: its build computes the upper
+  triangle, whose product shapes shrink block by block, and mirrors it,
+  so its rows can differ in the last bit from computed ones.
 * Cancellation guard.  That formula loses accuracy when a squared
   distance is tiny against the squared norms.  Every entry below
   ``tau(d) * (|x_i|^2 + max_j |x_j|^2)`` (centred norms, ``d``
@@ -55,7 +70,8 @@ or the block iterator ``iter_blocks``.
   coordinates), or the squared norms could overflow, ``cdist`` is used.
 * One block budget.  Loops over rows (``iter_blocks``, ``min_dist_to``,
   the statistics below, the greedy separated-subset scan in
-  ``concentration``) hold at most ``BLOCK_ENTRIES`` distances per block
+  ``concentration``, the read-ahead buffer of ``RowCache``) hold at most
+  ``BLOCK_ENTRIES`` distances per block
   (``iter_blocks`` reuses one buffer for all its blocks), and the dense
   matrix is built through blocks of the same size; on the
   GEMM kernel each block holds the upper triangle and is mirrored, so the
@@ -158,7 +174,8 @@ def _gemm_operands(coords: np.ndarray):
 
     ``aug`` holds the centred coordinates, a column of ones and the squared
     centred norms, so ``[-2x_i, |x_i|^2, 1] . aug[j]`` is the squared
-    distance; ``thr[i]`` is the guard threshold of row i.  A dot product of
+    distance, followed by zero rows up to ``_gemm_cols(n)``; ``thr[i]`` is
+    the guard threshold of row i.  A dot product of
     ``k = d + 2`` terms is off by at most about ``k*u`` times the sum of
     their magnitudes, here at most ``2 S`` with ``S = |x_i|^2 + |x_j|^2``;
     adding the rounding of the norms gives ``c S``, ``c = 3 k u``.  An
@@ -172,15 +189,28 @@ def _gemm_operands(coords: np.ndarray):
     tau = c + 2.0 * (c / GEMM_ACCURACY) ** 2
     if d < GEMM_MIN_DIM or tau >= 1.0:
         return None
-    aug = np.empty((n, d + 2))
-    np.subtract(coords, coords.mean(axis=0), out=aug[:, :d])
-    aug[:, d] = 1.0
-    sq = np.einsum("ij,ij->i", aug[:, :d], aug[:, :d])
+    aug = np.zeros((_gemm_cols(n), d + 2))
+    np.subtract(coords, coords.mean(axis=0), out=aug[:n, :d])
+    aug[:n, d] = 1.0
+    sq = np.einsum("ij,ij->i", aug[:n, :d], aug[:n, :d])
     if not sq.max() <= np.finfo(float).max / 4:  # the products could overflow
         return None
-    aug[:, d + 1] = sq
+    aug[:n, d + 1] = sq
     aug.setflags(write=False)
     return aug, tau * (sq + sq.max())
+
+
+def _gemm_cols(n: int) -> int:
+    """Columns of the product that computes distance rows of ``n`` points.
+
+    OpenBLAS gives a row the same bits in products of any height only when
+    the product has at least 2 rows and a multiple of 8 columns, more than
+    about 700 of them: otherwise it takes its small-matrix or edge kernels,
+    which round the same dot product differently (measured with OpenBLAS
+    0.3.31 for 5 to 10^4 points in 16 to 1500 coordinates; 512 columns
+    still differed, 696 did not).
+    """
+    return max(1024, -(-n // 8) * 8)
 
 
 class MMSpace:
@@ -309,9 +339,9 @@ class MMSpace:
                 i1 = min(i0 + self.block_rows, n)
                 rows = np.arange(i0, i1)
                 if self._gemm is None:
-                    self._pairwise(rows, self_cols=rows, out=m[i0:i1])
+                    self._pairwise(rows, out=m[i0:i1])
                     continue
-                self._pairwise(rows, slice(i0, None), rows - i0, out=m[i0:i1, i0:])
+                self._pairwise(rows, out=m[i0:i1, i0:], start=i0)
                 m[i1:, i0:i1] = m[i0:i1, i1:].T
                 lower = np.tril_indices(i1 - i0, -1)
                 m[i0:i1, i0:i1][lower] = m[i0:i1, i0:i1].T[lower]
@@ -331,44 +361,59 @@ class MMSpace:
         """Rows per block under the ``BLOCK_ENTRIES`` budget."""
         return max(1, BLOCK_ENTRIES // self.n)
 
-    def _pairwise(self, rows: np.ndarray, cols=slice(None), self_cols=None,
-                  out=None) -> np.ndarray:
-        """Distances from the points `rows` to the points `cols` (slice or
-        ids), written to `out` if given; ``self_cols[k]``, when given, is
-        the column of row k's own point, which is set to exactly 0."""
+    def _pairwise(self, rows: np.ndarray, out=None, start=None) -> np.ndarray:
+        """Distances from the points `rows` to every point, written to `out`
+        if given, each row the same bits however many rows are read with it
+        (see the module notes).  With `start`, to the points from `start` on
+        instead, in one product of exactly those columns: the held matrix's
+        build.  A point's own entry is exactly 0."""
+        first = 0 if start is None else start
         if self._gemm is None:
             metric = "euclidean" if self._metric == "euclidean" else "hamming"
-            out = cdist(self._coords[rows], self._coords[cols], metric=metric, out=out)
+            out = cdist(self._coords[rows], self._coords[first:], metric=metric, out=out)
         else:
-            out = self._gemm_pairwise(rows, cols, self_cols, out)
-        if self_cols is not None:
-            out[np.arange(len(rows)), self_cols] = 0.0
+            out = self._gemm_pairwise(rows, out, start)
+        out[np.arange(len(rows)), rows - first] = 0.0
         return out
 
-    def _gemm_pairwise(self, rows, cols, self_cols, out) -> np.ndarray:
-        """The GEMM kernel with its cancellation guard; see the module notes."""
+    def _gemm_pairwise(self, rows, out, start) -> np.ndarray:
+        """The GEMM kernel with its cancellation guard; see the module notes.
+
+        A row read alone is computed in a product of two copies of it, and
+        every full row in one of ``_gemm_cols(n)`` columns; the guard sees
+        only the rows and columns asked for.
+        """
         aug, thr = self._gemm
-        d = aug.shape[1] - 2
-        a = aug[rows]
+        d, k = aug.shape[1] - 2, len(rows)
+        a = aug[rows if k > 1 else np.repeat(rows, 2)]
         a[:, :d] *= -2.0
         a[:, d] = a[:, d + 1]
         a[:, d + 1] = 1.0
-        d2 = np.matmul(a, aug[cols].T, out=out)
-        if self_cols is not None:
-            d2[np.arange(len(rows)), self_cols] = np.inf
+        first = 0 if start is None else start
+        cols = aug if start is None else aug[start : self.n]
+        if out is not None and a.shape[0] == k and cols.shape[0] == self.n - first:
+            d2 = np.matmul(a, cols.T, out=out)
+        else:
+            d2 = np.matmul(a, cols.T)[:k, : self.n - first]
+        d2[np.arange(k), rows - first] = np.inf
         t = thr[rows]
-        for k in np.flatnonzero(d2.min(axis=1) < t):
-            js = np.flatnonzero(d2[k] < t[k])
-            diff = self._coords[np.arange(self.n)[cols][js]] - self._coords[rows[k]]
-            d2[k, js] = np.einsum("ij,ij->i", diff, diff)
-        return np.sqrt(d2, out=d2)
+        for i in np.flatnonzero(d2.min(axis=1) < t):
+            js = np.flatnonzero(d2[i] < t[i])
+            diff = self._coords[first + js] - self._coords[rows[i]]
+            d2[i, js] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(d2, out=d2)
+        if out is None:
+            return d2
+        if d2 is not out:
+            out[...] = d2
+        return out
 
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from point `i` to every point."""
         m = self.dense()
         if m is not None:
             return m[i]
-        return self._pairwise(np.array([i]), self_cols=[i])[0]
+        return self._pairwise(np.array([i]))[0]
 
     def dist_block(self, ids, out=None) -> np.ndarray:
         """Distance rows for the given point ids, shape ``(len(ids), n)``,
@@ -379,7 +424,7 @@ class MMSpace:
         if self._dist_cache is not None:
             # in-range ids: "wrap" indexes as [] does, without buffering `out`
             return np.take(self._dist_cache, ids, axis=0, out=out, mode="wrap")
-        return self._pairwise(ids, self_cols=ids, out=out)
+        return self._pairwise(ids, out=out)
 
     def iter_blocks(self, ids=None):
         """Yield ``(block_ids, dist_block(block_ids))`` over `ids` (default:
@@ -409,17 +454,19 @@ class MMSpace:
         return out
 
     def submatrix(self, ids) -> np.ndarray:
+        """Distances among the points `ids`, read from their full rows."""
         ids = np.asarray(ids, dtype=int)
         if self._dist_cache is not None:
             return self._dist_cache[np.ix_(ids, ids)]
-        return self._pairwise(ids, ids, np.arange(len(ids)))
+        step = self.block_rows
+        return np.concatenate([np.empty((0, ids.size))] + [
+            self._pairwise(ids[k : k + step])[:, ids] for k in range(0, ids.size, step)])
 
     def distance(self, i: int, j: int) -> float:
+        """The distance between points `i` and `j`, read from i's full row."""
         if self._dist_cache is not None:
             return float(self._dist_cache[i, j])
-        if i == j:
-            return 0.0
-        return float(self._pairwise(np.array([i]), np.array([j]))[0, 0])
+        return float(self._pairwise(np.array([i]))[0, j])
 
     # -- derived spaces --------------------------------------------------------
 
@@ -446,6 +493,74 @@ class MMSpace:
         kind = "dense" if self._coords is None else f"coords/{self._metric}"
         lbl = f", label={self.label!r}" if self.label else ""
         return f"MMSpace(n={self.n}, {kind}{lbl})"
+
+
+class RowCache:
+    """Distance rows taken one at a time, each computed in a block together
+    with the rows likely to be taken next.
+
+    Over a space that holds its matrix (see :meth:`MMSpace.dense`) a row is
+    a view of it and nothing is computed.  Otherwise rows live in one
+    buffer of ``block_rows`` rows.  A row not in it is computed together
+    with those of the points ranked highest by each of the caller's scores
+    in turn, as many as the buffer has free rows; points already buffered
+    and points scored ``-inf`` are passed over.  The row returned last is
+    freed on the next call, so a miss always finds a free row, and no row
+    is dropped before it is taken: taking each point at most once computes
+    each row at most once.
+    """
+
+    def __init__(self, space: MMSpace):
+        self._space = space
+        self._matrix = space.dense()
+        if self._matrix is None:
+            rows = min(space.block_rows, space.n)
+            self._buf = np.empty((rows, space.n))
+            self._ids = np.empty(rows, dtype=int)  # the point of each buffer row
+            self._slot = np.full(space.n, -1)      # each point's buffer row, or -1
+            self._held = 0                         # buffer rows in use, the first ones
+            self._taken = -1                       # the buffer row returned last
+
+    def take(self, x: int, *scores: np.ndarray) -> np.ndarray:
+        """Point x's distance row, valid until the next call."""
+        if self._matrix is not None:
+            return self._matrix[x]
+        if self._taken >= 0:  # free it, moving the last row in use into it
+            s, last = self._taken, self._held - 1
+            self._slot[self._ids[s]] = -1
+            if s != last:
+                self._buf[s] = self._buf[last]
+                self._ids[s] = self._ids[last]
+                self._slot[self._ids[s]] = s
+            self._held = last
+        self._taken = int(self._slot[x])
+        if self._taken < 0:
+            self._taken = self._fetch(x, scores)
+        return self._buf[self._taken]
+
+    def _fetch(self, x: int, scores) -> int:
+        """Compute x's row with the best scored others; x's buffer row."""
+        want = [np.array([x])]
+        skip = self._slot >= 0
+        skip[x] = True
+        left = len(self._ids) - self._held - 1
+        for k, score in enumerate(scores):
+            quota = -(-left // (len(scores) - k))
+            if quota == 0:
+                break
+            pri = np.where(skip, -np.inf, score)
+            top = np.argpartition(pri, -quota)[-quota:]
+            top = top[pri[top] > -np.inf]
+            skip[top] = True
+            want.append(top)
+            left -= top.size
+        ids = np.concatenate(want)
+        h0, h1 = self._held, self._held + ids.size
+        self._space.dist_block(ids, out=self._buf[h0:h1])
+        self._ids[h0:h1] = ids
+        self._slot[ids] = np.arange(h0, h1)
+        self._held = h1
+        return h0
 
 
 # -- constructors ---------------------------------------------------------------
@@ -643,17 +758,21 @@ def _pair_sample_bracket(space: MMSpace, u, p_lo: float, p_hi: float
                          ) -> tuple[float, float]:
     """A range likely to hold the pair quantiles at mass fractions `p_lo`
     <= `p_hi`: 4 standard errors beyond them among ``_PAIR_SAMPLE`` pairs
-    drawn by mass, with a fixed seed, from every block."""
+    drawn by mass, with a fixed seed, from every block.  The same pass
+    takes each block's largest value and so fills the diameter."""
     rng = np.random.default_rng(0)
     cum = np.cumsum(np.ones(space.n) if u is None else u)
-    x, k0 = np.empty(_PAIR_SAMPLE), 0
+    x, k0, top = np.empty(_PAIR_SAMPLE), 0, -np.inf
     for ids, blk in space.iter_blocks():
+        top = max(top, float(blk.max()))
         start = cum[ids[0] - 1] if ids[0] else 0.0
         k1 = int(_PAIR_SAMPLE * cum[ids[-1]] / cum[-1])
         rows = np.searchsorted(cum, rng.uniform(start, cum[ids[-1]], k1 - k0), side="right")
         cols = np.searchsorted(cum, rng.uniform(0.0, cum[-1], k1 - k0), side="right")
         x[k0:k1] = blk[np.minimum(rows, ids[-1]) - ids[0], np.minimum(cols, space.n - 1)]
         k0 = k1
+    if space._diameter_cache is None:
+        space._diameter_cache = top
     x.sort()
     half = 4.0 * math.sqrt(p_lo * (1.0 - p_lo) / _PAIR_SAMPLE) + 1.0 / _PAIR_SAMPLE
     lo, hi = int((p_lo - half) * _PAIR_SAMPLE), math.ceil((p_hi + half) * _PAIR_SAMPLE)
@@ -676,10 +795,11 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
     bracket is the same share its passes; the others go on apart.
     """
     n2 = space.n * space.n
-    a, b = 0.0, diameter(space)
     if n2 > BLOCK_ENTRIES:
         total = n2 if u is None else float(u.sum()) ** 2
         a, b = _pair_sample_bracket(space, u, targets[0] / total, targets[-1] / total)
+    else:
+        a, b = 0.0, diameter(space)
     vals, masses = np.empty(min(BLOCK_ENTRIES, n2)), np.empty(min(BLOCK_ENTRIES, n2))
 
     def bins(x, m):

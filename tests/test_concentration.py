@@ -629,6 +629,102 @@ def test_sep_lower_grows_each_seed_pair_once(monkeypatch):
     assert len(grown) == len(set(grown)) < 8
 
 
+def row_by_row_growth_curve(space, i, j):
+    """The greedy growth of ``_greedy_growth_curve``, one row read per step."""
+    n = space.n
+    w = space.weights
+    free = np.ones(n, dtype=bool)
+    free[[i, j]] = False
+    d_a = space.dist_row(i).copy()
+    d_b = space.dist_row(j).copy()
+    mass_a, mass_b = float(w[i]), float(w[j])
+    cross = float(space.distance(i, j))
+    minmass = [min(mass_a, mass_b)]
+    crosses = [cross]
+    target = 0.5 - MASS_TOL
+    while free.any() and (mass_a < target or mass_b < target):
+        grow_a = (mass_a <= mass_b and mass_a < target) or mass_b >= target
+        gain = d_b if grow_a else d_a
+        cand = np.flatnonzero(free)
+        x = int(cand[np.argmax(gain[cand])])
+        free[x] = False
+        cross = min(cross, float(gain[x]))
+        row = space.dist_row(x)
+        if grow_a:
+            mass_a += float(w[x])
+            np.minimum(d_a, row, out=d_a)
+        else:
+            mass_b += float(w[x])
+            np.minimum(d_b, row, out=d_b)
+        minmass.append(min(mass_a, mass_b))
+        crosses.append(cross)
+    return np.asarray(minmass), np.asarray(crosses)
+
+
+def _growth_spaces():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(1200, 50))
+    x[5] = x[900] = x[17]  # duplicates
+    x[40] = x[41] + 1e-7
+    yield "gemm", from_points(x)
+    w = rng.random(1200) + 0.1
+    w[rng.choice(1200, 100, replace=False)] *= 30.0  # a few heavy points
+    yield "weighted", from_points(x, weights=w / w.sum())
+    # 8 bits: a few distinct distances, so ties at every step
+    yield "ties", from_points(rng.integers(0, 2, size=(700, 8)).astype(float),
+                              metric="normalized_hamming")
+    yield "cdist", from_points(rng.normal(size=(500, 3)))
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 64, None])
+def test_greedy_growth_reads_ahead_as_the_row_by_row_loop(monkeypatch, block_rows):
+    # the read-ahead buffer is one block; None leaves room for every row
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    computed = []
+    pairwise = mmspace.MMSpace._pairwise
+
+    def counting(self, rows, *args, **kwargs):
+        computed.append(len(rows))
+        return pairwise(self, rows, *args, **kwargs)
+
+    for name, s in _growth_spaces():
+        if block_rows:
+            monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", block_rows * s.n)
+        a = int(np.argmax(s.dist_row(0)))
+        for i, j in [(a, int(np.argmax(s.dist_row(a)))), (3, 400), (5, 17)]:
+            want = row_by_row_growth_curve(s, i, j)
+            monkeypatch.setattr(mmspace.MMSpace, "_pairwise", counting)
+            computed.clear()
+            got = conc._greedy_growth_curve(s, i, j)
+            monkeypatch.setattr(mmspace.MMSpace, "_pairwise", pairwise)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (name, i, j)
+            assert sum(computed) <= s.n, (name, i, j)
+            assert len(computed) < len(want[0]) or block_rows == 1
+        assert not s.is_dense
+
+
+def test_greedy_growth_on_a_held_matrix_computes_no_row(monkeypatch):
+    s = from_points(np.random.default_rng(32).normal(size=(400, 20)))
+    want = row_by_row_growth_curve(s, 0, 1)
+    assert s.is_dense
+    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", None)
+    got = conc._greedy_growth_curve(s, 0, 1)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_sep_lower_reads_ahead_within_one_block_budget():
+    # 10^4 points in 50 coordinates are never held.  Reading one row per
+    # step, this call peaked at 103.6-103.9 MB; the read-ahead may add one
+    # BLOCK_ENTRIES buffer to that, not keep every row it read (800 MB)
+    _, _, peak_rss_mb = run_fresh(
+        "from concdim.mmspace import GeneratorSpec, generate\n"
+        "from concdim.concentration import sep_lower\n"
+        "s = generate(GeneratorSpec('gaussian_cloud', 3,"
+        " {'d': 50, 'sigma': 1.0, 'n': 10_000}))",
+        "float(sep_lower(s, restarts=2).sep[0])")
+    assert peak_rss_mb <= 104.0 + mmspace.BLOCK_ENTRIES * 8 / 2**20
+
+
 def test_sphere_separation_decreases_with_dimension():
     # the decrease is assessed where concentration dominates the
     # finite-sample separation inflation of high-dimensional samples

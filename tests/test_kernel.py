@@ -71,6 +71,48 @@ def test_kernel_matches_cdist(name, d, monkeypatch):
         assert m[i, j] > 0 and abs(m[i, j] - ref[i, j]) <= 1e-6 * ref[i, j]
 
 
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def in_blocks(space: MMSpace, size: int, seed: int) -> np.ndarray:
+    """The full matrix from `dist_block` reads of `size` shuffled rows."""
+    perm = np.random.default_rng(seed).permutation(space.n)
+    m = np.empty((space.n, space.n))
+    for k in range(0, space.n, size):
+        m[perm[k : k + size]] = space.dist_block(perm[k : k + size])
+    return m
+
+
+KERNELS = {
+    "gemm": lambda n: from_points(cloud(50, n)),
+    "cdist": lambda n: from_points(cloud(GEMM_MIN_DIM - 1, n)),
+    "hamming": lambda n: from_points(
+        (cloud(40, n) > 0).astype(float), metric="normalized_hamming"),
+}
+
+
+@pytest.mark.parametrize("n", [300, 1001])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_single_reads_equal_the_same_row_in_any_block(kernel, n, monkeypatch):
+    # rows are a function of the point alone: neither a row read alone nor
+    # one entry differs, in any bit, from its row inside a block
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    space = KERNELS[kernel](n)
+    assert (space._gemm is not None) == (kernel == "gemm")
+    ref = np.vstack([blk.copy() for _, blk in space.iter_blocks()])
+    for k, size in enumerate((2, 64, space.block_rows)):
+        assert bits(in_blocks(space, size, k)) == bits(ref), size
+    for i in (0, 3, 7, 10, 11, 50, 199, 200, n - 1):
+        assert bits(space.dist_row(i)) == bits(ref[i])
+        assert bits(space.dist_block([i])[0]) == bits(ref[i])
+        assert bits(space.min_dist_to([i])) == bits(ref[i])
+        assert bits([space.distance(i, j) for j in range(n)]) == bits(ref[i])
+    ids = np.r_[3, 7, 50, 10, 11, 199, 200, 0:n:9]
+    assert bits(space.submatrix(ids)) == bits(ref[np.ix_(ids, ids)])
+    assert not space.is_dense
+
+
 def test_kernel_falls_back_where_squared_norms_overflow():
     x = cloud(GEMM_MIN_DIM) * 1.2e153
     space = from_points(x)

@@ -386,12 +386,13 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     128 values per bracket, the 2304 pairs here are collected from a
     sampled bracket; a bracket holding all of them is narrowed by bins
     and then collected; a bracket that misses on either side costs one
-    more pass.  The diameter takes the first pass.  `passes` counts them
-    for two separate selections of the medians.  Selected together, they
-    share every pass after the diameter's, but for the last when they
-    part: the weighted medians are one distance, and the uniform ones
-    share a bin of the range left by `above` but not of the ranges that
-    `everything` and `below` narrow, where each is collected on its own."""
+    more pass.  The diameter takes the first pass, which the sampled
+    bracket shares.  `passes` counts them as taken apart, for two separate
+    selections of the medians.  Selected together, they share every pass
+    after the diameter's, but for the last when they part: the weighted
+    medians are one distance, and the uniform ones share a bin of the
+    range left by `above` but not of the ranges that `everything` and
+    `below` narrow, where each is collected on its own."""
     parted = not weighted and bracket in ("everything", "below")
     rng = np.random.default_rng(5)
     x = rng.normal(size=(48, 3))
@@ -410,7 +411,7 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 128)
     seen = _count_passes(monkeypatch)
     assert char_size_interval(s) == ref
-    assert len(seen) == 1 + (passes - 1) // 2 + parted
+    assert len(seen) == (bracket != "sampled") + (passes - 1) // 2 + parted
 
 
 def test_pair_selection_returns_a_single_valued_bracket(monkeypatch):
