@@ -530,27 +530,6 @@ def _greedy_growth_curve(space: MMSpace, i: int, j: int
     return np.asarray(minmass), np.asarray(crosses)
 
 
-def _ball_pair_witness(space: MMSpace, i: int, j: int,
-                       grid: np.ndarray) -> np.ndarray:
-    """Lower bounds from complementary balls around a far-apart pair.
-
-    With ``A`` the closed ball of mass kappa around i and ``B`` the one
-    around j, the triangle inequality certifies all cross distances to be
-    at least ``d(i, j) - r_A - r_B``.
-    """
-    d_ij = space.distance(i, j)
-    out = np.zeros(grid.size)
-    radii = []
-    for c in (i, j):
-        row = space.dist_row(c)
-        order = np.argsort(row, kind="stable")
-        cum = np.cumsum(space.weights[order])
-        idx = np.searchsorted(cum, grid - MASS_TOL, side="left")
-        radii.append(row[order][np.minimum(idx, space.n - 1)])
-    np.maximum(out, d_ij - radii[0] - radii[1], out=out)
-    return out
-
-
 #: ball-complement witnesses cost O(n^2) row updates; skip above this size.
 _BALL_COMPLEMENT_LIMIT = 4096
 
@@ -594,9 +573,10 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     restarts use a random point and its farthest partner; a pair drawn
     again is skipped.  Each seed pair contributes the greedy growth witness
     (grow both sets by the point farthest from the other side until they
-    reach the target mass) and the complementary-ball witness around the
-    seeds.  Every value is certified by an explicit admissible pair, hence
-    at most the exact separation distance.
+    reach the target mass).  Up to ``_BALL_COMPLEMENT_LIMIT`` points, each
+    seed of restart 0 also centres a ball-complement witness.  Every value
+    is certified by an explicit admissible pair, hence at most the exact
+    separation distance.
     """
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
     _check_kappa_grid(grid)
@@ -616,7 +596,6 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
         for i, j in seeds:
             minmass, crosses = _greedy_growth_curve(space, i, j)
             np.maximum(best, _value_at(minmass, crosses, grid - MASS_TOL), out=best)
-            np.maximum(best, _ball_pair_witness(space, i, j, grid), out=best)
         if n <= _BALL_COMPLEMENT_LIMIT:
             for c in seeds[0]:
                 np.maximum(best, _ball_complement_witness(space, c, grid), out=best)

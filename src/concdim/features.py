@@ -32,8 +32,7 @@ class Feature:
     measures the maximum by a scan of every pair.  Distance-to-a-set
     features and half-differences of distance rows carry, with no scan,
     the closed form 1 (0 when the values are all equal) that the triangle
-    inequality certifies; it is the maximum except where values differ by
-    rounding alone (the half-difference of two coincident points).
+    inequality certifies, which is the maximum.
     ``sup_norm`` is ``max|f|``.
     """
 

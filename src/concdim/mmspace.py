@@ -38,33 +38,33 @@ the block iterator ``iter_blocks`` or the read-ahead reader ``RowCache``.
 * Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
   Euclidean spaces with fewer than ``GEMM_MIN_DIM`` coordinates use
   ``cdist`` too, which is faster there; from ``GEMM_MIN_DIM`` on, squared
-  distances are ``|x|^2 + |y|^2 - 2 x.y`` on coordinates centred at their
-  mean, computed as one BLAS GEMM with the squared norms folded into the
-  product as two extra columns.
-* Canonical rows.  A space that does not hold its matrix gives each
-  distance row the same bits however it is read: alone (``dist_row``,
-  ``dist_block([i])``, ``min_dist_to([i])``), entry by entry
-  (``distance``, ``submatrix``, which read full rows), or inside a block
-  of any height and composition (``dist_block``, ``iter_blocks``,
-  ``RowCache``).  ``cdist`` computes each pair on its own.  The GEMM
-  kernel computes every row in a product of at least two rows (a row read
-  alone is paired with a copy of itself) over a fixed number of columns
-  (``_gemm_cols``: zero columns pad the points to a multiple of 8, and to
-  at least 1024), the shapes for which OpenBLAS was measured to run one
-  kernel whatever the block; the guard sees only the rows and columns
-  asked for.  A held
-  matrix does not follow this rule: its build computes the upper
-  triangle, whose product shapes shrink block by block, and mirrors it,
-  so its rows can differ in the last bit from computed ones.
+  distances are ``(|x|^2 + |y|^2) - 2 x.y`` on coordinates centred at
+  their mean, computed as one BLAS GEMM with the squared norms folded into
+  the product as its first two columns.
+* Canonical rows.  Each distance row has the same bits however it is
+  read: alone (``dist_row``, ``dist_block([i])``, ``min_dist_to([i])``),
+  entry by entry (``distance``, ``submatrix``, which read full rows),
+  inside a block of any height and composition (``dist_block``,
+  ``iter_blocks``, ``RowCache``), or from the held matrix, which is built
+  from the same full rows.  ``cdist`` computes each pair on its own.  The
+  GEMM kernel computes every row in a product of at least two rows (a row
+  read alone is paired with a copy of itself) over a fixed number of
+  columns (``_gemm_cols``: zero columns pad the points to a multiple of
+  8, and to at least 1024), the shapes for which OpenBLAS was measured to
+  run one kernel whatever the block; the guard sees only the rows and
+  columns asked for.  Every kernel's matrix equals its transpose exactly:
+  the GEMM product forms ``|x_i|^2 + |x_j|^2`` before any other term and
+  accumulates the rest in order (measured with the same OpenBLAS), and
+  the guard's decision is symmetric in ``(i, j)``.
 * Cancellation guard.  That formula loses accuracy when a squared
-  distance is tiny against the squared norms.  Every entry below
-  ``tau(d) * (|x_i|^2 + max_j |x_j|^2)`` (centred norms, ``d``
-  coordinates) is recomputed by direct differences of the original
-  coordinates; a row whose minimum clears that threshold is left as it
-  is, and a point's own entry is excluded and set to exactly 0.  The
-  threshold ``tau(d)`` is chosen from the worst-case rounding of a
-  ``d + 2`` term dot product so that every distance lies within
-  ``GEMM_ACCURACY * (1 + largest centred norm)`` of the exact one;
+  distance is tiny against the squared norms.  A row whose minimum is
+  below ``tau(d) * (|x_i|^2 + max_j |x_j|^2)`` (centred norms, ``d``
+  coordinates) has each entry below ``tau(d) * (|x_i|^2 + |x_j|^2)``
+  recomputed by direct differences of the original coordinates; other
+  rows are left as they are, and a point's own entry is excluded and set
+  to exactly 0.  The threshold ``tau(d)`` is chosen from the worst-case
+  rounding of a ``d + 2`` term dot product so that every distance lies
+  within ``GEMM_ACCURACY * (1 + largest centred norm)`` of the exact one;
   duplicate points get exactly 0, and no entry is negative.  Where that
   threshold would cover every pair (``tau(d) >= 1``, beyond about 2000
   coordinates), or the squared norms could overflow, ``cdist`` is used.
@@ -73,9 +73,8 @@ the block iterator ``iter_blocks`` or the read-ahead reader ``RowCache``.
   ``concentration``, the read-ahead buffer of ``RowCache``) hold at most
   ``BLOCK_ENTRIES`` distances per block
   (``iter_blocks`` reuses one buffer for all its blocks), and the dense
-  matrix is built through blocks of the same size; on the
-  GEMM kernel each block holds the upper triangle and is mirrored, so the
-  matrix is exactly symmetric.  ``char_size`` selects over these blocks
+  matrix is built through blocks of the same size, written in place.
+  ``char_size`` selects over these blocks
   (``_pair_order_stats``) under any weights, keeping at most
   ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
 """
@@ -170,18 +169,21 @@ def _check_triangle(dist: np.ndarray, ids: np.ndarray) -> None:
 
 
 def _gemm_operands(coords: np.ndarray):
-    """``(aug, thr)`` for the GEMM kernel, or None where ``cdist`` is used.
+    """``(aug, tau, thr)`` for the GEMM kernel, or None where ``cdist`` is
+    used; ``thr[i]`` is the screen of row i in the guard.
 
-    ``aug`` holds the centred coordinates, a column of ones and the squared
-    centred norms, so ``[-2x_i, |x_i|^2, 1] . aug[j]`` is the squared
-    distance, followed by zero rows up to ``_gemm_cols(n)``; ``thr[i]`` is
-    the guard threshold of row i.  A dot product of
-    ``k = d + 2`` terms is off by at most about ``k*u`` times the sum of
-    their magnitudes, here at most ``2 S`` with ``S = |x_i|^2 + |x_j|^2``;
-    adding the rounding of the norms gives ``c S``, ``c = 3 k u``.  An
-    entry of at least ``tau S`` then has a square root within
-    ``c M / sqrt(2 (tau - c))`` of the exact one (``M`` the largest
-    centred norm), which
+    Row j of ``aug`` is ``[1, |x_j|^2, x_j]`` (centred coordinates), the
+    right operand of point j, followed by zero rows up to ``_gemm_cols(n)``;
+    the left operand of point i is ``[|x_i|^2, 1, -2 x_i]``.  Their product
+    is the squared distance with ``|x_i|^2 + |x_j|^2`` formed before any
+    other term, so with the terms accumulated in order the matrix is
+    exactly symmetric.  A dot product of ``k = d + 2`` terms is off by at
+    most about ``k u`` times the sum of their magnitudes, here at most
+    ``2 S`` with ``S = |x_i|^2 + |x_j|^2``; adding the rounding of the norms
+    gives ``c S``, ``c = 3 k u``.  The guard recomputes every entry below
+    ``tau S``; one of at least ``tau S`` has a square root within
+    ``c sqrt(S) / (2 sqrt(tau - c)) <= c M / sqrt(2 (tau - c))`` of the exact
+    one (``M`` the largest centred norm, ``S <= 2 M^2``), which
     ``tau = c + 2 (c / GEMM_ACCURACY)**2`` keeps below half the accuracy.
     """
     n, d = coords.shape
@@ -190,14 +192,13 @@ def _gemm_operands(coords: np.ndarray):
     if d < GEMM_MIN_DIM or tau >= 1.0:
         return None
     aug = np.zeros((_gemm_cols(n), d + 2))
-    np.subtract(coords, coords.mean(axis=0), out=aug[:n, :d])
-    aug[:n, d] = 1.0
-    sq = np.einsum("ij,ij->i", aug[:n, :d], aug[:n, :d])
-    if not sq.max() <= np.finfo(float).max / 4:  # the products could overflow
+    np.subtract(coords, coords.mean(axis=0), out=aug[:n, 2:])
+    aug[:n, 0] = 1.0
+    aug[:n, 1] = np.einsum("ij,ij->i", aug[:n, 2:], aug[:n, 2:])
+    if not aug[:n, 1].max() <= np.finfo(float).max / 4:  # the products could overflow
         return None
-    aug[:n, d + 1] = sq
     aug.setflags(write=False)
-    return aug, tau * (sq + sq.max())
+    return aug, tau, tau * (aug[:n, 1] + aug[:n, 1].max())
 
 
 def _gemm_cols(n: int) -> int:
@@ -323,9 +324,8 @@ class MMSpace:
     def dist(self) -> np.ndarray:
         """The full distance matrix, materialized and cached on first use.
 
-        Built in row blocks; the GEMM kernel's rounding is not symmetric, so
-        there each block holds the upper triangle and is mirrored into the
-        lower one, and the matrix is exactly symmetric either way.
+        Built from full rows in blocks, the same rows every other read
+        computes (see the module notes).
         """
         if self._dist_cache is None:
             if self.n > MATERIALIZE_LIMIT:
@@ -333,18 +333,10 @@ class MMSpace:
                     f"n={self.n} exceeds the dense-matrix limit "
                     f"{MATERIALIZE_LIMIT}; use dist_row()/dist_block() instead"
                 )
-            n = self.n
-            m = np.empty((n, n))
-            for i0 in range(0, n, self.block_rows):
-                i1 = min(i0 + self.block_rows, n)
-                rows = np.arange(i0, i1)
-                if self._gemm is None:
-                    self._pairwise(rows, out=m[i0:i1])
-                    continue
-                self._pairwise(rows, out=m[i0:i1, i0:], start=i0)
-                m[i1:, i0:i1] = m[i0:i1, i1:].T
-                lower = np.tril_indices(i1 - i0, -1)
-                m[i0:i1, i0:i1][lower] = m[i0:i1, i0:i1].T[lower]
+            m = np.empty((self.n, self.n))
+            for i0 in range(0, self.n, self.block_rows):
+                i1 = min(i0 + self.block_rows, self.n)
+                self._pairwise(np.arange(i0, i1), out=m[i0:i1])
             m.setflags(write=False)
             self._dist_cache = m
         return self._dist_cache
@@ -361,45 +353,39 @@ class MMSpace:
         """Rows per block under the ``BLOCK_ENTRIES`` budget."""
         return max(1, BLOCK_ENTRIES // self.n)
 
-    def _pairwise(self, rows: np.ndarray, out=None, start=None) -> np.ndarray:
+    def _pairwise(self, rows: np.ndarray, out=None) -> np.ndarray:
         """Distances from the points `rows` to every point, written to `out`
         if given, each row the same bits however many rows are read with it
-        (see the module notes).  With `start`, to the points from `start` on
-        instead, in one product of exactly those columns: the held matrix's
-        build.  A point's own entry is exactly 0."""
-        first = 0 if start is None else start
+        (see the module notes).  A point's own entry is exactly 0."""
         if self._gemm is None:
             metric = "euclidean" if self._metric == "euclidean" else "hamming"
-            out = cdist(self._coords[rows], self._coords[first:], metric=metric, out=out)
+            out = cdist(self._coords[rows], self._coords, metric=metric, out=out)
         else:
-            out = self._gemm_pairwise(rows, out, start)
-        out[np.arange(len(rows)), rows - first] = 0.0
+            out = self._gemm_pairwise(rows, out)
+        out[np.arange(len(rows)), rows] = 0.0
         return out
 
-    def _gemm_pairwise(self, rows, out, start) -> np.ndarray:
+    def _gemm_pairwise(self, rows, out) -> np.ndarray:
         """The GEMM kernel with its cancellation guard; see the module notes.
 
         A row read alone is computed in a product of two copies of it, and
-        every full row in one of ``_gemm_cols(n)`` columns; the guard sees
-        only the rows and columns asked for.
+        every row in one of ``_gemm_cols(n)`` columns; the guard sees only
+        the rows and columns asked for.
         """
-        aug, thr = self._gemm
-        d, k = aug.shape[1] - 2, len(rows)
+        aug, tau, thr = self._gemm
+        n, k = self.n, len(rows)
         a = aug[rows if k > 1 else np.repeat(rows, 2)]
-        a[:, :d] *= -2.0
-        a[:, d] = a[:, d + 1]
-        a[:, d + 1] = 1.0
-        first = 0 if start is None else start
-        cols = aug if start is None else aug[start : self.n]
-        if out is not None and a.shape[0] == k and cols.shape[0] == self.n - first:
-            d2 = np.matmul(a, cols.T, out=out)
+        a[:, 0] = a[:, 1]
+        a[:, 1] = 1.0
+        a[:, 2:] *= -2.0
+        if out is not None and a.shape[0] == k and aug.shape[0] == n:
+            d2 = np.matmul(a, aug.T, out=out)
         else:
-            d2 = np.matmul(a, cols.T)[:k, : self.n - first]
-        d2[np.arange(k), rows - first] = np.inf
-        t = thr[rows]
-        for i in np.flatnonzero(d2.min(axis=1) < t):
-            js = np.flatnonzero(d2[i] < t[i])
-            diff = self._coords[first + js] - self._coords[rows[i]]
+            d2 = np.matmul(a, aug.T)[:k, :n]
+        d2[np.arange(k), rows] = np.inf
+        for i in np.flatnonzero(d2.min(axis=1) < thr[rows]):
+            js = np.flatnonzero(d2[i] < tau * (aug[rows[i], 1] + aug[:n, 1]))
+            diff = self._coords[js] - self._coords[rows[i]]
             d2[i, js] = np.einsum("ij,ij->i", diff, diff)
         np.sqrt(d2, out=d2)
         if out is None:
@@ -479,15 +465,6 @@ class MMSpace:
             return MMSpace(coords=self._coords[ids], metric=self._metric,
                            weights=weights, label=label)
         return MMSpace(dist=self.dist[np.ix_(ids, ids)], weights=weights, label=label)
-
-    def scaled(self, c: float, label: str | None = None) -> "MMSpace":
-        """The same space with every distance multiplied by ``c > 0``."""
-        if not (c > 0):
-            raise InputError(f"scale factor must be positive, got {c!r}")
-        if self._coords is not None and self._metric == "euclidean":
-            return MMSpace(coords=self._coords * c, metric="euclidean",
-                           weights=self.weights, label=label)
-        return MMSpace(dist=self.dist * c, weights=self.weights, label=label)
 
     def __repr__(self) -> str:
         kind = "dense" if self._coords is None else f"coords/{self._metric}"

@@ -607,6 +607,18 @@ def test_sep_lower_dominated_by_exact():
             assert val <= sep_exact(s, float(kappa)) + 1e-12
 
 
+def test_sep_lower_never_exceeds_exact_on_collinear_points():
+    # on a line the triangle inequality is tight, so a bound computed as
+    # d(i, j) - r_A - r_B could round above the cross distance it bounds;
+    # every value must be at most the exact one with no tolerance
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n = int(rng.integers(2, 15))
+        w = rng.random(n) + 0.1
+        s = from_points(rng.normal(size=(n, 1)), weights=w / w.sum())
+        assert np.all(sep_lower(s).sep <= sep_exact_profile(s).sep)
+
+
 def test_sep_lower_two_point():
     prof = sep_lower(two_point(), restarts=2)
     idx = int(np.searchsorted(prof.kappa_grid, 0.4))

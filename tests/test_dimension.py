@@ -18,7 +18,7 @@ from concdim.dimension import (
     dimension_report,
 )
 from concdim.errors import InputError
-from concdim.mmspace import GeneratorSpec, from_points, generate
+from concdim.mmspace import GeneratorSpec, from_distance_matrix, from_points, generate
 
 from util import random_space
 
@@ -79,7 +79,7 @@ def test_scale_covariance_exact():
     rng = np.random.default_rng(4)
     for _ in range(10):
         s = random_space(rng)
-        t = s.scaled(2.0)
+        t = from_distance_matrix(2 * s.dist, weights=s.weights)
         assert dim_chavez(t) == dim_chavez(s)
         d_s = dim_concentration(alpha_exact_profile(s))
         d_t = dim_concentration(alpha_exact_profile(t))

@@ -11,7 +11,8 @@ from concdim.features import (
     distance_feature,
     features_to_csv,
 )
-from concdim.mmspace import GEMM_ACCURACY, GeneratorSpec, from_points, generate
+from concdim import mmspace
+from concdim.mmspace import GeneratorSpec, from_points, generate
 
 from util import random_space
 
@@ -143,18 +144,20 @@ def test_closed_form_certificate_matches_pair_scan():
             assert abs(f.lipschitz_bound - measured.lipschitz_bound) <= 1e-12, f.name
 
 
-def test_closed_form_is_an_upper_bound_on_coincident_gemm_rows():
-    # two coincident points may read rows that differ in the last bits
-    # on the GEMM kernel; their half-difference then has spread at that
-    # level and the closed form 1 only bounds its measured constant
+def test_coincident_points_read_equal_rows(monkeypatch):
+    # held and computed GEMM rows are the same rows, so two coincident
+    # points read equal ones and their half-difference is constant 0
     x = np.random.default_rng(5).normal(size=(150, 20))
-    s = from_points(np.vstack([x, x]))
-    norm = np.linalg.norm(x - x.mean(axis=0), axis=1).max()
-    for p in range(150):
-        values = (s.dist_row(p) - s.dist_row(p + 150)) / 2.0
-        f = _certify_distance_combination(s, values, "half_diff")
-        assert np.ptp(values) <= GEMM_ACCURACY * (1.0 + norm)
-        assert check_lipschitz(s, values).lipschitz_bound <= f.lipschitz_bound
+    for auto_dense in (mmspace.AUTO_DENSE, 0):
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", auto_dense)
+        s = from_points(np.vstack([x, x]))
+        assert s._gemm is not None
+        for p in range(150):
+            values = (s.dist_row(p) - s.dist_row(p + 150)) / 2.0
+            assert not values.any()
+            f = _certify_distance_combination(s, values, "half_diff")
+            assert f.lipschitz_bound == 0.0 == check_lipschitz(s, values).lipschitz_bound
+        assert s.is_dense == (auto_dense > 0)
 
 
 def test_centered_features_have_sup_norm_within_diameter():

@@ -3,6 +3,15 @@
 ``scipy.spatial.distance.cdist`` is used here only as the reference.
 With ``mmspace.AUTO_DENSE`` at 0 no space holds its matrix unless asked
 for ``dist``, so every accessor computes its rows.
+
+That GEMM rows have the same bits in products of any height, and that the
+GEMM kernel's matrix equals its transpose, are measured properties of the
+BLAS, not guarantees.  They were measured with numpy 2.4.6 and the
+OpenBLAS it bundles, ``OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH
+NO_AFFINITY`` (as ``np.show_config()`` reports it), running its SkylakeX
+kernels on 2 threads.  A failure of the bit-equality or symmetry tests on
+another BLAS means that BLAS rounds one dot product differently by shape
+or by operand order.
 """
 
 import numpy as np
@@ -11,7 +20,7 @@ from scipy.spatial.distance import cdist
 
 from concdim import mmspace
 from concdim.concentration import greedy_separated_subset
-from concdim.features import Feature, check_lipschitz
+from concdim.features import Feature, check_lipschitz, dictionary
 from concdim.mmspace import GEMM_ACCURACY, GEMM_MIN_DIM, MMSpace, from_points
 
 
@@ -56,16 +65,18 @@ def test_kernel_matches_cdist(name, d, monkeypatch):
     ref = cdist(x, x)
     centred = x - x.mean(axis=0)
     bound = GEMM_ACCURACY * (1.0 + np.sqrt((centred * centred).sum(axis=1)).max())
-    # the matrix read by the rule, then rows computed one call at a time
+    m = space.dist
+    # the matrix read by the rule, then rows computed one call at a time:
+    # each path reads the held matrix's bits
     for auto_dense in (mmspace.AUTO_DENSE, 0):
         monkeypatch.setattr(mmspace, "AUTO_DENSE", auto_dense)
         for got in every_path(x):
             k = got.shape[0]
+            assert bits(got) == bits(m[:k, :k])
             assert np.abs(got - ref[:k, :k]).max() <= bound
             assert (got >= 0).all()
             assert got[3, 7] == got[7, 3] == got[3, 50] == 0.0
             assert np.all(np.diag(got) == 0.0)
-    m = space.dist
     assert np.array_equal(m, m.T)
     for i, j in [(10, 11), (199, 200)]:
         assert m[i, j] > 0 and abs(m[i, j] - ref[i, j]) <= 1e-6 * ref[i, j]
@@ -111,6 +122,31 @@ def test_single_reads_equal_the_same_row_in_any_block(kernel, n, monkeypatch):
     ids = np.r_[3, 7, 50, 10, 11, 199, 200, 0:n:9]
     assert bits(space.submatrix(ids)) == bits(ref[np.ix_(ids, ids)])
     assert not space.is_dense
+    assert bits(space.dist) == bits(ref)
+
+
+@pytest.mark.parametrize("n, d", [(300, 20), (1001, 16), (3000, 50), (5000, 26),
+                                  (6000, 300), (6001, 50), (4000, 1500)])
+def test_gemm_matrix_is_exactly_symmetric(n, d, monkeypatch):
+    # |x_i|^2 + |x_j|^2 is formed before the dot product, and the guard
+    # recomputes an entry on a threshold symmetric in (i, j)
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    space = from_points(cloud(d, n, seed=d))
+    assert space._gemm is not None
+    m = np.empty((n, n))
+    for ids, blk in space.iter_blocks():
+        m[ids] = blk
+    assert np.array_equal(m, m.T)
+    assert bits(space.dist_block([n - 1, 3, 7])) == bits(m[[n - 1, 3, 7]])
+
+
+def test_features_do_not_depend_on_a_held_matrix():
+    fresh = from_points(cloud(50, 3000))
+    read = from_points(cloud(50, 3000))
+    read.dist
+    a, b = (dictionary(s, "anchors_random", k=32, seed=0) for s in (fresh, read))
+    assert not fresh.is_dense and read.is_dense
+    assert [bits(f.values) for f in a] == [bits(f.values) for f in b]
 
 
 def test_kernel_falls_back_where_squared_norms_overflow():

@@ -90,7 +90,6 @@ def test_construction_computes_no_distance(monkeypatch):
     for d in (3, 20):
         s = from_points(rng.normal(size=(700, d)))
         s.subspace(np.arange(0, 700, 2))
-        s.scaled(3.0)
     from_points(rng.integers(0, 2, size=(700, 8)), metric="normalized_hamming")
     sphere = generate(GeneratorSpec("sphere", 1, {"n_dim": 2, "n": 700}))
     for fam, params in [
@@ -258,12 +257,6 @@ def test_subspace_induced_metric():
     assert sub.n == 3
     assert np.allclose(sub.dist, s.dist[np.ix_([0, 3, 5], [0, 3, 5])])
     assert np.allclose(sub.weights, 1 / 3)
-
-
-def test_scaled_space():
-    s = from_points([[0.0], [1.0], [3.0]])
-    t = s.scaled(2.0)
-    assert np.allclose(t.dist, 2.0 * s.dist)
 
 
 def test_weighted_pair_statistics_run_above_auto_dense():
