@@ -456,30 +456,36 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     Witnesses are the half-mass sublevel sets ``{x : v(x) <= median_v}`` of
     each dictionary feature and of the distance to each ball center (a
     weight-balanced ball); both default to the anchors at all points up to
-    64, else at 32 seeded ones.  Each distinct set is evaluated once.  Every
-    value is ``1 - mu(A_eps)`` for one of them, hence at most the exact alpha.
+    64, else at 32 seeded ones.  Each distinct set is evaluated once, and
+    all of them in one pass of :meth:`MMSpace.iter_set_distances`, which
+    reads each distance row once per call (per ``block_rows`` sets).
+    Every value is ``1 - mu(A_eps)`` for one of them, hence at most the
+    exact alpha.  Ball centers must be point ids in ``[0, n)``.
     """
     diam = diameter(space)
     grid = default_eps_grid(space) if eps_grid is None else np.unique(
         np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
     _check_eps_grid(grid, diam)
     k = space.n if space.n <= 64 else 32
-    if dictionary is None:
-        dictionary = make_dictionary(space, "anchors_random", k=k, seed=0)
     if ball_centers is None:
         ball_centers = np.random.default_rng(0).choice(space.n, size=k, replace=False)
+    ball_centers = space.check_ids(ball_centers, "ball centers")
+    if dictionary is None:
+        dictionary = make_dictionary(space, "anchors_random", k=k, seed=0)
     w = space.weights
-    best = np.zeros(grid.size)
-    seen = set()
-    rows = (space.dist_row(int(c)) for c in np.asarray(ball_centers, dtype=int))
+    masks, seen = [], set()
+    rows = (space.dist_row(c) for c in ball_centers.tolist())
     for v in itertools.chain((f.values for f in dictionary), rows):
         inside = v <= weighted_median(v, w, "lower")
         key = np.packbits(inside).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        d_to_a = space.min_dist_to(np.flatnonzero(inside))
-        np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
+        if key not in seen:
+            seen.add(key)
+            masks.append(inside)
+    best = np.zeros(grid.size)
+    for _, d_to_sets in space.iter_set_distances(
+            np.array(masks, dtype=bool).reshape(-1, space.n)):
+        for d_to_a in d_to_sets:
+            np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
     best = np.minimum(np.maximum(best, 0.0), 0.5)
     best[(grid >= diam) & (grid > 0)] = 0.0
     best[0] = 0.5

@@ -124,8 +124,17 @@ def covering_profile(space: MMSpace, u_grid) -> CoveringProfile:
 
 
 def net_is_valid(space: MMSpace, net_ids, u: float) -> bool:
-    """Exhaustive check that open u-balls at the net cover every point."""
-    return bool((space.min_dist_to(net_ids) < u).all())
+    """Exhaustive check that open u-balls at the net cover every point.
+
+    The net must be a nonempty sequence of point ids in ``[0, n)`` and `u`
+    positive, else InputError.
+    """
+    if not (u > 0):
+        raise InputError(f"radius must be positive, got {u!r}")
+    net = space.check_ids(net_ids, "net ids")
+    if net.size == 0:
+        raise InputError("net must be nonempty")
+    return bool((space.min_dist_to(net) < u).all())
 
 
 def sample_size_bound(eps: float, delta: float, profile: CoveringProfile,

@@ -121,12 +121,14 @@ def distance_feature(space: MMSpace, anchor_set) -> Feature:
     Non-expanding with certified constant at most 1 (exactly 1 unless the
     anchors cover every point at distance zero).
     """
-    ids = np.unique(np.asarray(list(anchor_set), dtype=int))
+    ids = np.unique(space.check_ids(list(anchor_set), "anchor ids"))
     if ids.size == 0:
         raise InputError("anchor set must be nonempty")
-    if ids.min() < 0 or ids.max() >= space.n:
-        raise InputError(f"anchor ids out of range for n={space.n}")
-    values = space.min_dist_to(ids)
+    return _set_feature(space, ids, space.min_dist_to(ids))
+
+
+def _set_feature(space: MMSpace, ids: np.ndarray, values: np.ndarray) -> Feature:
+    """The distance feature of the sorted anchor ids `ids`, with `values`."""
     name = f"dist_to_{{{','.join(map(str, ids.tolist()))}}}" if ids.size <= 4 \
         else f"dist_to_set(|A|={ids.size})"
     return _certify_distance_combination(space, values, name)
@@ -159,7 +161,8 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
         point pairs.
 
     All features are shifted to put the midpoint of their weighted medians
-    at zero, so sup norms stay within the diameter.
+    at zero, so sup norms stay within the diameter.  Anchor features read
+    all their anchors in one :meth:`MMSpace.iter_set_distances` call.
     """
     if kind == "anchors_all":
         anchors = np.arange(space.n)
@@ -187,7 +190,9 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
             "kind must be one of anchors_all, anchors_random, "
             f"halfspace_differences; got {kind!r}"
         )
-    return [_centered(space, distance_feature(space, [int(a)])) for a in anchors]
+    anchors = anchors[:, None]
+    return [_centered(space, _set_feature(space, anchors[j], v))
+            for js, blk in space.iter_set_distances(anchors) for j, v in zip(js, blk)]
 
 
 def features_to_csv(features: list[Feature], path) -> None:

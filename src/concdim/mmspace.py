@@ -21,15 +21,17 @@ The distance layer
 ------------------
 Every distance of a coordinate-backed space comes from one kernel,
 ``MMSpace._pairwise``, and every caller reads it through ``dist``,
-``dist_row``, ``dist_block``, ``submatrix``, ``distance``, ``min_dist_to``,
-the block iterator ``iter_blocks`` or the read-ahead reader ``RowCache``.
+``dist_row``, ``dist_block``, ``submatrix``, ``distance``, the block
+iterator ``iter_blocks``, the distances to a stack of point sets
+``iter_set_distances`` (``min_dist_to`` is its one-set case) or the
+read-ahead reader ``RowCache``.
 
 * When the matrix is held.  One rule, on the input alone, so results do
   not depend on call order: a space built from a matrix holds it; a
   coordinate space holds it iff ``n <= AUTO_DENSE`` and builds it, through
   ``dist``, on its first read of the whole space (``dist``, ``dist_row``,
   or ``iter_blocks()`` over every point, which then yields views of it).
-  Reads of caller-chosen rows (``dist_block``, ``min_dist_to``,
+  Reads of caller-chosen rows (``dist_block``, ``iter_set_distances``,
   ``submatrix``, ``distance``, ``RowCache``) use the matrix only if it
   exists, and construction computes no distance.  ``dense()`` applies the
   rule.  An explicit ``dist`` request builds the matrix of any space up to
@@ -42,17 +44,17 @@ the block iterator ``iter_blocks`` or the read-ahead reader ``RowCache``.
   their mean, computed as one BLAS GEMM with the squared norms folded into
   the product as its first two columns.
 * Canonical rows.  Each distance row has the same bits however it is
-  read: alone (``dist_row``, ``dist_block([i])``, ``min_dist_to([i])``),
-  entry by entry (``distance``, ``submatrix``, which read full rows),
-  inside a block of any height and composition (``dist_block``,
-  ``iter_blocks``, ``RowCache``), or from the held matrix, which is built
-  from the same full rows.  ``cdist`` computes each pair on its own.  The
-  GEMM kernel computes every row in a product of at least two rows (a row
-  read alone is paired with a copy of itself) over a fixed number of
-  columns (``_gemm_cols``: zero columns pad the points to a multiple of
-  8, and to at least 1024), the shapes for which OpenBLAS was measured to
-  run one kernel whatever the block; the guard sees only the rows and
-  columns asked for.  Every kernel's matrix equals its transpose exactly:
+  read: alone (``dist_row``, ``dist_block([i])``), entry by entry
+  (``distance``, ``submatrix``, which read full rows), inside a block of
+  any height and composition (``dist_block``, ``iter_blocks``,
+  ``iter_set_distances``, ``RowCache``), or from the held matrix, which
+  is built from the same full rows.  ``cdist`` computes each pair on its
+  own.  The GEMM kernel computes every row in a product of at least two
+  rows (a row read alone is paired with a copy of itself) over a fixed
+  number of columns (``_gemm_cols``: zero columns pad the points to a
+  multiple of 8, and to at least 1024), the shapes for which OpenBLAS was
+  measured to run one kernel whatever the block; the guard sees only the
+  rows and columns asked for.  Every kernel's matrix equals its transpose exactly:
   the GEMM product forms ``|x_i|^2 + |x_j|^2`` before any other term and
   accumulates the rest in order (measured with the same OpenBLAS), and
   the guard's decision is symmetric in ``(i, j)``.
@@ -68,12 +70,20 @@ the block iterator ``iter_blocks`` or the read-ahead reader ``RowCache``.
   duplicate points get exactly 0, and no entry is negative.  Where that
   threshold would cover every pair (``tau(d) >= 1``, beyond about 2000
   coordinates), or the squared norms could overflow, ``cdist`` is used.
-* One block budget.  Loops over rows (``iter_blocks``, ``min_dist_to``,
-  the statistics below, the greedy separated-subset scan in
-  ``concentration``, the read-ahead buffer of ``RowCache``) hold at most
-  ``BLOCK_ENTRIES`` distances per block
-  (``iter_blocks`` reuses one buffer for all its blocks), and the dense
-  matrix is built through blocks of the same size, written in place.
+* Distances to sets.  ``iter_set_distances`` reads each row of the union
+  of a group of sets once, in index order, and takes it into the output
+  of every set holding it by ``np.minimum``: a view of a held matrix
+  (no gathered copy), else a row computed by ``iter_blocks``.  ``min`` is
+  exact, so each output has the bits of a minimum over the set's rows
+  taken in any order.
+* One block budget.  Loops over rows (``iter_blocks``, the statistics
+  below, the greedy separated-subset scan in ``concentration``, the
+  read-ahead buffer of ``RowCache``) hold at most ``BLOCK_ENTRIES``
+  distances per block (``iter_blocks`` reuses one buffer for all its
+  blocks); ``iter_set_distances`` takes sets in groups of ``block_rows``,
+  so a group's k outputs hold ``k * n <= BLOCK_ENTRIES`` distances; and
+  the dense matrix is built through blocks of the same size, written in
+  place.
   ``char_size`` selects over these blocks
   (``_pair_order_stats``) under any weights, keeping at most
   ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
@@ -431,13 +441,70 @@ class MMSpace:
             yield part, (self.dist_block(part, out=buf[: len(part)]) if m is None
                          else m[i0 : i0 + len(part)])
 
+    def check_ids(self, ids, what: str = "point ids") -> np.ndarray:
+        """`ids` as a 1-D int array; InputError unless each is an integer
+        in ``[0, n)``."""
+        a = np.asarray(ids)
+        if a.ndim != 1:
+            raise InputError(f"{what} must be a 1-D sequence, got shape {a.shape}")
+        if a.size == 0:
+            return a.astype(int)
+        if a.dtype.kind not in "iuf" or not np.all(a == np.floor(a)):
+            raise InputError(f"{what} must be integers, got {a.tolist()[:8]!r}")
+        bad = a[(a < 0) | (a >= self.n)]
+        if bad.size:
+            raise InputError(f"{what} out of range for n={self.n}: {bad[0].item()!r}")
+        return a.astype(int)
+
+    def iter_set_distances(self, sets):
+        """Yield ``(set_ids, out)``, ``out[j]`` holding ``min over a in A of
+        d(x, a)`` for every point x, A the set ``sets[set_ids[j]]``.
+
+        `sets` is a ``(k, n)`` boolean mask or a sequence of k id arrays;
+        every set must be nonempty.  Sets go in groups of ``block_rows``,
+        so an output holds at most ``BLOCK_ENTRIES`` distances.  A group
+        reads each distance row of the union of its sets once, in index
+        order, and takes it into the output of every set holding it: a view
+        of a held matrix, or a row computed by ``iter_blocks``.
+        """
+        if isinstance(sets, np.ndarray) and sets.dtype == bool:
+            if sets.ndim != 2 or sets.shape[1] != self.n:
+                raise InputError(f"set masks must have shape (k, {self.n}), "
+                                 f"got {sets.shape}")
+            empty = np.flatnonzero(~sets.any(axis=1))
+        else:
+            sets = [self.check_ids(ids, "set ids") for ids in sets]
+            empty = [j for j, ids in enumerate(sets) if ids.size == 0]
+        if len(empty):
+            raise InputError(f"set {int(empty[0])} is empty")
+        return self._set_distance_groups(sets)
+
+    def _set_distance_groups(self, sets):
+        """The generator of :meth:`iter_set_distances`, on checked sets."""
+        step, m = self.block_rows, self._dist_cache
+        for j0 in range(0, len(sets), step):
+            member = sets[j0 : j0 + step]
+            if isinstance(member, list):  # id arrays
+                member = np.zeros((len(member), self.n), dtype=bool)
+                for row, ids in zip(member, sets[j0 : j0 + step]):
+                    row[ids] = True
+            out = np.full(member.shape, np.inf)
+            dst = list(out)
+            pts, owner = np.nonzero(member.T)  # by point, then set
+            union, first = np.unique(pts, return_index=True)
+            bounds = np.append(first, pts.size).tolist()
+            owner = owner.tolist()
+            rows = ((m[i] for i in union.tolist()) if m is not None else
+                    (row for _, blk in self.iter_blocks(union) for row in blk))
+            for r, row in enumerate(rows):
+                for j in owner[bounds[r] : bounds[r + 1]]:
+                    np.minimum(dst[j], row, out=dst[j])
+            yield np.arange(j0, j0 + len(member)), out
+
     def min_dist_to(self, ids) -> np.ndarray:
-        """``min over a in ids of d(x, a)`` for every point x (ids nonempty)."""
-        out = None
-        for _, blk in self.iter_blocks(ids):
-            m = blk.min(axis=0)
-            out = m if out is None else np.minimum(out, m, out=out)
-        return out
+        """``min over a in ids of d(x, a)`` for every point x (ids nonempty):
+        :meth:`iter_set_distances` of one set."""
+        return next(self.iter_set_distances([ids]))[1][0]
 
     def submatrix(self, ids) -> np.ndarray:
         """Distances among the points `ids`, read from their full rows."""

@@ -149,7 +149,7 @@ def test_witness_bounds_check_the_grid_before_witness_work(monkeypatch):
     def witness_work(*args):
         raise AssertionError("witness work before the grid was checked")
 
-    monkeypatch.setattr(mmspace.MMSpace, "min_dist_to", witness_work)
+    monkeypatch.setattr(mmspace.MMSpace, "iter_set_distances", witness_work)
     monkeypatch.setattr(conc, "_greedy_growth_curve", witness_work)
     s = generate(GeneratorSpec("sphere", 3, {"n_dim": 30, "n": 300}))
     for grid in ([0.1, 1.5 * diameter(s)], [-0.1, 0.1]):
@@ -293,17 +293,21 @@ def test_default_eps_grid_reads_the_upper_triangle_alone():
 
 
 def _count_witness_sets(monkeypatch):
-    """Record the ids of every min_dist_to call on more than one point; the
-    singleton calls build anchor features."""
+    """Record the ids of every set of more than one point passed to
+    iter_set_distances, whether as a mask or as ids; the singleton sets
+    build anchor features."""
     sets = []
-    inner = mmspace.MMSpace.min_dist_to
+    inner = mmspace.MMSpace.iter_set_distances
 
-    def min_dist_to(self, ids):
-        if len(ids) > 1:
-            sets.append(np.asarray(ids).tobytes())
-        return inner(self, ids)
+    def iter_set_distances(self, stack):
+        for ids in stack:
+            ids = np.asarray(ids)
+            ids = np.flatnonzero(ids) if ids.dtype == bool else ids
+            if len(ids) > 1:
+                sets.append(ids.tobytes())
+        return inner(self, stack)
 
-    monkeypatch.setattr(mmspace.MMSpace, "min_dist_to", min_dist_to)
+    monkeypatch.setattr(mmspace.MMSpace, "iter_set_distances", iter_set_distances)
     return sets
 
 
@@ -343,6 +347,36 @@ def test_alpha_lower_matches_the_two_loop_reference(monkeypatch, held):
             assert got.eps_grid.tobytes() == want.eps_grid.tobytes()
             assert got.alpha.tobytes() == want.alpha.tobytes()
         assert s.is_dense == held
+
+
+@pytest.mark.parametrize("centers", [[-1], [40], [1.5], [0, float("nan")], [[0]]])
+def test_alpha_lower_rejects_centers_that_are_not_point_ids(centers):
+    s = generate(GeneratorSpec("sphere", 1, {"n_dim": 2, "n": 40}))
+    with pytest.raises(InputError, match="ball centers"):
+        alpha_lower(s, ball_centers=centers)
+
+
+def test_alpha_lower_computes_each_row_at_most_once(monkeypatch):
+    # 32 anchor features in one block and 32 ball rows, then each row of
+    # the witness sets' union once; a call per set would compute about half
+    # the rows for each of the 32 sets
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    s = generate(GeneratorSpec("gaussian_cloud", 5, {"d": 50, "sigma": 1.0, "n": 1000}))
+    grid = np.linspace(0.0, diameter(s), 65)
+    rows = []
+    inner = mmspace.MMSpace._pairwise
+
+    def pairwise(self, ids, out=None):
+        rows.append(len(ids))
+        return inner(self, ids, out=out)
+
+    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", pairwise)
+    got = alpha_lower(s, grid)
+    assert not s.is_dense
+    assert rows.count(32) == 1 and rows.count(1) == 32
+    assert sum(rows) <= s.n + 64
+    monkeypatch.undo()
+    assert got.alpha.tobytes() == _alpha_lower_two_loops(s, grid).alpha.tobytes()
 
 
 # -- profile reads ----------------------------------------------------------------

@@ -69,6 +69,22 @@ def test_covering_profile_invariants():
         assert np.all(np.diff(prof.n_lower) <= 0)
 
 
+@pytest.mark.parametrize("net, u, match", [
+    ([], 0.5, "nonempty"),
+    ([60], 0.5, "out of range"),
+    ([-1], 0.5, "out of range"),
+    ([2.5], 0.5, "integers"),
+    ([0], 0.0, "positive"),
+    ([0], -0.5, "positive"),
+    ([0], float("nan"), "positive"),
+])
+def test_net_check_rejects_bad_nets_and_radii(net, u, match):
+    s = from_points(np.random.default_rng(6).normal(size=(50, 2)))
+    assert net_is_valid(s, np.arange(50), 1e-9) and not net_is_valid(s, [0], 1e-9)
+    with pytest.raises(InputError, match=match):
+        net_is_valid(s, net, u)
+
+
 def test_covering_profile_matches_greedy_net_sizes():
     rng = np.random.default_rng(7)
     s = random_space(rng, n=12)

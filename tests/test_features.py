@@ -45,6 +45,9 @@ def test_distance_feature_cube_is_hamming_weight():
 def test_distance_feature_rejects_empty_anchor_set():
     with pytest.raises(InputError, match="nonempty"):
         distance_feature(two_point(), [])
+    for anchors in ([2], [-1], [0.5]):
+        with pytest.raises(InputError, match="anchor ids"):
+            distance_feature(two_point(), anchors)
 
 
 def test_check_lipschitz_constant_function():

@@ -20,6 +20,7 @@ from scipy.spatial.distance import cdist
 
 from concdim import mmspace
 from concdim.concentration import greedy_separated_subset
+from concdim.errors import InputError
 from concdim.features import Feature, check_lipschitz, dictionary
 from concdim.mmspace import GEMM_ACCURACY, GEMM_MIN_DIM, MMSpace, from_points
 
@@ -138,6 +139,95 @@ def test_gemm_matrix_is_exactly_symmetric(n, d, monkeypatch):
         m[ids] = blk
     assert np.array_equal(m, m.T)
     assert bits(space.dist_block([n - 1, 3, 7])) == bits(m[[n - 1, 3, 7]])
+
+
+SET_SPACES = {
+    **KERNELS,
+    "weighted": lambda n: from_points(
+        cloud(50, n), weights=np.random.default_rng(1).dirichlet(np.ones(n))),
+    "matrix": lambda n: mmspace.from_distance_matrix(
+        from_points(cloud(GEMM_MIN_DIM - 1, n)).dist),
+}
+
+
+def set_stack(n: int) -> list[np.ndarray]:
+    """Singletons, the full set, repeated ids, a duplicate set and
+    overlapping sets, each in its own order, the sets in a shuffled one."""
+    rng = np.random.default_rng(n)
+    halves = [rng.choice(n, n // 2, replace=False) for _ in range(3)]
+    sets = [np.array([0]), np.array([n - 1]), np.array([7]), np.array([3, 7, 50]),
+            rng.permutation(n), np.array([9, 9, 4, 9]), *halves, halves[1][::-1],
+            np.r_[halves[0][:20], halves[2][:20]]]
+    return [sets[j] for j in rng.permutation(len(sets))]
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("kind", sorted(SET_SPACES))
+def test_set_distances_are_the_minimum_of_the_sets_rows(kind, held, budget, monkeypatch):
+    # min is exact and rows are canonical, so every bit equals the row-wise
+    # minimum over the held matrix; `budget` sets per group, rows per block
+    n = 300
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", mmspace.AUTO_DENSE if held else 0)
+    if budget:
+        monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", budget * n)
+    space = SET_SPACES[kind](n)
+    if held:
+        space.dist
+
+        def no_copies(*args, **kwargs):
+            raise AssertionError("held rows were copied or computed")
+
+        monkeypatch.setattr(MMSpace, "dist_block", no_copies)
+        monkeypatch.setattr(MMSpace, "_pairwise", no_copies)
+    sets = set_stack(n)
+    masks = np.zeros((len(sets), n), dtype=bool)
+    for mask, ids in zip(masks, sets):
+        mask[ids] = True
+    got = {}
+    for stack in (sets, masks):
+        groups = list(space.iter_set_distances(stack))
+        assert all(len(js) <= space.block_rows for js, _ in groups)
+        assert np.concatenate([js for js, _ in groups]).tolist() == list(range(len(sets)))
+        got[stack is masks] = np.vstack([out for _, out in groups])
+    assert space.is_dense == (held or kind == "matrix")
+    monkeypatch.undo()
+    m = space.dist
+    want = np.vstack([np.min(m[ids], axis=0) for ids in sets])
+    assert bits(got[False]) == bits(got[True]) == bits(want)
+    assert bits(space.min_dist_to(sets[0])) == bits(want[0])
+
+
+@pytest.mark.parametrize("sets, match", [
+    ([[0], []], "set 1 is empty"),
+    ([[0, 300]], "out of range"),
+    ([[-1]], "out of range"),
+    ([[0.5]], "integers"),
+    ([np.array([True, False])], "integers"),
+    (np.zeros((2, 300), dtype=bool), "set 0 is empty"),
+    (np.ones((2, 30), dtype=bool), "shape"),
+])
+def test_set_distances_reject_empty_and_foreign_sets(sets, match):
+    space = from_points(cloud(3))
+    with pytest.raises(InputError, match=match):
+        space.iter_set_distances(sets)
+
+
+def test_anchor_dictionaries_read_their_rows_in_one_block(monkeypatch):
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    space = from_points(cloud(50, 1000))
+    calls = []
+    inner = MMSpace._pairwise
+
+    def pairwise(self, ids, out=None):
+        calls.append(len(ids))
+        return inner(self, ids, out=out)
+
+    monkeypatch.setattr(MMSpace, "_pairwise", pairwise)
+    feats = dictionary(space, "anchors_random", k=32, seed=0)
+    assert calls == [32]
+    assert [f.name for f in feats] == [f"dist_to_{{{a}}}" for a in np.random.default_rng(
+        0).choice(space.n, 32, replace=False)]
 
 
 def test_features_do_not_depend_on_a_held_matrix():
