@@ -24,7 +24,9 @@ Every distance of a coordinate-backed space comes from one kernel,
 ``dist_row``, ``dist_block``, ``submatrix``, ``distance``, the block
 iterator ``iter_blocks``, the distances to a stack of point sets
 ``iter_set_distances`` (``min_dist_to`` is its one-set case) or the
-read-ahead reader ``RowCache``.
+read-ahead reader ``RowCache``.  Every accessor given point ids checks
+them with ``check_ids``: an id that is negative, fractional or not below
+``n`` is an ``InputError``, held matrix or not.
 
 * When the matrix is held.  One rule, on the input alone, so results do
   not depend on call order: a space built from a matrix holds it; a
@@ -87,6 +89,12 @@ read-ahead reader ``RowCache``.
   ``char_size`` selects over these blocks
   (``_pair_order_stats``) under any weights, keeping at most
   ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
+  Its pair sample makes no pass of its own: it reads the sampled pairs
+  from the held matrix or from their coordinates, 1024 pairs at a time.
+* The diameter costs no pass of its own when another read already
+  covers every row: the first counting pass of ``char_size`` fills it,
+  and so does a ``RowCache`` once it has computed every point's row (a
+  greedy growth curve under uniform weights takes every point).
 """
 
 from __future__ import annotations
@@ -406,6 +414,7 @@ class MMSpace:
 
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from point `i` to every point."""
+        i = self._point(i)
         m = self.dense()
         if m is not None:
             return m[i]
@@ -414,12 +423,10 @@ class MMSpace:
     def dist_block(self, ids, out=None) -> np.ndarray:
         """Distance rows for the given point ids, shape ``(len(ids), n)``,
         written to `out` (C-contiguous) if given."""
-        ids = np.asarray(ids, dtype=int)
-        if ids.size and not (-self.n <= ids.min() and ids.max() < self.n):
-            raise IndexError(f"point ids out of range for n={self.n}")
+        ids = self.check_ids(ids)
         if self._dist_cache is not None:
-            # in-range ids: "wrap" indexes as [] does, without buffering `out`
-            return np.take(self._dist_cache, ids, axis=0, out=out, mode="wrap")
+            # checked ids: "clip" indexes as [] does, without buffering `out`
+            return np.take(self._dist_cache, ids, axis=0, out=out, mode="clip")
         return self._pairwise(ids, out=out)
 
     def iter_blocks(self, ids=None):
@@ -449,12 +456,20 @@ class MMSpace:
             raise InputError(f"{what} must be a 1-D sequence, got shape {a.shape}")
         if a.size == 0:
             return a.astype(int)
-        if a.dtype.kind not in "iuf" or not np.all(a == np.floor(a)):
+        if a.dtype.kind not in "iu" and (a.dtype.kind != "f"
+                                         or not np.all(a == np.floor(a))):
             raise InputError(f"{what} must be integers, got {a.tolist()[:8]!r}")
         bad = a[(a < 0) | (a >= self.n)]
         if bad.size:
             raise InputError(f"{what} out of range for n={self.n}: {bad[0].item()!r}")
         return a.astype(int)
+
+    def _point(self, i) -> int:
+        """One point id as an int, checked as :meth:`check_ids` checks it;
+        an integer in range passes without building an array."""
+        if (type(i) is int or isinstance(i, np.integer)) and 0 <= i < self.n:
+            return int(i)
+        return int(self.check_ids([i])[0])
 
     def iter_set_distances(self, sets):
         """Yield ``(set_ids, out)``, ``out[j]`` holding ``min over a in A of
@@ -508,7 +523,7 @@ class MMSpace:
 
     def submatrix(self, ids) -> np.ndarray:
         """Distances among the points `ids`, read from their full rows."""
-        ids = np.asarray(ids, dtype=int)
+        ids = self.check_ids(ids)
         if self._dist_cache is not None:
             return self._dist_cache[np.ix_(ids, ids)]
         step = self.block_rows
@@ -517,6 +532,7 @@ class MMSpace:
 
     def distance(self, i: int, j: int) -> float:
         """The distance between points `i` and `j`, read from i's full row."""
+        i, j = self._point(i), self._point(j)
         if self._dist_cache is not None:
             return float(self._dist_cache[i, j])
         return float(self._pairwise(np.array([i]))[0, j])
@@ -551,7 +567,10 @@ class RowCache:
     and points scored ``-inf`` are passed over.  The row returned last is
     freed on the next call, so a miss always finds a free row, and no row
     is dropped before it is taken: taking each point at most once computes
-    each row at most once.
+    each row at most once.  The cache keeps the largest value of the rows
+    it computes; once it has computed every point's row, it fills the
+    space's diameter if that is not known, so a caller that takes every
+    point leaves no diameter pass to make.
     """
 
     def __init__(self, space: MMSpace):
@@ -564,6 +583,8 @@ class RowCache:
             self._slot = np.full(space.n, -1)      # each point's buffer row, or -1
             self._held = 0                         # buffer rows in use, the first ones
             self._taken = -1                       # the buffer row returned last
+            self._unseen = np.ones(space.n, dtype=bool)  # rows never computed
+            self._top = -np.inf                    # largest value computed
 
     def take(self, x: int, *scores: np.ndarray) -> np.ndarray:
         """Point x's distance row, valid until the next call."""
@@ -601,6 +622,11 @@ class RowCache:
         ids = np.concatenate(want)
         h0, h1 = self._held, self._held + ids.size
         self._space.dist_block(ids, out=self._buf[h0:h1])
+        if self._space._diameter_cache is None:
+            self._top = max(self._top, float(self._buf[h0:h1].max()))
+            self._unseen[ids] = False
+            if not self._unseen.any():
+                self._space._diameter_cache = self._top
         self._ids[h0:h1] = ids
         self._slot[ids] = np.arange(h0, h1)
         self._held = h1
@@ -771,7 +797,14 @@ def generate(spec: GeneratorSpec) -> MMSpace:
 
 
 def diameter(space: MMSpace) -> float:
-    """Largest pairwise distance; 0 for a singleton."""
+    """Largest pairwise distance; 0 for a singleton.
+
+    Kept on the space once known.  A pass over ``iter_blocks`` finds it
+    unless a read of every row has already filled it: the first counting
+    pass of a pair order statistic (``char_size``), or a ``RowCache`` that
+    has computed every point's row.  Each takes the maximum of the same
+    canonical rows, so the bits do not depend on which read filled it.
+    """
     if space._diameter_cache is None:
         space._diameter_cache = max(float(blk.max()) for _, blk in space.iter_blocks())
     return space._diameter_cache
@@ -802,26 +835,42 @@ def _pair_sample_bracket(space: MMSpace, u, p_lo: float, p_hi: float
                          ) -> tuple[float, float]:
     """A range likely to hold the pair quantiles at mass fractions `p_lo`
     <= `p_hi`: 4 standard errors beyond them among ``_PAIR_SAMPLE`` pairs
-    drawn by mass, with a fixed seed, from every block.  The same pass
-    takes each block's largest value and so fills the diameter."""
+    drawn by mass, with a fixed seed.  It makes no pass: the distances come
+    from the held matrix or from the pairs' coordinates.  Only a range
+    whose top lies at the sample's end reads the diameter (a pass, which
+    fills it, unless it is known)."""
     rng = np.random.default_rng(0)
-    cum = np.cumsum(np.ones(space.n) if u is None else u)
-    x, k0, top = np.empty(_PAIR_SAMPLE), 0, -np.inf
-    for ids, blk in space.iter_blocks():
-        top = max(top, float(blk.max()))
-        start = cum[ids[0] - 1] if ids[0] else 0.0
-        k1 = int(_PAIR_SAMPLE * cum[ids[-1]] / cum[-1])
-        rows = np.searchsorted(cum, rng.uniform(start, cum[ids[-1]], k1 - k0), side="right")
-        cols = np.searchsorted(cum, rng.uniform(0.0, cum[-1], k1 - k0), side="right")
-        x[k0:k1] = blk[np.minimum(rows, ids[-1]) - ids[0], np.minimum(cols, space.n - 1)]
-        k0 = k1
-    if space._diameter_cache is None:
-        space._diameter_cache = top
+    if u is None:
+        rows, cols = rng.integers(0, space.n, (2, _PAIR_SAMPLE))
+    else:  # sorted keys search fast; a shuffle pairs rows and columns at random
+        cum = np.cumsum(u)
+        keys = rng.uniform(0.0, cum[-1], (2, _PAIR_SAMPLE))
+        keys.sort(axis=1)
+        rows, cols = np.minimum(np.searchsorted(cum, keys, side="right"), space.n - 1)
+        rng.shuffle(cols)
+    x = _pair_distances(space, rows, cols)
     x.sort()
     half = 4.0 * math.sqrt(p_lo * (1.0 - p_lo) / _PAIR_SAMPLE) + 1.0 / _PAIR_SAMPLE
     lo, hi = int((p_lo - half) * _PAIR_SAMPLE), math.ceil((p_hi + half) * _PAIR_SAMPLE)
     return (float(x[lo]) if lo > 0 else 0.0,
             float(x[hi]) if hi < _PAIR_SAMPLE else diameter(space))
+
+
+def _pair_distances(space: MMSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``d(rows[k], cols[k])`` for each k: from the held matrix, else from
+    coordinate differences, 1024 pairs at a time.  Not canonical rows (see
+    the module notes): the bits may differ from the kernel's."""
+    if space._dist_cache is not None:
+        return space._dist_cache[rows, cols]
+    c, out = space._coords, np.empty(rows.size)
+    step = max(1, min(1024, BLOCK_ENTRIES // c.shape[1]))
+    for k in range(0, rows.size, step):
+        diff = c[rows[k : k + step]] - c[cols[k : k + step]]
+        if space._metric == "euclidean":
+            out[k : k + step] = np.einsum("ij,ij->i", diff, diff)
+        else:
+            out[k : k + step] = np.count_nonzero(diff, axis=1) / c.shape[1]
+    return np.sqrt(out, out=out) if space._metric == "euclidean" else out
 
 
 def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
@@ -831,19 +880,21 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
 
     Exact.  Each pass over ``iter_blocks`` counts the mass below a bracket
     ``[a, b]`` and collects the values inside it, at most ``BLOCK_ENTRIES``;
-    a pair sample picks the first bracket, wide enough for every target.
-    The collected values, or a single distinct one, answer each target
-    inside the bracket.  A bracket that misses a target drops its side of
-    the range ``[lo, hi]`` known to hold it; one holding too many values
-    narrows to the one of 4096 bins reaching it.  Targets whose next
-    bracket is the same share its passes; the others go on apart.
+    the first bracket holds every pair if they all fit, else a pair sample
+    picks it, wide enough for every target.  The collected values, or a
+    single distinct one, answer each target inside the bracket.  A bracket
+    that misses a target drops its side of the range ``[lo, hi]`` known to
+    hold it; one holding too many values narrows to the one of 4096 bins
+    reaching it.  Targets whose next bracket is the same share its passes;
+    the others go on apart.  The first pass also takes each block's largest
+    value, unless the diameter is known, and fills it; ``hi`` starts
+    unbounded and is clamped to the diameter after that pass.
     """
     n2 = space.n * space.n
+    a, b = 0.0, np.inf
     if n2 > BLOCK_ENTRIES:
         total = n2 if u is None else float(u.sum()) ** 2
         a, b = _pair_sample_bracket(space, u, targets[0] / total, targets[-1] / total)
-    else:
-        a, b = 0.0, diameter(space)
     vals, masses = np.empty(min(BLOCK_ENTRIES, n2)), np.empty(min(BLOCK_ENTRIES, n2))
 
     def bins(x, m):
@@ -851,12 +902,15 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
                            minlength=edges.size + 1)
 
     found = {}
-    work = [(tuple(targets), (0.0, diameter(space), a, b))]
+    work = [(tuple(targets), (0.0, np.inf, a, b))]
     for _ in range(64 * len(targets)):
         pending, (lo, hi, a, b) = work.pop()
         below = inside = kept = 0
         vmin, vmax, counts, order = np.inf, -np.inf, None, None
+        fill, top = space._diameter_cache is None, -np.inf
         for ids, blk in space.iter_blocks():
+            if fill:
+                top = max(top, float(blk.max()))
             sel = blk < a
             below += np.count_nonzero(sel) if u is None else float(u[ids] @ (sel @ u))
             np.logical_xor(sel, blk <= b, out=sel)  # now a <= d <= b
@@ -877,6 +931,9 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
                 edges = np.append(np.linspace(a, b, 4097)[1:-1], b)
                 counts = bins(vals[:kept], None if u is None else masses[:kept])
             counts = counts + bins(x, m)
+        if fill:
+            space._diameter_cache = top
+        hi = min(hi, space._diameter_cache)
         nxt, binned = {}, []
         for t in pending:
             if below >= t:

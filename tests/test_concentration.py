@@ -758,6 +758,68 @@ def test_greedy_growth_on_a_held_matrix_computes_no_row(monkeypatch):
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
+def _count_rows(monkeypatch) -> set:
+    """Count distance work as it is done: ``n`` rows computed, with
+    repeats; ``ids`` the points whose rows were computed; ``passes`` the
+    reads of every block of the space."""
+    rows = {"n": 0, "ids": set(), "passes": 0}
+    pairwise, blocks = mmspace.MMSpace._pairwise, mmspace.MMSpace.iter_blocks
+
+    def counting(self, ids, *args, **kwargs):
+        rows["n"] += len(ids)
+        rows["ids"].update(np.asarray(ids).tolist())
+        return pairwise(self, ids, *args, **kwargs)
+
+    def iter_blocks(self, ids=None):
+        rows["passes"] += ids is None
+        return blocks(self, ids)
+
+    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", counting)
+    monkeypatch.setattr(mmspace.MMSpace, "iter_blocks", iter_blocks)
+    return rows
+
+
+def test_sep_lower_reads_its_diameter_from_the_growth_rows(monkeypatch):
+    # above the ball-complement limit, sep_lower(restarts=2) reads three
+    # seed rows and grows two curves of at most n rows each; the first takes
+    # every point and so fills the diameter, and no pass over the space
+    # follows
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    spec = GeneratorSpec("gaussian_cloud", 3,
+                         {"d": 50, "sigma": 1.0, "n": conc._BALL_COMPLEMENT_LIMIT + 1})
+    s = generate(spec)
+    rows = _count_rows(monkeypatch)
+    prof = sep_lower(s, restarts=2)
+    assert rows["passes"] == 0
+    assert rows["n"] <= 2 * s.n + 3
+    assert not s.is_dense
+    assert np.float64(prof.diameter).tobytes() == np.float64(
+        diameter(generate(spec))).tobytes()
+
+
+def test_growth_that_stops_early_fills_no_diameter(monkeypatch):
+    # the last 30 points weigh nothing and sit at the centre, so both sides
+    # reach half the mass before taking them, and a read-ahead of 8 rows
+    # never reaches them: their rows are not computed
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 8 * 300)
+    x = np.random.default_rng(9).normal(size=(300, 20))
+    x[270:] *= 1e-3
+    w = np.r_[np.full(270, 1.0 / 270), np.zeros(30)]
+    rows = _count_rows(monkeypatch)
+    for weights in (w, None):
+        s = from_points(x, weights=weights)
+        rows["ids"].clear()
+        conc._greedy_growth_curve(s, 0, 1)
+        if weights is None:
+            assert len(rows["ids"]) == s.n
+            assert np.float64(s._diameter_cache).tobytes() == np.float64(
+                diameter(from_points(x))).tobytes()
+        else:
+            assert len(rows["ids"]) < s.n
+            assert s._diameter_cache is None
+
+
 def test_sep_lower_reads_ahead_within_one_block_budget():
     # 10^4 points in 50 coordinates are never held.  Reading one row per
     # step, this call peaked at 103.6-103.9 MB; the read-ahead may add one

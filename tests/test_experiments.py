@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from concdim import concentration as conc, experiments, mmspace
 from concdim.errors import InputError
 from concdim.experiments import ExperimentSpec, derived_seed, run
 
@@ -122,3 +123,37 @@ def test_experiment_point_limit(tmp_path):
 
     with pytest.raises(ResourceLimitError, match="limited"):
         run(ExperimentSpec("sphere_separation", 0, {"n": 200_000}), tmp_path)
+
+
+def test_noise_instability_computes_no_row_beyond_its_witnesses(monkeypatch, tmp_path):
+    # on an unheld cloud: the greedy subset's scan, the ball-complement
+    # witnesses (below their size limit, n + 1 rows for each far seed),
+    # three seed rows and two growth curves of at most n rows each; the
+    # diameter comes from the first curve, so an added pass fails here
+    n = 2000
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    rows = {"all": 0}
+    pairwise = mmspace.MMSpace._pairwise
+
+    def counting(self, ids, *args, **kwargs):
+        rows["all"] += len(ids)
+        return pairwise(self, ids, *args, **kwargs)
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            start = rows["all"]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                rows[name] = rows.get(name, 0) + rows["all"] - start
+        return wrapped
+
+    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", counting)
+    monkeypatch.setattr(experiments, "greedy_separated_subset",
+                        within("subset", experiments.greedy_separated_subset))
+    monkeypatch.setattr(conc, "_ball_complement_witness",
+                        within("ball", conc._ball_complement_witness))
+    run(ExperimentSpec("noise_instability", 0, {"n": n, "n_seeds": 1}), tmp_path)
+    assert 0 < rows["subset"] <= n
+    assert rows["ball"] == 2 * (n + 1)
+    assert rows["all"] - rows["subset"] - rows["ball"] <= 2 * n + 3

@@ -22,7 +22,17 @@ from concdim import mmspace
 from concdim.concentration import greedy_separated_subset
 from concdim.errors import InputError
 from concdim.features import Feature, check_lipschitz, dictionary
-from concdim.mmspace import GEMM_ACCURACY, GEMM_MIN_DIM, MMSpace, from_points
+from concdim.mmspace import (
+    GEMM_ACCURACY,
+    GEMM_MIN_DIM,
+    MMSpace,
+    char_size,
+    char_size_interval,
+    diameter,
+    from_points,
+)
+
+from util import count_passes, pair_table_medians
 
 
 def cloud(d: int, n: int = 300, seed: int = 0) -> np.ndarray:
@@ -298,3 +308,54 @@ def test_blocked_greedy_matches_row_by_row_scan(d):
     dense = from_points(x[:400])
     dense.dist
     assert greedy_separated_subset(dense, 1.0).tolist() == naive_greedy(dense, 1.0)
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("kind", sorted(SET_SPACES))
+def test_accessors_reject_ids_that_are_not_points(kind, held, monkeypatch):
+    # id -1 of an unheld GEMM space of fewer than 1024 points used to read
+    # the zero padding row of the kernel's operand: distances from the
+    # centroid, not from point n - 1
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", mmspace.AUTO_DENSE if held else 0)
+    space = SET_SPACES[kind](300)
+    reads = [space.dist_row, lambda i: space.dist_block([i]),
+             lambda i: space.submatrix([i, 0]), lambda i: space.distance(i, 0),
+             lambda i: space.distance(0, i)]
+    for read in reads:
+        for bad, match in ((-1, "out of range"), (300, "out of range"), (1.5, "integers")):
+            with pytest.raises(InputError, match=match):
+                read(bad)
+    assert bits(space.dist_row(299.0)) == bits(space.dist_block([299])[0])
+    assert space.distance(299, 0) == space.submatrix([299, 0])[0, 1]
+    assert space.is_dense == (held or kind == "matrix")
+
+
+@pytest.mark.parametrize("n", [300, 1500])
+@pytest.mark.parametrize("kind", ["cdist", "gemm", "hamming", "weighted"])
+def test_char_size_makes_one_pass_and_fills_the_diameter(kind, n, monkeypatch):
+    # 300 points: every pair fits the first bracket; 1500: n**2 exceeds
+    # BLOCK_ENTRIES, and a pair sample read from coordinates picks it
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    space = SET_SPACES[kind](n)
+    passes = count_passes(monkeypatch)
+    got = char_size(space)
+    assert passes == [None]
+    interval = char_size_interval(space)
+    assert not space.is_dense
+    monkeypatch.undo()
+    assert bits(space._diameter_cache) == bits(diameter(SET_SPACES[kind](n)))
+    held = SET_SPACES[kind](n)
+    want = pair_table_medians(held)
+    assert got == want[0]
+    assert interval == char_size_interval(held) == want
+
+
+def test_a_bracket_topped_at_the_sample_end_reads_the_diameter_first(monkeypatch):
+    # the largest pair: its sampled bracket runs to the end of the sample
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    space = from_points(cloud(50, 1500))
+    passes = count_passes(monkeypatch)
+    got = mmspace._pair_order_stats(space, None, [space.n ** 2])
+    assert passes == [None, None]
+    fresh = diameter(from_points(cloud(50, 1500)))
+    assert bits(got) == bits(space._diameter_cache) == bits(fresh)

@@ -18,7 +18,7 @@ from concdim.mmspace import (
     weighted_median,
 )
 
-from util import run_fresh
+from util import count_passes, pair_table_medians, run_fresh
 
 
 def test_single_point():
@@ -295,19 +295,6 @@ def check():
     assert peak_rss_mb < 250.0
 
 
-def _pair_table_medians(s):
-    """char_size_interval from the whole n**2 table of the distances `s`
-    reads: np.partition for uniform weights, weighted_median of the
-    weighted table otherwise."""
-    flat = np.concatenate([blk.ravel().copy() for _, blk in s.iter_blocks()])
-    if np.all(s.weights == s.weights[0]):
-        total = flat.size
-        return (float(np.partition(flat, (total + 1) // 2 - 1)[(total + 1) // 2 - 1]),
-                float(np.partition(flat, total // 2)[total // 2]))
-    w = np.multiply.outer(s.weights, s.weights).ravel()
-    return weighted_median(flat, w, "lower"), weighted_median(flat, w, "upper")
-
-
 def _pair_statistic_spaces():
     rng = np.random.default_rng(23)
     yield from_points([[0.5, 1.0]])
@@ -353,39 +340,27 @@ def test_pair_medians_match_the_full_table(monkeypatch, held, block_entries):
     if not held:
         monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
     for s in _pair_statistic_spaces():
-        ref = _pair_table_medians(s)
+        ref = pair_table_medians(s)
         assert char_size_interval(s) == ref
         assert char_size(s) == ref[0]
         assert s.is_dense == (held or s.coords is None)
 
 
-def _count_passes(monkeypatch):
-    passes = []
-    inner = mmspace.MMSpace.iter_blocks
-
-    def iter_blocks(self, ids=None):
-        passes.append(ids)
-        return inner(self, ids)
-
-    monkeypatch.setattr(mmspace.MMSpace, "iter_blocks", iter_blocks)
-    return passes
-
-
 @pytest.mark.parametrize("bracket, passes", [
-    ("sampled", 5), ("everything", 5), ("below", 7), ("above", 7)])
+    ("sampled", 1), ("everything", 2), ("below", 3), ("above", 3)])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     """Every exit of the selection loop gives the full-table value.  With
     128 values per bracket, the 2304 pairs here are collected from a
     sampled bracket; a bracket holding all of them is narrowed by bins
     and then collected; a bracket that misses on either side costs one
-    more pass.  The diameter takes the first pass, which the sampled
-    bracket shares.  `passes` counts them as taken apart, for two separate
-    selections of the medians.  Selected together, they share every pass
-    after the diameter's, but for the last when they part: the weighted
-    medians are one distance, and the uniform ones share a bin of the
-    range left by `above` but not of the ranges that `everything` and
-    `below` narrow, where each is collected on its own."""
+    more pass.  The sample itself makes no pass, and the first counting
+    pass fills the diameter, so `passes` counts the counting passes of the
+    two medians selected together.  They share every pass but for the
+    last when they part: the weighted medians are one distance, and the
+    uniform ones share a bin of the range left by `above` but not of the
+    ranges that `everything` and `below` narrow, where each is collected
+    on its own."""
     parted = not weighted and bracket in ("everything", "below")
     rng = np.random.default_rng(5)
     x = rng.normal(size=(48, 3))
@@ -393,7 +368,7 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
     if weighted:
         w = rng.random(48) + 0.5
         w = w / w.sum()
-    ref = _pair_table_medians(from_points(x, weights=w))
+    ref = pair_table_medians(from_points(x, weights=w))
     if bracket != "sampled":
         # pair distances of this cloud lie in (0.1, 6)
         top = diameter(from_points(x))
@@ -402,18 +377,20 @@ def test_pair_selection_exits(monkeypatch, bracket, passes, weighted):
                             lambda *args: fake[bracket])
     s = from_points(x, weights=w)
     monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 128)
-    seen = _count_passes(monkeypatch)
+    seen = count_passes(monkeypatch)
     assert char_size_interval(s) == ref
-    assert len(seen) == (bracket != "sampled") + (passes - 1) // 2 + parted
+    assert len(seen) == passes + parted
+    assert s._diameter_cache == diameter(from_points(x))
 
 
 def test_pair_selection_returns_a_single_valued_bracket(monkeypatch):
     s = generate(GeneratorSpec("hamming_cube", 0, {"d": 8}))
     monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 1024)
     monkeypatch.setattr(mmspace, "_pair_sample_bracket", lambda *args: (0.5, 0.5))
-    seen = _count_passes(monkeypatch)
+    seen = count_passes(monkeypatch)
     # a fifth of the 65536 pairs lie at distance 1/2, the median: far more
     # than a bracket holds, so only the single-valued exit ends the loop,
-    # for both medians in the pass after the diameter's
+    # for both medians in the first pass, which also fills the diameter
     assert char_size_interval(s) == (0.5, 0.5)
-    assert len(seen) == 2
+    assert len(seen) == 1
+    assert s._diameter_cache == 1.0

@@ -1,5 +1,5 @@
-"""Shared test helpers: random instances, naive reference oracles and a
-fresh-process runner for resource limits.
+"""Shared test helpers: random instances, naive reference oracles, a
+pass counter and a fresh-process runner for resource limits.
 
 The oracles here deliberately reimplement the quantities with plain
 itertools enumeration so the library's bitmask/DP paths are checked
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from concdim.mmspace import MMSpace, from_distance_matrix, from_points
+from concdim.mmspace import MMSpace, from_distance_matrix, from_points, weighted_median
 
 
 def random_space(rng: np.random.Generator, n: int | None = None) -> MMSpace:
@@ -75,6 +75,33 @@ def naive_sep(space: MMSpace, kappa: float) -> float:
             continue
         best = max(best, float(d[np.ix_(a, b)].min()))
     return best
+
+
+def pair_table_medians(s: MMSpace) -> tuple[float, float]:
+    """char_size_interval from the whole n**2 table of the distances `s`
+    reads: np.partition for uniform weights, weighted_median of the
+    weighted table otherwise."""
+    flat = np.concatenate([blk.ravel().copy() for _, blk in s.iter_blocks()])
+    if np.all(s.weights == s.weights[0]):
+        total = flat.size
+        return (float(np.partition(flat, (total + 1) // 2 - 1)[(total + 1) // 2 - 1]),
+                float(np.partition(flat, total // 2)[total // 2]))
+    w = np.multiply.outer(s.weights, s.weights).ravel()
+    return weighted_median(flat, w, "lower"), weighted_median(flat, w, "upper")
+
+
+def count_passes(monkeypatch) -> list:
+    """Record the `ids` of every ``MMSpace.iter_blocks`` call (None for a
+    pass over every point) until the monkeypatch is undone."""
+    passes = []
+    inner = MMSpace.iter_blocks
+
+    def iter_blocks(self, ids=None):
+        passes.append(ids)
+        return inner(self, ids)
+
+    monkeypatch.setattr(MMSpace, "iter_blocks", iter_blocks)
+    return passes
 
 
 _FRESH_CHILD = """
