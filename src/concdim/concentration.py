@@ -30,9 +30,9 @@ import numpy as np
 
 from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .features import Feature, dictionary as make_dictionary
+from .features import Feature
 from .io import write_csv
-from .mmspace import MMSpace, RowCache, diameter, weighted_median
+from .mmspace import MMSpace, RowCache, check_int, diameter, weighted_median
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
 ORACLE_LIMIT = 22
@@ -455,10 +455,11 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
 
     Witnesses are the half-mass sublevel sets ``{x : v(x) <= median_v}`` of
     each dictionary feature and of the distance to each ball center (a
-    weight-balanced ball); both default to the anchors at all points up to
-    64, else at 32 seeded ones.  Each distinct set is evaluated once, and
-    all of them in one pass of :meth:`MMSpace.iter_set_distances`, which
-    reads each distance row once per call (per ``block_rows`` sets).
+    weight-balanced ball, its rows read in one :meth:`MMSpace.iter_blocks`
+    call).  The default anchors (every point up to 64, else 32 seeded ones)
+    are the default centers, and without a dictionary they join the given
+    ones: an anchor feature's sublevel set is its anchor's ball.  Each
+    distinct set is evaluated once, all in one ``iter_set_distances`` pass.
     Every value is ``1 - mu(A_eps)`` for one of them, hence at most the
     exact alpha.  Ball centers must be point ids in ``[0, n)``.
     """
@@ -466,16 +467,16 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     grid = default_eps_grid(space) if eps_grid is None else np.unique(
         np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
     _check_eps_grid(grid, diam)
-    k = space.n if space.n <= 64 else 32
-    if ball_centers is None:
-        ball_centers = np.random.default_rng(0).choice(space.n, size=k, replace=False)
-    ball_centers = space.check_ids(ball_centers, "ball centers")
+    anchors = np.random.default_rng(0).choice(
+        space.n, size=space.n if space.n <= 64 else 32, replace=False)
+    centers = anchors if ball_centers is None else space.check_ids(
+        ball_centers, "ball centers")
     if dictionary is None:
-        dictionary = make_dictionary(space, "anchors_random", k=k, seed=0)
+        centers = np.union1d(anchors, centers)
     w = space.weights
     masks, seen = [], set()
-    rows = (space.dist_row(c) for c in ball_centers.tolist())
-    for v in itertools.chain((f.values for f in dictionary), rows):
+    rows = (row for _, blk in space.iter_blocks(centers) for row in blk)
+    for v in itertools.chain((f.values for f in dictionary or ()), rows):
         inside = v <= weighted_median(v, w, "lower")
         key = np.packbits(inside).tobytes()
         if key not in seen:
@@ -586,12 +587,12 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     """
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
     _check_kappa_grid(grid)
-    if restarts < 1:
+    if check_int(restarts, "restarts") < 1:
         raise InputError("restarts must be >= 1")
+    rng = np.random.default_rng(check_int(seed, "seed"))
     n = space.n
     best = np.zeros(grid.size)
     if n >= 2:
-        rng = np.random.default_rng(seed)
         a = int(np.argmax(space.dist_row(0)))
         seeds = [(a, int(np.argmax(space.dist_row(a))))]
         for _ in range(restarts - 1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .io import write_csv
-from .mmspace import MMSpace, weighted_median
+from .mmspace import MMSpace, check_int, weighted_median
 
 #: slack admitted when asserting that a certified constant is at most 1.
 LIPSCHITZ_TOL = 1e-12
@@ -161,38 +161,34 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
         point pairs.
 
     All features are shifted to put the midpoint of their weighted medians
-    at zero, so sup norms stay within the diameter.  Anchor features read
-    all their anchors in one :meth:`MMSpace.iter_set_distances` call.
+    at zero, so sup norms stay within the diameter.  Each kind reads its
+    rows in one :meth:`MMSpace.iter_blocks` call (pairs: 2k rows, drawn first).
     """
     if kind == "anchors_all":
-        anchors = np.arange(space.n)
-    elif kind == "anchors_random":
-        if k is None or k < 1:
-            raise InputError("anchors_random requires k >= 1")
-        rng = np.random.default_rng(seed)
-        anchors = rng.choice(space.n, size=min(k, space.n), replace=False)
-    elif kind == "halfspace_differences":
-        if k is None or k < 1:
-            raise InputError("halfspace_differences requires k >= 1")
-        rng = np.random.default_rng(seed)
-        feats = []
-        for _ in range(k):
-            p, q = rng.choice(space.n, size=2, replace=space.n < 2)
-            row_p = space.dist_row(int(p))
-            row_q = space.dist_row(int(q))
-            feat = _certify_distance_combination(
-                space, (row_p - row_q) / 2.0, f"half_diff({int(p)},{int(q)})"
-            )
-            feats.append(_centered(space, feat))
-        return feats
+        ids = np.arange(space.n)
+    elif kind in ("anchors_random", "halfspace_differences"):
+        if k is None or check_int(k, "k") < 1:
+            raise InputError(f"{kind} requires k >= 1")
+        rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
+        if kind == "anchors_random":
+            ids = rng.choice(space.n, size=min(k, space.n), replace=False)
+        else:  # the pairs (p, q), one after the other
+            ids = np.ravel([rng.choice(space.n, size=2, replace=space.n < 2)
+                            for _ in range(k)])
     else:
         raise InputError(
             "kind must be one of anchors_all, anchors_random, "
             f"halfspace_differences; got {kind!r}"
         )
-    anchors = anchors[:, None]
-    return [_centered(space, _set_feature(space, anchors[j], v))
-            for js, blk in space.iter_set_distances(anchors) for j, v in zip(js, blk)]
+    rows = (row for _, blk in space.iter_blocks(ids) for row in blk)
+    if kind == "halfspace_differences":  # p's row copied: q's may start the next block
+        feats = (_certify_distance_combination(space, (row_p - row_q) / 2.0,
+                                               f"half_diff({p},{q})")
+                 for (p, q), row_p, row_q in zip(ids.reshape(-1, 2).tolist(),
+                                                 map(np.copy, rows), rows))
+    else:
+        feats = (_set_feature(space, ids[j : j + 1], row) for j, row in enumerate(rows))
+    return [_centered(space, f) for f in feats]
 
 
 def features_to_csv(features: list[Feature], path) -> None:

@@ -22,11 +22,11 @@ The distance layer
 Every distance of a coordinate-backed space comes from one kernel,
 ``MMSpace._pairwise``, and every caller reads it through ``dist``,
 ``dist_row``, ``dist_block``, ``submatrix``, ``distance``, the block
-iterator ``iter_blocks``, the distances to a stack of point sets
-``iter_set_distances`` (``min_dist_to`` is its one-set case) or the
+iterator ``iter_blocks``, the distances to the sets of a boolean mask
+``iter_set_distances`` (``min_dist_to``: one set, as ids) or the
 read-ahead reader ``RowCache``.  Every accessor given point ids checks
-them with ``check_ids``: an id that is negative, fractional or not below
-``n`` is an ``InputError``, held matrix or not.
+them with ``check_ids``: an id that is negative, fractional, not below
+``n`` or a bool is an ``InputError``, held matrix or not.
 
 * When the matrix is held.  One rule, on the input alone, so results do
   not depend on call order: a space built from a matrix holds it; a
@@ -73,11 +73,11 @@ them with ``check_ids``: an id that is negative, fractional or not below
   threshold would cover every pair (``tau(d) >= 1``, beyond about 2000
   coordinates), or the squared norms could overflow, ``cdist`` is used.
 * Distances to sets.  ``iter_set_distances`` reads each row of the union
-  of a group of sets once, in index order, and takes it into the output
-  of every set holding it by ``np.minimum``: a view of a held matrix
-  (no gathered copy), else a row computed by ``iter_blocks``.  ``min`` is
-  exact, so each output has the bits of a minimum over the set's rows
-  taken in any order.
+  of a group of mask rows once, in index order, and takes it into the
+  output of every set holding it by ``np.minimum``: a view of a held
+  matrix (no gathered copy), else a row computed by ``iter_blocks``.
+  ``min`` is exact, so each output has the bits of a minimum over the
+  set's rows taken in any order.
 * One block budget.  Loops over rows (``iter_blocks``, the statistics
   below, the greedy separated-subset scan in ``concentration``, the
   read-ahead buffer of ``RowCache``) hold at most ``BLOCK_ENTRIES``
@@ -169,6 +169,13 @@ def _as_weights(weights, n: int) -> np.ndarray:
     w = w.copy()
     w.setflags(write=False)
     return w
+
+
+def check_int(x, what: str) -> int:
+    """`x` as an int; InputError unless it is an integer and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _check_triangle(dist: np.ndarray, ids: np.ndarray) -> None:
@@ -450,15 +457,17 @@ class MMSpace:
 
     def check_ids(self, ids, what: str = "point ids") -> np.ndarray:
         """`ids` as a 1-D int array; InputError unless each is an integer
-        in ``[0, n)``."""
+        in ``[0, n)``, and not a bool, which numpy would turn into one."""
         a = np.asarray(ids)
         if a.ndim != 1:
             raise InputError(f"{what} must be a 1-D sequence, got shape {a.shape}")
         if a.size == 0:
             return a.astype(int)
-        if a.dtype.kind not in "iu" and (a.dtype.kind != "f"
-                                         or not np.all(a == np.floor(a))):
-            raise InputError(f"{what} must be integers, got {a.tolist()[:8]!r}")
+        whole = a.dtype.kind in "iu" or a.dtype.kind == "f" and np.all(a == np.floor(a))
+        bools = not isinstance(ids, np.ndarray) and {bool, np.bool_} & set(map(type, ids))
+        if not whole or bools:
+            shown = a.tolist() if isinstance(ids, np.ndarray) else list(ids)
+            raise InputError(f"{what} must be integers, got {shown[:8]!r}")
         bad = a[(a < 0) | (a >= self.n)]
         if bad.size:
             raise InputError(f"{what} out of range for n={self.n}: {bad[0].item()!r}")
@@ -473,36 +482,27 @@ class MMSpace:
 
     def iter_set_distances(self, sets):
         """Yield ``(set_ids, out)``, ``out[j]`` holding ``min over a in A of
-        d(x, a)`` for every point x, A the set ``sets[set_ids[j]]``.
-
-        `sets` is a ``(k, n)`` boolean mask or a sequence of k id arrays;
-        every set must be nonempty.  Sets go in groups of ``block_rows``,
-        so an output holds at most ``BLOCK_ENTRIES`` distances.  A group
-        reads each distance row of the union of its sets once, in index
-        order, and takes it into the output of every set holding it: a view
-        of a held matrix, or a row computed by ``iter_blocks``.
+        d(x, a)`` for every point x, A the set in row ``set_ids[j]`` of the
+        ``(k, n)`` boolean mask `sets`; every set must be nonempty.  Sets
+        go in groups of ``block_rows``, so an output holds at most
+        ``BLOCK_ENTRIES`` distances.  A group reads each distance row of the
+        union of its sets once, in index order, and takes it into the output
+        of every set holding it: a view of a held matrix, or a row computed
+        by ``iter_blocks``.
         """
-        if isinstance(sets, np.ndarray) and sets.dtype == bool:
-            if sets.ndim != 2 or sets.shape[1] != self.n:
-                raise InputError(f"set masks must have shape (k, {self.n}), "
-                                 f"got {sets.shape}")
-            empty = np.flatnonzero(~sets.any(axis=1))
-        else:
-            sets = [self.check_ids(ids, "set ids") for ids in sets]
-            empty = [j for j, ids in enumerate(sets) if ids.size == 0]
-        if len(empty):
+        if not (isinstance(sets, np.ndarray) and sets.dtype == bool and sets.ndim == 2
+                and sets.shape[1] == self.n):
+            raise InputError(f"sets must be a boolean mask of shape (k, {self.n})")
+        empty = np.flatnonzero(~sets.any(axis=1))
+        if empty.size:
             raise InputError(f"set {int(empty[0])} is empty")
         return self._set_distance_groups(sets)
 
     def _set_distance_groups(self, sets):
-        """The generator of :meth:`iter_set_distances`, on checked sets."""
+        """The generator of :meth:`iter_set_distances`, on a checked mask."""
         step, m = self.block_rows, self._dist_cache
         for j0 in range(0, len(sets), step):
             member = sets[j0 : j0 + step]
-            if isinstance(member, list):  # id arrays
-                member = np.zeros((len(member), self.n), dtype=bool)
-                for row, ids in zip(member, sets[j0 : j0 + step]):
-                    row[ids] = True
             out = np.full(member.shape, np.inf)
             dst = list(out)
             pts, owner = np.nonzero(member.T)  # by point, then set
@@ -518,8 +518,10 @@ class MMSpace:
 
     def min_dist_to(self, ids) -> np.ndarray:
         """``min over a in ids of d(x, a)`` for every point x (ids nonempty):
-        :meth:`iter_set_distances` of one set."""
-        return next(self.iter_set_distances([ids]))[1][0]
+        :meth:`iter_set_distances` of the one-row mask of `ids`."""
+        mask = np.zeros((1, self.n), dtype=bool)
+        mask[0, self.check_ids(ids, "set ids")] = True
+        return next(self.iter_set_distances(mask))[1][0]
 
     def submatrix(self, ids) -> np.ndarray:
         """Distances among the points `ids`, read from their full rows."""

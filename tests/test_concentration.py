@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from concdim import concentration as conc, mmspace
+from concdim import concentration as conc, features, mmspace
 from concdim.concentration import (
     DEFAULT_KAPPA_POINTS,
     MAX_ANALYTIC_CUBE_DIM,
@@ -41,7 +41,7 @@ from concdim.mmspace import (
     weighted_median,
 )
 
-from util import naive_alpha, naive_sep, random_space, run_fresh
+from util import count_passes, count_rows, naive_alpha, naive_sep, random_space, run_fresh
 
 
 def two_point():
@@ -241,9 +241,9 @@ def _alpha_lower_two_loops(space, eps_grid=None, dictionary=None, ball_centers=N
         np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
     if dictionary is None:
         if space.n <= 64:
-            dictionary = conc.make_dictionary(space, "anchors_all")
+            dictionary = features.dictionary(space, "anchors_all")
         else:
-            dictionary = conc.make_dictionary(space, "anchors_random", k=32, seed=0)
+            dictionary = features.dictionary(space, "anchors_random", k=32, seed=0)
     if ball_centers is None:
         if space.n <= 64:
             ball_centers = np.arange(space.n)
@@ -293,27 +293,22 @@ def test_default_eps_grid_reads_the_upper_triangle_alone():
 
 
 def _count_witness_sets(monkeypatch):
-    """Record the ids of every set of more than one point passed to
-    iter_set_distances, whether as a mask or as ids; the singleton sets
-    build anchor features."""
+    """Record the ids of every set of the masks passed to
+    iter_set_distances."""
     sets = []
     inner = mmspace.MMSpace.iter_set_distances
 
-    def iter_set_distances(self, stack):
-        for ids in stack:
-            ids = np.asarray(ids)
-            ids = np.flatnonzero(ids) if ids.dtype == bool else ids
-            if len(ids) > 1:
-                sets.append(ids.tobytes())
-        return inner(self, stack)
+    def iter_set_distances(self, masks):
+        sets.extend(np.flatnonzero(mask).tobytes() for mask in masks)
+        return inner(self, masks)
 
     monkeypatch.setattr(mmspace.MMSpace, "iter_set_distances", iter_set_distances)
     return sets
 
 
 def test_alpha_lower_evaluates_each_witness_set_once(monkeypatch):
-    # the default features and balls share their 32 anchors, and an
-    # anchor's feature and ball have the same sublevel set
+    # the reference's default features and balls share their 32 anchors,
+    # and an anchor's feature and ball have the same sublevel set
     s = generate(GeneratorSpec("sphere", 0, {"n_dim": 2, "n": 3000}))
     sets = _count_witness_sets(monkeypatch)
     got = alpha_lower(s)
@@ -339,7 +334,10 @@ def test_alpha_lower_matches_the_two_loop_reference(monkeypatch, held):
         feats = dictionary(s, "anchors_random", k=12, seed=4)
         overlapping = np.concatenate([np.random.default_rng(4).choice(
             s.n, size=12, replace=False)[:6], [0, 1, 2]])
-        for kwargs in ({}, {"eps_grid": grid},
+        # without a dictionary the default anchors join the given centers,
+        # where the reference evaluates the default features
+        for kwargs in ({}, {"eps_grid": grid}, {"ball_centers": overlapping},
+                       {"eps_grid": grid, "dictionary": feats},
                        {"eps_grid": grid, "dictionary": feats,
                         "ball_centers": overlapping}):
             got = alpha_lower(s, **kwargs)
@@ -349,7 +347,8 @@ def test_alpha_lower_matches_the_two_loop_reference(monkeypatch, held):
         assert s.is_dense == held
 
 
-@pytest.mark.parametrize("centers", [[-1], [40], [1.5], [0, float("nan")], [[0]]])
+@pytest.mark.parametrize("centers", [[-1], [40], [1.5], [0, float("nan")], [[0]],
+                                     [True, 1], [True, 1.0], [np.False_, 2]])
 def test_alpha_lower_rejects_centers_that_are_not_point_ids(centers):
     s = generate(GeneratorSpec("sphere", 1, {"n_dim": 2, "n": 40}))
     with pytest.raises(InputError, match="ball centers"):
@@ -357,24 +356,18 @@ def test_alpha_lower_rejects_centers_that_are_not_point_ids(centers):
 
 
 def test_alpha_lower_computes_each_row_at_most_once(monkeypatch):
-    # 32 anchor features in one block and 32 ball rows, then each row of
-    # the witness sets' union once; a call per set would compute about half
-    # the rows for each of the 32 sets
+    # the 32 default ball rows in one block, then each row of the witness
+    # sets' union once; a call per set would compute about half the rows
+    # for each of the 32 sets
     monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
     s = generate(GeneratorSpec("gaussian_cloud", 5, {"d": 50, "sigma": 1.0, "n": 1000}))
     grid = np.linspace(0.0, diameter(s), 65)
-    rows = []
-    inner = mmspace.MMSpace._pairwise
-
-    def pairwise(self, ids, out=None):
-        rows.append(len(ids))
-        return inner(self, ids, out=out)
-
-    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", pairwise)
+    calls = count_rows(monkeypatch)
     got = alpha_lower(s, grid)
+    rows = [len(ids) for ids in calls]
     assert not s.is_dense
-    assert rows.count(32) == 1 and rows.count(1) == 32
-    assert sum(rows) <= s.n + 64
+    assert rows.count(32) == 1 and rows.count(1) == 0
+    assert sum(rows) <= s.n + 32
     monkeypatch.undo()
     assert got.alpha.tobytes() == _alpha_lower_two_loops(s, grid).alpha.tobytes()
 
@@ -726,23 +719,16 @@ def _growth_spaces():
 def test_greedy_growth_reads_ahead_as_the_row_by_row_loop(monkeypatch, block_rows):
     # the read-ahead buffer is one block; None leaves room for every row
     monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
-    computed = []
-    pairwise = mmspace.MMSpace._pairwise
-
-    def counting(self, rows, *args, **kwargs):
-        computed.append(len(rows))
-        return pairwise(self, rows, *args, **kwargs)
-
+    calls = count_rows(monkeypatch)
     for name, s in _growth_spaces():
         if block_rows:
             monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", block_rows * s.n)
         a = int(np.argmax(s.dist_row(0)))
         for i, j in [(a, int(np.argmax(s.dist_row(a)))), (3, 400), (5, 17)]:
             want = row_by_row_growth_curve(s, i, j)
-            monkeypatch.setattr(mmspace.MMSpace, "_pairwise", counting)
-            computed.clear()
+            calls.clear()
             got = conc._greedy_growth_curve(s, i, j)
-            monkeypatch.setattr(mmspace.MMSpace, "_pairwise", pairwise)
+            computed = [len(ids) for ids in calls]
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (name, i, j)
             assert sum(computed) <= s.n, (name, i, j)
             assert len(computed) < len(want[0]) or block_rows == 1
@@ -758,27 +744,6 @@ def test_greedy_growth_on_a_held_matrix_computes_no_row(monkeypatch):
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
-def _count_rows(monkeypatch) -> set:
-    """Count distance work as it is done: ``n`` rows computed, with
-    repeats; ``ids`` the points whose rows were computed; ``passes`` the
-    reads of every block of the space."""
-    rows = {"n": 0, "ids": set(), "passes": 0}
-    pairwise, blocks = mmspace.MMSpace._pairwise, mmspace.MMSpace.iter_blocks
-
-    def counting(self, ids, *args, **kwargs):
-        rows["n"] += len(ids)
-        rows["ids"].update(np.asarray(ids).tolist())
-        return pairwise(self, ids, *args, **kwargs)
-
-    def iter_blocks(self, ids=None):
-        rows["passes"] += ids is None
-        return blocks(self, ids)
-
-    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", counting)
-    monkeypatch.setattr(mmspace.MMSpace, "iter_blocks", iter_blocks)
-    return rows
-
-
 def test_sep_lower_reads_its_diameter_from_the_growth_rows(monkeypatch):
     # above the ball-complement limit, sep_lower(restarts=2) reads three
     # seed rows and grows two curves of at most n rows each; the first takes
@@ -788,10 +753,10 @@ def test_sep_lower_reads_its_diameter_from_the_growth_rows(monkeypatch):
     spec = GeneratorSpec("gaussian_cloud", 3,
                          {"d": 50, "sigma": 1.0, "n": conc._BALL_COMPLEMENT_LIMIT + 1})
     s = generate(spec)
-    rows = _count_rows(monkeypatch)
+    calls, passes = count_rows(monkeypatch), count_passes(monkeypatch)
     prof = sep_lower(s, restarts=2)
-    assert rows["passes"] == 0
-    assert rows["n"] <= 2 * s.n + 3
+    assert passes.count(None) == 0
+    assert sum(map(len, calls)) <= 2 * s.n + 3
     assert not s.is_dense
     assert np.float64(prof.diameter).tobytes() == np.float64(
         diameter(generate(spec))).tobytes()
@@ -806,17 +771,18 @@ def test_growth_that_stops_early_fills_no_diameter(monkeypatch):
     x = np.random.default_rng(9).normal(size=(300, 20))
     x[270:] *= 1e-3
     w = np.r_[np.full(270, 1.0 / 270), np.zeros(30)]
-    rows = _count_rows(monkeypatch)
+    calls = count_rows(monkeypatch)
     for weights in (w, None):
         s = from_points(x, weights=weights)
-        rows["ids"].clear()
+        calls.clear()
         conc._greedy_growth_curve(s, 0, 1)
+        ids = set(np.concatenate(calls).tolist())
         if weights is None:
-            assert len(rows["ids"]) == s.n
+            assert len(ids) == s.n
             assert np.float64(s._diameter_cache).tobytes() == np.float64(
                 diameter(from_points(x))).tobytes()
         else:
-            assert len(rows["ids"]) < s.n
+            assert len(ids) < s.n
             assert s._diameter_cache is None
 
 
@@ -1266,3 +1232,21 @@ def test_non_finite_parameters_are_input_errors(call):
     f = check_lipschitz(s, [0.0, 0.5, 0.5])
     with pytest.raises(InputError):
         call(s, f)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: sep_lower(s, restarts=2.5),
+    lambda s: sep_lower(s, restarts=True),
+    lambda s: sep_lower(s, seed=1.5),
+    lambda s: dictionary(s, "anchors_random", k=2.5),
+    lambda s: dictionary(s, "halfspace_differences", k=2.5),
+    lambda s: dictionary(s, "anchors_random", k=2, seed=1.5),
+], ids=["sep_lower_restarts", "sep_lower_restarts_bool", "sep_lower_seed",
+        "anchors_random_k", "halfspace_differences_k", "dictionary_seed"])
+def test_non_integer_counts_are_input_errors(call, monkeypatch):
+    # checked before any distance is computed
+    s = from_points([[0.0], [1.0], [3.0]])
+    calls = count_rows(monkeypatch)
+    with pytest.raises(InputError, match="must be an integer"):
+        call(s)
+    assert calls == []

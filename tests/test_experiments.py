@@ -7,6 +7,8 @@ from concdim import concentration as conc, experiments, mmspace
 from concdim.errors import InputError
 from concdim.experiments import ExperimentSpec, derived_seed, run
 
+from util import count_rows
+
 
 def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(InputError, match="unknown experiment"):
@@ -132,28 +134,24 @@ def test_noise_instability_computes_no_row_beyond_its_witnesses(monkeypatch, tmp
     # diameter comes from the first curve, so an added pass fails here
     n = 2000
     monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
-    rows = {"all": 0}
-    pairwise = mmspace.MMSpace._pairwise
-
-    def counting(self, ids, *args, **kwargs):
-        rows["all"] += len(ids)
-        return pairwise(self, ids, *args, **kwargs)
+    rows = {}
+    calls = count_rows(monkeypatch)
 
     def within(name, fn):
         def wrapped(*args, **kwargs):
-            start = rows["all"]
+            start = len(calls)
             try:
                 return fn(*args, **kwargs)
             finally:
-                rows[name] = rows.get(name, 0) + rows["all"] - start
+                rows[name] = rows.get(name, 0) + sum(map(len, calls[start:]))
         return wrapped
 
-    monkeypatch.setattr(mmspace.MMSpace, "_pairwise", counting)
     monkeypatch.setattr(experiments, "greedy_separated_subset",
                         within("subset", experiments.greedy_separated_subset))
     monkeypatch.setattr(conc, "_ball_complement_witness",
                         within("ball", conc._ball_complement_witness))
     run(ExperimentSpec("noise_instability", 0, {"n": n, "n_seeds": 1}), tmp_path)
+    rows["all"] = sum(map(len, calls))
     assert 0 < rows["subset"] <= n
     assert rows["ball"] == 2 * (n + 1)
     assert rows["all"] - rows["subset"] - rows["ball"] <= 2 * n + 3

@@ -14,14 +14,16 @@ another BLAS means that BLAS rounds one dot product differently by shape
 or by operand order.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from concdim import mmspace
+from concdim import features, mmspace
 from concdim.concentration import greedy_separated_subset
 from concdim.errors import InputError
-from concdim.features import Feature, check_lipschitz, dictionary
+from concdim.features import Feature, check_lipschitz, dictionary, distance_feature
 from concdim.mmspace import (
     GEMM_ACCURACY,
     GEMM_MIN_DIM,
@@ -32,7 +34,7 @@ from concdim.mmspace import (
     from_points,
 )
 
-from util import count_passes, pair_table_medians
+from util import count_passes, count_rows, pair_table_medians
 
 
 def cloud(d: int, n: int = 300, seed: int = 0) -> np.ndarray:
@@ -194,59 +196,82 @@ def test_set_distances_are_the_minimum_of_the_sets_rows(kind, held, budget, monk
     masks = np.zeros((len(sets), n), dtype=bool)
     for mask, ids in zip(masks, sets):
         mask[ids] = True
-    got = {}
-    for stack in (sets, masks):
-        groups = list(space.iter_set_distances(stack))
-        assert all(len(js) <= space.block_rows for js, _ in groups)
-        assert np.concatenate([js for js, _ in groups]).tolist() == list(range(len(sets)))
-        got[stack is masks] = np.vstack([out for _, out in groups])
+    groups = list(space.iter_set_distances(masks))
+    assert all(len(js) <= space.block_rows for js, _ in groups)
+    assert np.concatenate([js for js, _ in groups]).tolist() == list(range(len(sets)))
+    got = np.vstack([out for _, out in groups])
     assert space.is_dense == (held or kind == "matrix")
     monkeypatch.undo()
     m = space.dist
     want = np.vstack([np.min(m[ids], axis=0) for ids in sets])
-    assert bits(got[False]) == bits(got[True]) == bits(want)
-    assert bits(space.min_dist_to(sets[0])) == bits(want[0])
+    assert bits(got) == bits(want)
+    assert [bits(space.min_dist_to(ids)) for ids in sets] == [bits(row) for row in want]
 
 
 @pytest.mark.parametrize("sets, match", [
-    ([[0], []], "set 1 is empty"),
+    (np.eye(2, 300, dtype=bool) * [[True], [False]], "set 1 is empty"),
     ([[0, 300]], "out of range"),
     ([[-1]], "out of range"),
     ([[0.5]], "integers"),
     ([np.array([True, False])], "integers"),
     (np.zeros((2, 300), dtype=bool), "set 0 is empty"),
     (np.ones((2, 30), dtype=bool), "shape"),
+    (np.ones(300, dtype=bool), "shape"),
+    (np.ones((2, 300), dtype=int), "boolean mask"),
+    ([[]], "empty"),
+    ([[True, 2]], "integers"),
 ])
 def test_set_distances_reject_empty_and_foreign_sets(sets, match):
+    # sets come only as a boolean mask; the ids of one set, as min_dist_to
+    # and distance_feature take them, are checked as point ids
     space = from_points(cloud(3))
-    with pytest.raises(InputError, match=match):
+    mask = isinstance(sets, np.ndarray)
+    with pytest.raises(InputError, match=match if mask else "boolean mask"):
         space.iter_set_distances(sets)
+    for read in () if mask else (space.min_dist_to, lambda ids: distance_feature(space, ids)):
+        with pytest.raises(InputError, match=match):
+            read(sets[0])
 
 
 def test_anchor_dictionaries_read_their_rows_in_one_block(monkeypatch):
-    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
-    space = from_points(cloud(50, 1000))
-    calls = []
-    inner = MMSpace._pairwise
-
-    def pairwise(self, ids, out=None):
-        calls.append(len(ids))
-        return inner(self, ids, out=out)
-
-    monkeypatch.setattr(MMSpace, "_pairwise", pairwise)
-    feats = dictionary(space, "anchors_random", k=32, seed=0)
-    assert calls == [32]
-    assert [f.name for f in feats] == [f"dist_to_{{{a}}}" for a in np.random.default_rng(
-        0).choice(space.n, 32, replace=False)]
+    # held or not, in one block or in blocks of 3 rows, which split pairs
+    # (p, q) between two blocks of one buffer
+    for held, block_rows in itertools.product((True, False), (None, 3)):
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", mmspace.AUTO_DENSE if held else 0)
+        space = from_points(cloud(50, 1000))
+        if block_rows:
+            monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", block_rows * space.n)
+        if held:
+            space.dist
+        calls = count_rows(monkeypatch)
+        feats = dictionary(space, "anchors_random", k=32, seed=0)
+        anchors = np.random.default_rng(0).choice(space.n, 32, replace=False)
+        rng = np.random.default_rng(0)
+        pairs = [rng.choice(space.n, 2, replace=False).tolist() for _ in range(16)]
+        halves = dictionary(space, "halfspace_differences", k=16, seed=0)
+        if held:
+            assert calls == []
+        elif block_rows is None:
+            assert [ids.tolist() for ids in calls] == [anchors.tolist(),
+                                                       np.ravel(pairs).tolist()]
+        assert [f.name for f in feats] == [f"dist_to_{{{a}}}" for a in anchors]
+        assert [f.name for f in halves] == [f"half_diff({p},{q})" for p, q in pairs]
+        for f, (p, q) in zip(halves, pairs):
+            want = features._centered(space, features._certify_distance_combination(
+                space, (space.dist_row(p) - space.dist_row(q)) / 2.0, f.name))
+            assert bits(f.values) == bits(want.values)
+        assert space.is_dense == held
+        monkeypatch.undo()
 
 
 def test_features_do_not_depend_on_a_held_matrix():
     fresh = from_points(cloud(50, 3000))
     read = from_points(cloud(50, 3000))
     read.dist
-    a, b = (dictionary(s, "anchors_random", k=32, seed=0) for s in (fresh, read))
+    for kind in ("anchors_random", "halfspace_differences"):
+        a, b = (dictionary(s, kind, k=32, seed=0) for s in (fresh, read))
+        assert [bits(f.values) for f in a] == [bits(f.values) for f in b]
     assert not fresh.is_dense and read.is_dense
-    assert [bits(f.values) for f in a] == [bits(f.values) for f in b]
 
 
 def test_kernel_falls_back_where_squared_norms_overflow():
@@ -320,10 +345,16 @@ def test_accessors_reject_ids_that_are_not_points(kind, held, monkeypatch):
     space = SET_SPACES[kind](300)
     reads = [space.dist_row, lambda i: space.dist_block([i]),
              lambda i: space.submatrix([i, 0]), lambda i: space.distance(i, 0),
-             lambda i: space.distance(0, i)]
+             lambda i: space.distance(0, i), lambda i: space.min_dist_to([i])]
     for read in reads:
-        for bad, match in ((-1, "out of range"), (300, "out of range"), (1.5, "integers")):
+        for bad, match in ((-1, "out of range"), (300, "out of range"), (1.5, "integers"),
+                           (True, "integers")):
             with pytest.raises(InputError, match=match):
+                read(bad)
+    # numpy would read a bool among numbers as 0 or 1
+    for read in (space.dist_block, space.submatrix, space.min_dist_to):
+        for bad in ([True, 0], [True, 1.0], [0, np.True_], (2, False)):
+            with pytest.raises(InputError, match="integers"):
                 read(bad)
     assert bits(space.dist_row(299.0)) == bits(space.dist_block([299])[0])
     assert space.distance(299, 0) == space.submatrix([299, 0])[0, 1]

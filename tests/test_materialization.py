@@ -64,7 +64,9 @@ def test_whole_space_reads_materialize_and_chosen_rows_do_not():
     s = from_points(x)
     s.dist_block([0, 5])
     s.min_dist_to([1, 2])
-    list(s.iter_set_distances([[1, 2], [3]]))
+    sets = np.zeros((2, 120), dtype=bool)
+    sets[[0, 0, 1], [1, 2, 3]] = True
+    list(s.iter_set_distances(sets))
     s.submatrix([3, 4])
     s.distance(0, 1)
     list(s.iter_blocks([0, 1]))

@@ -1,5 +1,5 @@
-"""Shared test helpers: random instances, naive reference oracles, a
-pass counter and a fresh-process runner for resource limits.
+"""Shared test helpers: random instances, naive reference oracles, pass
+and row counters and a fresh-process runner for resource limits.
 
 The oracles here deliberately reimplement the quantities with plain
 itertools enumeration so the library's bitmask/DP paths are checked
@@ -102,6 +102,20 @@ def count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(MMSpace, "iter_blocks", iter_blocks)
     return passes
+
+
+def count_rows(monkeypatch) -> list:
+    """Record the point ids of every ``MMSpace._pairwise`` call, the rows
+    it computes, until the monkeypatch is undone."""
+    calls = []
+    inner = MMSpace._pairwise
+
+    def pairwise(self, rows, out=None):
+        calls.append(np.array(rows))
+        return inner(self, rows, out=out)
+
+    monkeypatch.setattr(MMSpace, "_pairwise", pairwise)
+    return calls
 
 
 _FRESH_CHILD = """
