@@ -32,7 +32,8 @@ from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import Feature
 from .io import write_csv
-from .mmspace import MMSpace, RowCache, check_int, diameter, weighted_median
+from .mmspace import (MMSpace, RowCache, check_count, check_int, diameter,
+                      weighted_median)
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
 ORACLE_LIMIT = 22
@@ -211,25 +212,18 @@ def default_kappa_grid(m: int = DEFAULT_KAPPA_POINTS) -> np.ndarray:
 
 
 def default_eps_grid(space: MMSpace) -> np.ndarray:
-    """Sorted distinct realized distances, quantile-subsampled when huge.
-
-    The distances are all of them where the space holds its distance
-    matrix (``MMSpace.dense``), else those among 1024 seeded points.
-    Always contains 0 and the diameter, so exact profiles on this grid
-    capture every step of alpha.
+    """Sorted distinct distances among ``min(n, 1024)`` seeded points (all
+    of them up to 1024), quantile-subsampled when there are more than
+    ``MAX_EPS_GRID``, with 0 and the diameter: exact profiles on it capture
+    every step of alpha.  The diameter is read first, so a space under the
+    materialization rule builds its matrix once and ``submatrix`` reads it.
     """
-    m = space.dense()
-    if m is not None:
-        # a held matrix is exactly symmetric, so its upper triangle (with
-        # the diagonal's 0) holds every value once
-        vals = np.unique(m[np.triu(np.ones(m.shape, dtype=bool))])
-    else:
-        rng = np.random.default_rng(0)
-        ids = rng.choice(space.n, size=min(space.n, 1024), replace=False)
-        vals = np.unique(space.submatrix(ids))
+    diam = diameter(space)
+    ids = np.random.default_rng(0).choice(space.n, size=min(space.n, 1024), replace=False)
+    vals = np.unique(space.submatrix(ids))
     if vals.size > MAX_EPS_GRID:
         vals = np.quantile(vals, np.linspace(0.0, 1.0, MAX_EPS_GRID))
-    return np.unique(np.concatenate([[0.0], vals, [diameter(space)]]))
+    return np.unique(np.concatenate([[0.0], vals, [diam]]))
 
 
 # -- exact oracles ---------------------------------------------------------------
@@ -549,17 +543,19 @@ def _ball_complement_witness(space: MMSpace, center: int,
     crosses a grid level, the partner ``B = {x : d(x, A) >= t}`` with the
     largest ``t`` keeping ``mu(B)`` at that level certifies ``sep >= t``.
     This shape (neighborhood complement of a ball-like set) matches the
-    isoperimetric extremizers on Hamming cubes.
+    isoperimetric extremizers on Hamming cubes.  Rows come from a
+    :class:`RowCache`, one per point, up to the last grid level.
     """
     n = space.n
     w = space.weights
-    order = np.argsort(space.dist_row(center), kind="stable")
+    rows = RowCache(space)
+    order = np.argsort(rows.take(center), kind="stable")
     d_to_a = np.full(n, np.inf)
     out = np.zeros(grid.size)
     mass = 0.0
     gi = 0
-    for idx in order:
-        np.minimum(d_to_a, space.dist_row(int(idx)), out=d_to_a)
+    for idx in order.tolist():
+        np.minimum(d_to_a, rows.take(idx), out=d_to_a)
         mass += float(w[idx])
         while gi < grid.size and mass >= grid[gi] - MASS_TOL:
             far_order = np.argsort(-d_to_a, kind="stable")
@@ -568,6 +564,8 @@ def _ball_complement_witness(space: MMSpace, center: int,
             t = float(d_to_a[far_order][min(pos, n - 1)])
             out[gi] = max(t, 0.0) if np.isfinite(t) else 0.0
             gi += 1
+        if gi == grid.size:
+            break
     return out
 
 
@@ -593,11 +591,12 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     n = space.n
     best = np.zeros(grid.size)
     if n >= 2:
-        a = int(np.argmax(space.dist_row(0)))
-        seeds = [(a, int(np.argmax(space.dist_row(a))))]
+        rows = RowCache(space)
+        a = int(np.argmax(rows.take(0)))
+        seeds = [(a, int(np.argmax(rows.take(a))))]
         for _ in range(restarts - 1):
             i = int(rng.integers(n))
-            j = int(np.argmax(space.dist_row(i)))
+            j = int(np.argmax(rows.take(i)))
             if i != j and (i, j) not in seeds:
                 seeds.append((i, j))
         for i, j in seeds:
@@ -730,10 +729,9 @@ def _max_bit_separation(a: int, d: int, balls: list[int]) -> int:
 
 
 def _check_cube_dim(d: int, limit: int) -> int:
-    d = int(d)
-    if not (1 <= d <= limit):
-        raise InputError(f"d must lie in [1, {limit}], got {d}")
-    return d
+    if check_count(d, "d") > limit:
+        raise InputError(f"d must lie in [1, {limit}], got {d!r}")
+    return int(d)
 
 
 def sep_hamming_analytic(d: int, kappa) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .io import write_csv
-from .mmspace import MMSpace
+from .mmspace import MMSpace, RowCache
 
 #: nodes used by the quadrature inside sample_size_bound.
 QUADRATURE_NODES = 200
@@ -78,7 +78,8 @@ def _farthest_point_sweep(space: MMSpace, stop_radius: float
     start = int(np.argmin(_eccentricities(space)))
     order = [start]
     radii = [math.inf]
-    mind = space.dist_row(start).copy()
+    rows = RowCache(space)
+    mind = rows.take(start).copy()
     while True:
         r = float(mind.max())
         if r < stop_radius or r == 0.0:
@@ -86,7 +87,7 @@ def _farthest_point_sweep(space: MMSpace, stop_radius: float
         x = int(np.argmax(mind))
         order.append(x)
         radii.append(r)
-        np.minimum(mind, space.dist_row(x), out=mind)
+        np.minimum(mind, rows.take(x), out=mind)
     return order, radii
 
 

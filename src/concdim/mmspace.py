@@ -24,20 +24,21 @@ Every distance of a coordinate-backed space comes from one kernel,
 ``dist_row``, ``dist_block``, ``submatrix``, ``distance``, the block
 iterator ``iter_blocks``, the distances to the sets of a boolean mask
 ``iter_set_distances`` (``min_dist_to``: one set, as ids) or the
-read-ahead reader ``RowCache``.  Every accessor given point ids checks
-them with ``check_ids``: an id that is negative, fractional, not below
-``n`` or a bool is an ``InputError``, held matrix or not.
+read-ahead reader ``RowCache``, which every loop taking one point's row
+at a time reads through.  Every accessor given point ids checks them with
+``check_ids``: an id that is negative, fractional, not below ``n`` or a
+bool is an ``InputError``, held matrix or not.
 
 * When the matrix is held.  One rule, on the input alone, so results do
   not depend on call order: a space built from a matrix holds it; a
   coordinate space holds it iff ``n <= AUTO_DENSE`` and builds it, through
-  ``dist``, on its first read of the whole space (``dist``, ``dist_row``,
-  or ``iter_blocks()`` over every point, which then yields views of it).
-  Reads of caller-chosen rows (``dist_block``, ``iter_set_distances``,
-  ``submatrix``, ``distance``, ``RowCache``) use the matrix only if it
-  exists, and construction computes no distance.  ``dense()`` applies the
-  rule.  An explicit ``dist`` request builds the matrix of any space up to
-  ``MATERIALIZE_LIMIT`` points.
+  ``dist``, on its first read of the whole space or of rows one at a time
+  (``dist``, ``dist_row``, ``iter_blocks()`` over every point, which then
+  yields views of it, or a new ``RowCache``).  Reads of caller-chosen rows
+  (``dist_block``, ``iter_set_distances``, ``submatrix``, ``distance``)
+  use the matrix only if it exists, and construction computes no
+  distance.  ``dense()`` applies the rule.  An explicit ``dist`` request
+  builds the matrix of any space up to ``MATERIALIZE_LIMIT`` points.
 
 * Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
   Euclidean spaces with fewer than ``GEMM_MIN_DIM`` coordinates use
@@ -178,6 +179,16 @@ def check_int(x, what: str) -> int:
     return int(x)
 
 
+def check_count(x, what: str) -> int:
+    """`x` as an int; InputError unless it is an integer >= 1, not a bool.
+    An integral float passes: the command line reads ``n=1e4`` as one."""
+    whole = (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+             or isinstance(x, (float, np.floating)) and float(x).is_integer())
+    if not whole or x < 1:
+        raise InputError(f"{what} must be an integer >= 1, got {x!r}")
+    return int(x)
+
+
 def _check_triangle(dist: np.ndarray, ids: np.ndarray) -> None:
     """Raise InputError naming a violated triangle among the points `ids`."""
     sub = dist[np.ix_(ids, ids)]
@@ -282,8 +293,9 @@ class MMSpace:
             coords = np.asarray(coords, dtype=float)
             if coords.ndim == 1:
                 coords = coords[:, None]
-            if coords.ndim != 2 or coords.shape[0] < 1:
-                raise InputError("coords must be a nonempty (n, d) array")
+            if coords.ndim != 2 or 0 in coords.shape:
+                raise InputError(f"coords must be an (n, d) array with n, d >= 1, "
+                                 f"got shape {coords.shape}")
             finite_rows = np.isfinite(coords).all(axis=1)
             if not finite_rows.all():
                 row = int(np.argmin(finite_rows))
@@ -421,11 +433,9 @@ class MMSpace:
 
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from point `i` to every point."""
-        i = self._point(i)
+        ids = self.check_ids([i])
         m = self.dense()
-        if m is not None:
-            return m[i]
-        return self._pairwise(np.array([i]))[0]
+        return self._pairwise(ids)[0] if m is None else m[ids[0]]
 
     def dist_block(self, ids, out=None) -> np.ndarray:
         """Distance rows for the given point ids, shape ``(len(ids), n)``,
@@ -472,13 +482,6 @@ class MMSpace:
         if bad.size:
             raise InputError(f"{what} out of range for n={self.n}: {bad[0].item()!r}")
         return a.astype(int)
-
-    def _point(self, i) -> int:
-        """One point id as an int, checked as :meth:`check_ids` checks it;
-        an integer in range passes without building an array."""
-        if (type(i) is int or isinstance(i, np.integer)) and 0 <= i < self.n:
-            return int(i)
-        return int(self.check_ids([i])[0])
 
     def iter_set_distances(self, sets):
         """Yield ``(set_ids, out)``, ``out[j]`` holding ``min over a in A of
@@ -528,13 +531,12 @@ class MMSpace:
         ids = self.check_ids(ids)
         if self._dist_cache is not None:
             return self._dist_cache[np.ix_(ids, ids)]
-        step = self.block_rows
         return np.concatenate([np.empty((0, ids.size))] + [
-            self._pairwise(ids[k : k + step])[:, ids] for k in range(0, ids.size, step)])
+            blk[:, ids] for _, blk in self.iter_blocks(ids)])
 
     def distance(self, i: int, j: int) -> float:
         """The distance between points `i` and `j`, read from i's full row."""
-        i, j = self._point(i), self._point(j)
+        (i,), (j,) = self.check_ids([i]), self.check_ids([j])
         if self._dist_cache is not None:
             return float(self._dist_cache[i, j])
         return float(self._pairwise(np.array([i]))[0, j])
@@ -561,9 +563,10 @@ class RowCache:
     """Distance rows taken one at a time, each computed in a block together
     with the rows likely to be taken next.
 
-    Over a space that holds its matrix (see :meth:`MMSpace.dense`) a row is
-    a view of it and nothing is computed.  Otherwise rows live in one
-    buffer of ``block_rows`` rows.  A row not in it is computed together
+    A new cache builds the matrix of a space under the materialization
+    rule (:meth:`MMSpace.dense`); a row of a held matrix is a view of it.
+    Otherwise rows live in one buffer of ``block_rows`` rows.  A row not in
+    it is computed together
     with those of the points ranked highest by each of the caller's scores
     in turn, as many as the buffer has free rows; points already buffered
     and points scored ``-inf`` are passed over.  The row returned last is
@@ -709,13 +712,18 @@ def _require(params: dict, family: str, *names: str) -> list:
     return [params[k] for k in names]
 
 
-def _check_count(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise InputError(f"sample size must be >= 1, got {n}")
+def _check_sample_size(n) -> int:
+    n = check_count(n, "sample size n")
     if n > MAX_POINTS:
         raise ResourceLimitError(f"sample size {n} exceeds the limit {MAX_POINTS}")
     return n
+
+
+def _check_sigma(sigma) -> float:
+    if not (isinstance(sigma, (int, float, np.integer, np.floating))
+            and 0 <= sigma < math.inf):
+        raise InputError(f"sigma must be finite and >= 0, got {sigma!r}")
+    return float(sigma)
 
 
 def generate(spec: GeneratorSpec) -> MMSpace:
@@ -746,19 +754,15 @@ def generate(spec: GeneratorSpec) -> MMSpace:
     label = spec.describe()
     if fam == "sphere":
         n_dim, n = _require(p, fam, "n_dim", "n")
-        n = _check_count(n)
-        if int(n_dim) < 1:
-            raise InputError(f"sphere dimension must be >= 1, got {n_dim}")
-        pts = rng.standard_normal((n, int(n_dim) + 1))
+        n, n_dim = _check_sample_size(n), check_count(n_dim, "sphere dimension n_dim")
+        pts = rng.standard_normal((n, n_dim + 1))
         norms = np.linalg.norm(pts, axis=1, keepdims=True)
         if np.any(norms == 0):  # pragma: no cover - probability zero
             raise InvariantViolation("degenerate zero-norm Gaussian draw")
         return from_points(pts / norms, metric="euclidean", label=label)
     if fam == "hamming_cube":
         (d,) = _require(p, fam, "d")
-        d = int(d)
-        if d < 1:
-            raise InputError(f"cube dimension must be >= 1, got {d}")
+        d = check_count(d, "cube dimension d")
         if d > MAX_CUBE_DIM:
             raise ResourceLimitError(
                 f"hamming_cube requires d <= {MAX_CUBE_DIM} (2**d points); got d={d}"
@@ -768,20 +772,20 @@ def generate(spec: GeneratorSpec) -> MMSpace:
         return from_points(bits.astype(float), metric="normalized_hamming", label=label)
     if fam == "hamming_sample":
         d, n = _require(p, fam, "d", "n")
-        n = _check_count(n)
-        bits = rng.integers(0, 2, size=(n, int(d)))
+        n, d = _check_sample_size(n), check_count(d, "string length d")
+        bits = rng.integers(0, 2, size=(n, d))
         return from_points(bits.astype(float), metric="normalized_hamming", label=label)
     if fam == "gaussian_cloud":
         d, sigma, n = _require(p, fam, "d", "sigma", "n")
-        n = _check_count(n)
-        pts = rng.normal(0.0, float(sigma), size=(n, int(d)))
+        n, d = _check_sample_size(n), check_count(d, "dimension d")
+        pts = rng.normal(0.0, _check_sigma(sigma), size=(n, d))
         return from_points(pts, metric="euclidean", label=label)
     if fam == "noisy_embedding":
         base, ambient_d, sigma, n = _require(p, fam, "base", "ambient_d", "sigma", "n")
-        n = _check_count(n)
+        n, sigma = _check_sample_size(n), _check_sigma(sigma)
+        ambient_d = check_count(ambient_d, "ambient dimension ambient_d")
         if not isinstance(base, MMSpace) or base.coords is None:
             raise InputError("noisy_embedding requires a coordinate-backed base space")
-        ambient_d = int(ambient_d)
         bd = base.coords.shape[1]
         if ambient_d < bd:
             raise InputError(
@@ -790,7 +794,7 @@ def generate(spec: GeneratorSpec) -> MMSpace:
         idx = rng.choice(base.n, size=n, p=base.weights)
         pts = np.zeros((n, ambient_d))
         pts[:, :bd] = base.coords[idx]
-        pts += rng.normal(0.0, float(sigma), size=(n, ambient_d))
+        pts += rng.normal(0.0, sigma, size=(n, ambient_d))
         return from_points(pts, metric="euclidean", label=label)
     raise InputError(f"unknown generator family {fam!r}")
 

@@ -120,25 +120,20 @@ def _certify(d: np.ndarray, plan: np.ndarray, eq_marginals: np.ndarray,
              m: int, k: int) -> None:
     """Dual feasibility and complementary slackness at the claimed optimum.
 
-    Both sign conventions for the returned multipliers are tried; the
-    certificate is accepted only if one of them satisfies
-    ``u_i + v_j <= d_ij`` everywhere and equality on the support.
+    HiGHS's equality marginals are the potentials ``u`` (row sums) and
+    ``v`` (column sums, the dropped last one 0); the certificate holds
+    iff ``u_i + v_j <= d_ij`` everywhere and equality holds on the support.
     """
-    base_u = np.asarray(eq_marginals[:m], dtype=float)
-    base_v = np.concatenate([np.asarray(eq_marginals[m : m + k - 1], dtype=float), [0.0]])
-    support = plan > CERT_TOL
-    failures = []
-    for sign in (1.0, -1.0):
-        u, v = sign * base_u, sign * base_v
-        slack = d - (u[:, None] + v[None, :])
-        feas = float(slack.min())
-        comp = float(np.abs(slack[support]).max()) if support.any() else 0.0
-        if feas >= -CERT_TOL and comp <= CERT_TOL:
-            return
-        failures.append((feas, comp))
-    raise InvariantViolation(
-        f"no dual sign convention certifies optimality: {failures}"
-    )
+    u, v = eq_marginals[:m], np.append(eq_marginals[m : m + k - 1], 0.0)
+    slack = d - (u[:, None] + v[None, :])
+    feas = float(slack.min())
+    comp = float(np.abs(slack[plan > CERT_TOL]).max(initial=0.0))
+    if feas < -CERT_TOL or comp > CERT_TOL:
+        raise InvariantViolation(
+            f"dual potentials do not certify optimality: least slack {feas!r} "
+            f"(feasibility needs >= -{CERT_TOL}), largest slack on the support "
+            f"{comp!r} (complementary slackness needs <= {CERT_TOL})"
+        )
 
 
 def dconc_upper_via_emd(space: MMSpace, mu, nu) -> float:

@@ -120,6 +120,17 @@ def test_exit_code_input_error(tmp_path):
                    "--out", str(tmp_path)) == 2
 
 
+def test_points_with_no_coordinate_column_exit_2(tmp_path):
+    # the weight column alone left an (n, 0) space whose normalized Hamming
+    # distances were NaN, written to sep.json as "diameter": NaN
+    points = tmp_path / "w.csv"
+    points.write_text("weight\n1\n2\n3\n")
+    out = tmp_path / "sep"
+    assert run_cli("sep", "--points", str(points), "--metric", "normalized_hamming",
+                   "--out", str(out)) == 2
+    assert not (out / "sep.json").exists()
+
+
 def test_exit_code_parse_error_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x0\n0.0\nnot-a-number\n")

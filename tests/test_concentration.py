@@ -41,7 +41,15 @@ from concdim.mmspace import (
     weighted_median,
 )
 
-from util import count_passes, count_rows, naive_alpha, naive_sep, random_space, run_fresh
+from util import (
+    count_passes,
+    count_rows,
+    forbid_point_reads,
+    naive_alpha,
+    naive_sep,
+    random_space,
+    run_fresh,
+)
 
 
 def two_point():
@@ -271,17 +279,18 @@ def _alpha_lower_two_loops(space, eps_grid=None, dictionary=None, ball_centers=N
 
 
 def _full_matrix_eps_grid(space):
-    """default_eps_grid of a held matrix from every entry, both triangles
-    and the diagonal: the reference for the upper-triangle read."""
+    """default_eps_grid from every entry of the held matrix: the reference
+    for the grid of spaces whose sample is every point."""
     vals = np.unique(space.dense())
     if vals.size > MAX_EPS_GRID:
         vals = np.quantile(vals, np.linspace(0.0, 1.0, MAX_EPS_GRID))
     return np.unique(np.concatenate([[0.0], vals, [diameter(space)]]))
 
 
-def test_default_eps_grid_reads_the_upper_triangle_alone():
+def test_default_eps_grid_holds_every_distance_up_to_1024_points():
     rng = np.random.default_rng(21)
-    spaces = [from_points(rng.normal(size=(n, d))) for n, d in ((20, 3), (400, 3), (300, 30))]
+    spaces = [from_points(rng.normal(size=(n, d)))
+              for n, d in ((20, 3), (400, 3), (300, 30), (1024, 3), (1024, 20))]
     for n in (20, 120):
         m = rng.uniform(0.5, 1.0, size=(n, n))
         m = (m + m.T) / 2.0 + 1e-12 * rng.random((n, n))  # symmetrized on input
@@ -290,6 +299,17 @@ def test_default_eps_grid_reads_the_upper_triangle_alone():
     for s in spaces:
         assert s.dense() is not None
         assert conc.default_eps_grid(s).tobytes() == _full_matrix_eps_grid(s).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 30])
+def test_default_eps_grid_does_not_depend_on_the_held_matrix(monkeypatch, d):
+    # above 1024 points the grid reads a 1024-point sample, held matrix or not
+    x = np.random.default_rng(22).normal(size=(2000, d))
+    held = conc.default_eps_grid(from_points(x))
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    s = from_points(x)
+    assert conc.default_eps_grid(s).tobytes() == held.tobytes()
+    assert not s.is_dense
 
 
 def _count_witness_sets(monkeypatch):
@@ -700,6 +720,60 @@ def row_by_row_growth_curve(space, i, j):
     return np.asarray(minmass), np.asarray(crosses)
 
 
+def _ball_complement_row_by_row(space, center, grid):
+    """``_ball_complement_witness`` reading every row by ``dist_row``, in
+    radius order, past the last grid level too."""
+    w = space.weights
+    d_to_a = np.full(space.n, np.inf)
+    out = np.zeros(grid.size)
+    mass, gi = 0.0, 0
+    for idx in np.argsort(space.dist_row(center), kind="stable"):
+        np.minimum(d_to_a, space.dist_row(int(idx)), out=d_to_a)
+        mass += float(w[idx])
+        while gi < grid.size and mass >= grid[gi] - MASS_TOL:
+            far = np.argsort(-d_to_a, kind="stable")
+            pos = int(np.searchsorted(np.cumsum(w[far]), grid[gi] - MASS_TOL, side="left"))
+            t = float(d_to_a[far][min(pos, space.n - 1)])
+            out[gi] = max(t, 0.0) if np.isfinite(t) else 0.0
+            gi += 1
+    return out
+
+
+def sep_lower_row_by_row(space, restarts, seed):
+    """``sep_lower`` on the default grid with every row read by
+    ``dist_row``: its seeds, the growth curves and the ball complements."""
+    grid = default_kappa_grid()
+    rng = np.random.default_rng(seed)
+    a = int(np.argmax(space.dist_row(0)))
+    seeds = [(a, int(np.argmax(space.dist_row(a))))]
+    for _ in range(restarts - 1):
+        i = int(rng.integers(space.n))
+        j = int(np.argmax(space.dist_row(i)))
+        if i != j and (i, j) not in seeds:
+            seeds.append((i, j))
+    best = np.zeros(grid.size)
+    for i, j in seeds:
+        minmass, crosses = row_by_row_growth_curve(space, i, j)
+        np.maximum(best, conc._value_at(minmass, crosses, grid - MASS_TOL), out=best)
+    for c in seeds[0]:
+        np.maximum(best, _ball_complement_row_by_row(space, c, grid), out=best)
+    return np.minimum.accumulate(np.maximum(best, 0.0))
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_sep_lower_reads_no_single_point_and_matches_the_row_by_row_loops(
+        monkeypatch, held):
+    if not held:
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    spaces = list(_growth_spaces())
+    wants = [sep_lower_row_by_row(s, restarts=4, seed=7) for _, s in spaces]
+    forbid_point_reads(monkeypatch)
+    for (name, s), want in zip(spaces, wants):
+        assert s.n <= conc._BALL_COMPLEMENT_LIMIT
+        assert sep_lower(s, restarts=4, seed=7).sep.tobytes() == want.tobytes(), name
+        assert s.is_dense == held
+
+
 def _growth_spaces():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(1200, 50))
@@ -962,6 +1036,13 @@ def test_hamming_cube_dimension_ceilings():
     with pytest.raises(InputError):
         sep_hamming_analytic(0, 0.25)
     assert sep_hamming_analytic(200, 0.25) == 0.05
+    # a fractional or bool dimension is refused, not truncated to a smaller cube
+    for d in (5.9, 3.5, True, float("nan"), "5"):
+        with pytest.raises(InputError, match="integer"):
+            sep_hamming_analytic(d, 0.25)
+        with pytest.raises(InputError, match="integer"):
+            sep_hamming_profile(d)
+    assert sep_hamming_analytic(5.0, 0.25) == sep_hamming_analytic(5, 0.25)
 
 
 def test_hamming_analytic_rejects_bad_kappa():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from concdim import covering, mmspace
 from concdim.covering import (
     CoveringProfile,
     covering_profile,
@@ -14,7 +15,7 @@ from concdim.covering import (
 from concdim.errors import InputError
 from concdim.mmspace import GeneratorSpec, from_points, generate
 
-from util import random_space
+from util import forbid_point_reads, random_space
 
 
 def exact_covering_number(space, u: float) -> int:
@@ -92,6 +93,42 @@ def test_covering_profile_matches_greedy_net_sizes():
     prof = covering_profile(s, grid)
     for u, n_up in zip(grid, prof.n_upper):
         assert n_up == len(greedy_net(s, float(u)))
+
+
+def row_by_row_sweep(space, stop_radius):
+    """The farthest-point sweep with one ``dist_row`` read per net point and
+    eccentricities from every point's row."""
+    order = [int(np.argmin([space.dist_row(i).max() for i in range(space.n)]))]
+    radii = [math.inf]
+    mind = space.dist_row(order[0]).copy()
+    while (r := float(mind.max())) >= stop_radius and r > 0.0:
+        order.append(int(np.argmax(mind)))
+        radii.append(r)
+        np.minimum(mind, space.dist_row(order[-1]), out=mind)
+    return order, radii
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_sweep_reads_no_single_point_and_matches_the_row_by_row_loop(monkeypatch, held):
+    if not held:
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    rng = np.random.default_rng(12)
+    spaces = [from_points(rng.normal(size=(700, 3))), from_points(rng.normal(size=(700, 30))),
+              # 8 bits: a few distinct distances, so ties at every step
+              from_points(rng.integers(0, 2, size=(500, 8)).astype(float),
+                          metric="normalized_hamming")]
+    grid = np.array([0.25, 0.4, 0.6, 0.9, 1.5, 4.0])
+    wants = [row_by_row_sweep(s, grid[0]) for s in spaces]
+    forbid_point_reads(monkeypatch)
+    for s, (order, radii) in zip(spaces, wants):
+        assert len(order) > 50
+        assert covering._farthest_point_sweep(s, grid[0]) == (order, radii)
+        prof = covering_profile(s, grid)
+        inserted = np.asarray(radii[1:])
+        assert prof.n_upper.tolist() == [1 + int((inserted >= u).sum()) for u in grid]
+        for u in grid[grid >= 0.4]:
+            assert greedy_net(s, u).tolist() == order[: 1 + int((inserted >= u).sum())]
+        assert s.is_dense == held
 
 
 def curve_profile() -> CoveringProfile:

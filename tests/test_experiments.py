@@ -7,7 +7,7 @@ from concdim import concentration as conc, experiments, mmspace
 from concdim.errors import InputError
 from concdim.experiments import ExperimentSpec, derived_seed, run
 
-from util import count_rows
+from util import count_rows, forbid_point_reads
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -129,10 +129,16 @@ def test_experiment_point_limit(tmp_path):
 
 def test_noise_instability_computes_no_row_beyond_its_witnesses(monkeypatch, tmp_path):
     # on an unheld cloud: the greedy subset's scan, the ball-complement
-    # witnesses (below their size limit, n + 1 rows for each far seed),
-    # three seed rows and two growth curves of at most n rows each; the
-    # diameter comes from the first curve, so an added pass fails here
+    # witnesses (below their size limit, for each far seed the centre's row
+    # and one row per point until the ball holds half the mass), three seed
+    # rows and two growth curves of at most n rows each; the diameter comes
+    # from the first curve, so an added pass fails here.  No single point
+    # is read through dist_row or distance, and the outputs are those of
+    # the held cloud
     n = 2000
+    spec = ExperimentSpec("noise_instability", 0, {"n": n, "n_seeds": 1})
+    forbid_point_reads(monkeypatch)
+    run(spec, tmp_path / "held")
     monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
     rows = {}
     calls = count_rows(monkeypatch)
@@ -150,8 +156,12 @@ def test_noise_instability_computes_no_row_beyond_its_witnesses(monkeypatch, tmp
                         within("subset", experiments.greedy_separated_subset))
     monkeypatch.setattr(conc, "_ball_complement_witness",
                         within("ball", conc._ball_complement_witness))
-    run(ExperimentSpec("noise_instability", 0, {"n": n, "n_seeds": 1}), tmp_path)
+    run(spec, tmp_path / "unheld")
     rows["all"] = sum(map(len, calls))
     assert 0 < rows["subset"] <= n
-    assert rows["ball"] == 2 * (n + 1)
+    assert rows["ball"] == 2 * (1 + n // 2)
     assert rows["all"] - rows["subset"] - rows["ball"] <= 2 * n + 3
+    held = sorted((tmp_path / "held").iterdir())
+    assert held
+    for path in held:
+        assert path.read_bytes() == (tmp_path / "unheld" / path.name).read_bytes()

@@ -14,6 +14,7 @@ from concdim.covering import covering_profile, greedy_net
 from concdim.dimension import dim_chavez
 from concdim.mmspace import (
     GeneratorSpec,
+    RowCache,
     char_size,
     diameter,
     from_distance_matrix,
@@ -72,7 +73,7 @@ def test_whole_space_reads_materialize_and_chosen_rows_do_not():
     list(s.iter_blocks([0, 1]))
     assert not s.is_dense
     for read in (lambda s: s.dist_row(0), lambda s: next(s.iter_blocks()),
-                 lambda s: s.dense(), lambda s: s.dist):
+                 lambda s: s.dense(), lambda s: s.dist, RowCache):
         s = from_points(x)
         read(s)
         assert s.is_dense
@@ -102,7 +103,7 @@ def test_spaces_above_the_rule_are_never_materialized(monkeypatch):
 
 
 def test_only_mmspace_names_the_materialization_rule():
-    rule = {"is_dense", "AUTO_DENSE"}
+    rule = {"is_dense", "AUTO_DENSE", "dense"}
     for path in sorted(Path(concdim.__file__).parent.glob("*.py")):
         if path.name == "mmspace.py":
             continue

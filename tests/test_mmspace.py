@@ -137,6 +137,57 @@ def test_hamming_cube_resource_limit():
         generate(GeneratorSpec("hamming_cube", 0, {"d": 21}))
 
 
+BASE = from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("family, params", [
+    ("sphere", {"n_dim": 2, "n": 2.5}),
+    ("sphere", {"n_dim": 1.9, "n": 10}),
+    ("sphere", {"n_dim": 2, "n": True}),
+    ("sphere", {"n_dim": 0, "n": 10}),
+    ("sphere", {"n_dim": 2, "n": "10"}),
+    ("hamming_cube", {"d": 2.7}),
+    ("hamming_cube", {"d": True}),
+    ("hamming_cube", {"d": 0}),
+    ("hamming_sample", {"d": 0, "n": 10}),
+    ("hamming_sample", {"d": -3, "n": 10}),
+    ("hamming_sample", {"d": 4, "n": 0}),
+    ("gaussian_cloud", {"d": 3, "sigma": -1.0, "n": 10}),
+    ("gaussian_cloud", {"d": 3, "sigma": float("nan"), "n": 10}),
+    ("gaussian_cloud", {"d": 3, "sigma": float("inf"), "n": 10}),
+    ("gaussian_cloud", {"d": 2.5, "sigma": 1.0, "n": 10}),
+    ("gaussian_cloud", {"d": 3, "sigma": 1.0, "n": float("nan")}),
+    ("noisy_embedding", {"base": BASE, "ambient_d": 2.5, "sigma": 0.1, "n": 10}),
+    ("noisy_embedding", {"base": BASE, "ambient_d": 3, "sigma": -1, "n": 10}),
+    ("noisy_embedding", {"base": BASE, "ambient_d": 3, "sigma": 0.1, "n": 10.5}),
+])
+def test_generators_refuse_counts_that_are_not_whole_and_bad_sigma(family, params):
+    with pytest.raises(InputError, match="must be an integer >= 1|sigma must be finite"):
+        generate(GeneratorSpec(family, 0, params))
+
+
+def test_generators_take_integral_float_counts():
+    # the command line reads n=1e4 as a float
+    for family, params in [("sphere", {"n_dim": 2, "n": 40}),
+                           ("hamming_sample", {"d": 6, "n": 40}),
+                           ("gaussian_cloud", {"d": 3, "sigma": 0.5, "n": 40}),
+                           ("noisy_embedding", {"base": BASE, "ambient_d": 3,
+                                                "sigma": 0.0, "n": 40})]:
+        as_floats = {k: float(v) if k in ("n", "n_dim", "d", "ambient_d") else v
+                     for k, v in params.items()}
+        a = generate(GeneratorSpec(family, 3, params))
+        b = generate(GeneratorSpec(family, 3, as_floats))
+        assert a.coords.tobytes() == b.coords.tobytes() and a.n == 40
+    assert generate(GeneratorSpec("hamming_cube", 0, {"d": 3.0})).n == 8
+
+
+@pytest.mark.parametrize("coords", [np.zeros((5, 0)), np.zeros((0, 2)), np.zeros(0)])
+def test_from_points_refuses_coordinates_with_no_column_or_row(coords):
+    for metric in ("euclidean", "normalized_hamming"):
+        with pytest.raises(InputError, match=r"n, d >= 1"):
+            from_points(coords, metric=metric)
+
+
 def test_generate_rejects_oversized_sample():
     with pytest.raises(ResourceLimitError, match="limit"):
         generate(GeneratorSpec("gaussian_cloud", 0,

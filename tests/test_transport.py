@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from concdim.errors import InputError, ResourceLimitError
+from concdim import transport
+from concdim.errors import InputError, InvariantViolation, ResourceLimitError
 from concdim.mmspace import diameter, from_distance_matrix, from_points
 from concdim.transport import EMD_LIMIT, MARGINAL_TOL, dconc_upper_via_emd, emd
 
@@ -152,6 +153,26 @@ def test_solver_matches_vertex_enumeration():
         plan = emd(s, mu, nu)
         want = vertex_minimum(s.dist, mu, nu)
         assert plan.cost == pytest.approx(want, abs=1e-9)
+
+
+def test_certificate_reads_the_marginals_with_one_sign(monkeypatch):
+    # HiGHS's equality marginals are the dual potentials as they are; the
+    # same solves read with the opposite sign must not certify
+    rng = np.random.default_rng(0)
+    measures = []
+    for n in (3, 7, 23, 59):
+        s = from_points(rng.normal(size=(n, 3)))
+        mu, nu = rng.random((2, n)) * (rng.random((2, n)) >= 0.3)  # about 30% zero
+        mu[:2] += 0.1
+        nu[-2:] += 0.1
+        measures.append((s, mu / mu.sum(), nu / nu.sum()))
+        assert emd(s, *measures[-1][1:]).cost > 0.0
+    certify = transport._certify
+    monkeypatch.setattr(transport, "_certify",
+                        lambda d, plan, marginals, m, k: certify(d, plan, -marginals, m, k))
+    for s, mu, nu in measures:
+        with pytest.raises(InvariantViolation, match="complementary slackness"):
+            emd(s, mu, nu)
 
 
 def test_metric_axioms_on_measures():

@@ -1,5 +1,6 @@
 """Shared test helpers: random instances, naive reference oracles, pass
-and row counters and a fresh-process runner for resource limits.
+and row counters, a guard against single-point reads and a fresh-process
+runner for resource limits.
 
 The oracles here deliberately reimplement the quantities with plain
 itertools enumeration so the library's bitmask/DP paths are checked
@@ -116,6 +117,17 @@ def count_rows(monkeypatch) -> list:
 
     monkeypatch.setattr(MMSpace, "_pairwise", pairwise)
     return calls
+
+
+def forbid_point_reads(monkeypatch) -> None:
+    """Make ``MMSpace.dist_row`` and ``MMSpace.distance`` raise until the
+    monkeypatch is undone: loops over single points read through
+    ``RowCache``."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a single-point read through dist_row or distance")
+
+    monkeypatch.setattr(MMSpace, "dist_row", refuse)
+    monkeypatch.setattr(MMSpace, "distance", refuse)
 
 
 _FRESH_CHILD = """
