@@ -31,7 +31,7 @@ from .dimension import dimension_report
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .experiments import RNG_ALGORITHM, EXPERIMENT_NAMES, ExperimentSpec, run as run_experiment
 from .features import dictionary as make_dictionary
-from .io import write_csv, write_json
+from .io import read_csv_rows, write_csv, write_json
 from .mmspace import (
     GeneratorSpec,
     MMSpace,
@@ -227,13 +227,22 @@ def _cmd_dims(args) -> int:
     return EXIT_OK
 
 
+def _read_vector(path) -> np.ndarray:
+    """The numbers of a CSV of one column or one row."""
+    _, rows = read_csv_rows(path)
+    data = np.asarray(rows)
+    if min(data.shape) != 1:
+        raise InputError(f"{path}: expected one column or one row, got "
+                         f"{data.shape[0]} rows of {data.shape[1]} values")
+    return data.ravel()
+
+
 def _cmd_emd(args) -> int:
     out = _out_dir(args)
     space = load_distance_csv(args.space) if args.space.endswith(".csv") else None
     if space is None:
         raise InputError("--space must be a distance-matrix CSV")
-    mu = np.loadtxt(args.mu, delimiter=",", ndmin=1)
-    nu = np.loadtxt(args.nu, delimiter=",", ndmin=1)
+    mu, nu = _read_vector(args.mu), _read_vector(args.nu)
     from .transport import emd as solve_emd
 
     plan = solve_emd(space, mu, nu)
@@ -270,7 +279,11 @@ def _cmd_net(args) -> int:
 
 def _cmd_bound(args) -> int:
     out = _out_dir(args)
-    rows = np.loadtxt(args.cover, delimiter=",", skiprows=1, ndmin=2)
+    _, rows = read_csv_rows(args.cover)
+    rows = np.asarray(rows)
+    if rows.shape[1] != 3 or not np.isfinite(rows).all() or np.any(rows[:, 1:] % 1):
+        raise InputError(f"{args.cover}: a covering profile has 3 columns, a finite "
+                         "radius u and the whole counts n_upper, n_lower")
     profile = CoveringProfile(rows[:, 0], rows[:, 1].astype(int),
                               rows[:, 2].astype(int))
     n = sample_size_bound(args.eps, args.delta, profile, args.constant_C)

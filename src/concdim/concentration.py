@@ -449,7 +449,7 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
 
     Witnesses are the half-mass sublevel sets ``{x : v(x) <= median_v}`` of
     each dictionary feature and of the distance to each ball center (a
-    weight-balanced ball, its rows read in one :meth:`MMSpace.iter_blocks`
+    weight-balanced ball, its rows read in one :meth:`MMSpace.iter_rows`
     call).  The default anchors (every point up to 64, else 32 seeded ones)
     are the default centers, and without a dictionary they join the given
     ones: an anchor feature's sublevel set is its anchor's ball.  Each
@@ -469,8 +469,8 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
         centers = np.union1d(anchors, centers)
     w = space.weights
     masks, seen = [], set()
-    rows = (row for _, blk in space.iter_blocks(centers) for row in blk)
-    for v in itertools.chain((f.values for f in dictionary or ()), rows):
+    for v in itertools.chain((f.values for f in dictionary or ()),
+                             space.iter_rows(centers)):
         inside = v <= weighted_median(v, w, "lower")
         key = np.packbits(inside).tobytes()
         if key not in seen:
@@ -613,24 +613,21 @@ def greedy_separated_subset(space: MMSpace, min_distance: float) -> np.ndarray:
     """Greedy maximal subset with all pairwise distances >= min_distance.
 
     Scans points in index order, keeping a point unless an already kept
-    point lies strictly closer than `min_distance`.  The rows of the next
-    ``space.block_rows`` still-alive candidates come from one block; a
-    candidate that a point kept earlier in its block removes wastes its row.
+    point lies strictly closer than `min_distance`.  Rows come from a
+    :class:`RowCache` scored by the still-alive candidates, earliest first,
+    so a miss computes the rows of the next alive candidates in one block;
+    a candidate that a point kept before it removes wastes its row.
     """
     if not (min_distance > 0):
         raise InputError(f"min_distance must be positive, got {min_distance!r}")
-    alive = np.ones(space.n, dtype=bool)
+    rows = RowCache(space)
+    alive = -np.arange(space.n, dtype=float)  # -inf once removed
     kept = []
-    start = 0
-    while True:
-        cand = start + np.flatnonzero(alive[start:])[: space.block_rows]
-        if cand.size == 0:
-            return np.asarray(kept, dtype=int)
-        for i, row in zip(cand.tolist(), space.dist_block(cand)):
-            if alive[i]:
-                kept.append(i)
-                alive &= row >= min_distance
-        start = int(cand[-1]) + 1
+    for i in range(space.n):
+        if alive[i] > -np.inf:
+            kept.append(i)
+            alive[rows.take(i, alive) < min_distance] = -np.inf
+    return np.asarray(kept, dtype=int)
 
 
 def split_witness(space: MMSpace, subset_ids) -> tuple[float, np.ndarray, np.ndarray]:

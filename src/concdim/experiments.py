@@ -30,6 +30,7 @@ sampling_convergence
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,13 +89,33 @@ def _params(spec: ExperimentSpec, defaults: dict) -> dict:
     if unknown:
         raise InputError(f"unknown params for {spec.name}: {unknown}")
     merged = dict(defaults)
-    merged.update(spec.params)
+    merged.update({k: _typed(k, v, defaults[k]) for k, v in spec.params.items()})
     if merged.get("n", 0) and int(merged["n"]) > MAX_EXPERIMENT_POINTS:
         raise ResourceLimitError(
             f"experiments are limited to {MAX_EXPERIMENT_POINTS} points per "
             f"space; got n={merged['n']}"
         )
     return merged
+
+
+def _typed(name: str, value, default):
+    """`value` in the type of `default`: a list of the type of its first
+    element, an int (an integral float passes, as the command line reads
+    ``n=1e4``) or a finite float; InputError otherwise.  Bools are not
+    numbers."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise InputError(f"param {name} must be a list, got {value!r} "
+                             f"(one value is written {name}={value},)")
+        return [_typed(name, v, default[0]) for v in value]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and isinstance(default, int) and (isinstance(value, int)
+                                                 or value.is_integer()):
+        return int(value)
+    if number and isinstance(default, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    kind = "an integer" if isinstance(default, int) else "a finite number"
+    raise InputError(f"param {name} must be {kind}, got {value!r}")
 
 
 def _sphere(dim: int, n: int, seed: int) -> MMSpace:

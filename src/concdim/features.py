@@ -43,6 +43,8 @@ class Feature:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
+        if not np.isfinite(v).all():
+            raise InputError(f"feature {self.name!r} has non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -162,7 +164,7 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
 
     All features are shifted to put the midpoint of their weighted medians
     at zero, so sup norms stay within the diameter.  Each kind reads its
-    rows in one :meth:`MMSpace.iter_blocks` call (pairs: 2k rows, drawn first).
+    rows in one :meth:`MMSpace.iter_rows` call (pairs: 2k rows, drawn first).
     """
     if kind == "anchors_all":
         ids = np.arange(space.n)
@@ -180,7 +182,7 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
             "kind must be one of anchors_all, anchors_random, "
             f"halfspace_differences; got {kind!r}"
         )
-    rows = (row for _, blk in space.iter_blocks(ids) for row in blk)
+    rows = space.iter_rows(ids)
     if kind == "halfspace_differences":  # p's row copied: q's may start the next block
         feats = (_certify_distance_combination(space, (row_p - row_q) / 2.0,
                                                f"half_diff({p},{q})")

@@ -1,15 +1,65 @@
-"""The package's one writer of output files.
+"""The package's one reader and one writer of files.
 
-Every CSV and JSON file concdim writes goes through these two functions,
-so reruns with equal inputs produce identical bytes: floats are written as
-``repr(float(v))`` (the shortest round-tripping form), everything else as
-``csv`` formats it, and JSON keys are sorted.
+Every CSV file concdim reads goes through :func:`read_csv_rows`, and every
+CSV and JSON file it writes through :func:`write_csv` and
+:func:`write_json`, so reruns with equal inputs produce identical bytes:
+floats are written as ``repr(float(v))`` (the shortest round-tripping
+form), everything else as ``csv`` formats it, and JSON keys are sorted.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+
+import numpy as np
+
+from .errors import InputError
+
+
+def read_csv_rows(path) -> tuple[list[str] | None, list[list[float]]]:
+    """``(header, rows)`` of a CSV of numbers: a first record that does not
+    parse as numbers is the header (None if there is none), empty cells and
+    blank lines are skipped, and every row must have one width.  Parsing is
+    locale-independent with ``.`` as the decimal separator."""
+    rows: list[list[float]] = []
+    header: list[str] | None = None
+    with open(path, newline="") as fh:
+        for lineno, rec in enumerate(csv.reader(fh), start=1):
+            rec = [c.strip() for c in rec if c.strip() != ""]
+            if not rec:
+                continue
+            if header is None and rows == []:
+                try:
+                    rows.append([float(c) for c in rec])
+                    continue
+                except ValueError:
+                    header = rec
+                    continue
+            try:
+                rows.append([float(c) for c in rec])
+            except ValueError as exc:
+                raise InputError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise InputError(f"{path}: ragged rows (widths {sorted(widths)})")
+    return header, rows
+
+
+def split_weight_column(header, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(data without the weight column, normalized weights)`` where the
+    header names a ``weight`` column, else ``(data, None)``."""
+    if header is not None and "weight" in header:
+        wi = header.index("weight")
+        w = data[:, wi]
+        data = np.delete(data, wi, axis=1)
+        total = w.sum()
+        if total <= 0:
+            raise InputError("weight column must have positive total mass")
+        return data, w / total
+    return data, None
 
 
 def write_csv(path, header, rows) -> None:
@@ -22,7 +72,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write `payload` with sorted keys, two-space indent and a final newline."""
+    """Write `payload` with sorted keys, two-space indent and a final newline.
+    A non-finite float is a ValueError, raised before the file is opened:
+    JSON has no such number."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -20,25 +20,31 @@ Conventions
 The distance layer
 ------------------
 Every distance of a coordinate-backed space comes from one kernel,
-``MMSpace._pairwise``, and every caller reads it through ``dist``,
-``dist_row``, ``dist_block``, ``submatrix``, ``distance``, the block
-iterator ``iter_blocks``, the distances to the sets of a boolean mask
-``iter_set_distances`` (``min_dist_to``: one set, as ids) or the
-read-ahead reader ``RowCache``, which every loop taking one point's row
-at a time reads through.  Every accessor given point ids checks them with
+``MMSpace._pairwise``.  ``dense()`` applies the materialization rule
+below, and two readers of caller-chosen rows are the only ones that
+choose between a held matrix and computed rows: ``dist_block`` copies
+the rows into a block, and ``iter_rows`` yields them one at a time, as
+views of a held matrix or else as rows of blocks computed by
+``iter_blocks``.  The other reads are built on them: ``dist_row``,
+``distance`` and ``submatrix`` are reads of ``iter_rows``, and so is
+each group of ``iter_set_distances`` (``min_dist_to``: one set, as ids).
+Whole passes read ``iter_blocks()``, views of a held matrix; loops that
+take one point's row at a time read through the read-ahead reader
+``RowCache``; the pair sample of ``char_size`` reads
+``_pair_distances``.  Every accessor given point ids checks them with
 ``check_ids``: an id that is negative, fractional, not below ``n`` or a
-bool is an ``InputError``, held matrix or not.
+bool, and a ragged list, is an ``InputError``, held matrix or not.
 
 * When the matrix is held.  One rule, on the input alone, so results do
   not depend on call order: a space built from a matrix holds it; a
   coordinate space holds it iff ``n <= AUTO_DENSE`` and builds it, through
   ``dist``, on its first read of the whole space or of rows one at a time
-  (``dist``, ``dist_row``, ``iter_blocks()`` over every point, which then
-  yields views of it, or a new ``RowCache``).  Reads of caller-chosen rows
-  (``dist_block``, ``iter_set_distances``, ``submatrix``, ``distance``)
-  use the matrix only if it exists, and construction computes no
-  distance.  ``dense()`` applies the rule.  An explicit ``dist`` request
-  builds the matrix of any space up to ``MATERIALIZE_LIMIT`` points.
+  (``dist``, ``dist_row``, ``iter_blocks()`` over every point, or a new
+  ``RowCache``).  Reads of caller-chosen rows (``dist_block``,
+  ``iter_rows`` and the reads built on it but ``dist_row``) use the
+  matrix only if it exists, and construction computes no distance.  An
+  explicit ``dist`` request builds the matrix of any space up to
+  ``MATERIALIZE_LIMIT`` points.
 
 * Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
   Euclidean spaces with fewer than ``GEMM_MIN_DIM`` coordinates use
@@ -74,19 +80,18 @@ bool is an ``InputError``, held matrix or not.
   threshold would cover every pair (``tau(d) >= 1``, beyond about 2000
   coordinates), or the squared norms could overflow, ``cdist`` is used.
 * Distances to sets.  ``iter_set_distances`` reads each row of the union
-  of a group of mask rows once, in index order, and takes it into the
-  output of every set holding it by ``np.minimum``: a view of a held
-  matrix (no gathered copy), else a row computed by ``iter_blocks``.
+  of a group of mask rows once, in index order, through ``iter_rows``,
+  and takes it into the output of every set holding it by
+  ``np.minimum``.
   ``min`` is exact, so each output has the bits of a minimum over the
   set's rows taken in any order.
 * One block budget.  Loops over rows (``iter_blocks``, the statistics
-  below, the greedy separated-subset scan in ``concentration``, the
-  read-ahead buffer of ``RowCache``) hold at most ``BLOCK_ENTRIES``
-  distances per block (``iter_blocks`` reuses one buffer for all its
-  blocks); ``iter_set_distances`` takes sets in groups of ``block_rows``,
-  so a group's k outputs hold ``k * n <= BLOCK_ENTRIES`` distances; and
-  the dense matrix is built through blocks of the same size, written in
-  place.
+  below, the read-ahead buffer of ``RowCache``) hold at most
+  ``BLOCK_ENTRIES`` distances per block (``iter_blocks`` reuses one
+  buffer for all its blocks); ``iter_set_distances`` takes sets in groups
+  of ``block_rows``, so a group's k outputs hold ``k * n <= BLOCK_ENTRIES``
+  distances; and the dense matrix is built through blocks of the same
+  size, written in place.
   ``char_size`` selects over these blocks
   (``_pair_order_stats``) under any weights, keeping at most
   ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
@@ -108,6 +113,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
+from .io import read_csv_rows, split_weight_column
 
 SYMMETRY_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
@@ -264,8 +270,10 @@ class MMSpace:
     coords : array, optional
         ``(n, d)`` point coordinates; distances are derived on demand
         under `metric`, which satisfies the metric axioms by construction,
-        so only finiteness is validated and no distance is computed at
-        construction.  Exactly one of `dist` / `coords` must be given.
+        so only finiteness is validated (Euclidean: also of the diagonal of
+        the bounding box, which bounds every distance) and no distance is
+        computed at construction.  Exactly one of `dist` / `coords` must be
+        given.
     metric : str, optional
         ``"euclidean"`` or ``"normalized_hamming"`` (fraction of differing
         coordinates).  Required with `coords`.
@@ -300,6 +308,12 @@ class MMSpace:
             if not finite_rows.all():
                 row = int(np.argmin(finite_rows))
                 raise InputError(f"non-finite coordinate in row {row}")
+            if metric == "euclidean":
+                with np.errstate(over="ignore"):
+                    diagonal = math.hypot(*np.ptp(coords, axis=0))
+                if not math.isfinite(diagonal):
+                    raise InputError("distances overflow: the diagonal of the "
+                                     "coordinates' bounding box is not finite")
             self._coords = coords
             self._coords.setflags(write=False)
             self._metric = metric
@@ -432,10 +446,11 @@ class MMSpace:
         return out
 
     def dist_row(self, i: int) -> np.ndarray:
-        """Distances from point `i` to every point."""
+        """Distances from point `i` to every point: :meth:`iter_rows`, after
+        :meth:`dense` builds the matrix of a space under the rule."""
         ids = self.check_ids([i])
-        m = self.dense()
-        return self._pairwise(ids)[0] if m is None else m[ids[0]]
+        self.dense()
+        return next(self.iter_rows(ids))
 
     def dist_block(self, ids, out=None) -> np.ndarray:
         """Distance rows for the given point ids, shape ``(len(ids), n)``,
@@ -465,10 +480,24 @@ class MMSpace:
             yield part, (self.dist_block(part, out=buf[: len(part)]) if m is None
                          else m[i0 : i0 + len(part)])
 
+    def iter_rows(self, ids):
+        """Each id's distance row, in order: a read-only view of a held
+        matrix, else a row of a block computed by :meth:`iter_blocks`, valid
+        until the next block.  The ids are checked at the call."""
+        ids, m = self.check_ids(ids), self._dist_cache
+        if m is not None:
+            return (m[i] for i in ids.tolist())
+        return (row for _, blk in self.iter_blocks(ids) for row in blk)
+
     def check_ids(self, ids, what: str = "point ids") -> np.ndarray:
-        """`ids` as a 1-D int array; InputError unless each is an integer
-        in ``[0, n)``, and not a bool, which numpy would turn into one."""
-        a = np.asarray(ids)
+        """`ids` as a 1-D int array; InputError unless they are a flat
+        sequence, each an integer in ``[0, n)`` and not a bool, which numpy
+        would turn into one."""
+        try:
+            a = np.asarray(ids)
+        except ValueError:  # ragged, such as [[0], 1]
+            raise InputError(f"{what} must be a 1-D sequence of integers, "
+                             f"got {ids!r}") from None
         if a.ndim != 1:
             raise InputError(f"{what} must be a 1-D sequence, got shape {a.shape}")
         if a.size == 0:
@@ -503,7 +532,7 @@ class MMSpace:
 
     def _set_distance_groups(self, sets):
         """The generator of :meth:`iter_set_distances`, on a checked mask."""
-        step, m = self.block_rows, self._dist_cache
+        step = self.block_rows
         for j0 in range(0, len(sets), step):
             member = sets[j0 : j0 + step]
             out = np.full(member.shape, np.inf)
@@ -512,9 +541,7 @@ class MMSpace:
             union, first = np.unique(pts, return_index=True)
             bounds = np.append(first, pts.size).tolist()
             owner = owner.tolist()
-            rows = ((m[i] for i in union.tolist()) if m is not None else
-                    (row for _, blk in self.iter_blocks(union) for row in blk))
-            for r, row in enumerate(rows):
+            for r, row in enumerate(self.iter_rows(union)):
                 for j in owner[bounds[r] : bounds[r + 1]]:
                     np.minimum(dst[j], row, out=dst[j])
             yield np.arange(j0, j0 + len(member)), out
@@ -529,17 +556,13 @@ class MMSpace:
     def submatrix(self, ids) -> np.ndarray:
         """Distances among the points `ids`, read from their full rows."""
         ids = self.check_ids(ids)
-        if self._dist_cache is not None:
-            return self._dist_cache[np.ix_(ids, ids)]
-        return np.concatenate([np.empty((0, ids.size))] + [
-            blk[:, ids] for _, blk in self.iter_blocks(ids)])
+        rows = [row[ids] for row in self.iter_rows(ids)]
+        return np.array(rows).reshape(ids.size, ids.size)
 
     def distance(self, i: int, j: int) -> float:
         """The distance between points `i` and `j`, read from i's full row."""
-        (i,), (j,) = self.check_ids([i]), self.check_ids([j])
-        if self._dist_cache is not None:
-            return float(self._dist_cache[i, j])
-        return float(self._pairwise(np.array([i]))[0, j])
+        (j,) = self.check_ids([j])
+        return float(next(self.iter_rows([i]))[j])
 
     # -- derived spaces --------------------------------------------------------
 
@@ -570,11 +593,13 @@ class RowCache:
     with those of the points ranked highest by each of the caller's scores
     in turn, as many as the buffer has free rows; points already buffered
     and points scored ``-inf`` are passed over.  The row returned last is
-    freed on the next call, so a miss always finds a free row, and no row
-    is dropped before it is taken: taking each point at most once computes
-    each row at most once.  The cache keeps the largest value of the rows
-    it computes; once it has computed every point's row, it fills the
-    space's diameter if that is not known, so a caller that takes every
+    freed on the next call, so a miss always finds a free row, and a miss
+    given scores first frees the rows that every one of them marks
+    ``-inf``.  No other row is dropped before it is taken: taking each
+    point at most once, and none once every score marks it ``-inf``,
+    computes each row at most once.  The cache keeps the largest value of
+    the rows it computes; once it has computed every point's row, it fills
+    the space's diameter if that is not known, so a caller that takes every
     point leaves no diameter pass to make.
     """
 
@@ -609,7 +634,17 @@ class RowCache:
         return self._buf[self._taken]
 
     def _fetch(self, x: int, scores) -> int:
-        """Compute x's row with the best scored others; x's buffer row."""
+        """Free the rows every score marks ``-inf``, then compute x's row with
+        the best scored others; x's buffer row."""
+        if scores:
+            held = self._ids[: self._held]
+            kept = np.flatnonzero(np.max([s[held] for s in scores], axis=0) > -np.inf)
+            if kept.size < held.size:
+                self._slot[held] = -1
+                self._buf[: kept.size] = self._buf[kept]
+                held[: kept.size] = held[kept]
+                self._slot[held[: kept.size]] = np.arange(kept.size)
+                self._held = kept.size
         want = [np.array([x])]
         skip = self._slot >= 0
         skip[x] = True
@@ -1024,47 +1059,6 @@ def product_distance_moments(space: MMSpace, include_diagonal: bool = True
 # -- CSV ingestion ---------------------------------------------------------------
 
 
-def _read_csv_rows(path) -> tuple[list[str] | None, list[list[float]]]:
-    import csv
-
-    rows: list[list[float]] = []
-    header: list[str] | None = None
-    with open(path, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            rec = [c.strip() for c in rec if c.strip() != ""]
-            if not rec:
-                continue
-            if header is None and rows == []:
-                try:
-                    rows.append([float(c) for c in rec])
-                    continue
-                except ValueError:
-                    header = rec
-                    continue
-            try:
-                rows.append([float(c) for c in rec])
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InputError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return header, rows
-
-
-def _split_weight_column(header, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    if header is not None and "weight" in header:
-        wi = header.index("weight")
-        w = data[:, wi]
-        data = np.delete(data, wi, axis=1)
-        total = w.sum()
-        if total <= 0:
-            raise InputError("weight column must have positive total mass")
-        return data, w / total
-    return data, None
-
-
 def load_points_csv(path, metric: str = "euclidean", label: str | None = None) -> MMSpace:
     """Read a point cloud from CSV: one row per point, optional header.
 
@@ -1072,9 +1066,9 @@ def load_points_csv(path, metric: str = "euclidean", label: str | None = None) -
     other columns are coordinates.  Parsing is locale-independent with
     ``.`` as the decimal separator.
     """
-    header, rows = _read_csv_rows(path)
+    header, rows = read_csv_rows(path)
     data = np.asarray(rows, dtype=float)
-    data, w = _split_weight_column(header, data)
+    data, w = split_weight_column(header, data)
     return from_points(data, weights=w, metric=metric, label=label or str(path))
 
 
@@ -1083,9 +1077,9 @@ def load_distance_csv(path, label: str | None = None) -> MMSpace:
 
     With a header, a ``weight`` column supplies the (normalized) measure.
     """
-    header, rows = _read_csv_rows(path)
+    header, rows = read_csv_rows(path)
     data = np.asarray(rows, dtype=float)
-    data, w = _split_weight_column(header, data)
+    data, w = split_weight_column(header, data)
     if data.shape[0] != data.shape[1]:
         raise InputError(
             f"{path}: distance matrix must be square, got {data.shape[0]} rows "

@@ -1,10 +1,14 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import concdim
 from concdim.cli import main
 from concdim.concentration import sep_exact
 from concdim.mmspace import GeneratorSpec, generate
@@ -231,3 +235,56 @@ def test_out_of_range_parameters_exit_2(tmp_path, args):
                    "--param", "sigma=1", "--param", "n=12",
                    "--out", str(out)) == 2
     assert not (out / "alpha.csv").exists() and not (out / "sep.csv").exists()
+
+
+#: name -> (input file contents, command line with {} for its path, a
+#: fragment of the message); {d} is a valid two-point distance matrix
+BOUND = ["bound", "--eps", "0.2", "--delta", "0.01", "--cover", "{}"]
+MENDED = {
+    "cover, header only": ("u,n_upper,n_lower\n", BOUND, "no data rows"),
+    "cover, two columns": ("u,n_upper\n0.1,3\n", BOUND, "3 columns"),
+    "cover, fractional count": ("u,n_upper,n_lower\n0.001,3.5,1\n", BOUND, "whole counts"),
+    "mu, a matrix": ("0.5,0\n0,0.5\n", ["emd", "--space", "{d}", "--mu", "{}", "--nu", "{}"],
+                     "one column or one row"),
+    "sep, overflowing distances": ("x\n1e308\n-1e308\n", ["sep", "--points", "{}"],
+                                   "overflow"),
+    "obsdiam, overflowing distances": ("x\n1e308\n-1e308\n",
+                                       ["obsdiam", "--points", "{}", "--kappa", "0.1"],
+                                       "overflow"),
+    "experiment, a number for a list": ("", ["experiment", "--name", "sampling_convergence",
+                                             "--param", "sizes=3"], "must be a list"),
+    "experiment, a word for a number": ("", ["experiment", "--name", "noise_instability",
+                                             "--param", "d=x"], "must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MENDED))
+def test_mended_inputs_exit_2_in_a_fresh_process(tmp_path, case):
+    # a fresh process with a time limit: `obsdiam` on the overflowing
+    # points used to never return, and a traceback would reach stderr
+    text, args, message = MENDED[case]
+    path, dist = tmp_path / "in.csv", tmp_path / "d.csv"
+    path.write_text(text)
+    dist.write_text("0,1\n1,0\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(concdim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "concdim.cli", *(a.format(path, d=dist) for a in args),
+         "--out", str(out)], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    for written in out.glob("*.json"):
+        json.loads(written.read_text(), parse_constant=pytest.fail)
+
+
+def test_emd_reads_weights_as_a_column_or_a_row(tmp_path):
+    dist = tmp_path / "d.csv"
+    dist.write_text("0,1\n1,0\n")
+    column, row = tmp_path / "column.csv", tmp_path / "row.csv"
+    column.write_text("1\n0\n")
+    row.write_text("0,1\n")
+    assert run_cli("emd", "--space", str(dist), "--mu", str(column), "--nu", str(row),
+                   "--out", str(tmp_path / "emd")) == 0
+    assert json.loads((tmp_path / "emd" / "emd.json").read_text())["cost"] == 1.0

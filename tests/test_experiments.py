@@ -20,6 +20,28 @@ def test_unknown_param_rejected(tmp_path):
         run(ExperimentSpec("hamming_dimension", 0, {"bogus": 1}), tmp_path)
 
 
+@pytest.mark.parametrize("name, params, match", [
+    ("sampling_convergence", {"sizes": 3}, "must be a list"),
+    ("sampling_convergence", {"sizes": [50, "x"]}, "must be an integer"),
+    ("sampling_convergence", {"n_seeds": 2.5}, "must be an integer"),
+    ("sampling_convergence", {"n_seeds": True}, "must be an integer"),
+    ("sampling_convergence", {"restarts": [4]}, "must be an integer"),
+    ("noise_instability", {"sigma2": float("nan")}, "must be a finite number"),
+    ("noise_instability", {"min_distance": "1"}, "must be a finite number"),
+])
+def test_params_of_another_type_rejected(tmp_path, name, params, match):
+    with pytest.raises(InputError, match=match):
+        run(ExperimentSpec(name, 0, params), tmp_path)
+
+
+def test_integral_float_params_pass_as_integers(tmp_path):
+    # the command line reads n=1e4 as a float
+    run(ExperimentSpec("sampling_convergence", 0,
+                       {"n_seeds": 1.0, "sizes": [50.0], "d": 4.0}), tmp_path)
+    rows = (tmp_path / "sampling_convergence.csv").read_text().splitlines()
+    assert rows[1].startswith("0,50,")
+
+
 def test_derived_seed_deterministic():
     assert derived_seed(7, 1, 2) == derived_seed(7, 1, 2)
     assert derived_seed(7, 1, 2) != derived_seed(7, 2, 1)

@@ -50,6 +50,13 @@ def test_distance_feature_rejects_empty_anchor_set():
             distance_feature(two_point(), anchors)
 
 
+def test_feature_refuses_non_finite_values():
+    # distances that overflowed to inf made observable_diameter bisect forever
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="non-finite"):
+            Feature(np.array([0.0, bad]), 1.0, 1.0, "f")
+
+
 def test_check_lipschitz_constant_function():
     f = check_lipschitz(two_point(), [0.7, 0.7])
     assert isinstance(f, Feature)

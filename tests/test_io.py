@@ -1,30 +1,47 @@
-"""Every output file is written by ``concdim.io``, so its format is decided
-in one place."""
+"""Every output file is written, and every input CSV read, by
+``concdim.io``, so each format is decided in one place."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import concdim
-from concdim.io import write_csv
+from concdim.io import write_csv, write_json
 
 
 def test_only_io_writes_csv_or_json():
-    writers = {("csv", "writer"), ("json", "dump")}
+    assert_only_io_calls({("csv", "writer"), ("json", "dump")})
+
+
+def test_only_io_reads_csv():
+    assert_only_io_calls({("csv", "reader"), ("np", "loadtxt"), ("np", "genfromtxt")})
+
+
+def assert_only_io_calls(calls):
+    """No module but ``io`` calls or imports any ``(module, name)`` of `calls`."""
     for path in sorted(Path(concdim.__file__).parent.glob("*.py")):
         if path.name == "io.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                assert (node.value.id, node.attr) not in writers, \
+                assert (node.value.id, node.attr) not in calls, \
                     f"{path.name} calls {node.value.id}.{node.attr}"
             elif isinstance(node, ast.ImportFrom):
                 names = {(node.module, a.name) for a in node.names}
-                assert not names & writers, f"{path.name} imports {names & writers}"
+                assert not names & calls, f"{path.name} imports {names & calls}"
 
 
 def test_write_csv_writes_floats_as_repr(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ("i", "x"), [(np.int64(3), np.float64(0.1)), (4, 1e-17), (5, 2.0)])
     assert path.read_bytes() == b"i,x\r\n3,0.1\r\n4,1e-17\r\n5,2.0\r\n"
+
+
+def test_write_json_refuses_non_finite_numbers_before_writing(tmp_path):
+    path = tmp_path / "t.json"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            write_json(path, {"diameter": bad})
+        assert not path.exists()

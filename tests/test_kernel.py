@@ -21,7 +21,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from concdim import features, mmspace
-from concdim.concentration import greedy_separated_subset
+from concdim.concentration import greedy_separated_subset, sep_lower
 from concdim.errors import InputError
 from concdim.features import Feature, check_lipschitz, dictionary, distance_feature
 from concdim.mmspace import (
@@ -335,6 +335,48 @@ def test_blocked_greedy_matches_row_by_row_scan(d):
     assert greedy_separated_subset(dense, 1.0).tolist() == naive_greedy(dense, 1.0)
 
 
+def noise(n: int, d: int = 50) -> np.ndarray:
+    """Gaussian points at noise scale ``sigma**2 = 1/d``, as in criterion 7."""
+    return np.random.default_rng(d).normal(0.0, np.sqrt(1.0 / d), size=(n, d))
+
+
+def scan_blocks(x: np.ndarray, min_distance: float, block_rows: int) -> list[list[int]]:
+    """The blocks of a scan that computes the rows of the next `block_rows`
+    still-alive candidates at once, from the one after its last block."""
+    ref = from_points(x)
+    alive = np.ones(len(x), dtype=bool)
+    blocks, start = [], 0
+    while (cand := start + np.flatnonzero(alive[start:])[:block_rows]).size:
+        blocks.append(cand.tolist())
+        for i in cand:
+            if alive[i]:
+                alive &= ref.dist_row(i) >= min_distance
+        start = int(cand[-1]) + 1
+    return blocks
+
+
+def test_greedy_scan_reads_ahead_the_next_alive_candidates(monkeypatch):
+    # a miss frees the rows of candidates removed since they were read, so
+    # every block holds the next block_rows alive candidates
+    x = noise(1500)
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 64 * len(x))
+    want = scan_blocks(x, 1.0, 64)
+    calls = count_rows(monkeypatch)
+    greedy_separated_subset(from_points(x), 1.0)
+    assert [sorted(c.tolist()) for c in calls] == want
+    assert 5 < len(want) < len(x) // 64
+
+
+def test_greedy_subset_and_sep_lower_compute_each_row_once(monkeypatch):
+    # a space under the rule: the scan builds the matrix that sep_lower reads
+    space = from_points(noise(1500))
+    calls = count_rows(monkeypatch)
+    greedy_separated_subset(space, 1.0)
+    sep_lower(space, restarts=2)
+    assert sorted(np.concatenate(calls).tolist()) == list(range(space.n))
+
+
 @pytest.mark.parametrize("held", [True, False])
 @pytest.mark.parametrize("kind", sorted(SET_SPACES))
 def test_accessors_reject_ids_that_are_not_points(kind, held, monkeypatch):
@@ -351,9 +393,10 @@ def test_accessors_reject_ids_that_are_not_points(kind, held, monkeypatch):
                            (True, "integers")):
             with pytest.raises(InputError, match=match):
                 read(bad)
-    # numpy would read a bool among numbers as 0 or 1
+    # numpy would read a bool among numbers as 0 or 1, and refuse a ragged
+    # list with its own ValueError
     for read in (space.dist_block, space.submatrix, space.min_dist_to):
-        for bad in ([True, 0], [True, 1.0], [0, np.True_], (2, False)):
+        for bad in ([True, 0], [True, 1.0], [0, np.True_], (2, False), [[0], 1]):
             with pytest.raises(InputError, match="integers"):
                 read(bad)
     assert bits(space.dist_row(299.0)) == bits(space.dist_block([299])[0])

@@ -116,3 +116,35 @@ def test_only_mmspace_names_the_materialization_rule():
             elif isinstance(node, ast.alias):
                 names.add(node.asname or node.name)
         assert not names & rule, f"{path.name} names {sorted(names & rule)}"
+
+
+
+def test_only_the_readers_branch_on_a_held_matrix():
+    # the rule is dense(); dist_block (copies) and iter_rows (views) serve
+    # caller-chosen rows, iter_blocks whole passes, RowCache rows one at a
+    # time and _pair_distances pair samples, and every other read goes
+    # through them.  Construction sets the matrix and is_dense reports it;
+    # dist_row calls dense() to apply the rule.
+    readers = {"dist", "dense", "dist_block", "iter_rows", "iter_blocks", "RowCache",
+               "_pair_distances"}
+    tree = ast.parse(Path(mmspace.__file__).read_text())
+    units = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "MMSpace":
+            units.update((f.name, f) for f in node.body if isinstance(f, ast.FunctionDef))
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            units[node.name] = node
+    touch, call = set(), set()
+    for name, unit in units.items():
+        for node in ast.walk(unit):
+            if isinstance(node, ast.Attribute) and node.attr == "_dist_cache":
+                touch.add(name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dense":
+                call.add(name)
+    assert touch <= readers | {"__init__", "is_dense"}, sorted(touch - readers)
+    assert call <= readers | {"dist_row"}, sorted(call - readers)
+    assert {"dist_block", "iter_rows"} <= touch
+    assert {"dist_row", "distance", "submatrix", "_set_distance_groups"} <= set(units)
+    for path in sorted(Path(concdim.__file__).parent.glob("*.py")):
+        if path.name != "mmspace.py":
+            assert "_dist_cache" not in path.read_text(), path.name

@@ -46,6 +46,15 @@ def test_from_points_rejects_nonfinite_with_row():
         from_points([[0.0], [np.nan]])
 
 
+def test_from_points_rejects_coordinates_whose_distances_overflow():
+    # finite coordinates 2e308 apart; the Hamming metric cannot overflow
+    x = [[1e308, 0.0], [-1e308, 0.0]]
+    with pytest.raises(InputError, match="overflow"):
+        from_points(x)
+    assert from_points(x, metric="normalized_hamming").dist[0, 1] == 0.5
+    assert from_points([[1e153] * 16, [-1e153] * 16]).n == 2
+
+
 def test_from_points_rejects_negative_weight():
     with pytest.raises(InputError, match="negative weight"):
         from_points([[0.0], [1.0]], weights=[1.5, -0.5])
