@@ -33,7 +33,7 @@ from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import Feature
 from .io import write_csv
 from .mmspace import (MMSpace, RowCache, check_count, check_int, diameter,
-                      weighted_median)
+                      pick_order_stats, weighted_median)
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
 ORACLE_LIMIT = 22
@@ -558,10 +558,7 @@ def _ball_complement_witness(space: MMSpace, center: int,
         np.minimum(d_to_a, rows.take(idx), out=d_to_a)
         mass += float(w[idx])
         while gi < grid.size and mass >= grid[gi] - MASS_TOL:
-            far_order = np.argsort(-d_to_a, kind="stable")
-            cum = np.cumsum(w[far_order])
-            pos = int(np.searchsorted(cum, grid[gi] - MASS_TOL, side="left"))
-            t = float(d_to_a[far_order][min(pos, n - 1)])
+            t = -pick_order_stats(-d_to_a, w, 0.0, [grid[gi] - MASS_TOL])[0]
             out[gi] = max(t, 0.0) if np.isfinite(t) else 0.0
             gi += 1
         if gi == grid.size:
@@ -789,33 +786,61 @@ def sep_hamming_profile(d: int) -> SeparationProfile:
 
 
 def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
-    """Largest D whose pairs with ``v_b <= v_a - D`` carry mass at least
-    `target`; the pair (a, b) has mass ``u_a * u_b``, or 1 if `u` is None.
+    """Largest attained ``|v_a - v_b|`` whose ordered pairs at or above it
+    carry mass at least `target`, or 0 if the pairs with ``v_a != v_b``
+    carry less; the pair (a, b) has mass ``u_a * u_b``, or 1 if `u` is None.
 
-    Bisection; a probe sums the mass by binary search in the sorted values
-    and prefix sums of their weights (exact counts when `u` is None).  The
-    mass is a step function of D, so the lower end is exact once the
-    bracketing floats are adjacent.
+    Exact.  Each unordered pair counts once, against half the target.  Row
+    a of the sorted values reaches a difference D on a prefix ``b < c_a``
+    (:func:`_reaching`), so the pairs between two probes are a window of
+    index ranges ``[lo_a, hi_a)``.  Probes halfway between its least and
+    largest differences narrow it to at most n pairs, or one difference;
+    ``pick_order_stats`` then picks among its negated differences.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
     w = np.ones(v.size) if u is None else u[order]
     prefix = np.concatenate([[0.0], np.cumsum(w)])
-    # v - d rounds to v for d below half an ulp of v, so cap each count
-    # before v's own ties
-    first = np.searchsorted(v, v, side="left")
-    if 2.0 * float(w @ prefix[first]) < target:  # no probe beats pairs v_b < v_a
+    half = -(-target // 2) if u is None else target / 2
+    rows, lo, hi = np.arange(v.size), np.zeros(v.size, dtype=int), np.searchsorted(v, v)
+    if float(w @ prefix[hi]) < half:
         return 0.0
-    lo, hi = 0.0, float(v[-1] - v[0]) + 1.0
-    while True:
-        mid = (lo + hi) / 2.0
-        if mid <= lo or mid >= hi:
-            return lo
-        below = prefix[np.minimum(np.searchsorted(v, v - mid, side="right"), first)]
-        if 2.0 * float(w @ below) >= target:
-            lo = mid
-        else:
-            hi = mid
+    above = 0.0  # mass of the pairs above the window
+    for _ in range(4096):  # a probe halves the range: 2098 halvings span the floats
+        keep = lo < hi
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+        top, bottom = (v[rows] - v[lo]).max(), (v[rows] - v[hi - 1]).min()
+        if top == bottom:
+            return float(top)
+        if (hi - lo).sum() <= v.size:
+            break
+        probe = bottom + (top - bottom) / 2
+        c = _reaching(v, probe if probe > bottom else top, rows, lo, hi)
+        m = above + float(w[rows] @ (prefix[c] - prefix[lo]))
+        lo, hi, above = (lo, c, above) if m >= half else (c, hi, m)
+    else:
+        raise InvariantViolation("observable diameter selection did not converge")
+    widths = hi - lo
+    a = np.repeat(rows, widths)
+    b = np.arange(a.size) + np.repeat(lo + widths - np.cumsum(widths), widths)
+    masses = None if u is None else w[a] * w[b]
+    return -pick_order_stats(v[b] - v[a], masses, above, [half])[0]
+
+
+def _reaching(v: np.ndarray, d: float, rows, lo, hi) -> np.ndarray:
+    """For each of `rows`, the number of b with ``v[row] - v[b] >= d`` in
+    floats, known to lie in ``[lo, hi]``; `v` ascending.  Bisection, whose
+    first two steps test the two sides of a guess from ``v[row] - d``."""
+    va, lo, hi = v[rows], lo.copy(), hi.copy()
+    guess, step = np.searchsorted(v, va - d, side="right"), 0  # va - d rounds
+    open_ = np.flatnonzero(lo < hi)
+    while open_.size:
+        mid = (np.clip(guess[open_] + step - 1, lo[open_], hi[open_] - 1) if step < 2
+               else (lo[open_] + hi[open_]) // 2)
+        ok = va[open_] - v[mid] >= d
+        lo[open_[ok]], hi[open_[~ok]] = mid[ok] + 1, mid[~ok]
+        open_, step = open_[lo[open_] < hi[open_]], step + 1
+    return lo
 
 
 def observable_diameter(space: MMSpace, kappa: float,
@@ -823,11 +848,10 @@ def observable_diameter(space: MMSpace, kappa: float,
     """Largest observable diameter over a feature dictionary (lower bound).
 
     For each feature the least D with ``P[|f(x) - f(y)| > D] < kappa``
-    under the product measure, by bisection on its n values under any
-    weights (O(n) memory).  It tests ``v_b <= v_a - D``, so it may sit up
-    to 2 ulp of the largest ``|v|`` from the exact ``|v_a - v_b|``.  The
-    maximum over the finite dictionary can only under-report the supremum
-    over all non-expanding functions.
+    under the product measure, an attained ``|v_a - v_b|`` selected exactly
+    from its n sorted values under any weights (O(n) memory; see
+    ``_kth_largest_abs_diff``).  The maximum over the finite dictionary can
+    only under-report the supremum over all non-expanding functions.
     """
     if not (0 < kappa < 1):
         raise InputError(f"kappa must lie in (0, 1), got {kappa!r}")

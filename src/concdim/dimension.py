@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import ConcentrationProfile, SeparationProfile
-from .mmspace import MMSpace, product_distance_moments
+from .mmspace import MMSpace, _unit_moments
 
 def dim_concentration(profile: ConcentrationProfile, unit_range: bool = False) -> float:
     """Concentration dimension ``1 / (2 I)**2`` with ``I = int alpha``.
@@ -31,10 +31,7 @@ def dim_concentration(profile: ConcentrationProfile, unit_range: bool = False) -
     ``[0, 1]`` (identical whenever the diameter is at most 1).  Returns
     ``inf`` when the integral vanishes.
     """
-    i = profile.integral(1.0 if unit_range else math.inf)
-    if i <= 0.0:
-        return math.inf
-    return 1.0 / (2.0 * i) ** 2
+    return _inverse_square(profile.integral(1.0 if unit_range else math.inf))
 
 
 def dim_separation(profile: SeparationProfile) -> float:
@@ -43,10 +40,18 @@ def dim_separation(profile: SeparationProfile) -> float:
     The profile value at its smallest grid point extends the integrand to
     ``kappa -> 0``; returns ``inf`` when the integral vanishes.
     """
-    j = profile.integral()
-    if j <= 0.0:
+    return _inverse_square(profile.integral())
+
+
+def _inverse_square(i: float) -> float:
+    """``1 / (2 i)**2``: inf where ``i <= 0``, and 0 where the square
+    overflows, as the exact value underflows."""
+    if i <= 0.0:
         return math.inf
-    return 1.0 / (2.0 * j) ** 2
+    try:
+        return 1.0 / (2.0 * i) ** 2
+    except OverflowError:
+        return 0.0
 
 
 def dim_chavez(space: MMSpace, include_diagonal: bool = True) -> float:
@@ -58,7 +63,7 @@ def dim_chavez(space: MMSpace, include_diagonal: bool = True) -> float:
     Scale-invariant; ``inf`` when the variance vanishes, singletons
     included.
     """
-    m, var = product_distance_moments(space, include_diagonal=include_diagonal)
+    m, var = _unit_moments(space, include_diagonal)  # no overflow; the ratio has no unit
     if var <= 0.0:
         return math.inf
     return m * m / (2.0 * var)

@@ -20,8 +20,9 @@ from .errors import InputError
 def read_csv_rows(path) -> tuple[list[str] | None, list[list[float]]]:
     """``(header, rows)`` of a CSV of numbers: a first record that does not
     parse as numbers is the header (None if there is none), empty cells and
-    blank lines are skipped, and every row must have one width.  Parsing is
-    locale-independent with ``.`` as the decimal separator."""
+    blank lines are skipped, and every row, the header too, must have one
+    width.  Parsing is locale-independent with ``.`` as the decimal
+    separator."""
     rows: list[list[float]] = []
     header: list[str] | None = None
     with open(path, newline="") as fh:
@@ -45,6 +46,9 @@ def read_csv_rows(path) -> tuple[list[str] | None, list[list[float]]]:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"{path}: ragged rows (widths {sorted(widths)})")
+    if header is not None and len(header) not in widths:
+        raise InputError(f"{path}: the header names {len(header)} columns, "
+                         f"the rows hold {widths.pop()}")
     return header, rows
 
 

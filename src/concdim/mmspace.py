@@ -51,7 +51,10 @@ bool, and a ragged list, is an ``InputError``, held matrix or not.
   ``cdist`` too, which is faster there; from ``GEMM_MIN_DIM`` on, squared
   distances are ``(|x|^2 + |y|^2) - 2 x.y`` on coordinates centred at
   their mean, computed as one BLAS GEMM with the squared norms folded into
-  the product as its first two columns.
+  the product as its first two columns.  Where the bounding box's
+  diagonal reaches 2**511, ``cdist`` and ``_pair_distances`` square
+  coordinates divided by a power of two (``_unit_for``) and scale the
+  distances back, exactly, so none overflows.
 * Canonical rows.  Each distance row has the same bits however it is
   read: alone (``dist_row``, ``dist_block([i])``), entry by entry
   (``distance``, ``submatrix``, which read full rows), inside a block of
@@ -95,6 +98,8 @@ bool, and a ragged list, is an ``InputError``, held matrix or not.
   ``char_size`` selects over these blocks
   (``_pair_order_stats``) under any weights, keeping at most
   ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
+  One pick, ``pick_order_stats``, answers from the values it keeps, as
+  it does for the observable diameter of a feature.
   Its pair sample makes no pass of its own: it reads the sampled pairs
   from the held matrix or from their coordinates, 1024 pairs at a time.
 * The diameter costs no pass of its own when another read already
@@ -243,6 +248,14 @@ def _gemm_operands(coords: np.ndarray):
     return aug, tau, tau * (aug[:n, 1] + aug[:n, 1].max())
 
 
+def _unit_for(scale: float) -> float:
+    """1 for a largest distance `scale` below 2**511, else the power of two
+    that puts it in ``[2**510, 2**511)``: every distance over it squares
+    without overflow, and the division is exact while the squares of the
+    small ones stay normal (distances above ``scale * 2**-1021``)."""
+    return math.ldexp(1.0, max(0, math.frexp(scale)[1] - 511))
+
+
 def _gemm_cols(n: int) -> int:
     """Columns of the product that computes distance rows of ``n`` points.
 
@@ -316,6 +329,9 @@ class MMSpace:
                                      "coordinates' bounding box is not finite")
             self._coords = coords
             self._coords.setflags(write=False)
+            # cdist and _pair_distances square these over the unit (_unit_for)
+            self._unit = _unit_for(diagonal if metric == "euclidean" else 1.0)
+            self._scaled = coords if self._unit == 1.0 else coords / self._unit
             self._metric = metric
             self._dist_cache = None
             self._gemm = _gemm_operands(coords) if metric == "euclidean" else None
@@ -349,6 +365,7 @@ class MMSpace:
             _check_triangle(dist, ids)
             dist.setflags(write=False)
             self._dist_cache = dist
+            self._unit = _unit_for(float(dist.max()))
             self._coords = None
             self._metric = None
             self._gemm = None
@@ -410,7 +427,9 @@ class MMSpace:
         (see the module notes).  A point's own entry is exactly 0."""
         if self._gemm is None:
             metric = "euclidean" if self._metric == "euclidean" else "hamming"
-            out = cdist(self._coords[rows], self._coords, metric=metric, out=out)
+            out = cdist(self._scaled[rows], self._scaled, metric=metric, out=out)
+            if self._unit != 1.0:
+                out *= self._unit
         else:
             out = self._gemm_pairwise(rows, out)
         out[np.arange(len(rows)), rows] = 0.0
@@ -903,7 +922,7 @@ def _pair_distances(space: MMSpace, rows: np.ndarray, cols: np.ndarray) -> np.nd
     the module notes): the bits may differ from the kernel's."""
     if space._dist_cache is not None:
         return space._dist_cache[rows, cols]
-    c, out = space._coords, np.empty(rows.size)
+    c, out = space._scaled, np.empty(rows.size)
     step = max(1, min(1024, BLOCK_ENTRIES // c.shape[1]))
     for k in range(0, rows.size, step):
         diff = c[rows[k : k + step]] - c[cols[k : k + step]]
@@ -911,7 +930,22 @@ def _pair_distances(space: MMSpace, rows: np.ndarray, cols: np.ndarray) -> np.nd
             out[k : k + step] = np.einsum("ij,ij->i", diff, diff)
         else:
             out[k : k + step] = np.count_nonzero(diff, axis=1) / c.shape[1]
-    return np.sqrt(out, out=out) if space._metric == "euclidean" else out
+    if space._metric == "euclidean":
+        np.multiply(np.sqrt(out, out=out), space._unit, out=out)
+    return out
+
+
+def pick_order_stats(vals: np.ndarray, masses, below, targets) -> list[float]:
+    """For each of `targets`, the smallest of `vals` at which `below` plus
+    the mass of the values up to it reaches the target; `masses` None gives
+    each value mass 1, and the targets are then ranks, selected in place."""
+    if masses is None:
+        ks = [int(t - below) - 1 for t in targets]
+        vals.partition(ks)
+        return [float(vals[k]) for k in ks]
+    order = np.argsort(vals, kind="stable")
+    ks = np.searchsorted(below + np.cumsum(masses[order]), targets)
+    return [float(vals[order[min(k, vals.size - 1)]]) for k in ks]
 
 
 def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
@@ -947,7 +981,7 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
     for _ in range(64 * len(targets)):
         pending, (lo, hi, a, b) = work.pop()
         below = inside = kept = 0
-        vmin, vmax, counts, order = np.inf, -np.inf, None, None
+        vmin, vmax, counts = np.inf, -np.inf, None
         fill, top = space._diameter_cache is None, -np.inf
         for ids, blk in space.iter_blocks():
             if fill:
@@ -975,7 +1009,7 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
         if fill:
             space._diameter_cache = top
         hi = min(hi, space._diameter_cache)
-        nxt, binned = {}, []
+        nxt, binned, picked = {}, [], []
         for t in pending:
             if below >= t:
                 nxt.setdefault((lo, np.nextafter(a, -np.inf)) * 2, []).append(t)
@@ -983,16 +1017,11 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
                 nxt.setdefault((np.nextafter(b, np.inf), hi) * 2, []).append(t)
             elif vmin == vmax:
                 found[t] = float(vmin)
-            elif counts is None and u is None:  # the rank, selected in place
-                vals[:kept].partition(t - below - 1)
-                found[t] = float(vals[t - below - 1])
-            elif counts is None:
-                if order is None:
-                    order = np.argsort(vals[:kept], kind="stable")
-                k = int(np.searchsorted(below + np.cumsum(masses[:kept][order]), t))
-                found[t] = float(vals[order[min(k, kept - 1)]])
             else:
-                binned.append(t)
+                (picked if counts is None else binned).append(t)
+        if picked:
+            found.update(zip(picked, pick_order_stats(
+                vals[:kept], None if u is None else masses[:kept], below, picked)))
         if binned:
             for t, k in zip(binned, np.searchsorted(below + np.cumsum(counts), binned)):
                 nxt.setdefault((a, b, a if k == 0 else edges[k - 1], b if k == edges.size
@@ -1040,11 +1069,22 @@ def product_distance_moments(space: MMSpace, include_diagonal: bool = True
     """Mean and variance of the distance under the product measure.
 
     With ``include_diagonal=False`` the measure is conditioned on distinct
-    index pairs (renormalized by ``1 - sum(w_i**2)``).
+    index pairs (renormalized by ``1 - sum(w_i**2)``).  The variance is inf
+    where it passes the largest float.
     """
+    m1, var = _unit_moments(space, include_diagonal)
+    return m1 * space._unit, var * space._unit * space._unit
+
+
+def _unit_moments(space: MMSpace, include_diagonal: bool) -> tuple[float, float]:
+    """:func:`product_distance_moments` of the distances over the space's
+    power-of-two unit (1 unless they are large), so squares do not
+    overflow."""
     w = space.weights
     m1 = m2 = 0.0
     for ids, blk in space.iter_blocks():
+        if space._unit != 1.0:
+            blk = blk / space._unit
         m1 += float(w[ids] @ (blk @ w))
         m2 += float(w[ids] @ ((blk * blk) @ w))
     if not include_diagonal:

@@ -12,6 +12,7 @@ import concdim
 from concdim.cli import main
 from concdim.concentration import sep_exact
 from concdim.mmspace import GeneratorSpec, generate
+from util import run_fresh
 
 
 def run_cli(*args) -> int:
@@ -288,3 +289,193 @@ def test_emd_reads_weights_as_a_column_or_a_row(tmp_path):
     assert run_cli("emd", "--space", str(dist), "--mu", str(column), "--nu", str(row),
                    "--out", str(tmp_path / "emd")) == 0
     assert json.loads((tmp_path / "emd" / "emd.json").read_text())["cost"] == 1.0
+
+
+# -- a seeded table of malformed inputs over every subcommand -----------------------
+
+#: a valid file of each kind and the command lines that read it: {} is its
+#: path, {d} a valid distance matrix and {w} a valid weight vector on it
+VALID = {
+    "points": ("x,y\n0,0\n1,0\n0,1\n1,1\n", [
+        ["alpha", "--points", "{}"], ["sep", "--points", "{}", "--kappa", "0.25"],
+        ["obsdiam", "--points", "{}", "--kappa", "0.1"], ["dims", "--points", "{}"],
+        ["net", "--points", "{}", "--radius", "0.5"]]),
+    "dist": ("0,1,2\n1,0,1\n2,1,0\n", [
+        ["alpha", "--dist", "{}", "--eps", "0.5"], ["sep", "--dist", "{}"],
+        ["obsdiam", "--dist", "{}", "--kappa", "0.3"], ["dims", "--dist", "{}"],
+        ["net", "--dist", "{}", "--grid", "0.5", "1.5"],
+        ["emd", "--space", "{}", "--mu", "{w}", "--nu", "{w}"]]),
+    "weights": ("0.5\n0.25\n0.25\n", [
+        ["emd", "--space", "{d}", "--mu", "{}", "--nu", "{w}"]]),
+    "cover": ("u,n_upper,n_lower\n0.0001,4,4\n0.5,2,1\n2,1,1\n", [
+        ["bound", "--eps", "0.2", "--delta", "0.01", "--cover", "{}"]]),
+}
+
+#: replacements for one cell of a file
+CELLS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1", "0", "abc", "1e-320",
+         "2.5", "", "1;2", "0x10", "1_0"]
+
+#: replacements for one option's value
+VALUES = {"--kappa": ["0", "-0.5", "nan", "inf", "1", "0.5", "1e-300", "x"],
+          "--eps": ["-1", "nan", "inf", "1e308"],
+          "--radius": ["0", "-1", "nan", "inf", "1e-300", "1e308"],
+          "--delta": ["0", "1", "nan", "-0.5", "1e-300"],
+          "--grid": ["nan", "-1", "0", "1e308"]}
+
+#: command lines whose inputs are all on the line
+FIXED = [
+    ["gen", "--family", "gaussian_cloud", "--param", "d=2", "--param", "sigma=1",
+     "--param", "n=4"],
+    ["gen", "--family", "nosuch"],
+    ["gen", "--family", "sphere", "--param", "n=3"],
+    ["gen", "--family", "sphere", "--param", "n=3", "--param", "n_dim=0"],
+    ["gen", "--family", "sphere", "--param", "n=2.5", "--param", "n_dim=2"],
+    ["gen", "--family", "sphere", "--param", "n=1e9", "--param", "n_dim=2"],
+    ["gen", "--family", "hamming_cube", "--param", "d=25"],
+    ["gen", "--family", "hamming_cube", "--param", "d=x"],
+    ["gen", "--family", "gaussian_cloud", "--param", "d=2", "--param", "sigma=nan",
+     "--param", "n=4"],
+    ["gen", "--family", "noisy_embedding", "--param", "base=x", "--param", "ambient_d=2",
+     "--param", "sigma=1", "--param", "n=4"],
+    ["gen", "--family", "gaussian_cloud", "--param", "d=2", "--param", "sigma=1",
+     "--param", "n=4", "--param", "extra=1"],
+    ["alpha", "--family", "sphere", "--param", "n=5", "--param", "n_dim=x"],
+    ["sep", "--analytic-d", "0", "--kappa", "0.25"],
+    ["sep", "--analytic-d", "10000", "--kappa", "0.25"],
+    ["sep", "--analytic-d", "3"],
+    ["alpha", "--points", "missing.csv"],
+    ["bound", "--eps", "0.2", "--delta", "0.01", "--cover", "missing.csv"],
+    ["experiment", "--name", "nosuch"],
+    ["experiment", "--name", "sampling_convergence", "--param", "sizes=3"],
+    ["experiment", "--name", "sampling_convergence", "--param", "sizes=0,"],
+    ["experiment", "--name", "noise_instability", "--param", "d=x"],
+    ["experiment", "--name", "noise_instability", "--param", "n=1e9"],
+    ["experiment", "--name", "noise_instability", "--param", "sigma2=nan"],
+    ["experiment", "--name", "noise_instability", "--param", "n_seeds=-1"],
+    ["experiment", "--name", "hamming_dimension", "--param", "d_values=-1,"],
+    ["experiment", "--name", "hamming_dimension", "--param", "d_values=1e9,"],
+    ["experiment", "--name", "sphere_separation", "--param", "dims=nan,"],
+    ["experiment", "--name", "sphere_alpha_line", "--param", "n=0"],
+    ["experiment", "--name", "sphere_alpha_line", "--param", "nosuch=1"],
+]
+
+#: (file, command line, the exit code it must give, else any of 0, 2, 3)
+NAMED = [
+    ("x,weight\n0,1,5\n1,1,7\n", ["sep", "--points", "{}"], 2),
+    *[("x\n1e200\n-1e200\n0\n", line, 0) for line in (
+        ["sep", "--points", "{}"], ["alpha", "--points", "{}"], ["dims", "--points", "{}"],
+        ["obsdiam", "--points", "{}", "--kappa", "0.1"])],
+    ("x\n1e308\n-1e308\n", ["obsdiam", "--points", "{}", "--kappa", "0.1"], 2),
+]
+
+
+def _malformed(text: str, rng) -> str:
+    """`text` with one seeded defect: a cell replaced or dropped, no data
+    rows, no text, a header of another width, a line of noise, or its
+    rows repeated."""
+    lines = text.splitlines()
+    head = 0 if lines[0][0].isdigit() else 1
+    row = int(rng.integers(head, len(lines)))
+    cells = lines[row].split(",")
+    kind = int(rng.integers(7))
+    if kind == 0:
+        cells[int(rng.integers(len(cells)))] = str(rng.choice(CELLS))
+        lines[row] = ",".join(cells)
+    elif kind == 1:
+        lines[row] = ",".join(cells[:-1])
+    elif kind == 2:
+        lines = lines[:head]
+    elif kind == 3:
+        lines = []
+    elif kind == 4:
+        width = len(cells) + int(rng.choice([-1, 1]))
+        lines[:head] = [",".join(f"c{i}" for i in range(width - 1)) + ",weight"]
+    elif kind == 5:
+        lines.insert(row, str(rng.choice(["\x00\x01", ";;;", "1 2 3", "#,#"])))
+    else:
+        lines = lines[:head] + [lines[row]] * (len(lines) - head)
+    return "\n".join(lines) + "\n"
+
+
+def _malformed_table(seed: int, per_command: int):
+    """``(files, command line, expected exit code or None)`` cases."""
+    rng = np.random.default_rng(seed)
+    valid = {"d.csv": VALID["dist"][0], "w.csv": VALID["weights"][0]}
+    cases = [({}, line, None) for line in FIXED]
+    cases += [({"in.csv": text}, line, code) for text, line, code in NAMED]
+    for text, lines in VALID.values():
+        for line in lines:
+            options = [i + 1 for i, a in enumerate(line) if a in VALUES]
+            for _ in range(per_command):
+                if options and rng.random() < 0.3:  # a bad value instead of a bad file
+                    i = options[int(rng.integers(len(options)))]
+                    bad = [*line[:i], str(rng.choice(VALUES[line[i - 1]])), *line[i + 1:]]
+                    cases.append((dict(valid, **{"in.csv": text}), bad, None))
+                else:
+                    cases.append((dict(valid, **{"in.csv": _malformed(text, rng)}), line,
+                                  None))
+    return cases
+
+
+_DRIVER = '''
+import contextlib, io, json, signal, traceback
+from pathlib import Path
+from concdim.cli import main
+
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+def _timeout(signum, frame):
+    raise TimeoutError("no answer within 20 s")
+
+def drive(table):
+    """Run each case through ``main`` with a 20 s alarm: ``[exit code,
+    stderr, JSON files that do not parse]``."""
+    signal.signal(signal.SIGALRM, _timeout)
+    results = []
+    for k, (files, line, _) in enumerate(json.loads(Path(table).read_text())):
+        case = Path(table).parent / str(k)
+        case.mkdir()
+        for name, text in files.items():
+            (case / name).write_text(text)
+        line = [a.format(case / "in.csv", d=case / "d.csv", w=case / "w.csv")
+                for a in line] + ["--out", str(case / "out")]
+        err = io.StringIO()
+        signal.alarm(20)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(line)
+        except SystemExit as exc:  # argparse refuses a malformed option
+            code = exc.code
+        except Exception:  # a traceback, or the alarm's TimeoutError
+            code = None
+            err.write(traceback.format_exc())
+        finally:
+            signal.alarm(0)
+        bad = []
+        for path in sorted((case / "out").glob("*.json")):
+            try:
+                json.loads(path.read_text(), parse_constant=_refuse)
+            except ValueError as exc:
+                bad.append(f"{path.name}: {exc}")
+        results.append([code, err.getvalue(), bad])
+    return results
+'''
+
+
+def test_every_subcommand_answers_a_seeded_table_of_malformed_inputs(tmp_path):
+    # one fresh interpreter imports the package once; each case has 20 s
+    cases = _malformed_table(seed=8, per_command=24)
+    assert {line[0] for _, line, _ in cases} == {
+        "gen", "alpha", "sep", "obsdiam", "dims", "emd", "net", "bound", "experiment"}
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(cases))
+    results, _, _ = run_fresh(_DRIVER, f"drive({str(table)!r})")
+    failures = []
+    for (files, line, want), (code, err, bad) in zip(cases, results):
+        ok = code == want if want is not None else code in (0, 2, 3)
+        if not ok or "Traceback" in err or bad:
+            failures.append(f"{line} on {files.get('in.csv')!r}: exit {code}, {bad}, "
+                            f"{err[-600:]}")
+    assert not failures, "\n".join(failures)
+    assert len(results) == len(cases)

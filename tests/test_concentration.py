@@ -1200,6 +1200,59 @@ def test_obsdiam_answers_zero_without_bisecting(monkeypatch, weighted):
     assert len(probes) <= 2
 
 
+def _obsdiam_ranked(values, kappa):
+    """Observable diameter of one feature under uniform weights: the largest
+    ``|v_a - v_b|`` that at least ``ceil(kappa n**2)`` ordered pairs reach."""
+    n = values.size
+    flat = np.sort(np.abs(values[:, None] - values[None, :]).ravel())[::-1]
+    return float(flat[math.ceil(kappa * n * n) - 1])
+
+
+def test_obsdiam_equals_the_pair_table_bit_for_bit():
+    # anchor features of clouds, rounded for ties, and 1-D points whose
+    # coordinates are the values: far from 0, so that v_b <= v_a - D and
+    # v_a - v_b >= D disagree, or spread over many binades
+    rng = np.random.default_rng(2025)
+    for case in range(36):
+        n = int(rng.choice([2, 3, 8, 40, 300, 700]))
+        weighted = case % 2 == 1
+        w = rng.random(n) + 0.5 if weighted else np.ones(n)
+        kind = case // 2 % 3
+        if kind == 0:
+            s = from_points(np.round(rng.normal(size=(n, 2)), int(rng.integers(1, 4))),
+                            weights=w / w.sum())
+            feats = dictionary(s, "anchors_random", k=2, seed=case)
+        else:
+            x = (1e9 + np.round(rng.normal(size=n), 3) if kind == 1
+                 else rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-40, 40, n))
+            s = from_points(x[:, None], weights=w / w.sum())
+            feats = [check_lipschitz(s, x)]
+        for f in feats:
+            for kappa in (1e-3, 1e-2, 0.1, 0.3, 0.6):
+                ref = (_obsdiam_table(s, f.values, kappa) if weighted
+                       else _obsdiam_ranked(f.values, kappa))
+                assert observable_diameter(s, kappa, [f]) == ref, (case, kappa)
+
+
+def test_obsdiam_counts_near_2_log2_n_probes(monkeypatch):
+    # bisecting each feature down to adjacent floats took 54-55 probes
+    n = 5000
+    s = generate(GeneratorSpec("sphere", 3, {"n_dim": 25, "n": n}))
+    feats = dictionary(s, "anchors_random", k=4, seed=3)
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    for f in feats:
+        calls.clear()
+        assert observable_diameter(s, 1e-2, [f]) > 0.0
+        assert len(calls) - 1 <= 2 * math.log2(n)  # one call per probe, and one for ties
+
+
 def test_obsdiam_sphere_scaling_ratio():
     feats = {}
     spaces = {}

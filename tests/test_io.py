@@ -45,3 +45,22 @@ def test_write_json_refuses_non_finite_numbers_before_writing(tmp_path):
         with pytest.raises(ValueError):
             write_json(path, {"diameter": bad})
         assert not path.exists()
+
+
+def test_a_header_must_name_every_column(tmp_path):
+    # a header narrower than its rows used to shift the weight column onto
+    # a coordinate: x,weight over 0,1,5 read coordinates [0, 5], weights 1
+    from concdim.errors import InputError
+    from concdim.io import read_csv_rows
+    from concdim.mmspace import load_points_csv
+
+    path = tmp_path / "p.csv"
+    for header in ("x,weight", "x,y,z,weight"):
+        path.write_text(f"{header}\n0,1,5\n1,1,7\n")
+        with pytest.raises(InputError, match="header names"):
+            load_points_csv(path)
+    path.write_text("x,y,weight\n0,5,1\n1,7,3\n")
+    assert read_csv_rows(path) == (["x", "y", "weight"], [[0.0, 5.0, 1.0], [1.0, 7.0, 3.0]])
+    space = load_points_csv(path)
+    assert space.coords.tolist() == [[0.0, 5.0], [1.0, 7.0]]
+    assert space.weights.tolist() == [0.25, 0.75]

@@ -22,6 +22,7 @@ from scipy.spatial.distance import cdist
 
 from concdim import features, mmspace
 from concdim.concentration import greedy_separated_subset, sep_lower
+from concdim.dimension import dim_chavez
 from concdim.errors import InputError
 from concdim.features import Feature, check_lipschitz, dictionary, distance_feature
 from concdim.mmspace import (
@@ -31,7 +32,9 @@ from concdim.mmspace import (
     char_size,
     char_size_interval,
     diameter,
+    from_distance_matrix,
     from_points,
+    product_distance_moments,
 )
 
 from util import count_passes, count_rows, pair_table_medians
@@ -281,6 +284,31 @@ def test_kernel_falls_back_where_squared_norms_overflow():
     ref = cdist(x[:2], x)
     assert np.isfinite(ref).all()
     assert np.array_equal(space.dist_block([0, 1]), ref)
+
+
+def test_kernel_scales_coordinates_whose_squares_overflow(monkeypatch):
+    # (2e200)**2 overflows: cdist and the pair sample read the coordinates
+    # over a power of two and scale the distances back, exactly
+    space = from_points([[1e200], [-1e200], [0.0]])
+    assert diameter(space) == 2e200
+    assert space.dist.tolist() == [[0.0, 2e200, 1e200], [2e200, 0.0, 1e200],
+                                   [1e200, 1e200, 0.0]]
+    rows, cols = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 2])
+    monkeypatch.setattr(space, "_dist_cache", None)
+    assert mmspace._pair_distances(space, rows, cols).tolist() == [2e200, 1e200, 1e200, 0.0]
+    # near the largest finite diagonal a distance of 5 keeps its bits, and
+    # only a variance beyond the largest float is inf
+    x = from_points([[0.0, 0.0], [1.7e308, 0.0], [0.0, 5.0]])
+    assert x.dist_block([0, 1, 2]).tolist() == [
+        [0.0, 1.7e308, 5.0], [1.7e308, 0.0, 1.7e308], [5.0, 1.7e308, 0.0]]
+    assert product_distance_moments(from_points([[0.0], [1.7e308]])) == (0.85e308, np.inf)
+    # a cloud scaled by a power of two has its distances scaled by it, exactly
+    x = cloud(3)
+    assert np.array_equal(from_points(x * 2.0 ** 540).dist_block([0, 1]),
+                          cdist(x[:2], x) * 2.0 ** 540)
+    # and its distance moments too, so the unit-free Chavez ratio is the same
+    m = cdist(x[:40], x[:40])
+    assert dim_chavez(from_distance_matrix(m * 2.0 ** 700)) == dim_chavez(from_distance_matrix(m))
 
 
 def test_kernel_self_entry_does_not_trip_the_guard(monkeypatch):
