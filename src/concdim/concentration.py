@@ -498,7 +498,10 @@ def _greedy_growth_curve(space: MMSpace, i: int, j: int
     sides are set to -inf, so the farthest free point is the first argmax,
     ties included.  The rows come from a :class:`RowCache`, which computes
     them ahead for the next picks of each side still growing: the free
-    points farthest from the other side.
+    points farthest from the other side.  Only the free points' distances
+    are read, so once at most half of the cache's columns are free, a
+    cache that computes its rows narrows to them, and ``d_a``, ``d_b``
+    and the weights follow.
     """
     n = space.n
     w = space.weights
@@ -511,7 +514,7 @@ def _greedy_growth_curve(space: MMSpace, i: int, j: int
     minmass = [min(mass_a, mass_b)]
     crosses = [cross]
     target = 0.5 - MASS_TOL
-    for _ in range(n - 2):
+    for free in range(n - 3, -1, -1):  # free points after this step
         if mass_a >= target and mass_b >= target:
             break
         grow_a = (mass_a <= mass_b and mass_a < target) or mass_b >= target
@@ -528,6 +531,10 @@ def _greedy_growth_curve(space: MMSpace, i: int, j: int
             mass_b += float(w[x])
         minmass.append(min(mass_a, mass_b))
         crosses.append(cross)
+        if rows.narrows and 0 < 2 * free <= d_a.size:
+            keep = np.flatnonzero(d_a > -np.inf)
+            rows.narrow(keep)
+            d_a, d_b, w = d_a[keep], d_b[keep], w[keep]
     return np.asarray(minmass), np.asarray(crosses)
 
 
@@ -613,17 +620,29 @@ def greedy_separated_subset(space: MMSpace, min_distance: float) -> np.ndarray:
     point lies strictly closer than `min_distance`.  Rows come from a
     :class:`RowCache` scored by the still-alive candidates, earliest first,
     so a miss computes the rows of the next alive candidates in one block;
-    a candidate that a point kept before it removes wastes its row.
+    a candidate that a point kept before it removes wastes its row.  Only
+    the alive candidates not yet scanned are read, so once at most half of
+    the cache's columns are such, a cache that computes its rows narrows
+    to them, and the scan goes on over their positions.
     """
     if not (min_distance > 0):
         raise InputError(f"min_distance must be positive, got {min_distance!r}")
     rows = RowCache(space)
-    alive = -np.arange(space.n, dtype=float)  # -inf once removed
-    kept = []
-    for i in range(space.n):
-        if alive[i] > -np.inf:
-            kept.append(i)
-            alive[rows.take(i, alive) < min_distance] = -np.inf
+    pts = np.arange(space.n)  # the point of each column
+    alive = -pts.astype(float)  # -inf once removed; a kept point removes itself
+    live, kept, p = space.n, [], 0
+    while p < pts.size:
+        if alive[p] > -np.inf:
+            kept.append(int(pts[p]))
+            near = np.flatnonzero(rows.take(p, alive) < min_distance)
+            live -= np.count_nonzero(alive[near] > -np.inf)
+            alive[near] = -np.inf
+            if 0 < 2 * live <= pts.size and rows.narrows:
+                keep = np.flatnonzero(alive > -np.inf)
+                rows.narrow(keep)
+                pts, alive, p = pts[keep], alive[keep], 0
+                continue
+        p += 1
     return np.asarray(kept, dtype=int)
 
 
@@ -793,9 +812,13 @@ def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
     Exact.  Each unordered pair counts once, against half the target.  Row
     a of the sorted values reaches a difference D on a prefix ``b < c_a``
     (:func:`_reaching`), so the pairs between two probes are a window of
-    index ranges ``[lo_a, hi_a)``.  Probes halfway between its least and
-    largest differences narrow it to at most n pairs, or one difference;
-    ``pick_order_stats`` then picks among its negated differences.
+    index ranges ``[lo_a, hi_a)``.  Probes narrow it to at most n pairs, or
+    one difference; ``pick_order_stats`` then picks among its negated
+    differences.  A probe is aimed just past the target, as read off a
+    sample of the window (``_aimed_probe``), so the side kept is small
+    however the differences spread over the binades; where the last probe
+    left more than half of its pairs, it is the median of the rows' middle
+    differences by row width, which keeps at most about three quarters.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
@@ -806,18 +829,27 @@ def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
     if float(w @ prefix[hi]) < half:
         return 0.0
     above = 0.0  # mass of the pairs above the window
-    for _ in range(4096):  # a probe halves the range: 2098 halvings span the floats
+    halved = True  # the last probe left at most half of the window's pairs
+    for _ in range(4096):  # each probe shrinks the window, every other one by a quarter
         keep = lo < hi
         rows, lo, hi = rows[keep], lo[keep], hi[keep]
         top, bottom = (v[rows] - v[lo]).max(), (v[rows] - v[hi - 1]).min()
         if top == bottom:
             return float(top)
-        if (hi - lo).sum() <= v.size:
+        pairs = int((hi - lo).sum())
+        if pairs <= v.size:
             break
-        probe = bottom + (top - bottom) / 2
-        c = _reaching(v, probe if probe > bottom else top, rows, lo, hi)
+        if halved:
+            inside = float(w[rows] @ (prefix[hi] - prefix[lo]))
+            probe = _aimed_probe(v, w, rows, lo, hi, (half - above) / inside)
+        else:
+            middles = v[rows] - v[(lo + hi - 1) // 2]
+            by = np.argsort(middles, kind="stable")
+            probe = middles[by[np.argmax(np.cumsum((hi - lo)[by]) >= pairs / 2)]]
+        c = _reaching(v, max(probe, np.nextafter(bottom, np.inf)), rows, lo, hi)
         m = above + float(w[rows] @ (prefix[c] - prefix[lo]))
         lo, hi, above = (lo, c, above) if m >= half else (c, hi, m)
+        halved = 2 * int((hi - lo).sum()) <= pairs
     else:
         raise InvariantViolation("observable diameter selection did not converge")
     widths = hi - lo
@@ -825,6 +857,31 @@ def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
     b = np.arange(a.size) + np.repeat(lo + widths - np.cumsum(widths), widths)
     masses = None if u is None else w[a] * w[b]
     return -pick_order_stats(v[b] - v[a], masses, above, [half])[0]
+
+
+#: pairs of a window read to aim a probe of ``_kth_largest_abs_diff``.
+_AIM_PAIRS = 1024
+
+
+def _aimed_probe(v: np.ndarray, w: np.ndarray, rows, lo, hi, share: float) -> float:
+    """A difference just past the one at which the window's pairs, from its
+    largest difference down, reach the fraction `share` of its mass, read
+    off ``_AIM_PAIRS`` evenly spaced pairs of it: below that point if
+    `share` is at most one half, else above, by 2 standard errors and one
+    pair, so that the side holding the target is small."""
+    widths = hi - lo
+    ends = np.cumsum(widths)
+    k = min(_AIM_PAIRS, int(ends[-1]))
+    at = (2 * np.arange(k) + 1) * ends[-1] // (2 * k)  # ranks in the window
+    r = np.searchsorted(ends, at, side="right")
+    b = lo[r] + at - (ends[r] - widths[r])
+    order = np.argsort(v[b] - v[rows[r]], kind="stable")  # largest difference first
+    mass = (w[rows[r]] * w[b])[order]
+    reach = np.cumsum(mass) / mass.sum()
+    margin = 2.0 * math.sqrt(share * max(1.0 - share, 0.0) / k) + 1.0 / k
+    aim = share + margin if share <= 0.5 else share - margin
+    j = order[min(int(np.searchsorted(reach, aim)), k - 1)]
+    return float(v[rows[r[j]]] - v[b[j]])
 
 
 def _reaching(v: np.ndarray, d: float, rows, lo, hi) -> np.ndarray:

@@ -63,7 +63,15 @@ class CoveringProfile:
 
 
 def _eccentricities(space: MMSpace) -> np.ndarray:
-    return np.concatenate([blk.max(axis=1) for _, blk in space.iter_blocks()])
+    """Each point's largest distance, from one pass over the upper
+    triangle: a block's rows take their maxima, and so do its columns, the
+    rows of the points right of it (the matrix is exactly symmetric)."""
+    ecc = np.zeros(space.n)
+    for ids, blk in space.iter_blocks(upper=True):
+        right, own = ecc[ids[0] :], ecc[ids[0] : ids[-1] + 1]
+        np.maximum(right, blk.max(axis=0), out=right)
+        np.maximum(own, blk.max(axis=1), out=own)
+    return ecc
 
 
 def _farthest_point_sweep(space: MMSpace, stop_radius: float

@@ -28,12 +28,13 @@ views of a held matrix or else as rows of blocks computed by
 ``iter_blocks``.  The other reads are built on them: ``dist_row``,
 ``distance`` and ``submatrix`` are reads of ``iter_rows``, and so is
 each group of ``iter_set_distances`` (``min_dist_to``: one set, as ids).
-Whole passes read ``iter_blocks()``, views of a held matrix; loops that
-take one point's row at a time read through the read-ahead reader
-``RowCache``; the pair sample of ``char_size`` reads
-``_pair_distances``.  Every accessor given point ids checks them with
-``check_ids``: an id that is negative, fractional, not below ``n`` or a
-bool, and a ragged list, is an ``InputError``, held matrix or not.
+Whole passes read ``iter_blocks()``, views of a held matrix, or its
+upper-triangle form; loops that take one point's row at a time read
+through the read-ahead reader ``RowCache``; the pair sample of
+``char_size`` reads ``_pair_distances``.  Every accessor given point ids
+checks them with ``check_ids``: an id that is negative, fractional, not
+below ``n`` or a bool, and a ragged list, is an ``InputError``, held
+matrix or not.
 
 * When the matrix is held.  One rule, on the input alone, so results do
   not depend on call order: a space built from a matrix holds it; a
@@ -59,17 +60,34 @@ bool, and a ragged list, is an ``InputError``, held matrix or not.
   read: alone (``dist_row``, ``dist_block([i])``), entry by entry
   (``distance``, ``submatrix``, which read full rows), inside a block of
   any height and composition (``dist_block``, ``iter_blocks``,
-  ``iter_set_distances``, ``RowCache``), or from the held matrix, which
-  is built from the same full rows.  ``cdist`` computes each pair on its
-  own.  The GEMM kernel computes every row in a product of at least two
-  rows (a row read alone is paired with a copy of itself) over a fixed
-  number of columns (``_gemm_cols``: zero columns pad the points to a
-  multiple of 8, and to at least 1024), the shapes for which OpenBLAS was
-  measured to run one kernel whatever the block; the guard sees only the
-  rows and columns asked for.  Every kernel's matrix equals its transpose exactly:
-  the GEMM product forms ``|x_i|^2 + |x_j|^2`` before any other term and
-  accumulates the rest in order (measured with the same OpenBLAS), and
-  the guard's decision is symmetric in ``(i, j)``.
+  ``iter_set_distances``, ``RowCache``), over some of its columns only
+  (the upper triangle, a narrowed ``RowCache``), or from the held matrix,
+  which is built from the same full rows.  ``cdist`` computes each pair
+  on its own.  The GEMM kernel computes every row in a product of at
+  least two rows (a row read alone is paired with a copy of itself)
+  whose right operand has a multiple of 8 rows, at least 1024
+  (``_gemm_cols``): all points, or those from a multiple of 8 on, as a
+  view of the operand, or the rows of the columns asked for, gathered
+  and padded with zero rows.  For those shapes OpenBLAS was measured to
+  run one kernel whatever the block, so an entry does not depend on the
+  other rows or columns of its product: bit-equal to full rows in 81 of
+  81 gathered column sets (3000 to 10^4 points in 16 to 200 coordinates,
+  blocks of 2 to 209 rows, 1 to n columns) and in 49 of 49 triangle
+  blocks of 10^4 points in 50 coordinates (OpenBLAS 0.3.31, 2 threads).
+  The guard sees only the rows and columns asked for.
+  Every kernel's matrix equals its transpose exactly: the GEMM product
+  forms ``|x_i|^2 + |x_j|^2`` before any other term and accumulates the
+  rest in order (measured with the same OpenBLAS), and the guard's
+  decision is symmetric in ``(i, j)``.
+* Whole passes read the upper triangle.  The matrix being exactly
+  symmetric, a pass that only counts, selects or takes maxima
+  (``char_size``, ``char_size_interval``, ``diameter``, the covering
+  sweep's eccentricities) reads ``iter_blocks(upper=True)``: block
+  ``i0:i1`` holds the columns from ``i0`` on, so the kernel computes
+  about half the entries.  The square of a block's own columns counts
+  once, the rectangle right of it for both orders of its pairs.  A sum
+  of distances (``product_distance_moments``) still reads full rows:
+  adding a triangle twice would change its rounding.
 * Cancellation guard.  That formula loses accuracy when a squared
   distance is tiny against the squared norms.  A row whose minimum is
   below ``tau(d) * (|x_i|^2 + max_j |x_j|^2)`` (centred norms, ``d``
@@ -102,10 +120,23 @@ bool, and a ragged list, is an ``InputError``, held matrix or not.
   it does for the observable diameter of a feature.
   Its pair sample makes no pass of its own: it reads the sampled pairs
   from the held matrix or from their coordinates, 1024 pairs at a time.
+  Triangle blocks are computed into the same one buffer, and the values
+  of a rectangle are written twice into the values kept.
+* Narrowed scans.  A scan that stops reading some points' distances
+  narrows its ``RowCache`` to the columns it still reads
+  (``RowCache.narrow``), once at most half of its columns are live: the
+  greedy growth to its free points, the greedy separated subset to its
+  alive candidates not yet scanned.  The rows it holds are compacted in
+  place, in the first columns of their buffer rows, and later rows are
+  computed over the kept columns alone, straight into the buffer.  A
+  growth curve that takes every point computes about two thirds of the
+  ``n**2`` entries.
 * The diameter costs no pass of its own when another read already
-  covers every row: the first counting pass of ``char_size`` fills it,
+  covers every pair: the first counting pass of ``char_size`` fills it,
   and so does a ``RowCache`` once it has computed every point's row (a
-  greedy growth curve under uniform weights takes every point).
+  greedy growth curve under uniform weights takes every point).  A point
+  a narrowing drops is never computed after, so then every pair lies in
+  the row of whichever of its points was computed first.
 """
 
 from __future__ import annotations
@@ -257,14 +288,16 @@ def _unit_for(scale: float) -> float:
 
 
 def _gemm_cols(n: int) -> int:
-    """Columns of the product that computes distance rows of ``n`` points.
+    """Columns of the product that computes distances to ``n`` points: all
+    of a space's points, or the columns a reader asks for.
 
-    OpenBLAS gives a row the same bits in products of any height only when
-    the product has at least 2 rows and a multiple of 8 columns, more than
-    about 700 of them: otherwise it takes its small-matrix or edge kernels,
-    which round the same dot product differently (measured with OpenBLAS
-    0.3.31 for 5 to 10^4 points in 16 to 1500 coordinates; 512 columns
-    still differed, 696 did not).
+    OpenBLAS gives an entry the same bits in products of any height, and
+    over any set of columns, only when the product has at least 2 rows and
+    a multiple of 8 columns, more than about 700 of them: otherwise it
+    takes its small-matrix or edge kernels, which round the same dot
+    product differently (measured with OpenBLAS 0.3.31 for 5 to 10^4
+    points in 16 to 1500 coordinates; 512 columns still differed, 696 did
+    not).  Zero rows of the right operand pad the columns up to it.
     """
     return max(1024, -(-n // 8) * 8)
 
@@ -373,6 +406,7 @@ class MMSpace:
         self.weights = _as_weights(weights, n)
         self.label = label
         self._diameter_cache: float | None = None
+        self._gathered = None  # (cols, right operand) of the last gathered columns
 
     # -- distance access -----------------------------------------------------
 
@@ -421,26 +455,52 @@ class MMSpace:
         """Rows per block under the ``BLOCK_ENTRIES`` budget."""
         return max(1, BLOCK_ENTRIES // self.n)
 
-    def _pairwise(self, rows: np.ndarray, out=None) -> np.ndarray:
-        """Distances from the points `rows` to every point, written to `out`
-        if given, each row the same bits however many rows are read with it
-        (see the module notes).  A point's own entry is exactly 0."""
+    def _pairwise(self, rows: np.ndarray, cols=None, out=None) -> np.ndarray:
+        """Distances from the points `rows` to the points `cols` (ascending
+        and distinct; default every point).  Each entry has the bits of the
+        same entry of the full row, however many rows are read with it (see
+        the module notes), and a point's own entry is exactly 0.
+
+        `out`, if given, has a row per point of `rows` and at least as many
+        columns as `cols`; the distances are written to its first columns,
+        and the view of them returned.  Columns after them may be
+        overwritten.
+        """
+        m = self.n if cols is None else len(cols)
         if self._gemm is None:
             metric = "euclidean" if self._metric == "euclidean" else "hamming"
-            out = cdist(self._scaled[rows], self._scaled, metric=metric, out=out)
+            x = self._scaled
+            whole = out is not None and out.shape[1] == m  # cdist fills whole arrays
+            d = cdist(x[rows], x if cols is None else x[cols], metric=metric,
+                      out=out if whole else None)
             if self._unit != 1.0:
-                out *= self._unit
+                d *= self._unit
+            if out is not None and not whole:
+                out[:, :m] = d
+                d = out[:, :m]
         else:
-            out = self._gemm_pairwise(rows, out)
-        out[np.arange(len(rows)), rows] = 0.0
-        return out
+            d = self._gemm_pairwise(rows, cols, out)
+        d[self._own_entries(rows, cols)] = 0.0
+        return d
 
-    def _gemm_pairwise(self, rows, out) -> np.ndarray:
+    def _own_entries(self, rows, cols):
+        """Indices of the entries ``(row, col)`` of a point to itself."""
+        if cols is None:
+            return np.arange(len(rows)), rows
+        at = np.minimum(np.searchsorted(cols, rows), len(cols) - 1)
+        hit = np.flatnonzero(cols[at] == rows)
+        return hit, at[hit]
+
+    def _gemm_pairwise(self, rows, cols, out) -> np.ndarray:
         """The GEMM kernel with its cancellation guard; see the module notes.
 
-        A row read alone is computed in a product of two copies of it, and
-        every row in one of ``_gemm_cols(n)`` columns; the guard sees only
-        the rows and columns asked for.
+        A row read alone is computed in a product of two copies of it.  The
+        right operand of the columns from ``c`` on is a view ``aug[s:]``,
+        ``s`` the multiple of 8 at or below ``c`` that leaves at least 1024
+        columns; that of other columns is their rows of ``aug`` padded with
+        zero rows to ``_gemm_cols``.  A product that starts at the first
+        column asked for and fits `out` is written into it directly.  The
+        guard sees only the rows and columns asked for.
         """
         aug, tau, thr = self._gemm
         n, k = self.n, len(rows)
@@ -448,21 +508,37 @@ class MMSpace:
         a[:, 0] = a[:, 1]
         a[:, 1] = 1.0
         a[:, 2:] *= -2.0
-        if out is not None and a.shape[0] == k and aug.shape[0] == n:
-            d2 = np.matmul(a, aug.T, out=out)
+        c = 0 if cols is None else int(cols[0])
+        m = n if cols is None else len(cols)
+        suffix = c + m == n  # every column from c on
+        if suffix:
+            s = max(0, min(c - c % 8, aug.shape[0] - 1024))
+            right, lead, norms = aug[s:], c - s, aug[c:n, 1]
+        else:  # a scan asks for the same columns block after block
+            kept = self._gathered
+            if kept is None or not np.array_equal(kept[0], cols):
+                kept = (cols.copy(), np.zeros((_gemm_cols(m), aug.shape[1])))
+                kept[1][:m] = aug[cols]
+                kept[1].setflags(write=False)
+                self._gathered = kept
+            right, lead, norms = kept[1], 0, kept[1][:m, 1]
+        width = right.shape[0]
+        direct = (out is not None and a.shape[0] == k and lead == 0
+                  and out.shape[1] >= width)
+        if direct:
+            d2 = np.matmul(a, right.T, out=out[:, :width])[:, :m]
         else:
-            d2 = np.matmul(a, aug.T)[:k, :n]
-        d2[np.arange(k), rows] = np.inf
+            d2 = np.matmul(a, right.T)[:k, lead : lead + m]
+        d2[self._own_entries(rows, cols)] = np.inf
         for i in np.flatnonzero(d2.min(axis=1) < thr[rows]):
-            js = np.flatnonzero(d2[i] < tau * (aug[rows[i], 1] + aug[:n, 1]))
-            diff = self._coords[js] - self._coords[rows[i]]
+            js = np.flatnonzero(d2[i] < tau * (aug[rows[i], 1] + norms))
+            diff = self._coords[js + c if suffix else cols[js]] - self._coords[rows[i]]
             d2[i, js] = np.einsum("ij,ij->i", diff, diff)
         np.sqrt(d2, out=d2)
-        if out is None:
+        if out is None or direct:
             return d2
-        if d2 is not out:
-            out[...] = d2
-        return out
+        out[:, :m] = d2
+        return out[:, :m]
 
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from point `i` to every point: :meth:`iter_rows`, after
@@ -480,9 +556,16 @@ class MMSpace:
             return np.take(self._dist_cache, ids, axis=0, out=out, mode="clip")
         return self._pairwise(ids, out=out)
 
-    def iter_blocks(self, ids=None):
+    def iter_blocks(self, ids=None, upper=False):
         """Yield ``(block_ids, dist_block(block_ids))`` over `ids` (default:
         every point) in order, ``block_rows`` rows at a time.
+
+        With `upper`, over every point, a block of the rows ``i0:i1`` holds
+        only their columns from ``i0`` on: the upper triangle, its leading
+        ``i1 - i0`` columns a square and the rest a rectangle whose
+        mirror image no block holds.  Its blocks take ``block_rows``
+        rounded down to a multiple of 8 rows, so each starts at a column
+        where the GEMM kernel can start its product (``_gemm_pairwise``).
 
         Over every point of a space that holds its matrix (see
         :meth:`dense`) the blocks are read-only views of it.  Otherwise
@@ -490,14 +573,23 @@ class MMSpace:
         until the next is yielded: copy what must outlive it.  Reusing the
         buffer saves allocating, and faulting in, a block per step.
         """
+        if upper and ids is not None:
+            raise InputError("the upper triangle is read over every point")
         m = self.dense() if ids is None else None
         ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=int)
+        step = self.block_rows
+        if upper:
+            step = step - step % 8 or step
         if m is None:
-            buf = np.empty((min(self.block_rows, len(ids)), self.n))
-        for i0 in range(0, len(ids), self.block_rows):
-            part = ids[i0 : i0 + self.block_rows]
-            yield part, (self.dist_block(part, out=buf[: len(part)]) if m is None
-                         else m[i0 : i0 + len(part)])
+            buf = np.empty((min(step, len(ids)), self.n))
+        for i0 in range(0, len(ids), step):
+            part = ids[i0 : i0 + step]
+            if m is not None:
+                yield part, m[i0 : i0 + len(part), i0 if upper else 0 :]
+            elif upper:
+                yield part, self._pairwise(part, np.arange(i0, self.n), buf[: len(part)])
+            else:
+                yield part, self.dist_block(part, out=buf[: len(part)])
 
     def iter_rows(self, ids):
         """Each id's distance row, in order: a read-only view of a held
@@ -603,73 +695,121 @@ class MMSpace:
 
 class RowCache:
     """Distance rows taken one at a time, each computed in a block together
-    with the rows likely to be taken next.
+    with the rows likely to be taken next, over the columns still read.
+
+    Columns.  Ids, scores and rows are indexed by the cache's columns, at
+    first every point in order.  Where the matrix is not held,
+    :meth:`narrow` keeps only the columns a caller still reads, in order;
+    later rows are computed over those alone (``MMSpace._pairwise``: the
+    same bits as in full rows).
 
     A new cache builds the matrix of a space under the materialization
     rule (:meth:`MMSpace.dense`); a row of a held matrix is a view of it.
-    Otherwise rows live in one buffer of ``block_rows`` rows.  A row not in
-    it is computed together
-    with those of the points ranked highest by each of the caller's scores
-    in turn, as many as the buffer has free rows; points already buffered
-    and points scored ``-inf`` are passed over.  The row returned last is
-    freed on the next call, so a miss always finds a free row, and a miss
-    given scores first frees the rows that every one of them marks
-    ``-inf``.  No other row is dropped before it is taken: taking each
-    point at most once, and none once every score marks it ``-inf``,
-    computes each row at most once.  The cache keeps the largest value of
-    the rows it computes; once it has computed every point's row, it fills
-    the space's diameter if that is not known, so a caller that takes every
-    point leaves no diameter pass to make.
+    Otherwise rows live in one buffer of ``block_rows`` rows.  A row not
+    in it is computed together with those of the columns ranked highest
+    by each of the caller's scores in turn,
+    as many as the buffer has free rows; columns already buffered and
+    columns scored ``-inf`` are passed over.  The row returned last is
+    freed, where it lies, on the next call, so a miss always finds a free
+    row; a miss given scores first frees the rows that every one of them
+    marks ``-inf``, then moves the rows still held that lie where its block
+    goes into free rows before it.  Narrowing frees the rows of the
+    columns it drops and compacts the others in place.  No other row is
+    dropped before it is taken: taking each column at most once, and none
+    once every score marks it ``-inf``, computes each row at most once.
+
+    The cache keeps the largest value of the rows it computes.  Once it
+    has computed every point's row, it fills the space's diameter if that
+    is not known, so a caller that takes every point leaves no diameter
+    pass to make.  A point a narrowing drops is never computed after, so
+    then every point was computed before it was dropped, and each pair
+    lies in the row of whichever of its points was computed first.
     """
 
     def __init__(self, space: MMSpace):
         self._space = space
         self._matrix = space.dense()
+        self._cols = None  # the point of each column, once narrowed
         if self._matrix is None:
             rows = min(space.block_rows, space.n)
-            self._buf = np.empty((rows, space.n))
-            self._ids = np.empty(rows, dtype=int)  # the point of each buffer row
-            self._slot = np.full(space.n, -1)      # each point's buffer row, or -1
-            self._held = 0                         # buffer rows in use, the first ones
+            self._buf = np.empty((rows, space.n))  # a row's first columns hold it
+            self._width = space.n                  # the columns kept
+            self._ids = np.full(rows, -1)          # each buffer row's column, or -1
+            self._slot = np.full(space.n, -1)      # each column's buffer row, or -1
             self._taken = -1                       # the buffer row returned last
             self._unseen = np.ones(space.n, dtype=bool)  # rows never computed
             self._top = -np.inf                    # largest value computed
 
+    @property
+    def narrows(self) -> bool:
+        """Whether :meth:`narrow` applies: not to a held matrix, whose rows
+        cost nothing to compute, so keeping fewer columns would only add a
+        copy to every take."""
+        return self._matrix is None
+
     def take(self, x: int, *scores: np.ndarray) -> np.ndarray:
-        """Point x's distance row, valid until the next call."""
+        """Column x's distance row, valid until the next call."""
         if self._matrix is not None:
             return self._matrix[x]
-        if self._taken >= 0:  # free it, moving the last row in use into it
-            s, last = self._taken, self._held - 1
-            self._slot[self._ids[s]] = -1
-            if s != last:
-                self._buf[s] = self._buf[last]
-                self._ids[s] = self._ids[last]
-                self._slot[self._ids[s]] = s
-            self._held = last
+        self._free_taken()
         self._taken = int(self._slot[x])
         if self._taken < 0:
             self._taken = self._fetch(x, scores)
-        return self._buf[self._taken]
+        return self._buf[self._taken, : self._width]
+
+    def narrow(self, keep: np.ndarray) -> None:
+        """Keep only the columns `keep`, ascending, where :attr:`narrows`:
+        later ids, scores and rows refer to positions in it, and rows
+        returned before are invalid."""
+        pts = keep if self._cols is None else self._cols[keep]
+        self._free_taken()
+        pos = np.full(self._width, -1)
+        pos[keep] = np.arange(keep.size)
+        held = np.flatnonzero(self._ids >= 0)
+        gone = pos[self._ids[held]] < 0
+        self._free(held[gone])
+        held = held[~gone]
+        for r in held.tolist():
+            self._buf[r, : keep.size] = self._buf[r, keep]
+        self._width = keep.size
+        self._ids[held] = pos[self._ids[held]]
+        self._slot = np.full(keep.size, -1)
+        self._slot[self._ids[held]] = held
+        self._cols = pts
+
+    def _free(self, rows) -> None:
+        self._slot[self._ids[rows]] = -1
+        self._ids[rows] = -1
+
+    def _free_taken(self) -> None:
+        if self._taken >= 0:
+            self._free(self._taken)
+            self._taken = -1
 
     def _fetch(self, x: int, scores) -> int:
-        """Free the rows every score marks ``-inf``, then compute x's row with
-        the best scored others; x's buffer row."""
-        if scores:
-            held = self._ids[: self._held]
-            kept = np.flatnonzero(np.max([s[held] for s in scores], axis=0) > -np.inf)
-            if kept.size < held.size:
-                self._slot[held] = -1
-                self._buf[: kept.size] = self._buf[kept]
-                held[: kept.size] = held[kept]
-                self._slot[held[: kept.size]] = np.arange(kept.size)
-                self._held = kept.size
+        """Free the rows every score marks ``-inf`` and clear the block's
+        place, then compute x's row with the best scored others; x's buffer
+        row."""
+        held = np.flatnonzero(self._ids >= 0)
+        if scores and held.size:
+            dead = np.max([s[self._ids[held]] for s in scores], axis=0) == -np.inf
+            self._free(held[dead])
+            held = held[~dead]
+        h0 = held.size
+        src = held[held >= h0]
+        if src.size:  # into the free rows before h0, as many
+            dst = np.flatnonzero(self._ids[:h0] < 0)
+            for r, q in zip(src.tolist(), dst.tolist()):
+                self._buf[q, : self._width] = self._buf[r, : self._width]
+            self._ids[dst] = self._ids[src]
+            self._slot[self._ids[dst]] = dst
+            self._ids[src] = -1
         want = [np.array([x])]
         skip = self._slot >= 0
         skip[x] = True
-        left = len(self._ids) - self._held - 1
+        left = len(self._ids) - h0 - 1
         for k, score in enumerate(scores):
-            quota = -(-left // (len(scores) - k))
+            quota = min(-(-left // (len(scores) - k)), score.size)
             if quota == 0:
                 break
             pri = np.where(skip, -np.inf, score)
@@ -679,16 +819,16 @@ class RowCache:
             want.append(top)
             left -= top.size
         ids = np.concatenate(want)
-        h0, h1 = self._held, self._held + ids.size
-        self._space.dist_block(ids, out=self._buf[h0:h1])
+        h1 = h0 + ids.size
+        pts = ids if self._cols is None else self._cols[ids]
+        blk = self._space._pairwise(pts, self._cols, out=self._buf[h0:h1])
         if self._space._diameter_cache is None:
-            self._top = max(self._top, float(self._buf[h0:h1].max()))
-            self._unseen[ids] = False
+            self._top = max(self._top, float(blk.max()))
+            self._unseen[pts] = False
             if not self._unseen.any():
                 self._space._diameter_cache = self._top
         self._ids[h0:h1] = ids
         self._slot[ids] = np.arange(h0, h1)
-        self._held = h1
         return h0
 
 
@@ -866,7 +1006,8 @@ def diameter(space: MMSpace) -> float:
     canonical rows, so the bits do not depend on which read filled it.
     """
     if space._diameter_cache is None:
-        space._diameter_cache = max(float(blk.max()) for _, blk in space.iter_blocks())
+        space._diameter_cache = max(float(blk.max())
+                                    for _, blk in space.iter_blocks(upper=True))
     return space._diameter_cache
 
 
@@ -953,8 +1094,11 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
     pair mass up to and including it reaches it; pair (i, j) has mass
     ``u_i * u_j``, or 1 if `u` is None, when targets are ranks.
 
-    Exact.  Each pass over ``iter_blocks`` counts the mass below a bracket
-    ``[a, b]`` and collects the values inside it, at most ``BLOCK_ENTRIES``;
+    Exact.  Each pass over the upper triangle (``iter_blocks(upper=True)``;
+    the matrix is exactly symmetric, so an entry off a block's square
+    stands for its mirror image too, and counts and is kept twice) counts
+    the mass below a bracket ``[a, b]`` and collects the values inside it,
+    at most ``BLOCK_ENTRIES``;
     the first bracket holds every pair if they all fit, else a pair sample
     picks it, wide enough for every target.  The collected values, or a
     single distinct one, answer each target inside the bracket.  A bracket
@@ -983,29 +1127,36 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
         below = inside = kept = 0
         vmin, vmax, counts = np.inf, -np.inf, None
         fill, top = space._diameter_cache is None, -np.inf
-        for ids, blk in space.iter_blocks():
+        for ids, blk in space.iter_blocks(upper=True):
             if fill:
                 top = max(top, float(blk.max()))
-            sel = blk < a
-            below += np.count_nonzero(sel) if u is None else float(u[ids] @ (sel @ u))
-            np.logical_xor(sel, blk <= b, out=sel)  # now a <= d <= b
-            if u is None:
-                x, m = blk[sel], None
-            else:
-                r, c = np.nonzero(sel)
-                x, m = blk[r, c], u[ids[r]] * u[c]
-            inside += x.size if u is None else float(m.sum())
-            vmin, vmax = min(vmin, x.min(initial=np.inf)), max(vmax, x.max(initial=-np.inf))
-            if counts is None and kept + x.size <= vals.size:
-                vals[kept : kept + x.size] = x
-                if u is not None:
-                    masses[kept : kept + x.size] = m
-                kept += x.size
-                continue
-            if counts is None:  # too many: bin the values kept and to come
-                edges = np.append(np.linspace(a, b, 4097)[1:-1], b)
-                counts = bins(vals[:kept], None if u is None else masses[:kept])
-            counts = counts + bins(x, m)
+            # the square of the block's own columns once, the rectangle
+            # right of it for both orders of its pairs
+            k = ids.size
+            for part, c0, times in ((blk[:, :k], ids[0], 1), (blk[:, k:], ids[0] + k, 2)):
+                sel = part < a
+                below += times * (np.count_nonzero(sel) if u is None else
+                                  float(u[ids] @ (sel @ u[c0 : c0 + part.shape[1]])))
+                np.logical_xor(sel, part <= b, out=sel)  # now a <= d <= b
+                if u is None:
+                    x, m = part[sel], None
+                else:
+                    r, c = np.nonzero(sel)
+                    x, m = part[r, c], u[ids[r]] * u[c0 + c]
+                inside += times * (x.size if u is None else float(m.sum()))
+                vmin = min(vmin, x.min(initial=np.inf))
+                vmax = max(vmax, x.max(initial=-np.inf))
+                if counts is None and kept + times * x.size <= vals.size:
+                    for _ in range(times):
+                        vals[kept : kept + x.size] = x
+                        if u is not None:
+                            masses[kept : kept + x.size] = m
+                        kept += x.size
+                    continue
+                if counts is None:  # too many: bin the values kept and to come
+                    edges = np.append(np.linspace(a, b, 4097)[1:-1], b)
+                    counts = bins(vals[:kept], None if u is None else masses[:kept])
+                counts = counts + times * bins(x, m)
         if fill:
             space._diameter_cache = top
         hi = min(hi, space._diameter_cache)

@@ -48,6 +48,7 @@ from util import (
     naive_alpha,
     naive_sep,
     random_space,
+    row_by_row_growth_curve,
     run_fresh,
 )
 
@@ -688,38 +689,6 @@ def test_sep_lower_grows_each_seed_pair_once(monkeypatch):
     assert len(grown) == len(set(grown)) < 8
 
 
-def row_by_row_growth_curve(space, i, j):
-    """The greedy growth of ``_greedy_growth_curve``, one row read per step."""
-    n = space.n
-    w = space.weights
-    free = np.ones(n, dtype=bool)
-    free[[i, j]] = False
-    d_a = space.dist_row(i).copy()
-    d_b = space.dist_row(j).copy()
-    mass_a, mass_b = float(w[i]), float(w[j])
-    cross = float(space.distance(i, j))
-    minmass = [min(mass_a, mass_b)]
-    crosses = [cross]
-    target = 0.5 - MASS_TOL
-    while free.any() and (mass_a < target or mass_b < target):
-        grow_a = (mass_a <= mass_b and mass_a < target) or mass_b >= target
-        gain = d_b if grow_a else d_a
-        cand = np.flatnonzero(free)
-        x = int(cand[np.argmax(gain[cand])])
-        free[x] = False
-        cross = min(cross, float(gain[x]))
-        row = space.dist_row(x)
-        if grow_a:
-            mass_a += float(w[x])
-            np.minimum(d_a, row, out=d_a)
-        else:
-            mass_b += float(w[x])
-            np.minimum(d_b, row, out=d_b)
-        minmass.append(min(mass_a, mass_b))
-        crosses.append(cross)
-    return np.asarray(minmass), np.asarray(crosses)
-
-
 def _ball_complement_row_by_row(space, center, grid):
     """``_ball_complement_witness`` reading every row by ``dist_row``, in
     radius order, past the last grid level too."""
@@ -1163,17 +1132,16 @@ def _obsdiam_table(space, values, kappa):
 
 
 def test_obsdiam_weighted_matches_the_pair_table():
-    # the bisection tests v_b <= v_a - D, so it may sit up to 2 ulp of the
-    # largest |value| away from the table's |v_a - v_b|
+    # the selection picks an attained |v_a - v_b| from the pairs its probes
+    # leave, so it is the table's value, bit for bit
     rng = np.random.default_rng(31)
     for n in (2, 5, 40, 300):
         w = rng.random(n) + 0.5
         s = from_points(rng.normal(size=(n, 3)), weights=w / w.sum())
         for f in dictionary(s, "anchors_random", k=4, seed=n):
-            tol = 2 * np.spacing(np.abs(f.values).max())
             for kappa in (0.001, 0.01, 0.1, 0.25, 0.45, 0.9):
-                assert abs(observable_diameter(s, kappa, [f])
-                           - _obsdiam_table(s, f.values, kappa)) <= tol
+                assert observable_diameter(s, kappa, [f]) == _obsdiam_table(
+                    s, f.values, kappa)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -1234,23 +1202,47 @@ def test_obsdiam_equals_the_pair_table_bit_for_bit():
                 assert observable_diameter(s, kappa, [f]) == ref, (case, kappa)
 
 
-def test_obsdiam_counts_near_2_log2_n_probes(monkeypatch):
-    # bisecting each feature down to adjacent floats took 54-55 probes
+def count_probes(monkeypatch) -> list:
+    """Record every probe of the observable diameter's selection, one
+    ``_reaching`` call each, until the monkeypatch is undone."""
+    probes = []
+    inner = conc._reaching
+
+    def reaching(v, d, *args):
+        probes.append(d)
+        return inner(v, d, *args)
+
+    monkeypatch.setattr(conc, "_reaching", reaching)
+    return probes
+
+
+def test_obsdiam_anchor_features_take_at_most_10_probes(monkeypatch):
+    # bisecting each feature down to adjacent floats took 54-55 probes, and
+    # probes halfway between the window's least and largest differences 10
     n = 5000
-    s = generate(GeneratorSpec("sphere", 3, {"n_dim": 25, "n": n}))
-    feats = dictionary(s, "anchors_random", k=4, seed=3)
-    calls = []
-    searchsorted = np.searchsorted
+    probes = count_probes(monkeypatch)
+    for seed, n_dim in ((3, 25), (4, 100)):
+        s = generate(GeneratorSpec("sphere", seed, {"n_dim": n_dim, "n": n}))
+        for f in dictionary(s, "anchors_random", k=4, seed=seed):
+            probes.clear()
+            assert observable_diameter(s, 1e-2, [f]) > 0.0
+            assert len(probes) <= 10, n_dim
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return searchsorted(*args, **kwargs)
 
-    monkeypatch.setattr(np, "searchsorted", counted)
-    for f in feats:
-        calls.clear()
-        assert observable_diameter(s, 1e-2, [f]) > 0.0
-        assert len(calls) - 1 <= 2 * math.log2(n)  # one call per probe, and one for ties
+def test_obsdiam_on_values_over_many_binades_takes_2_log2_n_probes(monkeypatch):
+    # +-2**k for k in -60..60: probes halfway between the window's least and
+    # largest differences cut off few pairs each, up to 37 per feature
+    rng = np.random.default_rng(2026)
+    probes = count_probes(monkeypatch)
+    for n in (100, 300, 1000, 2000):
+        x = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-60, 61, n)
+        s = from_points(x[:, None])
+        f = check_lipschitz(s, x)
+        for kappa in (1e-3, 1e-2, 0.1):
+            probes.clear()
+            got = observable_diameter(s, kappa, [f])
+            assert len(probes) <= 2 * math.log2(n) + 4, (n, kappa)
+            assert got == _obsdiam_ranked(x, kappa), (n, kappa)
 
 
 def test_obsdiam_sphere_scaling_ratio():

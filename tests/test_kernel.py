@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from concdim import features, mmspace
+from concdim import concentration as conc_mod, features, mmspace
 from concdim.concentration import greedy_separated_subset, sep_lower
 from concdim.dimension import dim_chavez
 from concdim.errors import InputError
@@ -37,7 +37,8 @@ from concdim.mmspace import (
     product_distance_moments,
 )
 
-from util import count_passes, count_rows, pair_table_medians
+from util import (count_passes, count_rows, pair_table_medians, row_by_row_growth_curve,
+                  run_fresh)
 
 
 def cloud(d: int, n: int = 300, seed: int = 0) -> np.ndarray:
@@ -461,3 +462,168 @@ def test_a_bracket_topped_at_the_sample_end_reads_the_diameter_first(monkeypatch
     assert passes == [None, None]
     fresh = diameter(from_points(cloud(50, 1500)))
     assert bits(got) == bits(space._diameter_cache) == bits(fresh)
+
+
+# -- column subsets and upper-triangle passes -------------------------------------
+
+
+def column_sets(n: int, rng) -> list[np.ndarray]:
+    """Suffixes from any column, from a multiple of 8 and from within the
+    last 1024 columns, and gathered sets of under 1024 columns, of a
+    multiple of 8 columns and of any size."""
+    sets = [np.arange(c, n) for c in (0, int(rng.integers(n)), int(rng.integers(n)) // 8 * 8,
+                                      max(0, n - int(rng.integers(1, 1024))))]
+    for m in (min(n, int(rng.integers(1, 1024))), n // 16 * 8, int(rng.integers(1, n + 1))):
+        if m:
+            sets.append(np.sort(rng.choice(n, size=m, replace=False)))
+    return sets
+
+
+SUBSET_SPACES = {
+    "gemm": [(5, 16), (300, 20), (1001, 16), (3000, 100), (4000, 1500), (10_000, 50)],
+    "cdist": [(5, 3), (1001, GEMM_MIN_DIM - 1)],
+    "hamming": [(5, 40), (1001, 40)],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(SUBSET_SPACES))
+def test_rows_over_column_subsets_equal_full_rows(kernel):
+    # the entries of any columns, written into any out that holds them, have
+    # the bits of the same entries of full rows
+    rng = np.random.default_rng(len(kernel))
+    for n, d in SUBSET_SPACES[kernel]:
+        x = cloud(d, n, seed=d) if n >= 300 else rng.normal(size=(n, d))
+        space = (from_points(x) if kernel != "hamming"
+                 else from_points((x > 0).astype(float), metric="normalized_hamming"))
+        assert (space._gemm is not None) == (kernel == "gemm")
+        for h in (1, 2, 3, 64, 209):
+            rows = rng.permutation(n)[: min(h, n)]
+            full = space._pairwise(rows)
+            for cols in column_sets(n, rng):
+                want = bits(full[:, cols])
+                assert bits(space._pairwise(rows, cols)) == want, (n, d, h, cols[0])
+                for width in (cols.size, n):
+                    got = space._pairwise(rows, cols, np.full((rows.size, width), np.nan))
+                    assert got.shape == (rows.size, cols.size)
+                    assert bits(got) == want, (n, d, h, width)
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("kind", sorted(SET_SPACES))
+def test_upper_blocks_are_the_upper_triangle(kind, held, monkeypatch):
+    # 37 rows a block: the upper form steps by 32, the matrix's own blocks
+    # by 37; block i0:i1 holds the columns from i0 on
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", mmspace.AUTO_DENSE if held else 0)
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 37 * 1001)
+    space = SET_SPACES[kind](1001)
+    ref = np.vstack([blk.copy() for _, blk in space.iter_blocks()])
+    starts = []
+    for ids, blk in space.iter_blocks(upper=True):
+        starts.append(int(ids[0]))
+        assert ids.tolist() == list(range(ids[0], ids[0] + len(ids)))
+        assert bits(blk) == bits(ref[ids, ids[0] :])
+    assert starts == list(range(0, 1001, 32))
+    assert space.is_dense == (held or kind == "matrix")
+    with pytest.raises(InputError, match="every point"):
+        next(space.iter_blocks([0, 1], upper=True))
+
+
+def lower_median_holds(space: MMSpace, c: float) -> bool:
+    """The pairs below `c` miss half the pairs and those up to `c` reach it,
+    counted over full rows."""
+    below = at_most = 0
+    for _, blk in space.iter_blocks():
+        below += np.count_nonzero(blk < c)
+        at_most += np.count_nonzero(blk <= c)
+    return below < (space.n ** 2 + 1) // 2 <= at_most
+
+
+def test_char_size_computes_the_upper_triangle_once(monkeypatch):
+    # one counting pass over blocks [i0:i1] x [i0:n]: n (n + 1) / 2 entries
+    # and half the square of each block's own columns; the pair sample
+    # reads coordinates, not the kernel
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    x = np.random.default_rng(50).normal(size=(10_000, 50))
+    space = from_points(x)
+    n = space.n
+    calls = count_rows(monkeypatch)
+    c = char_size(space)
+    assert 0 < calls.entries <= n * (n + space.block_rows) / 2
+    monkeypatch.undo()
+    assert lower_median_holds(from_points(x), c)
+    fresh = max(float(blk.max()) for _, blk in from_points(x).iter_blocks())
+    assert bits(space._diameter_cache) == bits(fresh)
+
+
+@pytest.mark.parametrize("kind", ["gemm", "weighted"])
+def test_growth_curve_narrows_to_the_free_points(kind, monkeypatch):
+    # above the ball-complement limit: once at most half of the columns are
+    # free the cache narrows to them, so the curve computes about 2/3 of
+    # the n**2 entries, with the bits of the row-by-row loop over full rows
+    n = conc_mod._BALL_COMPLEMENT_LIMIT + 104
+    x = cloud(50, n, seed=7)
+    w = np.random.default_rng(8).dirichlet(np.ones(n)) if kind == "weighted" else None
+    held = from_points(x, weights=w)
+    a = int(np.argmax(held.dist_row(0)))
+    b = int(np.argmax(held.dist_row(a)))
+    want = row_by_row_growth_curve(held, a, b)
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    space = from_points(x, weights=w)
+    calls = count_rows(monkeypatch)
+    got = conc_mod._greedy_growth_curve(space, a, b)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert not space.is_dense
+    if kind == "gemm":  # takes every point, so fills the diameter
+        assert calls.entries <= 0.75 * n * n
+        assert bits(space._diameter_cache) == bits(diameter(held))
+    assert len(np.concatenate(calls)) <= n
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_row_cache_narrows_to_the_kept_columns(kind, monkeypatch):
+    # rows held across a narrowing keep their kept entries; later rows are
+    # computed over the kept columns alone, each row at most once.  A held
+    # matrix's rows cost nothing, and its cache does not narrow
+    assert not mmspace.RowCache(KERNELS[kind](300)).narrows
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 16 * 1001)
+    space = KERNELS[kind](1001)
+    m = from_points(space.coords, metric=space.metric).dist
+    calls = count_rows(monkeypatch)
+    rows = mmspace.RowCache(space)
+    assert rows.narrows
+    rng = np.random.default_rng(3)
+    cols, score = np.arange(space.n), rng.random(space.n)
+    for step in range(3):
+        for x in rng.choice(np.flatnonzero(score > -np.inf), 20, replace=False):
+            assert bits(rows.take(int(x), score)) == bits(m[cols[x], cols])
+            score[x] = -np.inf
+        keep = np.sort(rng.choice(cols.size, cols.size // 2, replace=False))
+        rows.narrow(keep)
+        cols, score = cols[keep], score[keep]
+    taken = np.concatenate(calls)
+    assert np.unique(taken).size == taken.size
+    assert not space.is_dense
+
+
+def test_upper_passes_and_narrowed_scans_hold_no_more_memory():
+    # char_size and sep_lower on an unheld 10**4 x 50 cloud.  Full-row
+    # passes and scans peaked at 115.4-117.4 MB over 12 runs (median
+    # 116.8), these at 113.3-114.7 MB over 9 (numpy 2.4.6 and its OpenBLAS
+    # on 2 threads; 85.6 MB after the imports and the cloud): triangle
+    # blocks are computed into the one block buffer, and a narrowed cache
+    # keeps its rows in place
+    setup = """
+import numpy as np
+from concdim.concentration import sep_lower
+from concdim.mmspace import char_size, from_points
+s = from_points(np.random.default_rng(50).normal(size=(10_000, 50)))
+def check():
+    c = char_size(s)
+    prof = sep_lower(s, restarts=2)
+    return [c, prof.sep.tolist(), s.is_dense]
+"""
+    (c, sep, materialized), _, peak_rss_mb = run_fresh(setup, "check()")
+    assert c > 0.0 and 0.0 < sep[-1] <= sep[0]
+    assert not materialized
+    assert peak_rss_mb <= 116.0

@@ -319,8 +319,9 @@ def test_subspace_induced_metric():
 
 def test_weighted_pair_statistics_run_above_auto_dense():
     # the weighted n**2 tables these statistics used to sort took 1.7 and
-    # 2.2 GB at n=6000; the blocked selection and the weighted bisection
-    # hold no such table, and the matrix is never built
+    # 2.2 GB at n=6000; the blocked pair selection and the observable
+    # diameter's selection over windows of sorted values hold no such
+    # table, and the matrix is never built
     setup = f"""
 import numpy as np
 from scipy.spatial.distance import cdist

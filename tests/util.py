@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from concdim.concentration import MASS_TOL
 from concdim.mmspace import MMSpace, from_distance_matrix, from_points, weighted_median
 
 
@@ -78,6 +79,38 @@ def naive_sep(space: MMSpace, kappa: float) -> float:
     return best
 
 
+def row_by_row_growth_curve(space, i, j):
+    """The greedy growth of ``_greedy_growth_curve``, one row read per step."""
+    n = space.n
+    w = space.weights
+    free = np.ones(n, dtype=bool)
+    free[[i, j]] = False
+    d_a = space.dist_row(i).copy()
+    d_b = space.dist_row(j).copy()
+    mass_a, mass_b = float(w[i]), float(w[j])
+    cross = float(space.distance(i, j))
+    minmass = [min(mass_a, mass_b)]
+    crosses = [cross]
+    target = 0.5 - MASS_TOL
+    while free.any() and (mass_a < target or mass_b < target):
+        grow_a = (mass_a <= mass_b and mass_a < target) or mass_b >= target
+        gain = d_b if grow_a else d_a
+        cand = np.flatnonzero(free)
+        x = int(cand[np.argmax(gain[cand])])
+        free[x] = False
+        cross = min(cross, float(gain[x]))
+        row = space.dist_row(x)
+        if grow_a:
+            mass_a += float(w[x])
+            np.minimum(d_a, row, out=d_a)
+        else:
+            mass_b += float(w[x])
+            np.minimum(d_b, row, out=d_b)
+        minmass.append(min(mass_a, mass_b))
+        crosses.append(cross)
+    return np.asarray(minmass), np.asarray(crosses)
+
+
 def pair_table_medians(s: MMSpace) -> tuple[float, float]:
     """char_size_interval from the whole n**2 table of the distances `s`
     reads: np.partition for uniform weights, weighted_median of the
@@ -97,23 +130,32 @@ def count_passes(monkeypatch) -> list:
     passes = []
     inner = MMSpace.iter_blocks
 
-    def iter_blocks(self, ids=None):
+    def iter_blocks(self, ids=None, upper=False):
         passes.append(ids)
-        return inner(self, ids)
+        return inner(self, ids, upper)
 
     monkeypatch.setattr(MMSpace, "iter_blocks", iter_blocks)
     return passes
 
 
-def count_rows(monkeypatch) -> list:
+class RowCalls(list):
+    """The point ids of each kernel call; ``entries`` counts the distances
+    they asked for, rows times columns."""
+
+    entries = 0
+
+
+def count_rows(monkeypatch) -> RowCalls:
     """Record the point ids of every ``MMSpace._pairwise`` call, the rows
-    it computes, until the monkeypatch is undone."""
-    calls = []
+    it computes, and the entries it computes, until the monkeypatch is
+    undone."""
+    calls = RowCalls()
     inner = MMSpace._pairwise
 
-    def pairwise(self, rows, out=None):
+    def pairwise(self, rows, cols=None, out=None):
         calls.append(np.array(rows))
-        return inner(self, rows, out=out)
+        calls.entries += len(rows) * (self.n if cols is None else len(cols))
+        return inner(self, rows, cols, out)
 
     monkeypatch.setattr(MMSpace, "_pairwise", pairwise)
     return calls
