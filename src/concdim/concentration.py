@@ -33,7 +33,7 @@ from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import Feature
 from .io import write_csv
 from .mmspace import (MMSpace, RowCache, check_count, check_int, diameter,
-                      pick_order_stats, weighted_median)
+                      pick_order_stats, uniform_weights, weighted_median)
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
 ORACLE_LIMIT = 22
@@ -580,12 +580,13 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     Restart 0 seeds the two sets with the two-sweep far pair: the point
     ``a`` farthest from point 0, and the point farthest from ``a``.  Later
     restarts use a random point and its farthest partner; a pair drawn
-    again is skipped.  Each seed pair contributes the greedy growth witness
-    (grow both sets by the point farthest from the other side until they
-    reach the target mass).  Up to ``_BALL_COMPLEMENT_LIMIT`` points, each
-    seed of restart 0 also centres a ball-complement witness.  Every value
-    is certified by an explicit admissible pair, hence at most the exact
-    separation distance.
+    again is skipped, and drawing stops once every point has been drawn.
+    Each seed pair contributes the greedy growth witness (grow both sets
+    by the point farthest from the other side until they reach the target
+    mass).  Up to ``_BALL_COMPLEMENT_LIMIT`` points, each seed of restart 0
+    also centres a ball-complement witness.  Every value is certified by
+    an explicit admissible pair, hence at most the exact separation
+    distance.
     """
     grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
     _check_kappa_grid(grid)
@@ -597,12 +598,14 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     if n >= 2:
         rows = RowCache(space)
         a = int(np.argmax(rows.take(0)))
-        seeds = [(a, int(np.argmax(rows.take(a))))]
+        far = {a: int(np.argmax(rows.take(a)))}  # each seed point's partner
         for _ in range(restarts - 1):
+            if len(far) == n:  # a later draw repeats a seed pair
+                break
             i = int(rng.integers(n))
-            j = int(np.argmax(rows.take(i)))
-            if i != j and (i, j) not in seeds:
-                seeds.append((i, j))
+            if i not in far:
+                far[i] = int(np.argmax(rows.take(i)))
+        seeds = [(i, j) for i, j in far.items() if i != j or i == a]
         for i, j in seeds:
             minmass, crosses = _greedy_growth_curve(space, i, j)
             np.maximum(best, _value_at(minmass, crosses, grid - MASS_TOL), out=best)
@@ -818,7 +821,8 @@ def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
     sample of the window (``_aimed_probe``), so the side kept is small
     however the differences spread over the binades; where the last probe
     left more than half of its pairs, it is the median of the rows' middle
-    differences by row width, which keeps at most about three quarters.
+    differences by row width (one ``pick_order_stats``), which keeps at
+    most about three quarters.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
@@ -844,8 +848,7 @@ def _kth_largest_abs_diff(values: np.ndarray, u, target) -> float:
             probe = _aimed_probe(v, w, rows, lo, hi, (half - above) / inside)
         else:
             middles = v[rows] - v[(lo + hi - 1) // 2]
-            by = np.argsort(middles, kind="stable")
-            probe = middles[by[np.argmax(np.cumsum((hi - lo)[by]) >= pairs / 2)]]
+            probe = pick_order_stats(middles, hi - lo, 0.0, [pairs / 2])[0]
         c = _reaching(v, max(probe, np.nextafter(bottom, np.inf)), rows, lo, hi)
         m = above + float(w[rows] @ (prefix[c] - prefix[lo]))
         lo, hi, above = (lo, c, above) if m >= half else (c, hi, m)
@@ -915,7 +918,7 @@ def observable_diameter(space: MMSpace, kappa: float,
     if not dictionary:
         raise InputError("observable_diameter requires a nonempty dictionary")
     w = space.weights
-    u, target = ((None, math.ceil(kappa * space.n * space.n)) if np.all(w == w[0])
+    u, target = ((None, math.ceil(kappa * space.n * space.n)) if uniform_weights(w)
                  else (w, kappa - 1e-15))
     return max(_kth_largest_abs_diff(f.values, u, target) for f in dictionary)
 

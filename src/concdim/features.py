@@ -6,7 +6,9 @@ at positive distance, see :class:`Feature`) and its sup norm.  Finite
 dictionaries of features stand in for the full non-expanding function class
 when estimating observable diameters and concentration profiles; estimates
 built on them are one-sided and can only under-report suprema taken over
-all non-expanding functions.
+all non-expanding functions.  Dictionary features are not shifted: no such
+estimate reads a constant, and the triangle inequality already keeps the
+sup norm of a distance row or half-difference within the diameter.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .io import write_csv
-from .mmspace import MMSpace, check_int, weighted_median
+from .mmspace import MATERIALIZE_LIMIT, MMSpace, check_int
 
 #: slack admitted when asserting that a certified constant is at most 1.
 LIPSCHITZ_TOL = 1e-12
@@ -136,18 +138,6 @@ def _set_feature(space: MMSpace, ids: np.ndarray, values: np.ndarray) -> Feature
     return _certify_distance_combination(space, values, name)
 
 
-def _centered(space: MMSpace, feat: Feature) -> Feature:
-    """Shift so the midpoint of the lower/upper weighted medians is zero.
-
-    Keeps the sup norm within the diameter while leaving all pairwise value
-    differences (hence Lipschitz constants and observable-diameter
-    estimates) untouched.
-    """
-    lo = weighted_median(feat.values, space.weights, "lower")
-    hi = weighted_median(feat.values, space.weights, "upper")
-    return feat.shifted(-(lo + hi) / 2.0)
-
-
 def dictionary(space: MMSpace, kind: str, k: int | None = None,
                seed: int | None = None) -> list[Feature]:
     """A finite family of certified non-expanding features.
@@ -162,35 +152,44 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
         ``k`` features ``x -> (d(x,p) - d(x,q))/2`` over seeded random
         point pairs.
 
-    All features are shifted to put the midpoint of their weighted medians
-    at zero, so sup norms stay within the diameter.  Each kind reads its
-    rows in one :meth:`MMSpace.iter_rows` call (pairs: 2k rows, drawn first).
+    Features are the rows and half-differences as read, with no shift:
+    adding a constant changes no value difference, so no observable
+    diameter or concentration estimate, and by the triangle inequality a
+    distance feature takes values in ``[0, diam]`` and a half-difference
+    in ``[-diam/2, diam/2]``, so sup norms stay within the diameter.  A
+    dictionary of more than ``MATERIALIZE_LIMIT**2`` floats, the budget
+    of a dense matrix, is a ResourceLimitError before any draw.  Each kind
+    reads its rows in one :meth:`MMSpace.iter_rows` call (pairs: 2k rows,
+    drawn first).
     """
     if kind == "anchors_all":
+        k = space.n
+    elif kind not in ("anchors_random", "halfspace_differences"):
+        raise InputError("kind must be one of anchors_all, anchors_random, "
+                         f"halfspace_differences; got {kind!r}")
+    elif k is None or check_int(k, "k") < 1:
+        raise InputError(f"{kind} requires k >= 1")
+    elif kind == "anchors_random":
+        k = min(k, space.n)
+    if k * space.n > MATERIALIZE_LIMIT**2:  # k features of n floats
+        raise ResourceLimitError(f"{kind} would hold {k} features of {space.n} floats, "
+                                 f"more than MATERIALIZE_LIMIT**2 = {MATERIALIZE_LIMIT**2}")
+    if kind == "anchors_all":
         ids = np.arange(space.n)
-    elif kind in ("anchors_random", "halfspace_differences"):
-        if k is None or check_int(k, "k") < 1:
-            raise InputError(f"{kind} requires k >= 1")
+    else:
         rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
         if kind == "anchors_random":
-            ids = rng.choice(space.n, size=min(k, space.n), replace=False)
+            ids = rng.choice(space.n, size=k, replace=False)
         else:  # the pairs (p, q), one after the other
             ids = np.ravel([rng.choice(space.n, size=2, replace=space.n < 2)
                             for _ in range(k)])
-    else:
-        raise InputError(
-            "kind must be one of anchors_all, anchors_random, "
-            f"halfspace_differences; got {kind!r}"
-        )
     rows = space.iter_rows(ids)
     if kind == "halfspace_differences":  # p's row copied: q's may start the next block
-        feats = (_certify_distance_combination(space, (row_p - row_q) / 2.0,
-                                               f"half_diff({p},{q})")
-                 for (p, q), row_p, row_q in zip(ids.reshape(-1, 2).tolist(),
-                                                 map(np.copy, rows), rows))
-    else:
-        feats = (_set_feature(space, ids[j : j + 1], row) for j, row in enumerate(rows))
-    return [_centered(space, f) for f in feats]
+        return [_certify_distance_combination(space, (row_p - row_q) / 2.0,
+                                              f"half_diff({p},{q})")
+                for (p, q), row_p, row_q in zip(ids.reshape(-1, 2).tolist(),
+                                                map(np.copy, rows), rows)]
+    return [_set_feature(space, ids[j : j + 1], row) for j, row in enumerate(rows)]
 
 
 def features_to_csv(features: list[Feature], path) -> None:

@@ -117,7 +117,8 @@ matrix or not.
   (``_pair_order_stats``) under any weights, keeping at most
   ``BLOCK_ENTRIES`` values beyond the current block: no matrix copy.
   One pick, ``pick_order_stats``, answers from the values it keeps, as
-  it does for the observable diameter of a feature.
+  it does for the observable diameter of a feature and for every
+  weighted median (``weighted_median``), by rank under equal weights.
   Its pair sample makes no pass of its own: it reads the sampled pairs
   from the held matrix or from their coordinates, 1024 pairs at a time.
   Triangle blocks are computed into the same one buffer, and the values
@@ -576,7 +577,7 @@ class MMSpace:
         if upper and ids is not None:
             raise InputError("the upper triangle is read over every point")
         m = self.dense() if ids is None else None
-        ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=int)
+        ids = np.arange(self.n) if ids is None else self.check_ids(ids)
         step = self.block_rows
         if upper:
             step = step - step % 8 or step
@@ -679,7 +680,7 @@ class MMSpace:
 
     def subspace(self, ids, weights=None, label: str | None = None) -> "MMSpace":
         """Induced space on a subset of points, uniform weights by default."""
-        ids = np.asarray(ids, dtype=int)
+        ids = self.check_ids(ids, "subspace ids")
         if ids.size < 1:
             raise InputError("subspace requires at least one point id")
         if self._coords is not None:
@@ -1016,20 +1017,33 @@ def weighted_median(values, weights, which: str = "lower") -> float:
 
     ``lower``: smallest value whose cumulative mass reaches 1/2;
     ``upper``: smallest value whose cumulative mass strictly exceeds 1/2.
+    One :func:`pick_order_stats` call on the targets of
+    :func:`_median_targets`: ranks under equal weights, else half the
+    total mass less or more ``1e-12``.
     """
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cw = np.cumsum(weights[order])
-    half = 0.5 * cw[-1]
-    if which == "lower":
-        k = int(np.searchsorted(cw, half - 1e-12, side="left"))
-    elif which == "upper":
-        k = int(np.searchsorted(cw, half + 1e-12, side="right"))
-    else:
+    if which not in ("lower", "upper"):
         raise InputError(f"which must be 'lower' or 'upper', got {which!r}")
-    return float(v[min(k, len(v) - 1)])
+    values = np.array(values, dtype=float)  # a copy: the pick partitions it
+    weights = np.asarray(weights, dtype=float)
+    masses, targets = _median_targets(values.size, weights, float(weights.sum()))
+    return pick_order_stats(values, masses, 0.0, [targets[which == "upper"]])[0]
+
+
+def uniform_weights(w: np.ndarray) -> bool:
+    """Whether the weights `w` are all equal, so that order statistics
+    under them are picked by rank."""
+    return bool(np.all(w == w[0]))
+
+
+def _median_targets(n: int, w: np.ndarray, total: float):
+    """The masses and the targets of the lower and upper medians of `n`
+    values for :func:`pick_order_stats`: None and the ranks ``(n+1)//2``
+    and ``n//2+1`` if the weights `w` are equal, else `w` and half of the
+    `total` mass less ``1e-12`` and more (the smallest float above)."""
+    if uniform_weights(w):
+        return None, ((n + 1) // 2, n // 2 + 1)
+    half = 0.5 * total
+    return w, (half - 1e-12, np.nextafter(half + 1e-12, np.inf))
 
 
 def _pair_sample_bracket(space: MMSpace, u, p_lo: float, p_hi: float
@@ -1184,13 +1198,10 @@ def _pair_order_stats(space: MMSpace, u, targets) -> list[float]:
 
 
 def _pair_median_targets(space: MMSpace):
-    """`u` and the targets of the lower and upper pair medians, with
-    :func:`weighted_median`'s thresholds."""
-    n2, w = space.n * space.n, space.weights
-    if np.all(w == w[0]):
-        return None, ((n2 + 1) // 2, n2 // 2 + 1)
-    half = 0.5 * float(w.sum()) ** 2
-    return w, (half - 1e-12, np.nextafter(half + 1e-12, np.inf))
+    """`u` and the targets of the lower and upper pair medians, by the rule
+    of :func:`weighted_median` (:func:`_median_targets`)."""
+    w = space.weights
+    return _median_targets(space.n * space.n, w, float(w.sum()) ** 2)
 
 
 def char_size(space: MMSpace) -> float:

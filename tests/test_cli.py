@@ -357,7 +357,12 @@ FIXED = [
     ["experiment", "--name", "sphere_separation", "--param", "dims=nan,"],
     ["experiment", "--name", "sphere_alpha_line", "--param", "n=0"],
     ["experiment", "--name", "sphere_alpha_line", "--param", "nosuch=1"],
+    ["experiment", "--name", "sampling_convergence", "--param", "restarts=1000000000",
+     "--param", "n_seeds=1", "--param", "sizes=50,"],
 ]
+
+#: six points on a line
+SIX = "x\n0\n1\n2\n3\n4\n5\n"
 
 #: (file, command line, the exit code it must give, else any of 0, 2, 3)
 NAMED = [
@@ -366,6 +371,11 @@ NAMED = [
         ["sep", "--points", "{}"], ["alpha", "--points", "{}"], ["dims", "--points", "{}"],
         ["obsdiam", "--points", "{}", "--kappa", "0.1"])],
     ("x\n1e308\n-1e308\n", ["obsdiam", "--points", "{}", "--kappa", "0.1"], 2),
+    # seed draws stop once every point is drawn; a dictionary beyond a
+    # dense matrix's floats is refused before any draw
+    (SIX, ["sep", "--points", "{}", "--mode", "heuristic", "--restarts", "1000000000"], 0),
+    (SIX, ["obsdiam", "--points", "{}", "--kappa", "0.1", "--dictionary",
+           "halfspace_differences:1000000000"], 3),
 ]
 
 
@@ -425,8 +435,11 @@ from concdim.cli import main
 def _refuse(name):
     raise ValueError(f"{name} is not JSON")
 
+class NoAnswer(Exception):
+    """Not an OSError, as TimeoutError is, which the CLI reports as exit 2."""
+
 def _timeout(signum, frame):
-    raise TimeoutError("no answer within 20 s")
+    raise NoAnswer("no answer within 20 s")
 
 def drive(table):
     """Run each case through ``main`` with a 20 s alarm: ``[exit code,
@@ -447,7 +460,7 @@ def drive(table):
                 code = main(line)
         except SystemExit as exc:  # argparse refuses a malformed option
             code = exc.code
-        except Exception:  # a traceback, or the alarm's TimeoutError
+        except Exception:  # a traceback, or the alarm's NoAnswer
             code = None
             err.write(traceback.format_exc())
         finally:

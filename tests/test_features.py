@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from concdim.errors import InputError
+from concdim.errors import InputError, ResourceLimitError
 from concdim.features import (
     Feature,
     LipschitzViolation,
@@ -178,6 +178,28 @@ def test_centered_features_have_sup_norm_within_diameter():
         s = random_space(rng)
         for f in dictionary(s, "anchors_all"):
             assert f.sup_norm <= diameter(s) + 1e-9
+
+
+def test_anchor_features_are_the_distance_rows_as_read():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        s = random_space(rng)
+        feats = dictionary(s, "anchors_all")
+        assert np.array([f.values for f in feats]).tobytes() == s.dist.tobytes()
+        assert [f.sup_norm for f in feats] == s.dist.max(axis=1).tolist()
+
+
+def test_dictionaries_beyond_a_dense_matrix_are_refused_before_any_draw(monkeypatch):
+    s = from_points(np.arange(6.0)[:, None])
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    with pytest.raises(ResourceLimitError, match="MATERIALIZE_LIMIT"):
+        dictionary(s, "halfspace_differences", k=10**9, seed=0)
+    limit = mmspace.MATERIALIZE_LIMIT
+    with pytest.raises(ResourceLimitError, match=f"{limit + 1} features"):
+        dictionary(from_points(np.zeros((limit + 1, 1))), "anchors_all")
+    monkeypatch.undo()
+    # anchors_random holds at most n features however large k is
+    assert len(dictionary(s, "anchors_random", k=10**9, seed=0)) == 6
 
 
 def test_features_csv_export(tmp_path):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from concdim import concentration as conc_mod, features, mmspace
+from concdim import concentration as conc_mod, mmspace
 from concdim.concentration import greedy_separated_subset, sep_lower
 from concdim.dimension import dim_chavez
 from concdim.errors import InputError
@@ -260,10 +260,11 @@ def test_anchor_dictionaries_read_their_rows_in_one_block(monkeypatch):
                                                        np.ravel(pairs).tolist()]
         assert [f.name for f in feats] == [f"dist_to_{{{a}}}" for a in anchors]
         assert [f.name for f in halves] == [f"half_diff({p},{q})" for p, q in pairs]
+        # the rows and half-differences as read, with no shift
+        for f, a in zip(feats, anchors):
+            assert bits(f.values) == bits(space.dist_row(a))
         for f, (p, q) in zip(halves, pairs):
-            want = features._centered(space, features._certify_distance_combination(
-                space, (space.dist_row(p) - space.dist_row(q)) / 2.0, f.name))
-            assert bits(f.values) == bits(want.values)
+            assert bits(f.values) == bits((space.dist_row(p) - space.dist_row(q)) / 2.0)
         assert space.is_dense == held
         monkeypatch.undo()
 
@@ -428,6 +429,15 @@ def test_accessors_reject_ids_that_are_not_points(kind, held, monkeypatch):
         for bad in ([True, 0], [True, 1.0], [0, np.True_], (2, False), [[0], 1]):
             with pytest.raises(InputError, match="integers"):
                 read(bad)
+    # subspace and iter_blocks used to cast ids: -1 took point n - 1, 0.7
+    # point 0 and True point 1, and n raised IndexError
+    for bad, match in (([-1, 0], "out of range"), ([0.7, 2], "integers"),
+                       ([True, 3], "integers"), ([0, 300], "out of range")):
+        with pytest.raises(InputError, match=match):
+            space.subspace(bad)
+    for bad in ([0.5], [True]):
+        with pytest.raises(InputError, match="integers"):
+            next(space.iter_blocks(bad))
     assert bits(space.dist_row(299.0)) == bits(space.dist_block([299])[0])
     assert space.distance(299, 0) == space.submatrix([299, 0])[0, 1]
     assert space.is_dense == (held or kind == "matrix")

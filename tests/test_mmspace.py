@@ -18,7 +18,7 @@ from concdim.mmspace import (
     weighted_median,
 )
 
-from util import count_passes, count_rows, pair_table_medians, run_fresh
+from util import count_passes, count_rows, pair_table_medians, run_fresh, sorted_medians
 
 
 def test_single_point():
@@ -215,6 +215,31 @@ def test_weighted_median_conventions():
     assert weighted_median(vals, w, "lower") == 0.0
     assert weighted_median(vals, w, "upper") == 1.0
     assert weighted_median([3.0], [1.0], "lower") == 3.0
+
+
+def test_weighted_median_equals_a_full_sort_bit_for_bit():
+    # seeded sizes from 1 to 2000; values with and without ties; weights
+    # 1/n, equal but not 1/n (a normalized column of 0.7), and random
+    rng = np.random.default_rng(11)
+    sizes = [1, 2, 3, 4, 5, 7, 8, 31, 64, 257, 1000, 1999, 2000,
+             *rng.integers(1, 2001, 12).tolist()]
+    for n in sizes:
+        for values in (rng.normal(size=n), rng.integers(0, 4, n).astype(float),
+                       np.full(n, 2.5)):
+            column = np.full(n, 0.7)
+            for w in (np.full(n, 1.0 / n), column / column.sum(), rng.random(n) + 0.01,
+                      np.where(rng.random(n) < 0.5, 0.0, 1.0 / n)):
+                if not w.any():
+                    continue
+                want = sorted_medians(values, w, float(w.sum()))
+                got = tuple(weighted_median(values, w, which) for which in ("lower", "upper"))
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (n, w[:3])
+                if np.all(w == w[0]):  # the ranks are what mass thresholds pick
+                    order = np.argsort(values, kind="stable")
+                    cw = np.cumsum(w[order])
+                    ks = (np.searchsorted(cw, 0.5 * cw[-1] - 1e-12, side="left"),
+                          np.searchsorted(cw, 0.5 * cw[-1] + 1e-12, side="right"))
+                    assert got == tuple(values[order][min(k, n - 1)] for k in ks)
 
 
 def test_sphere_sample_diameter_bound():

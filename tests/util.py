@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from concdim.concentration import MASS_TOL
-from concdim.mmspace import MMSpace, from_distance_matrix, from_points, weighted_median
+from concdim.mmspace import MMSpace, from_distance_matrix, from_points
 
 
 def random_space(rng: np.random.Generator, n: int | None = None) -> MMSpace:
@@ -111,17 +111,29 @@ def row_by_row_growth_curve(space, i, j):
     return np.asarray(minmass), np.asarray(crosses)
 
 
+def sorted_medians(values, weights, total: float) -> tuple[float, float]:
+    """The lower and upper weighted medians of `values` by a full sort: the
+    values of ranks ``(n+1)//2`` and ``n//2+1`` under equal weights, else
+    the first values whose cumulative mass in sorted order reaches half of
+    `total` less ``1e-12`` and passes it plus ``1e-12``."""
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    if np.all(weights == weights[0]):
+        return float(v[(v.size + 1) // 2 - 1]), float(v[v.size // 2])
+    cw, half = np.cumsum(weights[order]), 0.5 * total
+    lower = int(np.searchsorted(cw, half - 1e-12, side="left"))
+    upper = int(np.searchsorted(cw, half + 1e-12, side="right"))
+    return float(v[min(lower, v.size - 1)]), float(v[min(upper, v.size - 1)])
+
+
 def pair_table_medians(s: MMSpace) -> tuple[float, float]:
     """char_size_interval from the whole n**2 table of the distances `s`
-    reads: np.partition for uniform weights, weighted_median of the
-    weighted table otherwise."""
+    reads, by a full sort (:func:`sorted_medians`): no selection code of
+    the package."""
     flat = np.concatenate([blk.ravel().copy() for _, blk in s.iter_blocks()])
-    if np.all(s.weights == s.weights[0]):
-        total = flat.size
-        return (float(np.partition(flat, (total + 1) // 2 - 1)[(total + 1) // 2 - 1]),
-                float(np.partition(flat, total // 2)[total // 2]))
-    w = np.multiply.outer(s.weights, s.weights).ravel()
-    return weighted_median(flat, w, "lower"), weighted_median(flat, w, "upper")
+    w = s.weights
+    return sorted_medians(flat, np.multiply.outer(w, w).ravel(), float(w.sum()) ** 2)
 
 
 def count_passes(monkeypatch) -> list:
