@@ -1,13 +1,15 @@
 """Command-line interface: dataset generation, invariants, experiments.
 
 Exit codes: 0 success, 2 input error, 3 resource limit, 4 internal
-invariant violation, 5 unwritable output location.
+invariant violation, 5 unwritable output location.  Any other exception
+is a fault of the package, not of the input, and is not mapped to a code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -136,8 +138,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    if args.eps is not None and not args.eps >= 0:
-        raise InputError(f"eps must be nonnegative, got {args.eps!r}")
+    if args.eps is not None and not 0 <= args.eps < math.inf:
+        raise InputError(f"eps must be finite and nonnegative, got {args.eps!r}")
     out = _out_dir(args)
     space = _load_space(args)
     mode = args.mode
@@ -258,6 +260,8 @@ def _cmd_emd(args) -> int:
 
 
 def _cmd_net(args) -> int:
+    if args.radius is not None and not math.isfinite(args.radius):
+        raise InputError(f"radius must be finite, got {args.radius!r}")
     out = _out_dir(args)
     space = _load_space(args)
     if args.grid:
@@ -414,9 +418,6 @@ def main(argv=None) -> int:
     except _Unwritable as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -48,13 +48,13 @@ DEFAULT_KAPPA_POINTS = 50
 #: when there are at most this many, quantiles of them otherwise.
 MAX_EPS_GRID = 512
 
-#: largest cube dimension accepted by sep_hamming_analytic.  Tiny kappa
-#: (about 2**(-0.8 d)) is the slowest: 0.3-0.4 s at d=850, against
-#: 0.03 s at kappa = 1/4 (Python 3.11, one core of a 2-core Xeon).
+#: largest cube dimension accepted by sep_hamming_analytic: 6 ms at
+#: d=850 for kappa = 2**-680, 7-10 ms for kappa = 1/4 (Python 3.11, one
+#: core of a 2-core Xeon).
 MAX_ANALYTIC_CUBE_DIM = 850
 
-#: largest cube dimension accepted by sep_hamming_profile: 12 s at d=105
-#: on the same machine.
+#: largest cube dimension accepted by sep_hamming_profile: 0.24-0.31 s at
+#: d=105 on the same machine.
 MAX_PROFILE_CUBE_DIM = 105
 
 
@@ -253,14 +253,21 @@ def _minimal_half_subsets(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only shrink the complement of its neighborhood, so maximizing over the
     minimal subsets is exhaustive.
     """
-    n = len(weights)
     masses = _subset_masses(weights)
-    minw = np.full(1 << n, np.inf)
-    for i in range(n):
-        minw[1 << i : 1 << (i + 1)] = np.minimum(minw[: 1 << i], weights[i])
     admissible = masses >= 0.5 - MASS_TOL
-    still = (masses - minw) >= 0.5 - MASS_TOL
+    still = (masses - _subset_min(weights, np.inf)) >= 0.5 - MASS_TOL
     return np.flatnonzero(admissible & ~still), masses
+
+
+def _subset_min(values: np.ndarray, empty) -> np.ndarray:
+    """``table[m]``: the least ``values[i]`` over the bits i of m (element-wise
+    where ``values[i]`` is a row), `empty` for ``m = 0``; one pass per bit."""
+    k = len(values)
+    table = np.empty((1 << k, *np.shape(values)[1:]), dtype=np.result_type(values, empty))
+    table[0] = empty
+    for i in range(k):
+        np.minimum(table[: 1 << i], values[i], out=table[1 << i : 1 << (i + 1)])
+    return table
 
 
 def _ball_masks(space: MMSpace, eps: float) -> np.ndarray:
@@ -297,14 +304,29 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     On the default grid the profile captures every step of alpha, so its
     step quadrature integrates alpha exactly.
 
-    The minimal half-mass subsets are processed in batches of masks under
-    the ``mmspace.BLOCK_ENTRIES`` budget.  Every distance is ranked once
-    against the grid; ranking is monotone, so the least rank over a set's
-    members is the rank of the distance to the set.  A batch takes the
-    element-wise minimum of its members' rank columns, buckets the weights
-    of every mask with one ``bincount`` (adding in point order, as a
-    per-subset ``np.add.at`` would) and keeps, at each grid point, the
-    least cumulative mass inside the neighborhoods.
+    Every distance is ranked once against the grid, and the distinct
+    ranks are numbered in order (their levels).  Ranking is monotone, so
+    the least level over a set's members is the level of the distance to
+    the set.  Each point's key packs (level, point) into one integer, and
+    two subset-min tables of keys, over the low and the high half of the
+    point bits (``2**ceil(n/2)`` rows at most), give a mask's keys as one
+    ``np.minimum`` of two gathers.  The minimal half-mass subsets are
+    processed in batches under the ``mmspace.BLOCK_ENTRIES`` budget, and
+    each mask's keys are sorted once: its points by level, then in point
+    order.
+
+    The mass inside the closed neighborhood of a level sums the weights in
+    point order within each level, from 0, and then the levels' sums in
+    level order.  These are the additions, in the order, of a ``bincount``
+    over (mask, level) followed by a ``cumsum`` over the levels; the
+    empty levels that this skips only add 0.0, which is exact, so every
+    mass keeps its bits.  A mask's mass at the end of a level run holds
+    from that level up to the level before its next run.  The masses do
+    not decrease along the runs, so the least mass over all masks at a
+    level is the least over the runs whose interval ends at it or later:
+    a scatter-min at each interval's end, then a minimum from the top
+    level down.  Per mask this is O(n log n) work, and no array grows
+    with the grid but the profile itself.
     """
     _require_oracle_size(space, "alpha_lower")
     diam = diameter(space)
@@ -312,24 +334,42 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     grid = np.unique(np.concatenate([[0.0, diam], extra.ravel()]))
     _check_eps_grid(grid, diam)
     subs, _ = _minimal_half_subsets(space.weights)
-    n, g = space.n, grid.size
+    n = space.n
     # rank[x, a] is the first grid index with grid[j] >= d(x, a); x lies in
     # the closed grid[j]-neighborhood of A from the least rank over A on
-    rank = np.searchsorted(grid, space.dist, side="left")
-    # per mask a batch holds n ranks, g + 1 buckets and g cumulative sums
-    batch = max(1, mmspace.BLOCK_ENTRIES // (n + 2 * g))
-    inside = np.ones(g)
+    ranks, level = np.unique(np.searchsorted(grid, space.dist, side="left"),
+                             return_inverse=True)
+    bits = max(n - 1, 1).bit_length()
+    # key[a, x] packs (level of d(x, a), x); the last row lies above them all
+    key = ((np.vstack([level.reshape(n, n).T, np.full(n, ranks.size)]) << bits)
+           | np.arange(n)).astype(np.int32)
+    h = (n + 1) // 2
+    low, high = _subset_min(key[:h], key[n]), _subset_min(key[h:n], key[n])
+    # least[p]: the least mass inside over the runs whose level interval
+    # ends at level p; the spare last entry takes what ends before level 0
+    least = np.ones(ranks.size + 1)
+    # per mask a batch holds n keys, their transpose, levels and masses
+    batch = max(1, mmspace.BLOCK_ENTRIES // (4 * n))
     for start in range(0, subs.size, batch):
         masks = subs[start : start + batch]
-        member = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-        idx = np.full((masks.size, n), g)
-        for a in range(n):
-            np.minimum(idx, np.where(member[:, a, None], rank[:, a], g), out=idx)
-        idx += np.arange(masks.size)[:, None] * (g + 1)
-        bucket = np.bincount(idx.ravel(), weights=np.tile(space.weights, masks.size),
-                             minlength=masks.size * (g + 1))
-        np.minimum(inside, bucket.reshape(masks.size, g + 1)[:, :-1].cumsum(axis=1)
-                   .min(axis=0), out=inside)
+        keys = np.minimum(low[masks & ((1 << h) - 1)], high[masks >> h])
+        keys.sort(axis=1)
+        keys = np.ascontiguousarray(keys.T)  # row i: each mask's i-th key
+        lev = keys >> bits
+        mass = space.weights[keys & ((1 << bits) - 1)]
+        same = lev[1:] == lev[:-1]
+        for i in range(1, n):  # each level's sum, in point order
+            mass[i] += mass[i - 1] * same[i - 1]
+        mass[:-1] *= ~same  # a level's sum stays at its last point
+        for i in range(1, n):  # the levels' sums, in level order
+            mass[i] += mass[i - 1]
+        # a run ending at i - 1 holds mass[i - 1] up to level lev[i] - 1;
+        # inside a run, mass[i - 1] repeats the entry of the run before it,
+        # and inside the first run it is 0 and lands on the spare entry
+        np.minimum.at(least, (lev[1:] - 1).ravel(), mass[:-1].ravel())
+        least[ranks.size - 1] = min(least[ranks.size - 1], mass[-1].min())
+    envelope = np.minimum.accumulate(least[-2::-1])[::-1]
+    inside = envelope[np.searchsorted(ranks, np.arange(grid.size), side="right") - 1]
     best = np.minimum(np.maximum(1.0 - inside, 0.0), 0.5)
     best[(grid >= diam) & (grid > 0)] = 0.0
     best[0] = 0.5  # convention at eps = 0
@@ -676,72 +716,101 @@ def split_witness(space: MMSpace, subset_ids) -> tuple[float, np.ndarray, np.nda
 # sets of >= a vertices admit bit-distance >= j between them exactly when
 # the minimal (j-1)-step neighborhood closure of an a-vertex set leaves
 # room for a vertices outside.  Extremal sets are initial segments of the
-# simplicial order (full balls plus a shadow-minimal partial layer), whose
-# closure sizes follow from the cascade shadow formula.
+# simplicial order (full balls plus a shadow-minimal partial layer), and
+# so are their closures (Harper), whose sizes follow in closed form from
+# the iterated Kruskal-Katona shadow.
 
 
-def _cascade_shadow(s: int, k: int, d: int) -> int:
-    """Minimal lower-shadow size of s many k-subsets of a d-set, for
-    ``s < C(d, k)`` (Kruskal-Katona cascade representation).
+def _iterated_shadow(s: int, k: int, d: int, t: int) -> int:
+    """Size of the t-fold lower shadow of the first s k-subsets of a d-set
+    in colex order, for ``0 <= s <= C(d, k)``: ``sum_i C(a_i, k_i - t)``
+    over the cascade ``s = sum_i C(a_i, k_i)``, ``k_i = k - i + 1``, a term
+    with a negative lower index being 0.  At t = 1 this is the least
+    shadow of s k-subsets (Kruskal-Katona); at t = 0 it is s.
 
-    The digit of column k is the largest a with ``C(a, k) <= s``; the
-    shadow adds ``C(a, k-1)``.  The digits strictly decrease, since the
-    remainder ``s - C(a, k)`` is below ``C(a, k-1)``, so one walk down the
-    columns finds them all: it starts at ``C(d, k)`` and steps by the exact
-    recurrences ``C(a-1, k) = C(a, k) (a-k) / a`` and
-    ``C(a, k-1) = C(a, k) k / (a-k+1)``, at most ``d`` steps down in all.
+    The digit of column k is the largest a with ``C(a, k) <= s``.  The
+    digits strictly decrease, since the remainder ``s - C(a, k)`` is below
+    ``C(a, k-1)``, so one walk down the columns finds them all: it starts
+    at ``C(d, k)`` and ``C(d, k-t)`` and steps both by the exact
+    recurrences ``C(a-1, m) = C(a, m) (a-m) / a`` and
+    ``C(a, m-1) = C(a, m) m / (a-m+1)``, at most ``d`` steps down in all.
+    It stops at the first column below t, whose terms are all 0.
     """
+    if k < t:
+        return 0
     total = 0
-    a, c = d, math.comb(d, k)  # c = C(a, k)
-    while s > 0 and k >= 1:
+    a, c, ct = d, math.comb(d, k), math.comb(d, k - t)  # C(a, k), C(a, k - t)
+    while s > 0 and k >= t:
         while c > s:
             c = c * (a - k) // a
+            ct = ct * (a - k + t) // a
             a -= 1
-        below = c * k // (a - k + 1)
-        total += below
+        total += ct
         s -= c
+        c = c * k // (a - k + 1)
+        ct = ct * (k - t) // (a - k + t + 1)
         k -= 1
-        c = below
     return total
 
 
 def _ball_sizes(d: int) -> list[int]:
-    sizes = [0]
-    run = 0
+    sizes, layer = [0], 1  # layer = C(d, r)
     for r in range(d + 1):
-        run += math.comb(d, r)
-        sizes.append(run)
+        sizes.append(sizes[-1] + layer)
+        layer = layer * (d - r) // (r + 1)
     return sizes  # sizes[r+1] = |ball(r)|
 
 
-def _closure_step(m: int, d: int, balls: list[int]) -> int:
-    """Minimal one-step neighborhood closure size over m-vertex sets."""
-    full = 1 << d
-    if m >= full:
-        return full
+def _closure(m: int, t: int, d: int, balls: list[int]) -> int:
+    """Least size of the t-step neighborhood closure of an m-vertex set of
+    the d-cube, ``1 <= m <= 2**d``, in closed form (the lemma in
+    ``_max_bit_separation``)."""
     r = bisect.bisect_left(balls, m) - 1
-    # now balls[r] < m <= balls[r+1]; partial layer index is r
-    if m == balls[r + 1]:
-        return balls[min(r + 2, d + 1)]
-    s = m - balls[r]
-    # min upper shadow of s weight-r elements = min lower shadow of their
-    # complements, which are (d-r)-sets; s < C(d, r) = C(d, d-r)
-    return balls[r + 1] + _cascade_shadow(s, d - r, d)
+    if r + t > d:
+        return 1 << d
+    return balls[r + t] + _iterated_shadow(m - balls[r], d - r, d, t)
 
 
 def _max_bit_separation(a: int, d: int, balls: list[int]) -> int:
-    """Largest j such that some pair of a-vertex sets is j bits apart."""
-    full = 1 << d
-    if a > full - a:
+    """Largest j such that some pair of a-vertex sets is j bits apart.
+
+    That is the largest ``j <= d`` whose ``(j-1)``-step closure of an
+    a-vertex set leaves room for a vertices outside: at j = 1 the set
+    itself, and where that leaves no room there is no pair (0).  Initial
+    segments of the simplicial order have the least closures (Harper),
+    and their sizes have a closed form (``_closure``).
+
+    Lemma (iterated shadow).  Let ``balls[r] < m <= balls[r+1]``: the
+    initial segment of size m is the ball of radius r-1 and the first
+    ``s = m - balls[r]`` weight-r vertices, whose complements are the
+    first s (d-r)-sets in colex order, ``s = sum_i C(a_i, k_i)`` with
+    ``k_i = d - r - i + 1``.  Its t-step closure is the ball of radius
+    r+t-1 and the t-fold upper shadow of those vertices in layer r+t, the
+    t-fold lower shadow of their complements, an initial colex segment
+    again (Kruskal-Katona, iterated).  So its size is
+    ``min(2**d, balls[r+t] + sum_i C(a_i, k_i - t))``.  Edge cases: a term
+    with a negative lower index is 0; a full layer (``s = C(d, r)``)
+    closes to the ball ``balls[r+t+1]``; the closure is ``2**d`` once
+    ``r + t > d``; t = 0 gives m.
+
+    Closures grow with the step count, so ``j - 1`` is searched upward by
+    doubling from 1, then bisected: about ``2 log2 j`` closure
+    evaluations, each one walk of the cascade.
+    """
+    room = (1 << d) - a
+    if a > room:
         return 0
-    j = 1
-    m = a
-    while True:
-        m = _closure_step(m, d, balls)
-        if m <= full - a and j < d:
-            j += 1
+    fits, t = 0, 1  # the t-step closure is tried next
+    while t < d and _closure(a, t, d, balls) <= room:
+        fits, t = t, 2 * t
+    over = min(t, d)  # too large a closure, or beyond the cap
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if _closure(a, mid, d, balls) <= room:
+            fits = mid
         else:
-            return j
+            over = mid
+    return fits + 1
 
 
 def _check_cube_dim(d: int, limit: int) -> int:
@@ -772,28 +841,28 @@ def sep_hamming_profile(d: int) -> SeparationProfile:
 
     Knots sit exactly where the separation drops as the required mass
     grows, so the step quadrature of this profile integrates the
-    separation function exactly.
+    separation function exactly.  From the least size a not yet covered,
+    the separation j of a is found, then by bisection the largest size
+    that keeps it: m vertices keep at least j bits exactly when the
+    ``(j-1)``-step closure of an initial segment of size m leaves m
+    vertices outside.  By the iterated-shadow lemma (see
+    ``_max_bit_separation``: ``balls[r+t] + sum_i C(a_i, k_i - t)``, terms
+    with a negative lower index 0, the whole cube once ``r + t > d``) that
+    test is one walk of a cascade, not j - 1 closure steps.
     """
     d = _check_cube_dim(d, MAX_PROFILE_CUBE_DIM)
     balls = _ball_sizes(d)
     full = 1 << d
     half = full // 2
-    cache: dict[int, int] = {}
-
-    def sep_bits(a: int) -> int:
-        if a not in cache:
-            cache[a] = _max_bit_separation(a, d, balls)
-        return cache[a]
-
     knots: list[float] = []
     vals: list[float] = []
     a = 1
     while a <= half:
-        j = sep_bits(a)
+        j = _max_bit_separation(a, d, balls)
         lo, hi = a, half  # largest size keeping separation >= j
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if sep_bits(mid) >= j:
+            if _closure(mid, j - 1, d, balls) <= full - mid:
                 lo = mid
             else:
                 hi = mid - 1

@@ -22,25 +22,33 @@ def read_csv_rows(path) -> tuple[list[str] | None, list[list[float]]]:
     parse as numbers is the header (None if there is none), empty cells and
     blank lines are skipped, and every row, the header too, must have one
     width.  Parsing is locale-independent with ``.`` as the decimal
-    separator."""
+    separator.  A file that cannot be opened or read as CSV text is an
+    ``InputError`` that names it."""
+    try:
+        with open(path, newline="") as fh:
+            return _parse_csv_rows(path, csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from None
+
+
+def _parse_csv_rows(path, records) -> tuple[list[str] | None, list[list[float]]]:
     rows: list[list[float]] = []
     header: list[str] | None = None
-    with open(path, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            rec = [c.strip() for c in rec if c.strip() != ""]
-            if not rec:
-                continue
-            if header is None and rows == []:
-                try:
-                    rows.append([float(c) for c in rec])
-                    continue
-                except ValueError:
-                    header = rec
-                    continue
+    for lineno, rec in enumerate(records, start=1):
+        rec = [c.strip() for c in rec if c.strip() != ""]
+        if not rec:
+            continue
+        if header is None and rows == []:
             try:
                 rows.append([float(c) for c in rec])
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+                continue
+            except ValueError:
+                header = rec
+                continue
+        try:
+            rows.append([float(c) for c in rec])
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

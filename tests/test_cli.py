@@ -229,6 +229,8 @@ def test_sep_heuristic_at_kappa_never_exceeds_the_exact_value(tmp_path):
     ["alpha", "--mode", "heuristic", "--eps", "nan"],
     ["alpha", "--mode", "heuristic", "--grid", "0.5", "nan"],
     ["alpha", "--mode", "exact", "--grid", "0.5", "nan"],
+    ["alpha", "--mode", "exact", "--eps", "inf"],
+    ["net", "--radius", "inf"],
 ])
 def test_out_of_range_parameters_exit_2(tmp_path, args):
     out = tmp_path / "out"
@@ -376,6 +378,10 @@ NAMED = [
     (SIX, ["sep", "--points", "{}", "--mode", "heuristic", "--restarts", "1000000000"], 0),
     (SIX, ["obsdiam", "--points", "{}", "--kappa", "0.1", "--dictionary",
            "halfspace_differences:1000000000"], 3),
+    # values JSON cannot hold, and a path that cannot be read, are input errors
+    (VALID["dist"][0], ["alpha", "--dist", "{}", "--eps", "inf"], 2),
+    (VALID["points"][0], ["net", "--points", "{}", "--radius", "inf"], 2),
+    (SIX, ["alpha", "--dist", "{}.missing"], 2),
 ]
 
 

@@ -13,7 +13,9 @@ from concdim.concentration import (
     MASS_TOL,
     ORACLE_LIMIT,
     ConcentrationProfile,
-    _cascade_shadow,
+    _ball_sizes,
+    _closure,
+    _iterated_shadow,
     _minimal_half_subsets,
     alpha_exact,
     alpha_exact_profile,
@@ -176,7 +178,7 @@ def test_alpha_profile_batches_split_subset_list(monkeypatch):
         grid = _caller_grid(rng, s)
         want = alpha_exact_profile(s, grid)
         n_subsets = _minimal_half_subsets(s.weights)[0].size
-        per_mask = n + 2 * want.eps_grid.size
+        per_mask = 4 * n  # the profile's batch budget per mask
         for batch in (1, 3, n_subsets - 1):
             assert 1 <= batch < n_subsets
             monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", batch * per_mask)
@@ -187,9 +189,89 @@ def test_alpha_profile_batches_split_subset_list(monkeypatch):
             assert val == pytest.approx(naive_alpha(s, float(eps)), abs=1e-12)
 
 
+def _reference_alpha_profile(space, eps_grid=None):
+    """The profile as computed before the per-set rank tables: a pass per
+    member over every batch of masks, a ``bincount`` of each mask's weights
+    over (mask, grid rank) and a ``cumsum`` over the grid."""
+    diam = diameter(space)
+    extra = space.dist if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    grid = np.unique(np.concatenate([[0.0, diam], extra.ravel()]))
+    subs, _ = _minimal_half_subsets(space.weights)
+    n, g = space.n, grid.size
+    rank = np.searchsorted(grid, space.dist, side="left")
+    batch = max(1, mmspace.BLOCK_ENTRIES // (n + 2 * g))
+    inside = np.ones(g)
+    for start in range(0, subs.size, batch):
+        masks = subs[start : start + batch]
+        member = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        idx = np.full((masks.size, n), g)
+        for a in range(n):
+            np.minimum(idx, np.where(member[:, a, None], rank[:, a], g), out=idx)
+        idx += np.arange(masks.size)[:, None] * (g + 1)
+        bucket = np.bincount(idx.ravel(), weights=np.tile(space.weights, masks.size),
+                             minlength=masks.size * (g + 1))
+        np.minimum(inside, bucket.reshape(masks.size, g + 1)[:, :-1].cumsum(axis=1)
+                   .min(axis=0), out=inside)
+    best = np.minimum(np.maximum(1.0 - inside, 0.0), 0.5)
+    best[(grid >= diam) & (grid > 0)] = 0.0
+    best[0] = 0.5
+    return grid, np.minimum.accumulate(best)
+
+
+def _table_space(rng, n, weights, rounded):
+    x = rng.normal(size=(n, 2))
+    w = None
+    if weights != "uniform":
+        w = rng.random(n) + 0.1
+        if weights == "zeros":
+            w[rng.permutation(n)[: n // 3]] = 0.0
+    return from_points(np.round(x, 1) if rounded else x,
+                       weights=None if w is None else w / w.sum())
+
+
+def test_alpha_profile_equals_the_bincount_reference_bit_for_bit():
+    # rounded coordinates tie distances, so level runs hold several points
+    rng = np.random.default_rng(21)
+    for n in range(1, 19):
+        for weights in ("uniform", "random", "zeros"):
+            for rounded in (False, True):
+                s = _table_space(rng, n, weights, rounded)
+                grids = [None, np.sort(rng.uniform(0, diameter(s), 9))]
+                if n > 1:
+                    grids.append(_caller_grid(rng, s))
+                for grid in grids:
+                    want_grid, want = _reference_alpha_profile(s, grid)
+                    got = alpha_exact_profile(s, grid)
+                    assert got.eps_grid.tobytes() == want_grid.tobytes(), (n, weights)
+                    assert got.alpha.tobytes() == want.tobytes(), (n, weights, rounded)
+
+
+def test_alpha_profile_on_a_caller_grid_of_1e5_points():
+    # the profile reads each mask's sorted keys, not the grid: memory grows
+    # with the grid by a few arrays of its length, and on any grid alpha is
+    # the default profile's step function
+    import tracemalloc
+
+    s = from_points(np.random.default_rng(22).normal(size=(16, 3)))
+    s.dist
+    exact = alpha_exact_profile(s)
+    peaks = []
+    for size in (10**4, 10**5):
+        grid = np.linspace(0.0, diameter(s), size)
+        tracemalloc.start()
+        got = alpha_exact_profile(s, grid)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        at = np.searchsorted(exact.eps_grid, got.eps_grid, side="right") - 1
+        assert got.alpha.tobytes() == exact.alpha[at].tobytes()
+    assert peaks[1] - peaks[0] <= 8 * 8 * (10**5 - 10**4)  # 8 floats per grid point
+
+
 def test_alpha_profile_at_oracle_limit_matches_pointwise_oracle():
-    # a 22-point profile enumerates C(22, 11) = 705432 minimal subsets: about
-    # 2.4 s on 2 cores, where the per-subset loop it replaced took 17-21 s
+    # a 22-point profile enumerates C(22, 11) = 705432 minimal subsets: the
+    # call below takes about 1.0 s on 2 cores (the profile 0.3-0.4 s of it),
+    # where a per-member pass over every batch took 2.4 s and the per-subset
+    # loop before it 17-21 s
     setup = f"""
 import numpy as np
 from concdim.concentration import alpha_exact, alpha_exact_profile
@@ -900,7 +982,8 @@ def test_cascade_shadow_search_matches_linear_search():
             while math.comb(top, k) <= s:
                 top += 1
             for d in (top, top + 1, top + 5):  # least d with s < C(d, k), and above
-                assert _cascade_shadow(s, k, d) == linear_cascade_shadow(s, k), (s, k, d)
+                # the shadow is the one-step case of the iterated shadow
+                assert _iterated_shadow(s, k, d, 1) == linear_cascade_shadow(s, k), (s, k, d)
 
 
 # the cube's separation as computed before the walk down the binomial
@@ -935,23 +1018,29 @@ def _reference_ball_sizes(d):
     return sizes
 
 
+def _reference_closure_step(m, d, balls):
+    """The least one-step neighborhood closure of an m-vertex set: the
+    ball of the partial layer's weight, and the upper shadow of its
+    vertices one layer up."""
+    full = 1 << d
+    if m >= full:
+        return full
+    r = 1
+    while balls[r] < m:
+        r += 1
+    r -= 1
+    if m == balls[r + 1]:
+        return balls[min(r + 2, d + 1)]
+    return balls[r + 1] + _reference_cascade_shadow(m - balls[r], d - r)
+
+
 def _reference_max_bit_separation(a, d, balls):
     full = 1 << d
     if a > full - a:
         return 0
     j, m = 1, a
     while True:
-        if m >= full:
-            m = full
-        else:
-            r = 1
-            while balls[r] < m:
-                r += 1
-            r -= 1
-            if m == balls[r + 1]:
-                m = balls[min(r + 2, d + 1)]
-            else:
-                m = balls[r + 1] + _reference_cascade_shadow(m - balls[r], d - r)
+        m = _reference_closure_step(m, d, balls)
         if m <= full - a and j < d:
             j += 1
         else:
@@ -995,6 +1084,30 @@ def test_hamming_analytic_matches_the_bisected_digit_reference():
             a = math.ceil(Fraction(kap) * 2**d)
             want = _reference_max_bit_separation(a, d, balls) / d
             assert sep_hamming_analytic(d, kap) == want, (d, kap)
+
+
+def _closures_match_the_iterated_step(d, sizes):
+    balls = _reference_ball_sizes(d)
+    assert _ball_sizes(d) == balls
+    for a in sizes:
+        m = a
+        for t in range(d + 3):  # the whole cube from t = d on
+            assert _closure(a, t, d, balls) == m, (a, t, d)
+            m = _reference_closure_step(m, d, balls)
+
+
+def test_closure_in_closed_form_equals_the_iterated_step_for_every_size():
+    for d in range(1, 13):
+        _closures_match_the_iterated_step(d, range(1, 2**d + 1))
+
+
+def test_closure_in_closed_form_equals_the_iterated_step_on_sampled_sizes():
+    rng = np.random.default_rng(23)
+    for d in range(13, 106, 4):
+        balls = _reference_ball_sizes(d)
+        sizes = {b + e for b in balls for e in (-1, 0, 1)}
+        sizes |= {int.from_bytes(rng.bytes(14), "little") % 2**d + 1 for _ in range(12)}
+        _closures_match_the_iterated_step(d, sorted(a for a in sizes if 1 <= a <= 2**d))
 
 
 def test_hamming_cube_dimension_ceilings():

@@ -64,3 +64,14 @@ def test_a_header_must_name_every_column(tmp_path):
     space = load_points_csv(path)
     assert space.coords.tolist() == [[0.0, 5.0], [1.0, 7.0]]
     assert space.weights.tolist() == [0.25, 0.75]
+
+
+def test_a_path_that_cannot_be_read_is_an_input_error_naming_it(tmp_path):
+    from concdim.errors import InputError
+    from concdim.io import read_csv_rows
+
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"x\n0\n\xe9\n")
+    for path in (tmp_path / "missing.csv", tmp_path, latin1):
+        with pytest.raises(InputError, match=f"^{path}: cannot read"):
+            read_csv_rows(path)
