@@ -3,7 +3,9 @@
 Every quantity comes in two flavors with an explicit certificate direction:
 
 * exact oracles (subset enumeration / threshold-graph search over all
-  ``2**n`` masks), available up to ``ORACLE_LIMIT`` points;
+  ``2**n`` masks), available up to ``ORACLE_LIMIT`` points.  Every table
+  over the masks (subset masses, minima, common far sets) comes from one
+  DP, `_subset_table`, which folds a ufunc over the point bits;
 * witness-based heuristics for arbitrary sizes, whose values are certified
   lower bounds of the exact quantities.
 
@@ -206,8 +208,10 @@ class SeparationProfile:
         write_csv(path, ("kappa", "sep"), zip(self.kappa_grid, self.sep))
 
 
-def default_kappa_grid(m: int = DEFAULT_KAPPA_POINTS) -> np.ndarray:
-    """The grid {i/(2m) : i = 1..m}, ending exactly at 1/2."""
+def default_kappa_grid() -> np.ndarray:
+    """The grid {i/(2m) : i = 1..m} for m = ``DEFAULT_KAPPA_POINTS``,
+    ending exactly at 1/2."""
+    m = DEFAULT_KAPPA_POINTS
     return np.arange(1, m + 1) / (2.0 * m)
 
 
@@ -237,12 +241,27 @@ def _require_oracle_size(space: MMSpace, fallback: str) -> None:
         )
 
 
-def _subset_masses(weights: np.ndarray) -> np.ndarray:
-    n = len(weights)
-    m = np.zeros(1 << n)
-    for i in range(n):
-        m[1 << i : 1 << (i + 1)] = m[: 1 << i] + weights[i]
-    return m
+def _subset_table(values: np.ndarray, empty, op, out=None) -> np.ndarray:
+    """``table[m]``: `op` (a ufunc such as ``np.add``, ``np.minimum`` or
+    ``np.bitwise_and``) folded over ``values[i]`` for the bits i of m in
+    ascending order, starting from `empty` (element-wise where ``values[i]``
+    is a row).  One doubling per bit: ``table[m | 1 << i] = op(table[m],
+    values[i])`` for ``m < 1 << i``.  Writes into `out` when given."""
+    k = len(values)
+    if out is None:
+        out = np.empty((1 << k, *np.shape(values)[1:]), dtype=np.result_type(values, empty))
+    out[0] = empty
+    for i in range(k):
+        op(out[: 1 << i], values[i], out=out[1 << i : 1 << (i + 1)])
+    return out
+
+
+def _common_far(far: np.ndarray, out=None) -> np.ndarray:
+    """``table[A]``: the bitmask of the points x with ``far[a, x]`` for every
+    member a of A (all points for the empty A)."""
+    n = far.shape[0]
+    rows = far.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    return _subset_table(rows, (1 << n) - 1, np.bitwise_and, out)
 
 
 def _minimal_half_subsets(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,28 +272,10 @@ def _minimal_half_subsets(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only shrink the complement of its neighborhood, so maximizing over the
     minimal subsets is exhaustive.
     """
-    masses = _subset_masses(weights)
+    masses = _subset_table(weights, 0.0, np.add)
     admissible = masses >= 0.5 - MASS_TOL
-    still = (masses - _subset_min(weights, np.inf)) >= 0.5 - MASS_TOL
+    still = (masses - _subset_table(weights, np.inf, np.minimum)) >= 0.5 - MASS_TOL
     return np.flatnonzero(admissible & ~still), masses
-
-
-def _subset_min(values: np.ndarray, empty) -> np.ndarray:
-    """``table[m]``: the least ``values[i]`` over the bits i of m (element-wise
-    where ``values[i]`` is a row), `empty` for ``m = 0``; one pass per bit."""
-    k = len(values)
-    table = np.empty((1 << k, *np.shape(values)[1:]), dtype=np.result_type(values, empty))
-    table[0] = empty
-    for i in range(k):
-        np.minimum(table[: 1 << i], values[i], out=table[1 << i : 1 << (i + 1)])
-    return table
-
-
-def _ball_masks(space: MMSpace, eps: float) -> np.ndarray:
-    """ball_masks[x] = bitmask of {a : d(x, a) <= eps}."""
-    closed = space.dist <= eps
-    powers = 1 << np.arange(space.n, dtype=np.int64)
-    return closed.astype(np.int64) @ powers
 
 
 def alpha_exact(space: MMSpace, eps: float, convention_at_zero: bool = True) -> float:
@@ -283,18 +284,16 @@ def alpha_exact(space: MMSpace, eps: float, convention_at_zero: bool = True) -> 
     Maximizes ``1 - mu(A_eps)`` over all subsets of mass at least one half,
     with closed eps-neighborhoods.  At ``eps=0`` the conventional value 1/2
     is returned unless ``convention_at_zero=False``, in which case the
-    enumeration value is used.
+    enumeration value is used.  The mass outside ``A_eps`` is the mass of
+    the points farther than eps from every member of A.
     """
     _require_oracle_size(space, "alpha_lower")
     if not eps >= 0:
         raise InputError(f"eps must be nonnegative, got {eps!r}")
     if eps == 0.0 and convention_at_zero:
         return 0.5
-    subs, _ = _minimal_half_subsets(space.weights)
-    balls = _ball_masks(space, eps)
-    outside = np.zeros(len(subs))
-    for x in range(space.n):
-        outside += space.weights[x] * ((subs & balls[x]) == 0)
+    subs, masses = _minimal_half_subsets(space.weights)
+    outside = masses[_common_far(space.dist.T > eps)[subs]]
     return float(min(max(outside.max(), 0.0), 0.5))
 
 
@@ -344,7 +343,8 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     key = ((np.vstack([level.reshape(n, n).T, np.full(n, ranks.size)]) << bits)
            | np.arange(n)).astype(np.int32)
     h = (n + 1) // 2
-    low, high = _subset_min(key[:h], key[n]), _subset_min(key[h:n], key[n])
+    low = _subset_table(key[:h], key[n], np.minimum)
+    high = _subset_table(key[h:n], key[n], np.minimum)
     # least[p]: the least mass inside over the runs whose level interval
     # ends at level p; the spare last entry takes what ends before level 0
     least = np.ones(ranks.size + 1)
@@ -388,11 +388,7 @@ def _threshold_kappa(dist: np.ndarray, t: float, masses: np.ndarray,
     masks.  `masses` holds every subset's mass; the DP writes into the
     ``2**n`` buffers `neigh` (int64) and `partner` (float).
     """
-    n = dist.shape[0]
-    nbr = (dist >= t).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-    neigh[0] = (1 << n) - 1
-    for i in range(n):
-        np.bitwise_and(neigh[: 1 << i], nbr[i], out=neigh[1 << i : 1 << (i + 1)])
+    _common_far(dist >= t, out=neigh)
     np.take(masses, neigh, out=partner, mode="wrap")  # in range: unbuffered
     return float(np.minimum(masses, partner, out=partner).max())
 
@@ -404,12 +400,13 @@ def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
 
     Lemma: ``kappa(t)`` is non-increasing in t, also in floating point.
     Raising t only removes edges, so N(A) shrinks to a subset of itself;
-    `_subset_masses` adds a subset's weights in ascending bit order, and
-    rounding is monotone, so a subset's computed mass never exceeds its
-    superset's (induct over the bits: both partial sums take the same
-    weight or only the superset's does).  The admissible thresholds of a
-    floor are therefore a prefix of the ascending thresholds, and bisection
-    finds its last element exactly where a scan of every threshold would.
+    ``_subset_table(weights, 0.0, np.add)`` adds a subset's weights in
+    ascending bit order from 0, and rounding is monotone, so a subset's
+    computed mass never exceeds its superset's (induct over the bits: both
+    partial sums take the same weight or only the superset's does).  The
+    admissible thresholds of a floor are therefore a prefix of the
+    ascending thresholds, and bisection finds its last element exactly
+    where a scan of every threshold would.
 
     One bisection over the threshold index serves every floor: it
     evaluates the middle threshold of an open range, sends the floors it
@@ -438,7 +435,8 @@ def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
         if t not in memo:
             if bufs is None:
                 size = 1 << space.n
-                bufs = (_subset_masses(space.weights), np.empty(size, dtype=np.int64),
+                bufs = (_subset_table(space.weights, 0.0, np.add),
+                        np.empty(size, dtype=np.int64),
                         np.empty(size))
             memo[t] = _threshold_kappa(dist, t, *bufs)
         ok = memo[t] >= floors[ids]

@@ -159,8 +159,8 @@ def sample_size_bound(eps: float, delta: float, profile: CoveringProfile,
     """
     if not (0 < eps < 1) or not (0 < delta < 1):
         raise InputError("eps and delta must lie in (0, 1)")
-    if not (C > 0):
-        raise InputError(f"C must be positive, got {C!r}")
+    if not (0 < C < math.inf):
+        raise InputError(f"C must be positive and finite, got C={C!r} at eps={eps!r}")
     lo = eps * eps / 8.0
     if float(profile.u_grid[0]) > lo / 4.0:
         raise InputError(
@@ -174,4 +174,7 @@ def sample_size_bound(eps: float, delta: float, profile: CoveringProfile,
     ])
     quad = float(np.trapezoid(integrand, nodes))
     bound = (C / eps**4) * max(math.log(2.0 / delta), quad)
+    if not math.isfinite(bound):
+        raise InputError(f"the sample-size bound at C={C!r}, eps={eps!r} "
+                         "exceeds the largest float")
     return int(math.ceil(bound))

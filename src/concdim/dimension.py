@@ -130,14 +130,13 @@ class DimensionReport:
 
 
 def dimension_report(space: MMSpace, alpha_profile: ConcentrationProfile,
-                     sep_profile: SeparationProfile,
-                     include_diagonal: bool = True) -> DimensionReport:
+                     sep_profile: SeparationProfile) -> DimensionReport:
     """Assemble a report from precomputed profiles."""
     bracket = dconc_to_point_bracket(alpha_profile)
     provenance = {
         "alpha": alpha_profile.metadata(),
         "sep": sep_profile.metadata(),
-        "chavez_include_diagonal": include_diagonal,
+        "chavez_include_diagonal": True,
         "bracket_certified_upper": bracket.certified_upper,
         "n": space.n,
         "label": space.label,
@@ -145,7 +144,7 @@ def dimension_report(space: MMSpace, alpha_profile: ConcentrationProfile,
     return DimensionReport(
         dim_concentration=dim_concentration(alpha_profile),
         dim_separation=dim_separation(sep_profile),
-        dim_chavez=dim_chavez(space, include_diagonal=include_diagonal),
+        dim_chavez=dim_chavez(space),
         dconc_to_point=(bracket.lo, bracket.hi),
         provenance=provenance,
     )

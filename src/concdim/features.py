@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .io import write_csv
 from .mmspace import MATERIALIZE_LIMIT, MMSpace, check_int
 
 #: slack admitted when asserting that a certified constant is at most 1.
@@ -190,10 +189,3 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
                 for (p, q), row_p, row_q in zip(ids.reshape(-1, 2).tolist(),
                                                 map(np.copy, rows), rows)]
     return [_set_feature(space, ids[j : j + 1], row) for j, row in enumerate(rows)]
-
-
-def features_to_csv(features: list[Feature], path) -> None:
-    """Write features as CSV columns keyed by point id."""
-    names = [f.name or f"f{i}" for i, f in enumerate(features)]
-    write_csv(path, ["point_id", *names],
-              zip(range(len(features[0].values)), *(f.values for f in features)))

@@ -678,15 +678,14 @@ class MMSpace:
 
     # -- derived spaces --------------------------------------------------------
 
-    def subspace(self, ids, weights=None, label: str | None = None) -> "MMSpace":
-        """Induced space on a subset of points, uniform weights by default."""
+    def subspace(self, ids) -> "MMSpace":
+        """Induced space on a subset of points, with uniform weights."""
         ids = self.check_ids(ids, "subspace ids")
         if ids.size < 1:
             raise InputError("subspace requires at least one point id")
         if self._coords is not None:
-            return MMSpace(coords=self._coords[ids], metric=self._metric,
-                           weights=weights, label=label)
-        return MMSpace(dist=self.dist[np.ix_(ids, ids)], weights=weights, label=label)
+            return MMSpace(coords=self._coords[ids], metric=self._metric)
+        return MMSpace(dist=self.dist[np.ix_(ids, ids)])
 
     def __repr__(self) -> str:
         kind = "dense" if self._coords is None else f"coords/{self._metric}"
@@ -1226,22 +1225,19 @@ def char_size_interval(space: MMSpace) -> tuple[float, float]:
     return tuple(_pair_order_stats(space, *_pair_median_targets(space)))
 
 
-def product_distance_moments(space: MMSpace, include_diagonal: bool = True
-                             ) -> tuple[float, float]:
-    """Mean and variance of the distance under the product measure.
-
-    With ``include_diagonal=False`` the measure is conditioned on distinct
-    index pairs (renormalized by ``1 - sum(w_i**2)``).  The variance is inf
-    where it passes the largest float.
+def product_distance_moments(space: MMSpace) -> tuple[float, float]:
+    """Mean and variance of the distance under the product measure.  The
+    variance is inf where it passes the largest float.
     """
-    m1, var = _unit_moments(space, include_diagonal)
+    m1, var = _unit_moments(space, True)
     return m1 * space._unit, var * space._unit * space._unit
 
 
 def _unit_moments(space: MMSpace, include_diagonal: bool) -> tuple[float, float]:
     """:func:`product_distance_moments` of the distances over the space's
     power-of-two unit (1 unless they are large), so squares do not
-    overflow."""
+    overflow.  With ``include_diagonal=False`` the measure is conditioned
+    on distinct index pairs (renormalized by ``1 - sum(w_i**2)``)."""
     w = space.weights
     m1 = m2 = 0.0
     for ids, blk in space.iter_blocks():
@@ -1261,7 +1257,7 @@ def _unit_moments(space: MMSpace, include_diagonal: bool) -> tuple[float, float]
 # -- CSV ingestion ---------------------------------------------------------------
 
 
-def load_points_csv(path, metric: str = "euclidean", label: str | None = None) -> MMSpace:
+def load_points_csv(path, metric: str = "euclidean") -> MMSpace:
     """Read a point cloud from CSV: one row per point, optional header.
 
     A column named ``weight`` is used (normalized) as the measure; all
@@ -1271,10 +1267,10 @@ def load_points_csv(path, metric: str = "euclidean", label: str | None = None) -
     header, rows = read_csv_rows(path)
     data = np.asarray(rows, dtype=float)
     data, w = split_weight_column(header, data)
-    return from_points(data, weights=w, metric=metric, label=label or str(path))
+    return from_points(data, weights=w, metric=metric, label=str(path))
 
 
-def load_distance_csv(path, label: str | None = None) -> MMSpace:
+def load_distance_csv(path) -> MMSpace:
     """Read a distance matrix from CSV: n rows of n floats, optional header.
 
     With a header, a ``weight`` column supplies the (normalized) measure.
@@ -1287,4 +1283,4 @@ def load_distance_csv(path, label: str | None = None) -> MMSpace:
             f"{path}: distance matrix must be square, got {data.shape[0]} rows "
             f"of {data.shape[1]} values"
         )
-    return from_distance_matrix(data, weights=w, label=label or str(path))
+    return from_distance_matrix(data, weights=w, label=str(path))

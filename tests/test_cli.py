@@ -243,10 +243,14 @@ def test_out_of_range_parameters_exit_2(tmp_path, args):
 #: name -> (input file contents, command line with {} for its path, a
 #: fragment of the message); {d} is a valid two-point distance matrix
 BOUND = ["bound", "--eps", "0.2", "--delta", "0.01", "--cover", "{}"]
+COVER = "u,n_upper,n_lower\n0.0001,4,4\n0.5,2,1\n2,1,1\n"
 MENDED = {
     "cover, header only": ("u,n_upper,n_lower\n", BOUND, "no data rows"),
     "cover, two columns": ("u,n_upper\n0.1,3\n", BOUND, "3 columns"),
     "cover, fractional count": ("u,n_upper,n_lower\n0.001,3.5,1\n", BOUND, "whole counts"),
+    "bound, infinite C": (COVER, [*BOUND, "--constant-C", "inf"], "C=inf"),
+    "bound, a bound past the largest float": (COVER, [*BOUND, "--constant-C", "1e308"],
+                                              "C=1e+308"),
     "mu, a matrix": ("0.5,0\n0,0.5\n", ["emd", "--space", "{d}", "--mu", "{}", "--nu", "{}"],
                      "one column or one row"),
     "sep, overflowing distances": ("x\n1e308\n-1e308\n", ["sep", "--points", "{}"],
@@ -309,8 +313,8 @@ VALID = {
         ["emd", "--space", "{}", "--mu", "{w}", "--nu", "{w}"]]),
     "weights": ("0.5\n0.25\n0.25\n", [
         ["emd", "--space", "{d}", "--mu", "{}", "--nu", "{w}"]]),
-    "cover": ("u,n_upper,n_lower\n0.0001,4,4\n0.5,2,1\n2,1,1\n", [
-        ["bound", "--eps", "0.2", "--delta", "0.01", "--cover", "{}"]]),
+    "cover": (COVER, [
+        ["bound", "--eps", "0.2", "--delta", "0.01", "--constant-C", "1", "--cover", "{}"]]),
 }
 
 #: replacements for one cell of a file
@@ -322,6 +326,7 @@ VALUES = {"--kappa": ["0", "-0.5", "nan", "inf", "1", "0.5", "1e-300", "x"],
           "--eps": ["-1", "nan", "inf", "1e308"],
           "--radius": ["0", "-1", "nan", "inf", "1e-300", "1e308"],
           "--delta": ["0", "1", "nan", "-0.5", "1e-300"],
+          "--constant-C": ["0", "-1", "nan", "inf", "1e308"],
           "--grid": ["nan", "-1", "0", "1e308"]}
 
 #: command lines whose inputs are all on the line

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,47 @@ def test_alpha_exact_matches_naive_oracle():
         s = random_space(rng, n=int(rng.integers(3, 9)))
         eps = float(rng.uniform(0, diameter(s)))
         assert alpha_exact(s, eps) == pytest.approx(naive_alpha(s, eps), abs=1e-12)
+
+
+def _reference_alpha_exact(space, eps, convention_at_zero=True):
+    """alpha_exact as one pass per point over the minimal half-mass
+    subsets, adding the weight of each point outside the eps-neighborhood
+    in point order: the reference for the common-far-set lookup."""
+    if eps == 0.0 and convention_at_zero:
+        return 0.5
+    subs, _ = _minimal_half_subsets(space.weights)
+    powers = 1 << np.arange(space.n, dtype=np.int64)
+    balls = (space.dist <= eps).astype(np.int64) @ powers  # balls[x]: {a : d(x, a) <= eps}
+    outside = np.zeros(len(subs))
+    for x in range(space.n):
+        outside += space.weights[x] * ((subs & balls[x]) == 0)
+    return float(min(max(outside.max(), 0.0), 0.5))
+
+
+def test_alpha_exact_matches_the_per_point_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cases = 0
+    for n in range(1, 15):
+        for kind in ("uniform", "random", "partly zero"):
+            w = None
+            if kind != "uniform":
+                w = rng.random(n) + 0.25
+                if kind == "partly zero":
+                    w[rng.random(n) < 0.4] = 0.0
+                    w[int(rng.integers(n))] = 1.0
+                w = w / w.sum()
+            # coordinates rounded to tenths: many tied distances
+            s = from_points(np.round(rng.random((n, 2)), 1), weights=w)
+            vals = np.unique(s.dist)
+            grid = [*vals, *((vals[:-1] + vals[1:]) / 2.0), 2.0 * vals[-1] + 1.0]
+            for eps in grid:
+                want = _reference_alpha_exact(s, float(eps))
+                assert repr(alpha_exact(s, float(eps))) == repr(want), (n, kind, eps)
+                cases += 1
+            for convention in (True, False):
+                assert (repr(alpha_exact(s, 0.0, convention_at_zero=convention))
+                        == repr(_reference_alpha_exact(s, 0.0, convention)))
+    assert cases > 1000
 
 
 def test_alpha_profile_matches_pointwise_oracle():
@@ -584,7 +627,7 @@ def _threshold_curve(space):
     DP per threshold: the full-curve reference for the bisection."""
     n = space.n
     dist = space.dist
-    masses = conc._subset_masses(space.weights)
+    masses = conc._subset_table(space.weights, 0.0, np.add)
     thresholds = np.unique(dist[dist > 0])
     full = (1 << n) - 1
     kappas = np.zeros(thresholds.size)
@@ -644,6 +687,34 @@ def test_sep_exact_bisection_matches_the_full_threshold_curve():
         for kappa in [*rng.uniform(0.001, 0.5, 6), *curve[1][curve[1] > 0][:4]]:
             want = _sep_from_curve(curve, kappa)
             assert sep_exact(fresh, float(kappa)) == sep_exact(s, float(kappa)) == want
+
+
+def _is_power_of_two_of(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1)
+
+
+def test_only_subset_table_writes_a_doubling_slice():
+    # every table over the 2**n masks comes from one DP: a write to the
+    # slice [1 << i : 1 << (i + 1)], as an assignment target or an `out=`
+    # argument, belongs to _subset_table alone
+    writers = set()
+    tree = ast.parse(Path(conc.__file__).read_text())
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node
+            elif isinstance(node, ast.keyword) and node.arg == "out":
+                target = node.value
+            else:
+                continue
+            sl = getattr(target, "slice", None)
+            if (isinstance(sl, ast.Slice) and _is_power_of_two_of(sl.lower)
+                    and _is_power_of_two_of(sl.upper)):
+                writers.add(fn.name)
+    assert writers == {"_subset_table"}, sorted(writers)
 
 
 def _count_dps(monkeypatch):

@@ -183,6 +183,10 @@ def test_bound_rejects_bad_inputs():
         sample_size_bound(0.0, 0.5, prof, 1.0)
     with pytest.raises(InputError):
         sample_size_bound(0.1, 0.5, prof, 0.0)
+    # an infinite C, or a finite one whose bound passes the largest float
+    for C in (math.inf, math.nan, 1e308):
+        with pytest.raises(InputError, match=r"C=.*eps=0\.2"):
+            sample_size_bound(0.2, 0.01, prof, C)
 
 
 def test_profile_csv_roundtrip(tmp_path):

@@ -9,7 +9,6 @@ from concdim.features import (
     check_lipschitz,
     dictionary,
     distance_feature,
-    features_to_csv,
 )
 from concdim import mmspace
 from concdim.mmspace import GeneratorSpec, from_points, generate
@@ -200,13 +199,3 @@ def test_dictionaries_beyond_a_dense_matrix_are_refused_before_any_draw(monkeypa
     monkeypatch.undo()
     # anchors_random holds at most n features however large k is
     assert len(dictionary(s, "anchors_random", k=10**9, seed=0)) == 6
-
-
-def test_features_csv_export(tmp_path):
-    s = two_point()
-    feats = [distance_feature(s, [0]), distance_feature(s, [1])]
-    path = tmp_path / "feats.csv"
-    features_to_csv(feats, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].startswith("point_id,")
-    assert len(rows) == 3
