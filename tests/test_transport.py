@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from concdim import transport
 from concdim.errors import InputError, InvariantViolation, ResourceLimitError
@@ -72,6 +74,28 @@ def vertex_minimum(dist: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
     return best
 
 
+def _reference_emd(space, mu, nu):
+    """Transport cost from one LP over all m*k edges.
+
+    The solve `emd` made before it priced a sparse support: every edge a
+    variable, the row sums and all but the last column sum as equalities.
+    """
+    rows = np.flatnonzero(mu > 0)
+    cols = np.flatnonzero(nu > 0)
+    d = space.dist[np.ix_(rows, cols)]
+    m, k = d.shape
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.eye(m), np.ones((1, k))),
+        sparse.kron(np.ones((1, m)), sparse.eye(k), format="csr")[: k - 1],
+    ], format="csr")
+    b_eq = np.concatenate([mu[rows], nu[cols[: k - 1]]])
+    res = linprog(d.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success
+    coupling = np.zeros((space.n, space.n))
+    coupling[np.ix_(rows, cols)] = res.x.reshape(m, k)
+    return float(np.sum(coupling * space.dist))
+
+
 def test_identity_coupling():
     s = from_distance_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     w = np.array([0.2, 0.3, 0.5])
@@ -111,7 +135,7 @@ def test_size_limit():
 
 
 def test_emd_at_size_limit_fits_in_memory():
-    # full-support measures give the largest LP: n**2 variables, 2n - 1 rows
+    # full-support measures give the largest LP: n**2 edges to price, 2n - 1 rows
     setup = f"""
 import numpy as np
 from concdim.transport import emd
@@ -127,7 +151,9 @@ def solve():
     (cost, res_mu, res_nu), _, peak_rss_mb = run_fresh(setup, "solve()")
     assert cost > 0.0
     assert res_mu <= MARGINAL_TOL and res_nu <= MARGINAL_TOL
-    assert peak_rss_mb < 1024.0
+    # 105.5-105.8 MB measured (about 80 MB of it imports and the matrix);
+    # 54 MB of headroom.  One LP over all n**2 edges peaked at 339 MB.
+    assert peak_rss_mb < 160.0
 
 
 def test_zero_weight_points_reinserted():
@@ -155,6 +181,60 @@ def test_solver_matches_vertex_enumeration():
         assert plan.cost == pytest.approx(want, abs=1e-9)
 
 
+def test_priced_solve_matches_the_full_lp(monkeypatch):
+    # random, partly zero and integer-count measures on point clouds, on
+    # clouds rounded to tenths (tied distances) and on integer matrices
+    certified = []
+    certify = transport._certify
+    monkeypatch.setattr(transport, "_certify", lambda slack, plan: (
+        certified.append((slack.shape, plan.copy())), certify(slack, plan)))
+    rng = np.random.default_rng(23)
+    for case in range(60):
+        n = int(rng.integers(2, 61))
+        if case % 3 == 0:
+            s = from_points(rng.normal(size=(n, 3)))
+        elif case % 3 == 1:
+            s = from_points(np.round(rng.normal(size=(n, 2)), 1))
+        else:
+            m = np.triu(rng.integers(2, 4, size=(n, n)).astype(float), 1)
+            s = from_distance_matrix(m + m.T)
+        plain = rng.random((2, n)) + 0.01
+        sparse_ = rng.random((2, n)) * (rng.random((2, n)) >= 0.3)  # about 30% zero
+        sparse_[:, rng.integers(n)] += 0.1
+        counts = 1 + np.stack([rng.multinomial(2 * n, np.full(n, 1 / n)) for _ in range(2)])
+        for mu, nu in (plain, sparse_, counts / (3 * n)):
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            certified.clear()
+            plan = emd(s, mu, nu)
+            assert abs(plan.cost - _reference_emd(s, mu, nu)) <= 1e-12
+            assert max(plan.marginal_residuals) <= MARGINAL_TOL
+            rows, cols = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+            if len(rows) > 1 and len(cols) > 1:
+                # certified once, on every edge between positive weights
+                [(shape, sub)] = certified
+                assert shape == (len(rows), len(cols))
+                assert np.array_equal(sub, plan.coupling[np.ix_(rows, cols)])
+
+
+def test_priced_solves_stay_small(monkeypatch):
+    n = 300
+    sizes = []
+    solve = transport.linprog
+    monkeypatch.setattr(transport, "linprog",
+                        lambda c, **kw: (sizes.append(len(c)), solve(c, **kw))[1])
+    solves = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        s = from_points(rng.normal(size=(n, 3)))
+        mu, nu = (1 + np.stack([rng.multinomial(2 * n, np.full(n, 1 / n))
+                                for _ in range(2)])) / (3 * n)
+        sizes.clear()
+        assert emd(s, mu, nu).cost > 0.0
+        assert max(sizes) < n * n / 10
+        solves.append(len(sizes))
+    assert max(solves) >= 2  # the pricing round added edges and solved again
+
+
 def test_certificate_reads_the_marginals_with_one_sign(monkeypatch):
     # HiGHS's equality marginals are the dual potentials as they are; the
     # same solves read with the opposite sign must not certify
@@ -167,9 +247,9 @@ def test_certificate_reads_the_marginals_with_one_sign(monkeypatch):
         nu[-2:] += 0.1
         measures.append((s, mu / mu.sum(), nu / nu.sum()))
         assert emd(s, *measures[-1][1:]).cost > 0.0
-    certify = transport._certify
-    monkeypatch.setattr(transport, "_certify",
-                        lambda d, plan, marginals, m, k: certify(d, plan, -marginals, m, k))
+    slack = transport._slack
+    monkeypatch.setattr(transport, "_slack",
+                        lambda d, marginals: slack(d, -marginals))
     for s, mu, nu in measures:
         with pytest.raises(InvariantViolation, match="complementary slackness"):
             emd(s, mu, nu)
