@@ -21,7 +21,6 @@ from .concentration import (
     alpha_exact,
     alpha_exact_profile,
     alpha_lower,
-    default_kappa_grid,
     observable_diameter,
     sep_exact,
     sep_exact_profile,
@@ -70,16 +69,20 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
-def _load_space(args) -> MMSpace:
+def _load_space(args) -> tuple[MMSpace, dict]:
+    """The space of --points, --dist or --family, and its provenance for
+    the manifest."""
     given = [x is not None for x in (args.points, args.dist, args.family)]
     if sum(given) != 1:
         raise InputError("provide exactly one of --points, --dist, --family")
+    if args.family is not None:
+        spec = GeneratorSpec(args.family, args.seed, _parse_params(args.param))
+        return generate(spec), {"generator": spec.to_json_dict()}
     if args.points is not None:
-        return load_points_csv(args.points, metric=args.metric)
-    if args.dist is not None:
-        return load_distance_csv(args.dist)
-    spec = GeneratorSpec(args.family, args.seed, _parse_params(args.param))
-    return generate(spec)
+        space = load_points_csv(args.points, metric=args.metric)
+    else:
+        space = load_distance_csv(args.dist)
+    return space, {"input_file": args.points or args.dist, "n": space.n}
 
 
 def _out_dir(args) -> Path:
@@ -109,18 +112,24 @@ def _base_manifest(args, **extra) -> dict:
     return info
 
 
-def _space_provenance(args, space: MMSpace) -> dict:
-    if args.family is not None:
-        return {"generator": GeneratorSpec(args.family, args.seed,
-                                           _parse_params(args.param)).to_json_dict()}
-    return {"input_file": args.points or args.dist, "n": space.n}
-
-
 def _make_features(space: MMSpace, spec: str, seed: int):
     if ":" in spec:
         kind, k = spec.split(":", 1)
         return make_dictionary(space, kind, k=int(k), seed=seed)
     return make_dictionary(space, spec, seed=seed)
+
+
+def _profile(args, space: MMSpace, kind: str, grid=None):
+    """The `kind` ("alpha" or "sep") profile of `space` on `grid`: exact
+    under ``--mode exact``, and under ``auto`` (``dims`` has no --mode) up
+    to ``ORACLE_LIMIT`` points; else witness lower bounds."""
+    mode = getattr(args, "mode", "auto")
+    if mode == "exact" or mode == "auto" and space.n <= ORACLE_LIMIT:
+        return (alpha_exact_profile if kind == "alpha" else sep_exact_profile)(space, grid)
+    if kind == "alpha":
+        feats = _make_features(space, args.dictionary, args.seed)
+        return alpha_lower(space, grid, dictionary=feats)
+    return sep_lower(space, grid, restarts=args.restarts, seed=args.seed)
 
 
 def _cmd_gen(args) -> int:
@@ -141,22 +150,16 @@ def _cmd_alpha(args) -> int:
     if args.eps is not None and not 0 <= args.eps < math.inf:
         raise InputError(f"eps must be finite and nonnegative, got {args.eps!r}")
     out = _out_dir(args)
-    space = _load_space(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if space.n <= ORACLE_LIMIT else "heuristic"
+    space, provenance = _load_space(args)
     grid = np.asarray(args.grid, dtype=float) if args.grid else None
-    if mode == "exact":
-        profile = alpha_exact_profile(space, grid)
-    else:
-        feats = _make_features(space, args.dictionary, args.seed)
-        profile = alpha_lower(space, grid, dictionary=feats)
+    profile = _profile(args, space, "alpha", grid)
     profile.to_csv(out / "alpha.csv")
-    payload = _base_manifest(args, **_space_provenance(args, space),
+    payload = _base_manifest(args, **provenance,
                              profile=profile.metadata(), outputs=["alpha.csv"])
     if args.eps is not None:
         payload["alpha_at_eps"] = {"eps": args.eps, "alpha": (
-            alpha_exact(space, args.eps) if mode == "exact" else profile.at(args.eps))}
+            alpha_exact(space, args.eps) if profile.mode == "exact"
+            else profile.at(args.eps))}
     write_json(out / "alpha.json", payload)
     print(f"mode: {profile.mode}")
     print(f"wrote {out / 'alpha.csv'}")
@@ -176,21 +179,16 @@ def _cmd_sep(args) -> int:
             kappa=args.kappa, sep=val))
         print(f"mode: analytic\nsep_{args.kappa}(hamming_cube({args.analytic_d})) = {val}")
         return EXIT_OK
-    space = _load_space(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if space.n <= ORACLE_LIMIT else "heuristic"
-    grid = np.asarray(args.grid, dtype=float) if args.grid else default_kappa_grid()
-    if mode == "exact":
-        profile = sep_exact_profile(space, grid)
-    else:
-        profile = sep_lower(space, grid, restarts=args.restarts, seed=args.seed)
+    space, provenance = _load_space(args)
+    grid = np.asarray(args.grid, dtype=float) if args.grid else None
+    profile = _profile(args, space, "sep", grid)
     profile.to_csv(out / "sep.csv")
-    payload = _base_manifest(args, **_space_provenance(args, space),
+    payload = _base_manifest(args, **provenance,
                              profile=profile.metadata(), outputs=["sep.csv"])
     if args.kappa is not None:
         payload["sep_at_kappa"] = {"kappa": args.kappa, "sep": (
-            sep_exact(space, args.kappa) if mode == "exact" else profile.at(args.kappa))}
+            sep_exact(space, args.kappa) if profile.mode == "exact"
+            else profile.at(args.kappa))}
         print(f"sep at kappa={args.kappa}: {payload['sep_at_kappa']['sep']}")
     write_json(out / "sep.json", payload)
     print(f"mode: {profile.mode}")
@@ -200,11 +198,11 @@ def _cmd_sep(args) -> int:
 
 def _cmd_obsdiam(args) -> int:
     out = _out_dir(args)
-    space = _load_space(args)
+    space, provenance = _load_space(args)
     feats = _make_features(space, args.dictionary, args.seed)
     val = observable_diameter(space, args.kappa, feats)
     write_json(out / "obsdiam.json", _base_manifest(
-        args, **_space_provenance(args, space), kappa=args.kappa,
+        args, **provenance, kappa=args.kappa,
         dictionary=args.dictionary, observable_diameter=val,
         mode="lower_bound"))
     print(f"mode: lower_bound\nobservable diameter at kappa={args.kappa}: {val}")
@@ -213,17 +211,12 @@ def _cmd_obsdiam(args) -> int:
 
 def _cmd_dims(args) -> int:
     out = _out_dir(args)
-    space = _load_space(args)
-    if space.n <= ORACLE_LIMIT:
-        alpha_profile = alpha_exact_profile(space)
-        sep_profile = sep_exact_profile(space)
-    else:
-        feats = _make_features(space, args.dictionary, args.seed)
-        alpha_profile = alpha_lower(space, dictionary=feats)
-        sep_profile = sep_lower(space, restarts=args.restarts, seed=args.seed)
+    space, provenance = _load_space(args)
+    alpha_profile = _profile(args, space, "alpha")
+    sep_profile = _profile(args, space, "sep")
     report = dimension_report(space, alpha_profile, sep_profile)
     write_json(out / "dimensions.json", _base_manifest(
-        args, **_space_provenance(args, space), report=report.to_json_dict()))
+        args, **provenance, report=report.to_json_dict()))
     print(f"modes: alpha={alpha_profile.mode}, sep={sep_profile.mode}")
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     return EXIT_OK
@@ -241,9 +234,7 @@ def _read_vector(path) -> np.ndarray:
 
 def _cmd_emd(args) -> int:
     out = _out_dir(args)
-    space = load_distance_csv(args.space) if args.space.endswith(".csv") else None
-    if space is None:
-        raise InputError("--space must be a distance-matrix CSV")
+    space = load_distance_csv(args.space)
     mu, nu = _read_vector(args.mu), _read_vector(args.nu)
     from .transport import emd as solve_emd
 
@@ -263,19 +254,19 @@ def _cmd_net(args) -> int:
     if args.radius is not None and not math.isfinite(args.radius):
         raise InputError(f"radius must be finite, got {args.radius!r}")
     out = _out_dir(args)
-    space = _load_space(args)
+    space, provenance = _load_space(args)
     if args.grid:
         profile = covering_profile(space, np.asarray(args.grid, dtype=float))
         profile.to_csv(out / "covering.csv")
         write_json(out / "net.json", _base_manifest(
-            args, **_space_provenance(args, space), outputs=["covering.csv"]))
+            args, **provenance, outputs=["covering.csv"]))
         print(f"wrote {out / 'covering.csv'}")
         return EXIT_OK
     if args.radius is None:
         raise InputError("net requires --radius or --grid")
     ids = greedy_net(space, args.radius)
     write_json(out / "net.json", _base_manifest(
-        args, **_space_provenance(args, space), radius=args.radius,
+        args, **provenance, radius=args.radius,
         net_size=int(ids.size), net_ids=[int(i) for i in ids]))
     print(f"net size at radius {args.radius}: {ids.size}")
     return EXIT_OK

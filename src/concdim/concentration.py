@@ -230,6 +230,34 @@ def default_eps_grid(space: MMSpace) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], vals, [diam]]))
 
 
+def _eps_grid(space: MMSpace, eps_grid, default) -> tuple[np.ndarray, float]:
+    """``(grid, diameter)``: the distinct values of `eps_grid`, or of
+    ``default(space)`` if it is None, with 0 and the diameter, checked."""
+    diam = diameter(space)
+    given = default(space) if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    grid = np.unique(np.concatenate([[0.0, diam], given.ravel()]))
+    _check_eps_grid(grid, diam)
+    return grid, diam
+
+
+def _alpha_profile(grid: np.ndarray, alpha: np.ndarray, mode: str, diam: float,
+                   step: bool) -> ConcentrationProfile:
+    """The profile of the `alpha` values on `grid` (from 0), clipped to
+    ``[0, 1/2]``, 0 from the diameter on, 1/2 at 0 by convention, and
+    made non-increasing over float dust by a running minimum."""
+    alpha = np.minimum(np.maximum(alpha, 0.0), 0.5)
+    alpha[(grid >= diam) & (grid > 0)] = 0.0
+    alpha[0] = 0.5
+    return ConcentrationProfile(grid, np.minimum.accumulate(alpha), mode, diam, step)
+
+
+def _kappa_grid(kappa_grid) -> np.ndarray:
+    """`kappa_grid` as an array, or the default grid if it is None, checked."""
+    grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
+    _check_kappa_grid(grid)
+    return grid
+
+
 # -- exact oracles ---------------------------------------------------------------
 
 
@@ -278,19 +306,18 @@ def _minimal_half_subsets(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(admissible & ~still), masses
 
 
-def alpha_exact(space: MMSpace, eps: float, convention_at_zero: bool = True) -> float:
+def alpha_exact(space: MMSpace, eps: float) -> float:
     """Exact concentration function value by subset enumeration (n <= 22).
 
     Maximizes ``1 - mu(A_eps)`` over all subsets of mass at least one half,
-    with closed eps-neighborhoods.  At ``eps=0`` the conventional value 1/2
-    is returned unless ``convention_at_zero=False``, in which case the
-    enumeration value is used.  The mass outside ``A_eps`` is the mass of
-    the points farther than eps from every member of A.
+    with closed eps-neighborhoods; at ``eps=0`` the conventional value 1/2.
+    The mass outside ``A_eps`` is the mass of the points farther than eps
+    from every member of A.
     """
     _require_oracle_size(space, "alpha_lower")
     if not eps >= 0:
         raise InputError(f"eps must be nonnegative, got {eps!r}")
-    if eps == 0.0 and convention_at_zero:
+    if eps == 0.0:
         return 0.5
     subs, masses = _minimal_half_subsets(space.weights)
     outside = masses[_common_far(space.dist.T > eps)[subs]]
@@ -328,10 +355,7 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     with the grid but the profile itself.
     """
     _require_oracle_size(space, "alpha_lower")
-    diam = diameter(space)
-    extra = space.dist if eps_grid is None else np.asarray(eps_grid, dtype=float)
-    grid = np.unique(np.concatenate([[0.0, diam], extra.ravel()]))
-    _check_eps_grid(grid, diam)
+    grid, diam = _eps_grid(space, eps_grid, lambda s: s.dist)
     subs, _ = _minimal_half_subsets(space.weights)
     n = space.n
     # rank[x, a] is the first grid index with grid[j] >= d(x, a); x lies in
@@ -370,11 +394,7 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
         least[ranks.size - 1] = min(least[ranks.size - 1], mass[-1].min())
     envelope = np.minimum.accumulate(least[-2::-1])[::-1]
     inside = envelope[np.searchsorted(ranks, np.arange(grid.size), side="right") - 1]
-    best = np.minimum(np.maximum(1.0 - inside, 0.0), 0.5)
-    best[(grid >= diam) & (grid > 0)] = 0.0
-    best[0] = 0.5  # convention at eps = 0
-    best = np.minimum.accumulate(best)
-    return ConcentrationProfile(grid, best, "exact", diam, step=eps_grid is None)
+    return _alpha_profile(grid, 1.0 - inside, "exact", diam, eps_grid is None)
 
 
 def _threshold_kappa(dist: np.ndarray, t: float, masses: np.ndarray,
@@ -463,8 +483,7 @@ def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
     """Exact separation profile on a kappa grid (default {i/100}), from
     one bisection shared by all grid points."""
     _require_oracle_size(space, "sep_lower")
-    grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
-    _check_kappa_grid(grid)
+    grid = _kappa_grid(kappa_grid)
     return SeparationProfile(grid, _sep_levels(space, grid - MASS_TOL), "exact",
                              diameter(space))
 
@@ -495,10 +514,7 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     Every value is ``1 - mu(A_eps)`` for one of them, hence at most the
     exact alpha.  Ball centers must be point ids in ``[0, n)``.
     """
-    diam = diameter(space)
-    grid = default_eps_grid(space) if eps_grid is None else np.unique(
-        np.concatenate([[0.0, diam], np.asarray(eps_grid, dtype=float)]))
-    _check_eps_grid(grid, diam)
+    grid, diam = _eps_grid(space, eps_grid, default_eps_grid)
     anchors = np.random.default_rng(0).choice(
         space.n, size=space.n if space.n <= 64 else 32, replace=False)
     centers = anchors if ball_centers is None else space.check_ids(
@@ -509,7 +525,7 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     masks, seen = [], set()
     for v in itertools.chain((f.values for f in dictionary or ()),
                              space.iter_rows(centers)):
-        inside = v <= weighted_median(v, w, "lower")
+        inside = v <= weighted_median(v, w)
         key = np.packbits(inside).tobytes()
         if key not in seen:
             seen.add(key)
@@ -519,11 +535,7 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
             np.array(masks, dtype=bool).reshape(-1, space.n)):
         for d_to_a in d_to_sets:
             np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
-    best = np.minimum(np.maximum(best, 0.0), 0.5)
-    best[(grid >= diam) & (grid > 0)] = 0.0
-    best[0] = 0.5
-    best = np.minimum.accumulate(best)  # monotone envelope over float dust
-    return ConcentrationProfile(grid, best, "lower_bound", diam, step=False)
+    return _alpha_profile(grid, best, "lower_bound", diam, False)
 
 
 def _greedy_growth_curve(space: MMSpace, i: int, j: int
@@ -626,8 +638,7 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     an explicit admissible pair, hence at most the exact separation
     distance.
     """
-    grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid, float)
-    _check_kappa_grid(grid)
+    grid = _kappa_grid(kappa_grid)
     if check_int(restarts, "restarts") < 1:
         raise InputError("restarts must be >= 1")
     rng = np.random.default_rng(check_int(seed, "seed"))

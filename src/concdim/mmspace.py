@@ -19,43 +19,66 @@ Conventions
 
 The distance layer
 ------------------
+These notes are the one statement of the distance layer's contract and
+of the measurements behind its choices; README.md summarises them.
+Unless noted, times are from 2 cores, OpenBLAS 0.3.31 (2 threads),
+Python 3.11.7, numpy 2.4.6 and scipy 1.17.1, in fresh processes.
+
 Every distance of a coordinate-backed space comes from one kernel,
 ``MMSpace._pairwise``.  ``dense()`` applies the materialization rule
 below, and two readers of caller-chosen rows are the only ones that
 choose between a held matrix and computed rows: ``dist_block`` copies
 the rows into a block, and ``iter_rows`` yields them one at a time, as
-views of a held matrix or else as rows of blocks computed by
-``iter_blocks``.  The other reads are built on them: ``dist_row``,
-``distance`` and ``submatrix`` are reads of ``iter_rows``, and so is
-each group of ``iter_set_distances`` (``min_dist_to``: one set, as ids).
-Whole passes read ``iter_blocks()``, views of a held matrix, or its
+views of a held matrix or else as rows of blocks that ``dist_block``
+computes into one buffer.  The other reads of chosen rows are built on
+``iter_rows``: ``dist_row``, ``distance``, ``submatrix`` and each group
+of ``iter_set_distances`` (``min_dist_to``: one set, as ids).  Whole
+passes read ``iter_blocks()``, views of a held matrix, or its
 upper-triangle form; loops that take one point's row at a time read
 through the read-ahead reader ``RowCache``; the pair sample of
-``char_size`` reads ``_pair_distances``.  Every accessor given point ids
-checks them with ``check_ids``: an id that is negative, fractional, not
-below ``n`` or a bool, and a ragged list, is an ``InputError``, held
-matrix or not.
+``char_size`` reads ``_pair_distances``.  A test parses this module and
+fails if any other function looks at the held matrix.  Every accessor
+given point ids checks them with ``check_ids``: an id that is negative,
+fractional, not below ``n`` or a bool, and a ragged list, is an
+``InputError``, held matrix or not.  numpy reads ``[True, 0]`` as the
+ints ``[1, 0]``, so the check looks at the elements of a list.
 
 * When the matrix is held.  One rule, on the input alone, so results do
-  not depend on call order: a space built from a matrix holds it; a
-  coordinate space holds it iff ``n <= AUTO_DENSE`` and builds it, through
-  ``dist``, on its first read of the whole space or of rows one at a time
-  (``dist``, ``dist_row``, ``iter_blocks()`` over every point, or a new
-  ``RowCache``).  Reads of caller-chosen rows (``dist_block``,
-  ``iter_rows`` and the reads built on it but ``dist_row``) use the
-  matrix only if it exists, and construction computes no distance.  An
-  explicit ``dist`` request builds the matrix of any space up to
-  ``MATERIALIZE_LIMIT`` points.
+  not depend on call order: whole reads build the matrix, chosen-row
+  reads never do.  A space built from a matrix holds it.  A coordinate
+  space holds it iff ``n <= AUTO_DENSE``, and builds it, through
+  ``dist``, on its first read of the whole space: ``dist``,
+  ``iter_blocks()`` or a new ``RowCache``.  Reads of chosen rows
+  (``dist_block``, ``iter_rows`` and the reads built on it) use the
+  matrix only if it exists, and construction computes no distance: the
+  named metrics satisfy the axioms by construction, so only finiteness
+  and weights are checked.  An explicit ``dist`` request builds the
+  matrix of any space up to ``MATERIALIZE_LIMIT`` points.  The default
+  eps grid reads the distances among ``min(n, 1024)`` seeded points
+  through ``submatrix``, held matrix or not.  Holding no matrix where
+  one does not fit a single block (``AUTO_DENSE`` at 1448) took
+  ``sphere_dense`` rounds at n = 5000 from 1.63-1.65 s to 1.94-2.11 s,
+  for a peak RSS of 121 MB against 295 MB (3 alternating pairs).
+  Other size thresholds choose witnesses or checks, not memory:
+  ``concentration._BALL_COMPLEMENT_LIMIT``, the 64 points up to which
+  ``alpha_lower`` uses every point as an anchor, and
+  ``EXHAUSTIVE_CHECK_LIMIT``.
 
 * Kernel choice.  ``normalized_hamming`` uses ``scipy``'s ``cdist``.
   Euclidean spaces with fewer than ``GEMM_MIN_DIM`` coordinates use
-  ``cdist`` too, which is faster there; from ``GEMM_MIN_DIM`` on, squared
-  distances are ``(|x|^2 + |y|^2) - 2 x.y`` on coordinates centred at
-  their mean, computed as one BLAS GEMM with the squared norms folded into
-  the product as its first two columns.  Where the bounding box's
-  diagonal reaches 2**511, ``cdist`` and ``_pair_distances`` square
-  coordinates divided by a power of two (``_unit_for``) and scale the
-  distances back, exactly, so none overflows.
+  ``cdist`` too; from ``GEMM_MIN_DIM`` on, squared distances are
+  ``(|x|^2 + |y|^2) - 2 x.y`` on coordinates centred at their mean,
+  computed as one BLAS GEMM with the squared norms folded into the
+  product as its first two columns.  Where the bounding box's diagonal
+  reaches 2**511, ``cdist`` and ``_pair_distances`` square coordinates
+  divided by a power of two (``_unit_for``) and scale the distances
+  back, exactly, so none overflows.  On 10^4 points (two runs), a full
+  pass of row blocks took 0.45-0.59 s with ``cdist`` against 0.22-0.23 s
+  with GEMM at 8 coordinates, 0.93-1.03 against 0.24-0.25 s at 16 and
+  2.90-3.20 against 0.29-0.31 s at 50.  One row read alone took
+  0.051-0.068 ms with ``cdist`` at 8 coordinates, 0.095-0.114 ms at 16
+  and 0.34-0.40 ms at 50; on GEMM, where it is a product of two rows
+  (next item), 0.22-0.24 ms at 16 and 0.44-0.47 ms at 50.
 * Canonical rows.  Each distance row has the same bits however it is
   read: alone (``dist_row``, ``dist_block([i])``), entry by entry
   (``distance``, ``submatrix``, which read full rows), inside a block of
@@ -63,31 +86,55 @@ matrix or not.
   ``iter_set_distances``, ``RowCache``), over some of its columns only
   (the upper triangle, a narrowed ``RowCache``), or from the held matrix,
   which is built from the same full rows.  ``cdist`` computes each pair
-  on its own.  The GEMM kernel computes every row in a product of at
-  least two rows (a row read alone is paired with a copy of itself)
-  whose right operand has a multiple of 8 rows, at least 1024
-  (``_gemm_cols``): all points, or those from a multiple of 8 on, as a
-  view of the operand, or the rows of the columns asked for, gathered
-  and padded with zero rows.  For those shapes OpenBLAS was measured to
-  run one kernel whatever the block, so an entry does not depend on the
-  other rows or columns of its product: bit-equal to full rows in 81 of
-  81 gathered column sets (3000 to 10^4 points in 16 to 200 coordinates,
-  blocks of 2 to 209 rows, 1 to n columns) and in 49 of 49 triangle
-  blocks of 10^4 points in 50 coordinates (OpenBLAS 0.3.31, 2 threads).
-  The guard sees only the rows and columns asked for.
-  Every kernel's matrix equals its transpose exactly: the GEMM product
-  forms ``|x_i|^2 + |x_j|^2`` before any other term and accumulates the
-  rest in order (measured with the same OpenBLAS), and the guard's
-  decision is symmetric in ``(i, j)``.
+  on its own.  On the GEMM kernel a single row would take BLAS's GEMV,
+  and small or ragged products its small-matrix and edge kernels, which
+  round the same dot product differently (up to 4.4e-16 at 10^4 points
+  in 50 coordinates).  So the kernel computes every row in a product of
+  at least two rows (a row read alone is paired with a copy of itself,
+  and the guard runs once) whose right operand has a multiple of 8 rows,
+  at least 1024 (``_gemm_cols``): all points, or those from a multiple
+  of 8 on, as a view of the operand, or the rows of the columns asked
+  for, gathered and padded with zero rows.  A gathered set is kept on
+  the space until another is asked for, since a scan asks for the same
+  one block after block.  For those shapes OpenBLAS was measured to run
+  one kernel whatever the block, so an entry does not depend on the
+  other rows or columns of its product: blocks of 1, 2, 3, 5, 64 and 209
+  rows agree bit for bit from 5 to 10^4 points in 16 to 1500
+  coordinates, and entries equal full rows in 81 of 81 gathered column
+  sets (3000 to 10^4 points in 16 to 200 coordinates, blocks of 2 to 209
+  rows, 1 to n columns) and in 49 of 49 triangle blocks of 10^4 points
+  in 50 coordinates.  The guard sees only the rows and columns asked
+  for.  ``tests/test_kernel.py`` checks these shapes, ``cdist`` spaces
+  and Hamming spaces.
+* Exact symmetry.  Every kernel's matrix equals its transpose bit for
+  bit, so ``d(i, j)`` reads the same from either row and coincident
+  points read equal rows.  The GEMM operands put the squared norms
+  first: point j's column is ``[1, |x_j|^2, x_j]`` and point i's row
+  ``[|x_i|^2, 1, -2 x_i]``, so each entry forms ``|x_i|^2 + |x_j|^2``
+  before any other term and accumulates the rest in order, and the
+  guard's decision is symmetric in ``(i, j)``.  That the product is then
+  symmetric is a measured property of the BLAS: 0 asymmetric entries
+  from 300 to 6001 points in 16 to 1500 coordinates (SkylakeX kernels).
+  With the norms as the last two columns, 327 162 of the 9*10^6 entries
+  at 3000 Gaussian points in 50 coordinates differed from their
+  transpose.  Building the held matrix from full rows takes
+  0.073-0.084 s for 5000 points on S^25 and 0.103-0.114 s on S^100 (10
+  runs each); from upper-triangle products mirrored, 0.089-0.170 s and
+  0.107-0.140 s.
 * Whole passes read the upper triangle.  The matrix being exactly
   symmetric, a pass that only counts, selects or takes maxima
   (``char_size``, ``char_size_interval``, ``diameter``, the covering
   sweep's eccentricities) reads ``iter_blocks(upper=True)``: block
   ``i0:i1`` holds the columns from ``i0`` on, so the kernel computes
-  about half the entries.  The square of a block's own columns counts
-  once, the rectangle right of it for both orders of its pairs.  A sum
-  of distances (``product_distance_moments``) still reads full rows:
-  adding a triangle twice would change its rounding.
+  about half the entries.  Its blocks have ``block_rows`` rounded down
+  to a multiple of 8 rows (208 at 10^4 points), so each product starts
+  at its first column and is written straight into the pass's buffer.
+  The square of a block's own columns counts once, the rectangle right
+  of it for both orders of its pairs.  A sum of distances
+  (``product_distance_moments``) still reads full rows: adding a
+  triangle twice would change its rounding.  On an unheld 10^4-point
+  cloud in 50 coordinates ``char_size`` computes 0.51*n^2 kernel
+  entries, and took 0.42 s against 0.95 s over full rows.
 * Cancellation guard.  That formula loses accuracy when a squared
   distance is tiny against the squared norms.  A row whose minimum is
   below ``tau(d) * (|x_i|^2 + max_j |x_j|^2)`` (centred norms, ``d``
@@ -96,21 +143,28 @@ matrix or not.
   rows are left as they are, and a point's own entry is excluded and set
   to exactly 0.  The threshold ``tau(d)`` is chosen from the worst-case
   rounding of a ``d + 2`` term dot product so that every distance lies
-  within ``GEMM_ACCURACY * (1 + largest centred norm)`` of the exact one;
-  duplicate points get exactly 0, and no entry is negative.  Where that
-  threshold would cover every pair (``tau(d) >= 1``, beyond about 2000
-  coordinates), or the squared norms could overflow, ``cdist`` is used.
-* Distances to sets.  ``iter_set_distances`` reads each row of the union
-  of a group of mask rows once, in index order, through ``iter_rows``,
-  and takes it into the output of every set holding it by
-  ``np.minimum``.
-  ``min`` is exact, so each output has the bits of a minimum over the
-  set's rows taken in any order.
+  within ``GEMM_ACCURACY * (1 + largest centred norm)`` of the exact one
+  (at 50 coordinates it covers pairs closer than about 2.5% of the
+  norms); duplicate points get exactly 0, and no entry is negative.
+  Where that threshold would cover every pair (``tau(d) >= 1``, beyond
+  about 2000 coordinates), or the squared norms could overflow, ``cdist``
+  is used.
+* Distances to sets.  ``iter_set_distances`` takes k point sets as a
+  ``(k, n)`` boolean mask and reads each row of the union of a group of
+  sets once, in index order, through ``iter_rows``, taking it into the
+  output of every set holding it by ``np.minimum``.  ``min`` is exact,
+  so each output has the bits of a minimum over the set's rows taken in
+  any order.  ``alpha_lower`` evaluates all its distinct witness sets in
+  one call, and its ball rows and every dictionary's rows come from one
+  ``iter_rows`` read.  The 24 witness sets of one ``sphere_dense``
+  bracket (5000 points on S^2, held matrix) took 0.15-0.20 s in one pass
+  against 0.43-0.70 s with one call per set; ``alpha_lower`` on 10^4
+  unheld Gaussian points in 50 coordinates 1.6-1.7 s against 7.8-8.2 s.
 * One block budget.  Loops over rows (``iter_blocks``, the statistics
   below, the read-ahead buffer of ``RowCache``) hold at most
-  ``BLOCK_ENTRIES`` distances per block (``iter_blocks`` reuses one
-  buffer for all its blocks); ``iter_set_distances`` takes sets in groups
-  of ``block_rows``, so a group's k outputs hold ``k * n <= BLOCK_ENTRIES``
+  ``BLOCK_ENTRIES`` distances per block, and write every block into one
+  reused buffer; ``iter_set_distances`` takes sets in groups of
+  ``block_rows``, so a group's k outputs hold ``k * n <= BLOCK_ENTRIES``
   distances; and the dense matrix is built through blocks of the same
   size, written in place.
   ``char_size`` selects over these blocks
@@ -119,25 +173,52 @@ matrix or not.
   One pick, ``pick_order_stats``, answers from the values it keeps, as
   it does for the observable diameter of a feature and for every
   weighted median (``weighted_median``), by rank under equal weights.
-  Its pair sample makes no pass of its own: it reads the sampled pairs
-  from the held matrix or from their coordinates, 1024 pairs at a time.
   Triangle blocks are computed into the same one buffer, and the values
   of a rectangle are written twice into the values kept.
+* No pass for a diameter or a pair sample.  The diameter is kept on the
+  space, and two reads that already cover every pair fill it: the first
+  counting pass of ``char_size``, and a ``RowCache`` once it has
+  computed every point's row (a greedy growth curve under uniform
+  weights takes every point, so ``sep_lower``'s closing ``diameter``
+  costs nothing).  A point a narrowing drops is never computed after,
+  so then every pair lies in the row of whichever of its points was
+  computed first.  The ``2**18``-pair sample that brackets ``char_size``
+  reads the sampled pairs from the held matrix or from their
+  coordinates, 1024 pairs at a time; those bits may differ from the
+  kernel's, but the exact counting pass decides the value.  A traced
+  ``noise_rows`` round computed 36 028 distance rows with it against
+  56 028 with a pass for the sample, and ``char_size`` on 10^4 Gaussian
+  points in 50 coordinates took 0.79-0.89 s against 1.32-1.42 s (6 runs
+  each).
+* Read-ahead.  ``RowCache`` holds one block of ``block_rows`` rows.  A
+  row not in it is computed together with the rows ranked highest by
+  the caller's scores, so ``sep_lower``'s greedy growth computes the
+  next picks of both sides in one block and picks what a scan of the
+  free points picks, ties included.  Rows leave the buffer only when
+  taken, so no row is computed twice; a taken row is freed where it
+  lies, and a miss moves only the rows still held that lie where its
+  block goes (about 1600 row moves per 10^4-point curve, where moving
+  the last row in use into each freed one copied a row on nearly every
+  take).  The other one-row-at-a-time loops read through it too:
+  ``sep_lower``'s seed sweep, the ball-complement witness, the
+  farthest-point sweep of ``covering`` and the greedy separated subset,
+  scored by its alive candidates, earliest first.  Under the rule the
+  cache builds the matrix: on 2000 noisy points in 50 coordinates the
+  greedy subset and ``sep_lower`` together compute 2000 rows.
 * Narrowed scans.  A scan that stops reading some points' distances
   narrows its ``RowCache`` to the columns it still reads
   (``RowCache.narrow``), once at most half of its columns are live: the
   greedy growth to its free points, the greedy separated subset to its
   alive candidates not yet scanned.  The rows it holds are compacted in
   place, in the first columns of their buffer rows, and later rows are
-  computed over the kept columns alone, straight into the buffer.  A
-  growth curve that takes every point computes about two thirds of the
-  ``n**2`` entries.
-* The diameter costs no pass of its own when another read already
-  covers every pair: the first counting pass of ``char_size`` fills it,
-  and so does a ``RowCache`` once it has computed every point's row (a
-  greedy growth curve under uniform weights takes every point).  A point
-  a narrowing drops is never computed after, so then every pair lies in
-  the row of whichever of its points was computed first.
+  computed over the kept columns alone, straight into the buffer.  On an
+  unheld 10^4-point cloud in 50 coordinates a growth curve computes
+  0.68*n^2 entries (0.54-0.63 s against 0.80-0.87 s over full rows, 3
+  runs each), and the noise experiment's greedy subset 0.32*n^2 instead
+  of 0.60*n^2 (0.28-0.31 s against 0.47-0.68 s, 5 runs each).  A cache
+  over a held matrix does not narrow: its rows cost nothing to compute,
+  and a narrowed read would copy each row (100 held cube samples of 50
+  to 256 points: ``sep_lower`` 0.54-0.79 s without, 0.85-0.88 s with).
 """
 
 from __future__ import annotations
@@ -332,8 +413,13 @@ class MMSpace:
 
     Notes
     -----
-    Instances are immutable after construction (arrays are marked
-    read-only) and safe to share across threads.
+    The coordinates, the weights and a given matrix are read-only, but a
+    space is not immutable: it fills caches as it is read, namely the
+    distance matrix (under the rule in the module notes), the diameter,
+    the gathered GEMM operand of the last column set ``_pairwise`` read,
+    and the threshold memo of ``concentration._sep_levels``.  Each cache
+    holds the same bits whichever read fills it, but no lock guards them:
+    the class makes no claim of thread safety.
     """
 
     def __init__(self, *, dist=None, coords=None, metric=None, weights=None,
@@ -542,11 +628,9 @@ class MMSpace:
         return out[:, :m]
 
     def dist_row(self, i: int) -> np.ndarray:
-        """Distances from point `i` to every point: :meth:`iter_rows`, after
-        :meth:`dense` builds the matrix of a space under the rule."""
-        ids = self.check_ids([i])
-        self.dense()
-        return next(self.iter_rows(ids))
+        """Distances from point `i` to every point: :meth:`iter_rows` of
+        ``[i]``."""
+        return next(self.iter_rows([i]))
 
     def dist_block(self, ids, out=None) -> np.ndarray:
         """Distance rows for the given point ids, shape ``(len(ids), n)``,
@@ -557,49 +641,56 @@ class MMSpace:
             return np.take(self._dist_cache, ids, axis=0, out=out, mode="clip")
         return self._pairwise(ids, out=out)
 
-    def iter_blocks(self, ids=None, upper=False):
-        """Yield ``(block_ids, dist_block(block_ids))`` over `ids` (default:
-        every point) in order, ``block_rows`` rows at a time.
+    def iter_blocks(self, upper=False):
+        """Yield ``(block_ids, block)`` over every point in order,
+        ``block_rows`` rows at a time, ``block`` the distance rows of
+        ``block_ids``.
 
-        With `upper`, over every point, a block of the rows ``i0:i1`` holds
-        only their columns from ``i0`` on: the upper triangle, its leading
-        ``i1 - i0`` columns a square and the rest a rectangle whose
-        mirror image no block holds.  Its blocks take ``block_rows``
-        rounded down to a multiple of 8 rows, so each starts at a column
-        where the GEMM kernel can start its product (``_gemm_pairwise``).
+        With `upper`, a block of the rows ``i0:i1`` holds only their
+        columns from ``i0`` on: the upper triangle, its leading ``i1 - i0``
+        columns a square and the rest a rectangle whose mirror image no
+        block holds.  Its blocks take ``block_rows`` rounded down to a
+        multiple of 8 rows, so each starts at a column where the GEMM kernel
+        can start its product (``_gemm_pairwise``).
 
-        Over every point of a space that holds its matrix (see
-        :meth:`dense`) the blocks are read-only views of it.  Otherwise
-        every block is written into one buffer, so a block is valid only
-        until the next is yielded: copy what must outlive it.  Reusing the
-        buffer saves allocating, and faulting in, a block per step.
+        On a space that holds its matrix (see :meth:`dense`) the blocks are
+        read-only views of it.  Otherwise every block is written into one
+        buffer, so a block is valid only until the next is yielded: copy
+        what must outlive it.  Reusing the buffer saves allocating, and
+        faulting in, a block per step.
         """
-        if upper and ids is not None:
-            raise InputError("the upper triangle is read over every point")
-        m = self.dense() if ids is None else None
-        ids = np.arange(self.n) if ids is None else self.check_ids(ids)
+        m = self.dense()
         step = self.block_rows
         if upper:
             step = step - step % 8 or step
         if m is None:
-            buf = np.empty((min(step, len(ids)), self.n))
-        for i0 in range(0, len(ids), step):
-            part = ids[i0 : i0 + step]
+            buf = np.empty((min(step, self.n), self.n))
+        for i0 in range(0, self.n, step):
+            part = np.arange(i0, min(i0 + step, self.n))
             if m is not None:
-                yield part, m[i0 : i0 + len(part), i0 if upper else 0 :]
-            elif upper:
-                yield part, self._pairwise(part, np.arange(i0, self.n), buf[: len(part)])
+                yield part, m[i0 : i0 + part.size, i0 if upper else 0 :]
             else:
-                yield part, self.dist_block(part, out=buf[: len(part)])
+                cols = np.arange(i0, self.n) if upper else None
+                yield part, self._pairwise(part, cols, buf[: part.size])
 
     def iter_rows(self, ids):
         """Each id's distance row, in order: a read-only view of a held
-        matrix, else a row of a block computed by :meth:`iter_blocks`, valid
-        until the next block.  The ids are checked at the call."""
+        matrix, else a row of a block of ``block_rows`` rows computed by
+        :meth:`dist_block` into one buffer, valid until the next block.
+        The ids are checked at the call."""
         ids, m = self.check_ids(ids), self._dist_cache
         if m is not None:
             return (m[i] for i in ids.tolist())
-        return (row for _, blk in self.iter_blocks(ids) for row in blk)
+        return self._computed_rows(ids)
+
+    def _computed_rows(self, ids):
+        """The generator of :meth:`iter_rows` on checked ids where no matrix
+        is held."""
+        step = self.block_rows
+        buf = np.empty((min(step, ids.size), self.n))
+        for i0 in range(0, ids.size, step):
+            part = ids[i0 : i0 + step]
+            yield from self.dist_block(part, out=buf[: part.size])
 
     def check_ids(self, ids, what: str = "point ids") -> np.ndarray:
         """`ids` as a 1-D int array; InputError unless they are a flat
@@ -631,8 +722,7 @@ class MMSpace:
         go in groups of ``block_rows``, so an output holds at most
         ``BLOCK_ENTRIES`` distances.  A group reads each distance row of the
         union of its sets once, in index order, and takes it into the output
-        of every set holding it: a view of a held matrix, or a row computed
-        by ``iter_blocks``.
+        of every set holding it, as :meth:`iter_rows` reads it.
         """
         if not (isinstance(sets, np.ndarray) and sets.dtype == bool and sets.ndim == 2
                 and sets.shape[1] == self.n):
@@ -1011,21 +1101,16 @@ def diameter(space: MMSpace) -> float:
     return space._diameter_cache
 
 
-def weighted_median(values, weights, which: str = "lower") -> float:
-    """Weighted median of a finite distribution.
-
-    ``lower``: smallest value whose cumulative mass reaches 1/2;
-    ``upper``: smallest value whose cumulative mass strictly exceeds 1/2.
-    One :func:`pick_order_stats` call on the targets of
-    :func:`_median_targets`: ranks under equal weights, else half the
-    total mass less or more ``1e-12``.
+def weighted_median(values, weights) -> float:
+    """Lower weighted median of a finite distribution: the smallest value
+    whose cumulative mass reaches 1/2.  One :func:`pick_order_stats` call
+    on the lower target of :func:`_median_targets`: a rank under equal
+    weights, else half the total mass less ``1e-12``.
     """
-    if which not in ("lower", "upper"):
-        raise InputError(f"which must be 'lower' or 'upper', got {which!r}")
     values = np.array(values, dtype=float)  # a copy: the pick partitions it
     weights = np.asarray(weights, dtype=float)
-    masses, targets = _median_targets(values.size, weights, float(weights.sum()))
-    return pick_order_stats(values, masses, 0.0, [targets[which == "upper"]])[0]
+    masses, (lower, _) = _median_targets(values.size, weights, float(weights.sum()))
+    return pick_order_stats(values, masses, 0.0, [lower])[0]
 
 
 def uniform_weights(w: np.ndarray) -> bool:

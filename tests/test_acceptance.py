@@ -133,7 +133,7 @@ def test_criterion_3_margin_bound(oracle_instances):
         labels = rng.integers(0, 2, size=space.n)
         gammas = (np.arange(10) + 0.5) / 10.0 * diameter(space)
         for feat in make_dictionary(space, "anchors_all"):
-            med = weighted_median(feat.values, space.weights, "lower")
+            med = weighted_median(feat.values, space.weights)
             calibrated = feat.shifted(0.5 - med)
             for gamma in gammas:
                 er = margin_error(space, labels, calibrated, float(gamma))

@@ -297,6 +297,42 @@ def test_emd_reads_weights_as_a_column_or_a_row(tmp_path):
     assert json.loads((tmp_path / "emd" / "emd.json").read_text())["cost"] == 1.0
 
 
+def test_emd_reads_a_distance_csv_under_any_name(tmp_path):
+    # the content is checked, not the file name: d.txt used to be refused
+    matrix = "0,1,3\n1,0,2\n3,2,0\n"
+    mu, nu = tmp_path / "mu.csv", tmp_path / "nu.csv"
+    mu.write_text("0.5\n0.5\n0\n")
+    nu.write_text("0\n0.25\n0.75\n")
+    outs = {}
+    for name in ("d.csv", "d.txt"):
+        (tmp_path / name).write_text(matrix)
+        outs[name] = out = tmp_path / name.replace(".", "_")
+        assert run_cli("emd", "--space", str(tmp_path / name), "--mu", str(mu),
+                       "--nu", str(nu), "--out", str(out)) == 0
+    csv_out, txt_out = outs["d.csv"], outs["d.txt"]
+    assert (txt_out / "plan.csv").read_bytes() == (csv_out / "plan.csv").read_bytes()
+    cost = json.loads((txt_out / "emd.json").read_text())["cost"]
+    assert cost == json.loads((csv_out / "emd.json").read_text())["cost"] == 2.0
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_dims_provenance_is_the_profiles_alpha_and_sep_write(tmp_path, n):
+    # exact oracles up to ORACLE_LIMIT points, witnesses above: dims picks
+    # the profiles that alpha and sep pick in --mode auto
+    points = tmp_path / "pts.csv"
+    rows = np.random.default_rng(n).normal(size=(n, 3))
+    points.write_text("".join(",".join(map(repr, r.tolist())) + "\n" for r in rows))
+    outs = {}
+    for command in ("alpha", "sep", "dims"):
+        outs[command] = tmp_path / command
+        assert run_cli(command, "--points", str(points), "--out", str(outs[command])) == 0
+    report = json.loads((outs["dims"] / "dimensions.json").read_text())["report"]
+    for command in ("alpha", "sep"):
+        profile = json.loads((outs[command] / f"{command}.json").read_text())["profile"]
+        assert report["provenance"][command] == profile
+        assert profile["mode"] == ("exact" if n <= 22 else "lower_bound")
+
+
 # -- a seeded table of malformed inputs over every subcommand -----------------------
 
 #: a valid file of each kind and the command lines that read it: {} is its

@@ -17,9 +17,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 _CLAIM = re.compile(r"`([A-Z][A-Z0-9_]*)` = (\d{1,3}(?:[ ,  ]\d{3})+|\d+)(?![\d.^])")
 
 
-def limits_claims(text: str) -> list[tuple[str, int]]:
-    """The ``(NAME, value)`` pairs of the README's "Limits" section."""
-    section = text.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+def section_claims(text: str, title: str) -> list[tuple[str, int]]:
+    """The ``(NAME, value)`` pairs of the README section `title`."""
+    section = text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
     return [(name, int(re.sub(r"\D", "", value)))
             for name, value in _CLAIM.findall(section)]
 
@@ -32,8 +32,16 @@ def package_values(name: str) -> set:
 
 
 def test_limits_section_names_real_constants():
-    claims = limits_claims(README.read_text())
+    claims = section_claims(README.read_text(), "Limits")
     assert len(claims) >= 5
+    for name, value in claims:
+        assert package_values(name) == {value}, (name, value)
+
+
+def test_distance_layer_summary_names_real_constants():
+    claims = section_claims(README.read_text(), "The distance layer")
+    assert {name for name, _ in claims} >= {"AUTO_DENSE", "MATERIALIZE_LIMIT",
+                                            "GEMM_MIN_DIM", "BLOCK_ENTRIES"}
     for name, value in claims:
         assert package_values(name) == {value}, (name, value)
 

@@ -70,10 +70,10 @@ def test_whole_space_reads_materialize_and_chosen_rows_do_not():
     list(s.iter_set_distances(sets))
     s.submatrix([3, 4])
     s.distance(0, 1)
-    list(s.iter_blocks([0, 1]))
+    s.dist_row(0)
     assert not s.is_dense
-    for read in (lambda s: s.dist_row(0), lambda s: next(s.iter_blocks()),
-                 lambda s: s.dense(), lambda s: s.dist, RowCache):
+    for read in (lambda s: next(s.iter_blocks()), lambda s: s.dense(), lambda s: s.dist,
+                 RowCache):
         s = from_points(x)
         read(s)
         assert s.is_dense
@@ -123,8 +123,7 @@ def test_only_the_readers_branch_on_a_held_matrix():
     # the rule is dense(); dist_block (copies) and iter_rows (views) serve
     # caller-chosen rows, iter_blocks whole passes, RowCache rows one at a
     # time and _pair_distances pair samples, and every other read goes
-    # through them.  Construction sets the matrix and is_dense reports it;
-    # dist_row calls dense() to apply the rule.
+    # through them.  Construction sets the matrix and is_dense reports it.
     readers = {"dist", "dense", "dist_block", "iter_rows", "iter_blocks", "RowCache",
                "_pair_distances"}
     tree = ast.parse(Path(mmspace.__file__).read_text())
@@ -142,7 +141,7 @@ def test_only_the_readers_branch_on_a_held_matrix():
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dense":
                 call.add(name)
     assert touch <= readers | {"__init__", "is_dense"}, sorted(touch - readers)
-    assert call <= readers | {"dist_row"}, sorted(call - readers)
+    assert call <= readers, sorted(call - readers)
     assert {"dist_block", "iter_rows"} <= touch
     assert {"dist_row", "distance", "submatrix", "_set_distance_groups"} <= set(units)
     for path in sorted(Path(concdim.__file__).parent.glob("*.py")):

@@ -212,9 +212,8 @@ def test_char_size_two_point_medians():
 def test_weighted_median_conventions():
     vals = [0.0, 1.0]
     w = [0.5, 0.5]
-    assert weighted_median(vals, w, "lower") == 0.0
-    assert weighted_median(vals, w, "upper") == 1.0
-    assert weighted_median([3.0], [1.0], "lower") == 3.0
+    assert weighted_median(vals, w) == 0.0
+    assert weighted_median([3.0], [1.0]) == 3.0
 
 
 def test_weighted_median_equals_a_full_sort_bit_for_bit():
@@ -232,7 +231,10 @@ def test_weighted_median_equals_a_full_sort_bit_for_bit():
                 if not w.any():
                     continue
                 want = sorted_medians(values, w, float(w.sum()))
-                got = tuple(weighted_median(values, w, which) for which in ("lower", "upper"))
+                # the upper median is char_size_interval's rule, picked alone
+                masses, (_, upper) = mmspace._median_targets(n, w, float(w.sum()))
+                got = (weighted_median(values, w),
+                       mmspace.pick_order_stats(values.copy(), masses, 0.0, [upper])[0])
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (n, w[:3])
                 if np.all(w == w[0]):  # the ranks are what mass thresholds pick
                     order = np.argsort(values, kind="stable")

@@ -137,14 +137,14 @@ def pair_table_medians(s: MMSpace) -> tuple[float, float]:
 
 
 def count_passes(monkeypatch) -> list:
-    """Record the `ids` of every ``MMSpace.iter_blocks`` call (None for a
-    pass over every point) until the monkeypatch is undone."""
+    """Record the `upper` flag of every ``MMSpace.iter_blocks`` call, a
+    pass over every point, until the monkeypatch is undone."""
     passes = []
     inner = MMSpace.iter_blocks
 
-    def iter_blocks(self, ids=None, upper=False):
-        passes.append(ids)
-        return inner(self, ids, upper)
+    def iter_blocks(self, upper=False):
+        passes.append(upper)
+        return inner(self, upper)
 
     monkeypatch.setattr(MMSpace, "iter_blocks", iter_blocks)
     return passes
