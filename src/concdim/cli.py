@@ -146,57 +146,50 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_alpha(args) -> int:
-    if args.eps is not None and not 0 <= args.eps < math.inf:
-        raise InputError(f"eps must be finite and nonnegative, got {args.eps!r}")
+def _write_profile(args, kind: str, var: str, x, oracle) -> int:
+    """Write the `kind` profile to ``<kind>.csv`` and ``<kind>.json``, with
+    its value at ``x`` (the option ``--<var>``) if given: `oracle`'s in
+    exact mode, the profile's lower bound otherwise."""
     out = _out_dir(args)
     space, provenance = _load_space(args)
     grid = np.asarray(args.grid, dtype=float) if args.grid else None
-    profile = _profile(args, space, "alpha", grid)
-    profile.to_csv(out / "alpha.csv")
+    profile = _profile(args, space, kind, grid)
+    profile.to_csv(out / f"{kind}.csv")
     payload = _base_manifest(args, **provenance,
-                             profile=profile.metadata(), outputs=["alpha.csv"])
-    if args.eps is not None:
-        payload["alpha_at_eps"] = {"eps": args.eps, "alpha": (
-            alpha_exact(space, args.eps) if profile.mode == "exact"
-            else profile.at(args.eps))}
-    write_json(out / "alpha.json", payload)
+                             profile=profile.metadata(), outputs=[f"{kind}.csv"])
+    if x is not None:
+        value = oracle(space, x) if profile.mode == "exact" else profile.at(x)
+        payload[f"{kind}_at_{var}"] = {var: x, kind: value}
+        print(f"{kind} at {var}={x}: {value}")
+    write_json(out / f"{kind}.json", payload)
     print(f"mode: {profile.mode}")
-    print(f"wrote {out / 'alpha.csv'}")
+    print(f"wrote {out / f'{kind}.csv'}")
     return EXIT_OK
+
+
+def _cmd_alpha(args) -> int:
+    if args.eps is not None and not 0 <= args.eps < math.inf:
+        raise InputError(f"eps must be finite and nonnegative, got {args.eps!r}")
+    return _write_profile(args, "alpha", "eps", args.eps, alpha_exact)
 
 
 def _cmd_sep(args) -> int:
     if args.kappa is not None and not 0 < args.kappa <= 0.5:
         raise InputError(f"kappa must lie in (0, 1/2], got {args.kappa!r}")
-    out = _out_dir(args)
-    if args.analytic_d is not None:
-        if args.kappa is None:
-            raise InputError("--analytic-d requires --kappa")
-        val = sep_hamming_analytic(args.analytic_d, args.kappa)
-        write_json(out / "sep.json", _base_manifest(
-            args, mode="analytic", d=args.analytic_d,
-            kappa=args.kappa, sep=val))
-        print(f"mode: analytic\nsep_{args.kappa}(hamming_cube({args.analytic_d})) = {val}")
-        return EXIT_OK
-    space, provenance = _load_space(args)
-    grid = np.asarray(args.grid, dtype=float) if args.grid else None
-    profile = _profile(args, space, "sep", grid)
-    profile.to_csv(out / "sep.csv")
-    payload = _base_manifest(args, **provenance,
-                             profile=profile.metadata(), outputs=["sep.csv"])
-    if args.kappa is not None:
-        payload["sep_at_kappa"] = {"kappa": args.kappa, "sep": (
-            sep_exact(space, args.kappa) if profile.mode == "exact"
-            else profile.at(args.kappa))}
-        print(f"sep at kappa={args.kappa}: {payload['sep_at_kappa']['sep']}")
-    write_json(out / "sep.json", payload)
-    print(f"mode: {profile.mode}")
-    print(f"wrote {out / 'sep.csv'}")
+    if args.analytic_d is None:
+        return _write_profile(args, "sep", "kappa", args.kappa, sep_exact)
+    if args.kappa is None:
+        raise InputError("--analytic-d requires --kappa")
+    val = sep_hamming_analytic(args.analytic_d, args.kappa)
+    write_json(_out_dir(args) / "sep.json", _base_manifest(
+        args, mode="analytic", d=args.analytic_d, kappa=args.kappa, sep=val))
+    print(f"mode: analytic\nsep_{args.kappa}(hamming_cube({args.analytic_d})) = {val}")
     return EXIT_OK
 
 
 def _cmd_obsdiam(args) -> int:
+    if not 0 < args.kappa < 1:
+        raise InputError(f"kappa must lie in (0, 1), got {args.kappa!r}")
     out = _out_dir(args)
     space, provenance = _load_space(args)
     feats = _make_features(space, args.dictionary, args.seed)
@@ -253,6 +246,8 @@ def _cmd_emd(args) -> int:
 def _cmd_net(args) -> int:
     if args.radius is not None and not math.isfinite(args.radius):
         raise InputError(f"radius must be finite, got {args.radius!r}")
+    if args.radius is None and not args.grid:
+        raise InputError("net requires --radius or --grid")
     out = _out_dir(args)
     space, provenance = _load_space(args)
     if args.grid:
@@ -262,8 +257,6 @@ def _cmd_net(args) -> int:
             args, **provenance, outputs=["covering.csv"]))
         print(f"wrote {out / 'covering.csv'}")
         return EXIT_OK
-    if args.radius is None:
-        raise InputError("net requires --radius or --grid")
     ids = greedy_net(space, args.radius)
     write_json(out / "net.json", _base_manifest(
         args, **provenance, radius=args.radius,

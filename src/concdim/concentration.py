@@ -18,6 +18,26 @@ Definitions and conventions
   with ``mu(A) >= kappa``, ``mu(B) >= kappa`` and all cross distances at
   least ``delta``; the supremum over an empty witness set is 0.
 * Measure constraints always use the weights, not cardinalities.
+
+Profiles
+--------
+``ConcentrationProfile`` (alpha on an eps grid) and ``SeparationProfile``
+(sep on a kappa grid) share one contract, `_Profile`: the grid is
+ascending, the values non-increasing, both arrays read-only.  For both,
+``at(x)`` is the value at the least grid point at or above ``x`` (for
+sep, at or above ``x - MASS_TOL``), and 0 beyond the grid: a lower bound
+at ``x``, since both functions are non-increasing.  ``integral()`` is the
+quadrature every dimension functional uses: alpha over ``[0, diameter]``,
+sep over ``[0, 1/2]`` extended to 0 by its first value.  ``metadata()``
+is the ``profile`` block of the CLI's JSON files (kind, mode, step,
+diameter, grid size), and ``to_csv`` writes the columns ``eps,alpha`` or
+``kappa,sep``.  A step profile integrates by the step rule, exactly for
+an exact profile whose grid holds every jump; other profiles take the
+trapezoid rule, an estimate.  Every exact and analytic separation profile
+is a step profile, and no lower-bound one is, so ``SeparationProfile``
+reads ``step`` off its mode.  ``ConcentrationProfile`` takes ``step``:
+an exact alpha profile on a caller's grid misses jumps between its
+points, so its mode does not decide it.
 """
 
 from __future__ import annotations
@@ -25,8 +45,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -84,16 +105,67 @@ def _check_kappa_grid(g: np.ndarray) -> None:
         raise InputError("kappa grid must lie within (0, 1/2]")
 
 
+class _Profile:
+    """A non-increasing function sampled on an ascending grid, with its
+    certificate ``mode`` and the space's ``diameter``.
+
+    A subclass is a frozen dataclass whose first two fields are the grid
+    and the values, written under the CSV columns ``_header``.  It checks
+    its grid and the range of its values (``_check``) and integrates
+    (``integral``); the checks of shape and order, the read-only arrays
+    and the reads ``at``, ``metadata`` and ``to_csv`` are shared.
+    """
+
+    _kind: ClassVar[str]
+    _header: ClassVar[tuple[str, str]]
+    #: ``at(x)`` reads the value at the least knot >= ``x - _offset``
+    _offset: ClassVar[float] = 0.0
+
+    def __post_init__(self):
+        g, v = (np.asarray(arr, dtype=float) for arr in self._arrays())
+        if g.ndim != 1 or g.shape != v.shape or g.size == 0:
+            raise InputError("profile grid and values must be matching 1-D arrays")
+        self._check(g, v)
+        if np.any(np.diff(v) > 1e-9):
+            raise InvariantViolation(
+                f"{self._header[1]} must be non-increasing in {self._header[0]}")
+        for field, arr in zip(fields(self), (g, v)):
+            arr.setflags(write=False)
+            object.__setattr__(self, field.name, arr)
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(grid, values)``."""
+        return tuple(getattr(self, f.name) for f in fields(self)[:2])
+
+    def at(self, x: float) -> float:
+        """Lower bound on the function at `x`: the value at the least knot
+        at or above ``x - _offset``, 0 beyond the last."""
+        return float(_value_at(*self._arrays(), x - self._offset))
+
+    def metadata(self) -> dict:
+        return {
+            "kind": self._kind,
+            "mode": self.mode,
+            "step": self.step,
+            "diameter": self.diameter,
+            "grid_size": int(self._arrays()[0].size),
+        }
+
+    def to_csv(self, path) -> None:
+        write_csv(path, self._header, zip(*self._arrays()))
+
+
 @dataclass(frozen=True)
-class ConcentrationProfile:
-    """alpha estimates on an ascending eps grid with a certificate mode.
+class ConcentrationProfile(_Profile):
+    """alpha on an ascending eps grid in ``[0, diameter]``.
 
     ``mode`` is ``"exact"`` or ``"lower_bound"``; ``step=True`` marks
     exact profiles evaluated at every realized distance, for which the
     right-continuous step quadrature reproduces the integral of alpha
     exactly.  ``step=False`` takes the trapezoid rule, an estimate: alpha
     may drop right after a knot, so even on a lower-bound profile it can
-    exceed the exact integral (the right-end rule cannot).
+    exceed the exact integral (the right-end rule cannot).  ``mode`` does
+    not decide ``step``: an exact profile on a caller's grid misses steps.
     """
 
     eps_grid: np.ndarray
@@ -102,22 +174,15 @@ class ConcentrationProfile:
     diameter: float
     step: bool = True
 
-    def __post_init__(self):
-        g = np.asarray(self.eps_grid, dtype=float)
-        a = np.asarray(self.alpha, dtype=float)
-        if g.ndim != 1 or g.shape != a.shape or g.size == 0:
-            raise InputError("profile grid and values must be matching 1-D arrays")
+    _kind = "concentration_profile"
+    _header = ("eps", "alpha")
+
+    def _check(self, g: np.ndarray, a: np.ndarray) -> None:
         _check_eps_grid(g, self.diameter)
         if np.any(a < -1e-12) or np.any(a > 0.5 + 1e-9):
             raise InvariantViolation("alpha values outside [0, 1/2]")
-        if np.any(np.diff(a) > 1e-9):
-            raise InvariantViolation("alpha must be non-increasing in eps")
         if g[0] == 0.0 and abs(a[0] - 0.5) > 1e-12:
             raise InvariantViolation("alpha(0) must equal 1/2 by convention")
-        for arr in (g, a):
-            arr.setflags(write=False)
-        object.__setattr__(self, "eps_grid", g)
-        object.__setattr__(self, "alpha", a)
 
     def integral(self, upper: float = math.inf) -> float:
         """Integral of alpha over [grid start, min(upper, grid end)]; a cut
@@ -133,54 +198,38 @@ class ConcentrationProfile:
             return float(np.sum(a[:-1] * np.diff(g)))
         return float(np.trapezoid(a, g))
 
-    def at(self, eps: float) -> float:
-        """Lower bound on alpha at `eps`."""
-        return float(_value_at(self.eps_grid, self.alpha, eps))
-
-    def metadata(self) -> dict:
-        return {
-            "kind": "concentration_profile",
-            "mode": self.mode,
-            "step": self.step,
-            "diameter": self.diameter,
-            "grid_size": int(self.eps_grid.size),
-        }
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("eps", "alpha"), zip(self.eps_grid, self.alpha))
-
 
 @dataclass(frozen=True)
-class SeparationProfile:
-    """sep estimates on an ascending kappa grid in (0, 1/2].
+class SeparationProfile(_Profile):
+    """sep on an ascending kappa grid in (0, 1/2].
 
     ``mode`` is ``"exact"``, ``"lower_bound"`` or ``"analytic"``.  The
     separation function is extended to ``kappa -> 0`` by its value at the
-    smallest grid point when integrating, by the right-end rule
-    (``step=True``) or by the trapezoid rule, which even on a lower-bound
-    profile can exceed the exact integral.
+    smallest grid point when integrating, by the right-end rule (``step``)
+    or, for lower-bound profiles, by the trapezoid rule, which even on a
+    lower-bound profile can exceed the exact integral.  ``at`` reads
+    ``kappa - MASS_TOL``, the slack of the mass comparisons.
     """
 
     kappa_grid: np.ndarray
     sep: np.ndarray
     mode: str
     diameter: float
-    step: bool = True
 
-    def __post_init__(self):
-        g = np.asarray(self.kappa_grid, dtype=float)
-        s = np.asarray(self.sep, dtype=float)
-        if g.ndim != 1 or g.shape != s.shape or g.size == 0:
-            raise InputError("profile grid and values must be matching 1-D arrays")
+    _kind = "separation_profile"
+    _header = ("kappa", "sep")
+    _offset = MASS_TOL
+
+    @property
+    def step(self) -> bool:
+        """True unless the profile is a lower bound: exact and analytic
+        profiles are right-end step functions on their grids."""
+        return self.mode != "lower_bound"
+
+    def _check(self, g: np.ndarray, s: np.ndarray) -> None:
         _check_kappa_grid(g)
         if np.any(s < -1e-12) or np.any(s > self.diameter + 1e-9):
             raise InvariantViolation("sep values outside [0, diameter]")
-        if np.any(np.diff(s) > 1e-9):
-            raise InvariantViolation("sep must be non-increasing in kappa")
-        for arr in (g, s):
-            arr.setflags(write=False)
-        object.__setattr__(self, "kappa_grid", g)
-        object.__setattr__(self, "sep", s)
 
     def integral(self) -> float:
         """Integral over [0, grid end], extending by the first value near 0."""
@@ -190,22 +239,6 @@ class SeparationProfile:
         if self.step:
             return head + float(np.sum(self.sep[1:] * np.diff(self.kappa_grid)))
         return head + float(np.trapezoid(self.sep, self.kappa_grid))
-
-    def at(self, kappa: float) -> float:
-        """Lower bound on sep at `kappa`, read at ``kappa - MASS_TOL``."""
-        return float(_value_at(self.kappa_grid, self.sep, kappa - MASS_TOL))
-
-    def metadata(self) -> dict:
-        return {
-            "kind": "separation_profile",
-            "mode": self.mode,
-            "step": self.step,
-            "diameter": self.diameter,
-            "grid_size": int(self.kappa_grid.size),
-        }
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("kappa", "sep"), zip(self.kappa_grid, self.sep))
 
 
 def default_kappa_grid() -> np.ndarray:
@@ -662,7 +695,7 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
             for c in seeds[0]:
                 np.maximum(best, _ball_complement_witness(space, c, grid), out=best)
     best = np.minimum.accumulate(np.maximum(best, 0.0))
-    return SeparationProfile(grid, best, "lower_bound", diameter(space), step=False)
+    return SeparationProfile(grid, best, "lower_bound", diameter(space))
 
 
 def greedy_separated_subset(space: MMSpace, min_distance: float) -> np.ndarray:
@@ -878,8 +911,7 @@ def sep_hamming_profile(d: int) -> SeparationProfile:
         knots.append(lo / full)
         vals.append(j / d)
         a = lo + 1
-    return SeparationProfile(np.asarray(knots), np.asarray(vals), "analytic",
-                             1.0, step=True)
+    return SeparationProfile(np.asarray(knots), np.asarray(vals), "analytic", 1.0)
 
 
 # -- observable diameter and margins ----------------------------------------------

@@ -216,7 +216,7 @@ def _noise_profile(space: MMSpace, min_side_mass: float, min_distance: float,
     witness = np.where(grid <= min_side_mass + 1e-12, min_distance, 0.0)
     vals = np.maximum(greedy.sep, witness)
     vals = np.minimum.accumulate(vals)
-    return SeparationProfile(grid, vals, "lower_bound", greedy.diameter, step=False)
+    return SeparationProfile(grid, vals, "lower_bound", greedy.diameter)
 
 
 def _run_noise_instability(spec: ExperimentSpec, out_dir: Path) -> dict:

@@ -78,7 +78,18 @@ ints ``[1, 0]``, so the check looks at the elements of a list.
   2.90-3.20 against 0.29-0.31 s at 50.  One row read alone took
   0.051-0.068 ms with ``cdist`` at 8 coordinates, 0.095-0.114 ms at 16
   and 0.34-0.40 ms at 50; on GEMM, where it is a product of two rows
-  (next item), 0.22-0.24 ms at 16 and 0.44-0.47 ms at 50.
+  (next item), 0.22-0.24 ms at 16 and 0.44-0.47 ms at 50.  Building the
+  held matrix of 5000 points on a sphere (3 sessions of 3-5 runs after a
+  warm-up, 2-core Xeon, OpenBLAS 0.3.31): on S^1, in 2 coordinates, GEMM
+  took 204-291 ms (and once 497 ms) against 91-130 ms with ``cdist``,
+  because the cancellation guard recomputes 4930 of the 5000 rows (each
+  point's nearest neighbour lies under its threshold); on S^2 GEMM took
+  84-104 against 104-143 ms (96 rows guarded), and on S^3 78-95 against
+  102-174 ms (none guarded).  No measurement here puts the switch at
+  ``GEMM_MIN_DIM`` = 16, yet it stays there: moving it changes the bits
+  of every distance of a space with 3 to 15 coordinates, such as the
+  S^10 spheres of ``sphere_separation`` and the 3-coordinate clouds of
+  the exact oracles' tests.
 * Canonical rows.  Each distance row has the same bits however it is
   read: alone (``dist_row``, ``dist_block([i])``), entry by entry
   (``distance``, ``submatrix``, which read full rows), inside a block of

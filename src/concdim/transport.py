@@ -39,7 +39,9 @@ class TransportPlan:
     """An optimal coupling between two weight vectors on a common metric.
 
     ``marginal_residuals`` holds the largest row-sum and column-sum
-    deviations from the two prescribed marginals.
+    deviations from the two prescribed marginals.  No entry is below
+    ``-MARGINAL_TOL``: a plan with negative mass is not a coupling, and
+    its cost may lie below the optimum, so it bounds nothing.
     """
 
     coupling: np.ndarray
@@ -50,6 +52,10 @@ class TransportPlan:
         c = np.asarray(self.coupling, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "coupling", c)
+        if c.size and c.min() < -MARGINAL_TOL:
+            i, j = np.unravel_index(np.argmin(c), c.shape)
+            raise InvariantViolation(
+                f"coupling entry ({i}, {j}) is {float(c[i, j])!r}, below -{MARGINAL_TOL}")
         if max(self.marginal_residuals) > MARGINAL_TOL:
             raise InvariantViolation(
                 f"coupling marginals off by {self.marginal_residuals}, "

@@ -39,7 +39,7 @@ def test_gen_deterministic(tmp_path):
     assert (a / "points.csv").read_bytes() == (b / "points.csv").read_bytes()
 
 
-def test_alpha_exact_on_csv(tmp_path):
+def test_alpha_exact_on_csv(tmp_path, capsys):
     points = tmp_path / "pts.csv"
     points.write_text("x0\n0.0\n1.0\n")
     out = tmp_path / "alpha"
@@ -47,6 +47,7 @@ def test_alpha_exact_on_csv(tmp_path):
                    "--out", str(out)) == 0
     payload = json.loads((out / "alpha.json").read_text())
     assert payload["alpha_at_eps"]["alpha"] == 0.5
+    assert "alpha at eps=0.5: 0.5\n" in capsys.readouterr().out
     assert payload["profile"]["mode"] == "exact"
 
 
@@ -238,6 +239,18 @@ def test_out_of_range_parameters_exit_2(tmp_path, args):
                    "--param", "sigma=1", "--param", "n=12",
                    "--out", str(out)) == 2
     assert not (out / "alpha.csv").exists() and not (out / "sep.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sep", "--analytic-d", "9"],
+    ["net"],
+    ["obsdiam", "--kappa", "1.5"],
+])
+def test_refusals_come_before_the_output_directory(tmp_path, args):
+    out = tmp_path / "out"
+    assert run_cli(*args, "--family", "gaussian_cloud", "--param", "d=3",
+                   "--param", "sigma=1", "--param", "n=12", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 #: name -> (input file contents, command line with {} for its path, a

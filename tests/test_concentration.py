@@ -15,6 +15,7 @@ from concdim.concentration import (
     MASS_TOL,
     ORACLE_LIMIT,
     ConcentrationProfile,
+    SeparationProfile,
     _ball_sizes,
     _closure,
     _iterated_shadow,
@@ -34,7 +35,7 @@ from concdim.concentration import (
     split_witness,
 )
 from concdim.covering import covering_profile
-from concdim.errors import InputError, ResourceLimitError
+from concdim.errors import InputError, InvariantViolation, ResourceLimitError
 from concdim.features import check_lipschitz, dictionary, distance_feature
 from concdim.mmspace import (
     GeneratorSpec,
@@ -579,6 +580,56 @@ def test_profile_reads_match_the_former_command_line_read():
             assert prof.at(kappa) == _bound_at(g, prof.sep, kappa - MASS_TOL)
         for j, k in enumerate(g):
             assert prof.at(k + 1e-13) == prof.at(k - 1e-13) == prof.sep[j]
+
+
+#: metadata kind -> (type, CSV header, a valid grid and values on a space
+#: of diameter 1, values that break the contract and the message they raise)
+PROFILES = {
+    "concentration_profile": (ConcentrationProfile, ("eps", "alpha"),
+                              [0.0, 0.4, 0.9], [0.5, 0.2, 0.0], [
+        ([0.5, 0.2, -0.1], "alpha values outside"),
+        ([0.6, 0.2, 0.0], "alpha values outside"),
+        ([0.5, 0.2, 0.3], "alpha must be non-increasing in eps"),
+        ([0.4, 0.2, 0.0], r"alpha\(0\) must equal 1/2")]),
+    "separation_profile": (SeparationProfile, ("kappa", "sep"),
+                           [0.1, 0.3, 0.5], [0.9, 0.4, 0.0], [
+        ([0.9, 0.4, -0.1], "sep values outside"),
+        ([1.5, 0.4, 0.0], "sep values outside"),
+        ([0.9, 0.4, 0.5], "sep must be non-increasing in kappa")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+def test_profiles_share_one_contract(tmp_path, kind):
+    cls, header, grid, values, broken = PROFILES[kind]
+    for g, v in (([], []), (grid, values[:2]), ([grid], [values]), (grid[::-1], values)):
+        with pytest.raises(InputError):
+            cls(g, v, "lower_bound", 1.0)
+    for v, message in broken:
+        with pytest.raises(InvariantViolation, match=message):
+            cls(grid, v, "lower_bound", 1.0)
+    prof = cls(grid, values, "lower_bound", 1.0)
+    arrays = getattr(prof, f"{header[0]}_grid"), getattr(prof, header[1])
+    for arr, want in zip(arrays, (grid, values)):
+        assert arr.tolist() == want
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.25
+    prof.to_csv(tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_text().splitlines() == [
+        ",".join(header), *(f"{g!r},{v!r}" for g, v in zip(grid, values))]
+    assert prof.metadata() == {"kind": kind, "mode": "lower_bound", "step": prof.step,
+                               "diameter": 1.0, "grid_size": 3}
+
+
+def test_only_a_lower_bound_separation_profile_is_no_step_profile():
+    for mode in ("exact", "analytic", "lower_bound"):
+        prof = SeparationProfile([0.25, 0.5], [0.5, 0.25], mode, 1.0)
+        assert prof.step == prof.metadata()["step"] == (mode != "lower_bound")
+    with pytest.raises(TypeError):
+        SeparationProfile([0.25, 0.5], [0.5, 0.25], "exact", 1.0, step=True)
+    for step in (True, False):
+        prof = ConcentrationProfile([0.0, 0.5], [0.5, 0.0], "exact", 1.0, step)
+        assert prof.step == prof.metadata()["step"] == step
 
 
 # -- separation oracle --------------------------------------------------------

@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from concdim import transport
+from concdim.cli import main
 from concdim.errors import InputError, InvariantViolation, ResourceLimitError
 from concdim.mmspace import diameter, from_distance_matrix, from_points
 from concdim.transport import EMD_LIMIT, MARGINAL_TOL, dconc_upper_via_emd, emd
@@ -253,6 +254,38 @@ def test_certificate_reads_the_marginals_with_one_sign(monkeypatch):
     for s, mu, nu in measures:
         with pytest.raises(InvariantViolation, match="complementary slackness"):
             emd(s, mu, nu)
+
+
+def test_a_plan_with_negative_mass_is_refused(monkeypatch, tmp_path):
+    # HiGHS accepts entries down to its feasibility tolerance (1e-7): an
+    # optimal plan moved by a 3.3e-8 cycle on a 2x2 block keeps its
+    # marginals and its certificate, but holds negative mass
+    priced = transport._priced_plan
+
+    def cycled(d, a, b):
+        plan = priced(d, a, b)
+        i, j = np.argwhere(plan == 0.0)[0]
+        p, q = next((p, q) for p, q in np.argwhere(plan >= 3.3e-8) if p != i and q != j)
+        plan[[i, p], [j, q]] -= 3.3e-8
+        plan[[i, p], [q, j]] += 3.3e-8
+        assert np.abs(plan.sum(axis=1) - a).max() <= MARGINAL_TOL
+        assert np.abs(plan.sum(axis=0) - b).max() <= MARGINAL_TOL
+        return plan
+
+    rng = np.random.default_rng(3)
+    s = from_points(rng.normal(size=(12, 2)))
+    mu, nu = rng.random((2, 12)) + 0.05
+    mu, nu = mu / mu.sum(), nu / nu.sum()
+    assert emd(s, mu, nu).coupling.min() >= 0.0
+    monkeypatch.setattr(transport, "_priced_plan", cycled)
+    with pytest.raises(InvariantViolation, match=r"coupling entry \(\d+, \d+\) is -3.3e-08"):
+        emd(s, mu, nu)
+    paths = {}
+    for name, rows in (("d", s.dist), ("mu", mu[:, None]), ("nu", nu[:, None])):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    assert main(["emd", "--space", str(paths["d"]), "--mu", str(paths["mu"]),
+                 "--nu", str(paths["nu"]), "--out", str(tmp_path / "out")]) == 4
 
 
 def test_metric_axioms_on_measures():
