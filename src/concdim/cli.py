@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -85,6 +86,18 @@ def _load_space(args) -> tuple[MMSpace, dict]:
     return space, {"input_file": args.points or args.dist, "n": space.n}
 
 
+def _check_out(args) -> None:
+    """Refuse an ``--out`` that cannot be made before any work is done:
+    its nearest existing ancestor must be a writable directory.  Nothing
+    is created; `_out_dir` makes ``--out`` after the last check."""
+    p = Path(args.out).absolute()
+    while not p.exists():
+        p = p.parent
+    if not (p.is_dir() and os.access(p, os.W_OK | os.X_OK)):
+        raise _Unwritable(f"output directory {args.out} is not writable: "
+                          f"{p} is not a writable directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -133,9 +146,9 @@ def _profile(args, space: MMSpace, kind: str, grid=None):
 
 
 def _cmd_gen(args) -> int:
-    out = _out_dir(args)
     spec = GeneratorSpec(args.family, args.seed, _parse_params(args.param))
     space = generate(spec)
+    out = _out_dir(args)
     path = out / "points.csv"
     write_csv(path, [f"x{i}" for i in range(space.coords.shape[1])],
               space.coords.tolist())
@@ -149,19 +162,21 @@ def _cmd_gen(args) -> int:
 def _write_profile(args, kind: str, var: str, x, oracle) -> int:
     """Write the `kind` profile to ``<kind>.csv`` and ``<kind>.json``, with
     its value at ``x`` (the option ``--<var>``) if given: `oracle`'s in
-    exact mode, the profile's lower bound otherwise."""
-    out = _out_dir(args)
+    exact mode, the profile's lower bound otherwise.  ``--out`` is made
+    only after every input has been read and checked."""
     space, provenance = _load_space(args)
     grid = np.asarray(args.grid, dtype=float) if args.grid else None
     profile = _profile(args, space, kind, grid)
-    profile.to_csv(out / f"{kind}.csv")
     payload = _base_manifest(args, **provenance,
                              profile=profile.metadata(), outputs=[f"{kind}.csv"])
     if x is not None:
         value = oracle(space, x) if profile.mode == "exact" else profile.at(x)
         payload[f"{kind}_at_{var}"] = {var: x, kind: value}
-        print(f"{kind} at {var}={x}: {value}")
+    out = _out_dir(args)
+    profile.to_csv(out / f"{kind}.csv")
     write_json(out / f"{kind}.json", payload)
+    if x is not None:
+        print(f"{kind} at {var}={x}: {value}")
     print(f"mode: {profile.mode}")
     print(f"wrote {out / f'{kind}.csv'}")
     return EXIT_OK
@@ -190,11 +205,10 @@ def _cmd_sep(args) -> int:
 def _cmd_obsdiam(args) -> int:
     if not 0 < args.kappa < 1:
         raise InputError(f"kappa must lie in (0, 1), got {args.kappa!r}")
-    out = _out_dir(args)
     space, provenance = _load_space(args)
     feats = _make_features(space, args.dictionary, args.seed)
     val = observable_diameter(space, args.kappa, feats)
-    write_json(out / "obsdiam.json", _base_manifest(
+    write_json(_out_dir(args) / "obsdiam.json", _base_manifest(
         args, **provenance, kappa=args.kappa,
         dictionary=args.dictionary, observable_diameter=val,
         mode="lower_bound"))
@@ -203,12 +217,11 @@ def _cmd_obsdiam(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    out = _out_dir(args)
     space, provenance = _load_space(args)
     alpha_profile = _profile(args, space, "alpha")
     sep_profile = _profile(args, space, "sep")
     report = dimension_report(space, alpha_profile, sep_profile)
-    write_json(out / "dimensions.json", _base_manifest(
+    write_json(_out_dir(args) / "dimensions.json", _base_manifest(
         args, **provenance, report=report.to_json_dict()))
     print(f"modes: alpha={alpha_profile.mode}, sep={sep_profile.mode}")
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -226,12 +239,12 @@ def _read_vector(path) -> np.ndarray:
 
 
 def _cmd_emd(args) -> int:
-    out = _out_dir(args)
     space = load_distance_csv(args.space)
     mu, nu = _read_vector(args.mu), _read_vector(args.nu)
     from .transport import emd as solve_emd
 
     plan = solve_emd(space, mu, nu)
+    out = _out_dir(args)
     plan.to_csv(out / "plan.csv")
     write_json(out / "emd.json", _base_manifest(
         args, space=args.space, cost=plan.cost,
@@ -248,17 +261,17 @@ def _cmd_net(args) -> int:
         raise InputError(f"radius must be finite, got {args.radius!r}")
     if args.radius is None and not args.grid:
         raise InputError("net requires --radius or --grid")
-    out = _out_dir(args)
     space, provenance = _load_space(args)
     if args.grid:
         profile = covering_profile(space, np.asarray(args.grid, dtype=float))
+        out = _out_dir(args)
         profile.to_csv(out / "covering.csv")
         write_json(out / "net.json", _base_manifest(
             args, **provenance, outputs=["covering.csv"]))
         print(f"wrote {out / 'covering.csv'}")
         return EXIT_OK
     ids = greedy_net(space, args.radius)
-    write_json(out / "net.json", _base_manifest(
+    write_json(_out_dir(args) / "net.json", _base_manifest(
         args, **provenance, radius=args.radius,
         net_size=int(ids.size), net_ids=[int(i) for i in ids]))
     print(f"net size at radius {args.radius}: {ids.size}")
@@ -266,7 +279,6 @@ def _cmd_net(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    out = _out_dir(args)
     _, rows = read_csv_rows(args.cover)
     rows = np.asarray(rows)
     if rows.shape[1] != 3 or not np.isfinite(rows).all() or np.any(rows[:, 1:] % 1):
@@ -275,7 +287,7 @@ def _cmd_bound(args) -> int:
     profile = CoveringProfile(rows[:, 0], rows[:, 1].astype(int),
                               rows[:, 2].astype(int))
     n = sample_size_bound(args.eps, args.delta, profile, args.constant_C)
-    write_json(out / "bound.json", _base_manifest(
+    write_json(_out_dir(args) / "bound.json", _base_manifest(
         args, eps=args.eps, delta=args.delta, constant_C=args.constant_C,
         cover=args.cover, sample_size=n))
     print(f"sample-size bound: {n}")
@@ -389,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -2,10 +2,11 @@
 
 Every quantity comes in two flavors with an explicit certificate direction:
 
-* exact oracles (subset enumeration / threshold-graph search over all
-  ``2**n`` masks), available up to ``ORACLE_LIMIT`` points.  Every table
-  over the masks (subset masses, minima, common far sets) comes from one
-  DP, `_subset_table`, which folds a ufunc over the point bits;
+* exact oracles (subset enumeration over all ``2**n`` masks, or
+  threshold-graph search over the ``2**(n-1)`` masks without point 0),
+  available up to ``ORACLE_LIMIT`` points.  Every table over the masks
+  (subset masses, minima, common far sets) comes from one DP,
+  `_subset_table`, which folds a ufunc over the point bits;
 * witness-based heuristics for arbitrary sizes, whose values are certified
   lower bounds of the exact quantities.
 
@@ -318,9 +319,10 @@ def _subset_table(values: np.ndarray, empty, op, out=None) -> np.ndarray:
 
 
 def _common_far(far: np.ndarray, out=None) -> np.ndarray:
-    """``table[A]``: the bitmask of the points x with ``far[a, x]`` for every
-    member a of A (all points for the empty A)."""
-    n = far.shape[0]
+    """``table[A]``: the bitmask of the columns x with ``far[a, x]`` for
+    every row a of A, A a set of `far`'s rows (all columns for the empty
+    A)."""
+    n = far.shape[1]
     rows = far.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
     return _subset_table(rows, (1 << n) - 1, np.bitwise_and, out)
 
@@ -415,11 +417,13 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
         lev = keys >> bits
         mass = space.weights[keys & ((1 << bits) - 1)]
         same = lev[1:] == lev[:-1]
+        carry = np.empty(len(masks))
         for i in range(1, n):  # each level's sum, in point order
-            mass[i] += mass[i - 1] * same[i - 1]
-        mass[:-1] *= ~same  # a level's sum stays at its last point
+            mass[i] += np.multiply(mass[i - 1], same[i - 1], out=carry)
+        mass[:-1] *= np.logical_not(same, out=same)  # a level's sum stays at its last point
         for i in range(1, n):  # the levels' sums, in level order
             mass[i] += mass[i - 1]
+        del carry
         # a run ending at i - 1 holds mass[i - 1] up to level lev[i] - 1;
         # inside a run, mass[i - 1] repeats the entry of the run before it,
         # and inside the first run it is 0 and lands on the spare entry
@@ -433,17 +437,27 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
 def _threshold_kappa(dist: np.ndarray, t: float, masses: np.ndarray,
                      neigh: np.ndarray, partner: np.ndarray) -> float:
     """The largest kappa admitting disjoint (A, B) with all cross
-    distances >= t.
+    distances >= t (t > 0).
 
     In the threshold graph with edges at distance >= t the best partner
     of a side A is its full common neighborhood N(A), so this is
-    ``max_A min(mass(A), mass(N(A)))`` by one subset DP over the ``2**n``
-    masks.  `masses` holds every subset's mass; the DP writes into the
-    ``2**n`` buffers `neigh` (int64) and `partner` (float).
+    ``max_A min(mass(A), mass(N(A)))``.  `masses` holds every subset's
+    mass (``2**n`` entries).
+
+    Lemma (half the masks): the maximum is attained by some A without
+    point 0.  Let A* attain it and hold point 0.  Then ``B = N(A*)`` does
+    not, since ``d(0, 0) = 0 < t``, and ``N(B)`` contains A*, since the
+    distances are exactly symmetric.  A subset's computed mass never
+    exceeds its superset's (the lemma of `_sep_levels`), so ``(B, N(B))``
+    attains at least ``min(mass(N(A*)), mass(A*))``.  So one subset DP
+    folds the rows of points 1..n-1 over the ``2**(n-1)`` masks m of A
+    without point 0, whose full mask is ``2 m``: A's mass is
+    ``masses[::2][m]``, the same sum.  The DP writes into the
+    ``2**(n-1)`` buffers `neigh` (int64) and `partner` (float).
     """
-    _common_far(dist >= t, out=neigh)
+    _common_far(dist[1:] >= t, out=neigh)
     np.take(masses, neigh, out=partner, mode="wrap")  # in range: unbuffered
-    return float(np.minimum(masses, partner, out=partner).max())
+    return float(np.minimum(masses[::2], partner, out=partner).max())
 
 
 def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
@@ -465,8 +479,9 @@ def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
     evaluates the middle threshold of an open range, sends the floors it
     admits to the upper half and the rest to the lower half, and stops
     where a range is empty.  Each evaluated ``kappa(t)`` is memoised on the
-    space as a scalar, so later calls share DPs; the ``2**n`` buffers live
-    only for this call.
+    space as a scalar, so later calls share DPs; the mask tables (the
+    ``2**n`` masses, the two ``2**(n-1)`` DP buffers) live only for this
+    call.
     """
     dist = space.dist
     thresholds = np.unique(dist[dist > 0])
@@ -487,7 +502,7 @@ def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
         t = float(thresholds[mid])
         if t not in memo:
             if bufs is None:
-                size = 1 << space.n
+                size = 1 << (space.n - 1)
                 bufs = (_subset_table(space.weights, 0.0, np.add),
                         np.empty(size, dtype=np.int64),
                         np.empty(size))
@@ -597,31 +612,35 @@ def _greedy_growth_curve(space: MMSpace, i: int, j: int
     minmass = [min(mass_a, mass_b)]
     crosses = [cross]
     target = 0.5 - MASS_TOL
+    narrows, take = rows.narrows, rows.take
     for free in range(n - 3, -1, -1):  # free points after this step
         if mass_a >= target and mass_b >= target:
             break
         grow_a = (mass_a <= mass_b and mass_a < target) or mass_b >= target
         gain, grown = (d_b, d_a) if grow_a else (d_a, d_b)
-        x = int(np.argmax(gain))
-        cross = min(cross, float(gain[x]))
+        x = int(gain.argmax())
+        far = float(gain[x])
+        if far < cross:
+            cross = far
         d_a[x] = d_b[x] = -np.inf
-        both = mass_a < target and mass_b < target
-        row = rows.take(x, gain, grown) if both else rows.take(x, gain)
+        row = take(x, gain, grown) if mass_a < target and mass_b < target else take(x, gain)
         np.minimum(grown, row, out=grown)
         if grow_a:
             mass_a += float(w[x])
         else:
             mass_b += float(w[x])
-        minmass.append(min(mass_a, mass_b))
+        minmass.append(mass_b if mass_b < mass_a else mass_a)
         crosses.append(cross)
-        if rows.narrows and 0 < 2 * free <= d_a.size:
+        if narrows and 0 < 2 * free <= d_a.size:
             keep = np.flatnonzero(d_a > -np.inf)
             rows.narrow(keep)
             d_a, d_b, w = d_a[keep], d_b[keep], w[keep]
     return np.asarray(minmass), np.asarray(crosses)
 
 
-#: ball-complement witnesses cost O(n^2) row updates; skip above this size.
+#: a ball-complement witness reads the rows of its ball, half the points at
+#: uniform weights, in blocks, and sorts one row per grid level: 0.48-0.58 s
+#: at 10^4 unheld points in 50 coordinates; skipped above this size.
 _BALL_COMPLEMENT_LIMIT = 4096
 
 
@@ -633,26 +652,46 @@ def _ball_complement_witness(space: MMSpace, center: int,
     crosses a grid level, the partner ``B = {x : d(x, A) >= t}`` with the
     largest ``t`` keeping ``mu(B)`` at that level certifies ``sep >= t``.
     This shape (neighborhood complement of a ball-like set) matches the
-    isoperimetric extremizers on Hamming cubes.  Rows come from a
-    :class:`RowCache`, one per point, up to the last grid level.
+    isoperimetric extremizers on Hamming cubes.
+
+    The order is the center's row, sorted, so every row the ball takes is
+    known before the first.  A level's ball is the prefix that first
+    reaches it in ``np.cumsum`` of the weights in that order (the
+    additions of a running sum from 0).  The rows up to the last level's
+    prefix are read in blocks of ``block_rows`` (:meth:`MMSpace.dist_block`)
+    and turned, in place, into running minima from the first row on
+    (``np.minimum.accumulate``), so the row of a prefix's last point is
+    ``d(x, A)``.  ``min`` is exact, so the blocks change no bit.  A
+    block's levels are then picked together, as ``pick_order_stats``
+    picks one level: the points by ``-d(x, A)`` (a stable argsort per
+    level), the running mass in that order (a row-wise ``cumsum``), and
+    ``t`` at the count of masses below the level.
     """
     n = space.n
     w = space.weights
-    rows = RowCache(space)
-    order = np.argsort(rows.take(center), kind="stable")
-    d_to_a = np.full(n, np.inf)
+    order = np.argsort(next(space.iter_rows([center])), kind="stable")
+    floors = grid - MASS_TOL
+    ends = np.searchsorted(np.cumsum(w[order]), floors) + 1  # each level's ball
     out = np.zeros(grid.size)
-    mass = 0.0
-    gi = 0
-    for idx in order.tolist():
-        np.minimum(d_to_a, rows.take(idx), out=d_to_a)
-        mass += float(w[idx])
-        while gi < grid.size and mass >= grid[gi] - MASS_TOL:
-            t = -pick_order_stats(-d_to_a, w, 0.0, [grid[gi] - MASS_TOL])[0]
-            out[gi] = max(t, 0.0) if np.isfinite(t) else 0.0
-            gi += 1
-        if gi == grid.size:
-            break
+    last = int(ends[ends <= n].max(initial=0))
+    step = space.block_rows
+    buf = np.empty((min(step, last), n))
+    d_to_a = np.full(n, np.inf)
+    for b0 in range(0, last, step):
+        ids = order[b0 : min(b0 + step, last)]
+        block = space.dist_block(ids, out=buf[: ids.size])
+        np.minimum(block[0], d_to_a, out=block[0])
+        np.minimum.accumulate(block, axis=0, out=block)  # row i: A = order[:b0 + i + 1]
+        d_to_a = block[-1].copy()
+        lv = np.flatnonzero((ends > b0) & (ends <= b0 + ids.size))
+        if lv.size == 0:
+            continue
+        near = block[ends[lv] - b0 - 1]  # each level's d(., A)
+        far = np.argsort(-near, axis=1, kind="stable")
+        mass = np.cumsum(w[far], axis=1)
+        k = np.minimum(np.count_nonzero(mass < floors[lv, None], axis=1), n - 1)
+        t = near[np.arange(lv.size), far[np.arange(lv.size), k]]
+        out[lv] = np.where(np.isfinite(t), np.maximum(t, 0.0), 0.0)
     return out
 
 

@@ -211,11 +211,16 @@ ints ``[1, 0]``, so the check looks at the elements of a list.
   block goes (about 1600 row moves per 10^4-point curve, where moving
   the last row in use into each freed one copied a row on nearly every
   take).  The other one-row-at-a-time loops read through it too:
-  ``sep_lower``'s seed sweep, the ball-complement witness, the
-  farthest-point sweep of ``covering`` and the greedy separated subset,
-  scored by its alive candidates, earliest first.  Under the rule the
-  cache builds the matrix: on 2000 noisy points in 50 coordinates the
-  greedy subset and ``sep_lower`` together compute 2000 rows.
+  ``sep_lower``'s seed sweep, the farthest-point sweep of ``covering``
+  and the greedy separated subset, scored by its alive candidates,
+  earliest first.  Under the rule the cache builds the matrix: on 2000
+  noisy points in 50 coordinates the greedy subset and ``sep_lower``
+  together compute 2000 rows.  The ball-complement witness needs no
+  cache: it takes its rows in the order of the centre's sorted row,
+  known before the first, so it reads them in blocks of ``block_rows``
+  through ``dist_block``.  On 10^4 unheld Gaussian points in 50
+  coordinates a witness took 0.48-0.58 s that way, against 2.3-2.8 s one
+  ``RowCache`` row at a time, with the same output bits.
 * Narrowed scans.  A scan that stops reading some points' distances
   narrows its ``RowCache`` to the columns it still reads
   (``RowCache.narrow``), once at most half of its columns are live: the

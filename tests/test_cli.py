@@ -182,6 +182,22 @@ def test_exit_code_unwritable_output_file_collision(tmp_path):
                    "--out", str(target)) == 5
 
 
+@pytest.mark.parametrize("args", [["sep", "--mode", "exact"], ["alpha", "--mode", "exact"],
+                                  ["dims"], ["net", "--radius", "0.5"]])
+def test_an_unwritable_output_is_refused_before_the_space_is_read(tmp_path, monkeypatch,
+                                                                  args):
+    # the output directory is made only after the work, so whether it can
+    # be made is checked, without making it, before the work
+    import concdim.cli as cli
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "_load_space", lambda args: pytest.fail("space read"))
+    assert run_cli(*args, "--family", "hamming_cube", "--param", "d=4",
+                   "--out", str(blocker / "out")) == 5
+    assert blocker.is_file()
+
+
 def test_experiment_cli_runs_small(tmp_path):
     out = tmp_path / "exp"
     assert run_cli("experiment", "--name", "hamming_dimension",
@@ -241,15 +257,32 @@ def test_out_of_range_parameters_exit_2(tmp_path, args):
     assert not (out / "alpha.csv").exists() and not (out / "sep.csv").exists()
 
 
+CLOUD = ["--family", "gaussian_cloud", "--param", "d=3", "--param", "n=12"]
+
+
 @pytest.mark.parametrize("args", [
-    ["sep", "--analytic-d", "9"],
-    ["net"],
-    ["obsdiam", "--kappa", "1.5"],
+    ["sep", "--analytic-d", "9", *CLOUD, "--param", "sigma=1"],
+    ["net", *CLOUD, "--param", "sigma=1"],
+    ["obsdiam", "--kappa", "1.5", *CLOUD, "--param", "sigma=1"],
+    ["alpha", "--grid", "0.5", "nan", *CLOUD, "--param", "sigma=1"],
+    ["sep", "--grid", "0.7", *CLOUD, "--param", "sigma=1"],
+    ["sep", *CLOUD],  # no sigma
+    ["alpha", "--eps", "0.5", *CLOUD],
+    ["dims", *CLOUD],
+    ["obsdiam", "--kappa", "0.1", *CLOUD],
+    ["net", "--radius", "0.5", *CLOUD],
+    ["gen", *CLOUD],
 ])
 def test_refusals_come_before_the_output_directory(tmp_path, args):
     out = tmp_path / "out"
-    assert run_cli(*args, "--family", "gaussian_cloud", "--param", "d=3",
-                   "--param", "sigma=1", "--param", "n=12", "--out", str(out)) == 2
+    assert run_cli(*args, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_a_size_refusal_comes_before_the_output_directory(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("sep", "--mode", "exact", "--family", "gaussian_cloud", "--param", "d=3",
+                   "--param", "n=30", "--param", "sigma=1", "--out", str(out)) == 3
     assert not out.exists()
 
 

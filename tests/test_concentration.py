@@ -736,6 +736,51 @@ def test_sep_exact_bisection_matches_the_full_threshold_curve():
             assert sep_exact(fresh, float(kappa)) == sep_exact(s, float(kappa)) == want
 
 
+def _half_mask_spaces():
+    """120 seeded spaces of 2 to 12 points with ties: points in 2 coordinates
+    rounded to 0.1, Hamming points and rounded random matrices; zero weights
+    in most, point 0 the heaviest point in a third and a duplicate of
+    another point in a third of the point spaces."""
+    rng = np.random.default_rng(23)
+    for k in range(120):
+        n = int(rng.integers(2, 13))
+        w = rng.random(n) + 0.1
+        w[rng.random(n) < 0.3] = 0.0
+        w[int(rng.integers(n))] = 1.0
+        if k % 3 == 0:
+            w[0] = 3.0 * w.max()
+        w = w / w.sum() if k % 5 else None
+        if k % 4 == 3:
+            m = np.round(rng.uniform(0.5, 1.0, size=(n, n)), 1)
+            m = (m + m.T) / 2.0
+            np.fill_diagonal(m, 0.0)
+            yield from_distance_matrix(m, weights=w)
+        elif k % 4 == 2:
+            yield from_points(rng.integers(0, 2, size=(n, 4)).astype(float), weights=w,
+                              metric="normalized_hamming")
+        else:
+            x = np.round(rng.normal(size=(n, 2)), 1)
+            if k % 3 == 1:
+                x[0] = x[-1]
+            yield from_points(x, weights=w)
+
+
+def test_threshold_kappa_over_half_the_masks_equals_the_full_dp():
+    # the DP skips every A holding point 0 (the lemma in its docstring);
+    # the full curve folds all n rows over the 2**n masks
+    tried = 0
+    for s in _half_mask_spaces():
+        masses = conc._subset_table(s.weights, 0.0, np.add)
+        half = 1 << (s.n - 1)
+        neigh, partner = np.empty(half, dtype=np.int64), np.empty(half)
+        thresholds, want = _threshold_curve(s)
+        got = [conc._threshold_kappa(s.dist, float(t), masses, neigh, partner)
+               for t in thresholds]
+        assert np.array(got, dtype=float).tobytes() == want.tobytes()
+        tried += thresholds.size > 0
+    assert tried >= 100
+
+
 def _is_power_of_two_of(node):
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
             and isinstance(node.left, ast.Constant) and node.left.value == 1)
@@ -906,6 +951,45 @@ def _ball_complement_row_by_row(space, center, grid):
             out[gi] = max(t, 0.0) if np.isfinite(t) else 0.0
             gi += 1
     return out
+
+
+def _ball_spaces():
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(300, 20))
+    x[5] = x[200] = x[0]  # duplicates, one of them a centre below
+    yield "gemm", from_points(x)
+    w = rng.random(300)
+    w[rng.choice(300, 60, replace=False)] = 0.0
+    w[rng.choice(300, 10, replace=False)] *= 40.0  # a few heavy points
+    yield "weighted", from_points(x, weights=w / w.sum())
+    # 7 bits: few distinct distances, so ties at every level
+    yield "ties", from_points(rng.integers(0, 2, size=(250, 7)).astype(float),
+                              metric="normalized_hamming")
+    yield "cdist", from_points(np.round(rng.normal(size=(200, 2)), 1))
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_ball_complement_reads_blocks_as_the_row_by_row_loop(monkeypatch, held):
+    # blocks of 1, 3 and 64 rows put the levels' cuts on, before and after
+    # block ends; the last grid puts several levels on one cut
+    if not held:
+        monkeypatch.setattr(mmspace, "AUTO_DENSE", 0)
+    rng = np.random.default_rng(38)
+    budget = mmspace.BLOCK_ENTRIES
+    grids = [default_kappa_grid(), np.linspace(0.001, 0.02, 12),
+             np.sort(rng.choice(np.arange(1, 500), 9, replace=False)) / 1000.0]
+    for name, s in _ball_spaces():
+        if held:
+            s.dense()
+        for c in (0, 5, int(rng.integers(s.n))):
+            for grid in grids:
+                want = _ball_complement_row_by_row(s, c, grid)
+                for block_rows in (1, 3, 64):
+                    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", block_rows * s.n)
+                    got = conc._ball_complement_witness(s, c, grid)
+                    assert got.tobytes() == want.tobytes(), (name, c, block_rows)
+                monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", budget)
+        assert s.is_dense == held
 
 
 def sep_lower_row_by_row(space, restarts, seed):
