@@ -31,9 +31,9 @@ from .concentration import (
 from .covering import covering_profile, greedy_net, sample_size_bound, CoveringProfile
 from .dimension import dimension_report
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .experiments import RNG_ALGORITHM, EXPERIMENT_NAMES, ExperimentSpec, run as run_experiment
+from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run as run_experiment
 from .features import dictionary as make_dictionary
-from .io import read_csv_rows, write_csv, write_json
+from .io import read_csv_rows, write_csv, write_manifest
 from .mmspace import (
     GeneratorSpec,
     MMSpace,
@@ -89,7 +89,8 @@ def _load_space(args) -> tuple[MMSpace, dict]:
 def _check_out(args) -> None:
     """Refuse an ``--out`` that cannot be made before any work is done:
     its nearest existing ancestor must be a writable directory.  Nothing
-    is created; `_out_dir` makes ``--out`` after the last check."""
+    is created; `_emit`, or `experiments.run` for an experiment, makes
+    ``--out`` once the work is done."""
     p = Path(args.out).absolute()
     while not p.exists():
         p = p.parent
@@ -100,13 +101,7 @@ def _check_out(args) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise _Unwritable(f"output directory {out} is not writable: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -114,15 +109,25 @@ class _Unwritable(Exception):
     pass
 
 
-def _base_manifest(args, **extra) -> dict:
-    info = {
-        "package_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-    }
-    info.update(extra)
-    return info
+def _emit(args, manifest: str, fields: dict, files=(), lines=()) -> int:
+    """The one writer of a command's results, called once they are all
+    computed: make ``--out``, write each ``(name, write)`` pair of `files`
+    as ``write(path)``, then the JSON manifest `manifest` (the command, the
+    seed, ``outputs``, the names of `files` if any, and `fields`), and print
+    `lines`.  An OSError while making or writing ``--out`` is exit 5."""
+    outputs = {"outputs": [name for name, _ in files]} if files else {}
+    try:
+        out = _out_dir(args)
+        for name, write in files:
+            write(out / name)
+        write_manifest(out / manifest, command=args.command, seed=args.seed, **outputs,
+                       **fields)
+    except OSError as exc:
+        raise _Unwritable(f"output directory {Path(args.out)} is not writable: "
+                          f"{exc}") from exc
+    for line in lines:
+        print(line)
+    return EXIT_OK
 
 
 def _make_features(space: MMSpace, spec: str, seed: int):
@@ -148,38 +153,29 @@ def _profile(args, space: MMSpace, kind: str, grid=None):
 def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family, args.seed, _parse_params(args.param))
     space = generate(spec)
-    out = _out_dir(args)
-    path = out / "points.csv"
-    write_csv(path, [f"x{i}" for i in range(space.coords.shape[1])],
-              space.coords.tolist())
-    write_json(out / "manifest.json", _base_manifest(
-        args, generator=spec.to_json_dict(), n=space.n,
-        metric=space.metric, outputs=["points.csv"], weights="uniform"))
-    print(f"wrote {path} (n={space.n}, metric={space.metric})")
-    return EXIT_OK
+    header = [f"x{i}" for i in range(space.coords.shape[1])]
+    return _emit(
+        args, "manifest.json", dict(generator=spec.to_json_dict(), n=space.n,
+                                    metric=space.metric, weights="uniform"),
+        [("points.csv", lambda path: write_csv(path, header, space.coords.tolist()))],
+        [f"wrote {Path(args.out) / 'points.csv'} (n={space.n}, metric={space.metric})"])
 
 
 def _write_profile(args, kind: str, var: str, x, oracle) -> int:
     """Write the `kind` profile to ``<kind>.csv`` and ``<kind>.json``, with
     its value at ``x`` (the option ``--<var>``) if given: `oracle`'s in
-    exact mode, the profile's lower bound otherwise.  ``--out`` is made
-    only after every input has been read and checked."""
+    exact mode, the profile's lower bound otherwise."""
     space, provenance = _load_space(args)
     grid = np.asarray(args.grid, dtype=float) if args.grid else None
     profile = _profile(args, space, kind, grid)
-    payload = _base_manifest(args, **provenance,
-                             profile=profile.metadata(), outputs=[f"{kind}.csv"])
+    fields, lines = dict(provenance, profile=profile.metadata()), []
     if x is not None:
         value = oracle(space, x) if profile.mode == "exact" else profile.at(x)
-        payload[f"{kind}_at_{var}"] = {var: x, kind: value}
-    out = _out_dir(args)
-    profile.to_csv(out / f"{kind}.csv")
-    write_json(out / f"{kind}.json", payload)
-    if x is not None:
-        print(f"{kind} at {var}={x}: {value}")
-    print(f"mode: {profile.mode}")
-    print(f"wrote {out / f'{kind}.csv'}")
-    return EXIT_OK
+        fields[f"{kind}_at_{var}"] = {var: x, kind: value}
+        lines.append(f"{kind} at {var}={x}: {value}")
+    name = f"{kind}.csv"
+    return _emit(args, f"{kind}.json", fields, [(name, profile.to_csv)],
+                 [*lines, f"mode: {profile.mode}", f"wrote {Path(args.out) / name}"])
 
 
 def _cmd_alpha(args) -> int:
@@ -196,10 +192,10 @@ def _cmd_sep(args) -> int:
     if args.kappa is None:
         raise InputError("--analytic-d requires --kappa")
     val = sep_hamming_analytic(args.analytic_d, args.kappa)
-    write_json(_out_dir(args) / "sep.json", _base_manifest(
-        args, mode="analytic", d=args.analytic_d, kappa=args.kappa, sep=val))
-    print(f"mode: analytic\nsep_{args.kappa}(hamming_cube({args.analytic_d})) = {val}")
-    return EXIT_OK
+    return _emit(args, "sep.json", dict(mode="analytic", d=args.analytic_d,
+                                        kappa=args.kappa, sep=val),
+                 lines=["mode: analytic",
+                        f"sep_{args.kappa}(hamming_cube({args.analytic_d})) = {val}"])
 
 
 def _cmd_obsdiam(args) -> int:
@@ -208,24 +204,20 @@ def _cmd_obsdiam(args) -> int:
     space, provenance = _load_space(args)
     feats = _make_features(space, args.dictionary, args.seed)
     val = observable_diameter(space, args.kappa, feats)
-    write_json(_out_dir(args) / "obsdiam.json", _base_manifest(
-        args, **provenance, kappa=args.kappa,
-        dictionary=args.dictionary, observable_diameter=val,
-        mode="lower_bound"))
-    print(f"mode: lower_bound\nobservable diameter at kappa={args.kappa}: {val}")
-    return EXIT_OK
+    return _emit(args, "obsdiam.json", dict(
+        provenance, kappa=args.kappa, dictionary=args.dictionary,
+        observable_diameter=val, mode="lower_bound"),
+        lines=["mode: lower_bound", f"observable diameter at kappa={args.kappa}: {val}"])
 
 
 def _cmd_dims(args) -> int:
     space, provenance = _load_space(args)
     alpha_profile = _profile(args, space, "alpha")
     sep_profile = _profile(args, space, "sep")
-    report = dimension_report(space, alpha_profile, sep_profile)
-    write_json(_out_dir(args) / "dimensions.json", _base_manifest(
-        args, **provenance, report=report.to_json_dict()))
-    print(f"modes: alpha={alpha_profile.mode}, sep={sep_profile.mode}")
-    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
-    return EXIT_OK
+    report = dimension_report(space, alpha_profile, sep_profile).to_json_dict()
+    return _emit(args, "dimensions.json", dict(provenance, report=report), lines=[
+        f"modes: alpha={alpha_profile.mode}, sep={sep_profile.mode}",
+        json.dumps(report, sort_keys=True, indent=2)])
 
 
 def _read_vector(path) -> np.ndarray:
@@ -244,16 +236,11 @@ def _cmd_emd(args) -> int:
     from .transport import emd as solve_emd
 
     plan = solve_emd(space, mu, nu)
-    out = _out_dir(args)
-    plan.to_csv(out / "plan.csv")
-    write_json(out / "emd.json", _base_manifest(
-        args, space=args.space, cost=plan.cost,
-        dconc_upper=float(np.sqrt(plan.cost)),
-        marginal_residuals=list(plan.marginal_residuals),
-        outputs=["plan.csv"]))
-    print(f"emd cost: {plan.cost}")
-    print(f"dconc upper bound (sqrt cost): {float(np.sqrt(plan.cost))}")
-    return EXIT_OK
+    upper = float(np.sqrt(plan.cost))
+    return _emit(args, "emd.json", dict(
+        space=args.space, cost=plan.cost, dconc_upper=upper,
+        marginal_residuals=list(plan.marginal_residuals)), [("plan.csv", plan.to_csv)],
+        [f"emd cost: {plan.cost}", f"dconc upper bound (sqrt cost): {upper}"])
 
 
 def _cmd_net(args) -> int:
@@ -264,18 +251,13 @@ def _cmd_net(args) -> int:
     space, provenance = _load_space(args)
     if args.grid:
         profile = covering_profile(space, np.asarray(args.grid, dtype=float))
-        out = _out_dir(args)
-        profile.to_csv(out / "covering.csv")
-        write_json(out / "net.json", _base_manifest(
-            args, **provenance, outputs=["covering.csv"]))
-        print(f"wrote {out / 'covering.csv'}")
-        return EXIT_OK
+        return _emit(args, "net.json", provenance, [("covering.csv", profile.to_csv)],
+                     [f"wrote {Path(args.out) / 'covering.csv'}"])
     ids = greedy_net(space, args.radius)
-    write_json(_out_dir(args) / "net.json", _base_manifest(
-        args, **provenance, radius=args.radius,
-        net_size=int(ids.size), net_ids=[int(i) for i in ids]))
-    print(f"net size at radius {args.radius}: {ids.size}")
-    return EXIT_OK
+    return _emit(args, "net.json", dict(
+        provenance, radius=args.radius, net_size=int(ids.size),
+        net_ids=[int(i) for i in ids]),
+        lines=[f"net size at radius {args.radius}: {ids.size}"])
 
 
 def _cmd_bound(args) -> int:
@@ -287,19 +269,24 @@ def _cmd_bound(args) -> int:
     profile = CoveringProfile(rows[:, 0], rows[:, 1].astype(int),
                               rows[:, 2].astype(int))
     n = sample_size_bound(args.eps, args.delta, profile, args.constant_C)
-    write_json(_out_dir(args) / "bound.json", _base_manifest(
-        args, eps=args.eps, delta=args.delta, constant_C=args.constant_C,
-        cover=args.cover, sample_size=n))
-    print(f"sample-size bound: {n}")
-    print("caveat: the multiplicative constant C is not fixed by the theory; "
-          f"this bound uses C={args.constant_C}")
-    return EXIT_OK
+    return _emit(args, "bound.json", dict(
+        eps=args.eps, delta=args.delta, constant_C=args.constant_C,
+        cover=args.cover, sample_size=n), lines=[
+        f"sample-size bound: {n}",
+        "caveat: the multiplicative constant C is not fixed by the theory; "
+        f"this bound uses C={args.constant_C}"])
 
 
 def _cmd_experiment(args) -> int:
-    out = _out_dir(args)
+    """Run the experiment, which writes its own files once it is done (see
+    `experiments.run`); its runners read no file, so an OSError is the
+    output's."""
     spec = ExperimentSpec(args.name, args.seed, _parse_params(args.param))
-    manifest = run_experiment(spec, out)
+    out = Path(args.out)
+    try:
+        manifest = run_experiment(spec, out)
+    except OSError as exc:
+        raise _Unwritable(f"output directory {out} is not writable: {exc}") from exc
     print(f"experiment {args.name}: wrote {out / 'manifest.json'}")
     for name in manifest["summary"].get("curves", []):
         print(f"  curve: {out / name}")

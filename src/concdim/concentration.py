@@ -658,8 +658,9 @@ def _ball_complement_witness(space: MMSpace, center: int,
     known before the first.  A level's ball is the prefix that first
     reaches it in ``np.cumsum`` of the weights in that order (the
     additions of a running sum from 0).  The rows up to the last level's
-    prefix are read in blocks of ``block_rows`` (:meth:`MMSpace.dist_block`)
-    and turned, in place, into running minima from the first row on
+    prefix are read in blocks of ``block_rows``
+    (``MMSpace.iter_blocks(ids=...)``) and turned, in place, into running
+    minima from the first row on
     (``np.minimum.accumulate``), so the row of a prefix's last point is
     ``d(x, A)``.  ``min`` is exact, so the blocks change no bit.  A
     block's levels are then picked together, as ``pick_order_stats``
@@ -674,16 +675,13 @@ def _ball_complement_witness(space: MMSpace, center: int,
     ends = np.searchsorted(np.cumsum(w[order]), floors) + 1  # each level's ball
     out = np.zeros(grid.size)
     last = int(ends[ends <= n].max(initial=0))
-    step = space.block_rows
-    buf = np.empty((min(step, last), n))
-    d_to_a = np.full(n, np.inf)
-    for b0 in range(0, last, step):
-        ids = order[b0 : min(b0 + step, last)]
-        block = space.dist_block(ids, out=buf[: ids.size])
+    d_to_a, b1 = np.full(n, np.inf), 0
+    for ids, block in space.iter_blocks(ids=order[:last]):
+        b0, b1 = b1, b1 + ids.size
         np.minimum(block[0], d_to_a, out=block[0])
         np.minimum.accumulate(block, axis=0, out=block)  # row i: A = order[:b0 + i + 1]
         d_to_a = block[-1].copy()
-        lv = np.flatnonzero((ends > b0) & (ends <= b0 + ids.size))
+        lv = np.flatnonzero((ends > b0) & (ends <= b1))
         if lv.size == 0:
             continue
         near = block[ends[lv] - b0 - 1]  # each level's d(., A)
@@ -711,9 +709,8 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     distance.
     """
     grid = _kappa_grid(kappa_grid)
-    if check_int(restarts, "restarts") < 1:
-        raise InputError("restarts must be >= 1")
-    rng = np.random.default_rng(check_int(seed, "seed"))
+    check_int(restarts, "restarts", least=1)
+    rng = np.random.default_rng(check_int(seed, "seed", least=0))
     n = space.n
     best = np.zeros(grid.size)
     if n >= 2:

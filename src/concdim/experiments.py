@@ -1,10 +1,13 @@
 """Reproducible experiment harness: seeded runs emitting CSV curves.
 
-Each experiment is declared by an :class:`ExperimentSpec` and writes, into
-an output directory, one CSV per curve plus a ``manifest.json`` capturing
-everything needed to rerun it byte-identically: the spec, derived seeds,
-grids, certificate modes, and the RNG algorithm.  Numbers are serialized
-with ``repr`` so reruns with an equal spec produce identical bytes.
+Each experiment is declared by an :class:`ExperimentSpec`.  Its runner
+computes everything first and returns its summary and its files, one CSV
+per curve; only then does :func:`run` make the output directory and write
+them, with a ``manifest.json`` capturing everything needed to rerun it
+byte-identically: the spec, derived seeds, grids, certificate modes, and
+the RNG algorithm.  So a refused spec, or a run that fails, leaves no
+directory.  Numbers are serialized with ``repr`` so reruns with an equal
+spec produce identical bytes.
 
 Experiments
 -----------
@@ -36,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .concentration import (
     SeparationProfile,
     alpha_lower,
@@ -49,10 +51,8 @@ from .concentration import (
 from .dimension import dconc_to_point_bracket, dim_separation
 from .errors import InputError, ResourceLimitError
 from .features import dictionary as make_dictionary
-from .io import write_csv, write_json
-from .mmspace import GeneratorSpec, MMSpace, diameter, generate
-
-RNG_ALGORITHM = "numpy PCG64"
+from .io import write_csv, write_manifest
+from .mmspace import GeneratorSpec, MMSpace, check_int, diameter, generate
 
 #: per-space sample-size ceiling for experiment runs.
 MAX_EXPERIMENT_POINTS = 100_000
@@ -122,20 +122,18 @@ def _sphere(dim: int, n: int, seed: int) -> MMSpace:
     return generate(GeneratorSpec("sphere", seed, {"n_dim": dim, "n": n}))
 
 
-def _run_sphere_separation(spec: ExperimentSpec, out_dir: Path) -> dict:
+def _run_sphere_separation(spec: ExperimentSpec) -> tuple[dict, list]:
     p = _params(spec, {"dims": [3, 10, 30, 100], "n": 3000, "restarts": 4,
                        "check_kappas": [0.05, 0.1, 0.2]})
     grid = default_kappa_grid()
-    outputs = []
+    files = []
     curves = {}
     for idx, dim in enumerate(p["dims"]):
         seed = derived_seed(spec.seed, idx)
         space = _sphere(dim, p["n"], seed)
         prof = sep_lower(space, grid, restarts=p["restarts"],
                          seed=derived_seed(spec.seed, idx, 1))
-        name = f"sep_sphere_d{dim}.csv"
-        prof.to_csv(out_dir / name)
-        outputs.append(name)
+        files.append((f"sep_sphere_d{dim}.csv", prof.to_csv))
         curves[dim] = prof
     checks = {}
     for kap in p["check_kappas"]:
@@ -144,8 +142,8 @@ def _run_sphere_separation(spec: ExperimentSpec, out_dir: Path) -> dict:
             "values_by_dim": vals,
             "pointwise_decreasing": all(a > b for a, b in zip(vals, vals[1:])),
         }
-    return {"curves": outputs, "kappa_checks": checks,
-            "mode": "lower_bound", "kappa_grid_size": int(grid.size)}
+    return {"kappa_checks": checks, "mode": "lower_bound",
+            "kappa_grid_size": int(grid.size)}, files
 
 
 def _mean_nn_spacing(space: MMSpace) -> float:
@@ -156,9 +154,9 @@ def _mean_nn_spacing(space: MMSpace) -> float:
     return float(np.concatenate(nearest).mean())
 
 
-def _run_sphere_alpha_line(spec: ExperimentSpec, out_dir: Path) -> dict:
+def _run_sphere_alpha_line(spec: ExperimentSpec) -> tuple[dict, list]:
     p = _params(spec, {"dims": [1, 2, 3], "n": 3000, "anchors": 16})
-    outputs = []
+    files = []
     crossings = []
     midpoints = []
     spacings = []
@@ -169,15 +167,12 @@ def _run_sphere_alpha_line(spec: ExperimentSpec, out_dir: Path) -> dict:
                                 seed=derived_seed(spec.seed, idx, 1))
         grid = np.linspace(0.0, diameter(space), 201)
         prof = alpha_lower(space, grid, dictionary=feats)
-        name = f"alpha_sphere_d{dim}.csv"
-        prof.to_csv(out_dir / name)
-        outputs.append(name)
+        files.append((f"alpha_sphere_d{dim}.csv", prof.to_csv))
         bracket = dconc_to_point_bracket(prof)
         crossings.append(2.0 * bracket.lo)
         midpoints.append(bracket.midpoint)
         spacings.append(_mean_nn_spacing(space))
     return {
-        "curves": outputs,
         "alpha_eq_half_eps_crossings": crossings,
         "bracket_midpoints": midpoints,
         "midpoints_strictly_decreasing": all(
@@ -188,10 +183,10 @@ def _run_sphere_alpha_line(spec: ExperimentSpec, out_dir: Path) -> dict:
         "mean_nn_spacing_by_dim": spacings,
         "resolved": all(sp <= c / 4.0 for sp, c in zip(spacings, crossings)),
         "mode": "lower_bound",
-    }
+    }, files
 
 
-def _run_hamming_dimension(spec: ExperimentSpec, out_dir: Path) -> dict:
+def _run_hamming_dimension(spec: ExperimentSpec) -> tuple[dict, list]:
     p = _params(spec, {"d_values": list(range(11, 26, 2))})
     rows = []
     dims = []
@@ -200,12 +195,11 @@ def _run_hamming_dimension(spec: ExperimentSpec, out_dir: Path) -> dict:
         dim = dim_separation(prof)
         rows.append([int(d), float(dim)])
         dims.append(dim)
-    write_csv(out_dir / "hamming_sep_dimension.csv", ["d", "dim_separation"], rows)
     return {
-        "curves": ["hamming_sep_dimension.csv"],
         "monotone_increasing": all(a < b for a, b in zip(dims, dims[1:])),
         "mode": "analytic",
-    }
+    }, [("hamming_sep_dimension.csv",
+         lambda path: write_csv(path, ["d", "dim_separation"], rows))]
 
 
 def _noise_profile(space: MMSpace, min_side_mass: float, min_distance: float,
@@ -219,7 +213,7 @@ def _noise_profile(space: MMSpace, min_side_mass: float, min_distance: float,
     return SeparationProfile(grid, vals, "lower_bound", greedy.diameter)
 
 
-def _run_noise_instability(spec: ExperimentSpec, out_dir: Path) -> dict:
+def _run_noise_instability(spec: ExperimentSpec) -> tuple[dict, list]:
     p = _params(spec, {"d": 50, "sigma2": 1.0 / 50.0, "n": 10_000, "n_seeds": 5,
                        "min_distance": 1.0, "restarts": 2})
     rows = []
@@ -239,21 +233,19 @@ def _run_noise_instability(spec: ExperimentSpec, out_dir: Path) -> dict:
         dim = dim_separation(prof)
         rows.append([s, float(coverage), float(min_side), sep_0475, float(dim)])
         summaries.append((coverage, sep_0475, dim))
-    write_csv(out_dir / "noise_instability.csv",
-              ["seed_index", "separated_coverage", "witness_side_mass",
-               "sep_at_0.475", "dim_separation"], rows)
     coverages = [c for c, _, _ in summaries]
     return {
-        "curves": ["noise_instability.csv"],
         "coverage_by_seed": [float(c) for c in coverages],
         "seeds_with_95pct_coverage": int(sum(c >= 0.95 for c in coverages)),
         "seeds_with_sep_ge_1_at_0.475": int(sum(s >= 1.0 for _, s, _ in summaries)),
         "seeds_with_dim_le_1.125": int(sum(d <= 1.125 for _, _, d in summaries)),
         "mode": "lower_bound",
-    }
+    }, [("noise_instability.csv", lambda path: write_csv(
+        path, ["seed_index", "separated_coverage", "witness_side_mass",
+               "sep_at_0.475", "dim_separation"], rows))]
 
 
-def _run_sampling_convergence(spec: ExperimentSpec, out_dir: Path) -> dict:
+def _run_sampling_convergence(spec: ExperimentSpec) -> tuple[dict, list]:
     p = _params(spec, {"d": 8, "sizes": [50, 100, 150, 200, 256], "n_seeds": 20,
                        "restarts": 4})
     cube = generate(GeneratorSpec("hamming_cube", 0, {"d": p["d"]}))
@@ -272,18 +264,18 @@ def _run_sampling_convergence(spec: ExperimentSpec, out_dir: Path) -> dict:
             err = abs(dim - cube_dim)
             rows.append([s, int(size), float(dim), float(err)])
             errors[size].append(err)
-    write_csv(out_dir / "sampling_convergence.csv",
-              ["seed_index", "sample_size", "dim_separation", "abs_error"], rows)
     medians = [float(np.median(errors[size])) for size in p["sizes"]]
     return {
-        "curves": ["sampling_convergence.csv"],
         "cube_dim_separation": float(cube_dim),
         "median_abs_error_by_size": medians,
         "strictly_decreasing": all(a > b for a, b in zip(medians, medians[1:])),
         "mode": "lower_bound",
-    }
+    }, [("sampling_convergence.csv", lambda path: write_csv(
+        path, ["seed_index", "sample_size", "dim_separation", "abs_error"], rows))]
 
 
+#: each runner returns its summary and its files, as ``(name, write)``
+#: pairs that `run` calls with the file's path once the run is done.
 _RUNNERS = {
     "sphere_separation": _run_sphere_separation,
     "sphere_alpha_line": _run_sphere_alpha_line,
@@ -294,19 +286,20 @@ _RUNNERS = {
 
 
 def run(spec: ExperimentSpec, out_dir) -> dict:
-    """Run one experiment, write its curves and manifest, return the summary."""
+    """Run one experiment, then make `out_dir` and write its curves and
+    ``manifest.json`` there; return the manifest.  The runner computes
+    everything and writes nothing, and `out_dir` is made only once it has
+    returned, so a refused spec or a failed run leaves no directory."""
     if spec.name not in _RUNNERS:
         raise InputError(
             f"unknown experiment {spec.name!r}; choose from {EXPERIMENT_NAMES}"
         )
+    check_int(spec.seed, "seed", least=0)
+    summary, files = _RUNNERS[spec.name](spec)
+    summary["curves"] = [name for name, _ in files]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[spec.name](spec, out)
-    manifest = {
-        "experiment": spec.to_json_dict(),
-        "rng_algorithm": RNG_ALGORITHM,
-        "package_version": __version__,
-        "summary": summary,
-    }
-    write_json(out / "manifest.json", manifest)
-    return manifest
+    for name, write in files:
+        write(out / name)
+    return write_manifest(out / "manifest.json", experiment=spec.to_json_dict(),
+                          summary=summary)

@@ -105,8 +105,7 @@ def check_lipschitz(space: MMSpace, values, name: str = "") -> Feature | Lipschi
     return Feature(values, ratio, float(np.abs(values).max()), name)
 
 
-def _certify_distance_combination(space: MMSpace, values: np.ndarray,
-                                  name: str) -> Feature:
+def _certify_distance_combination(values: np.ndarray, name: str) -> Feature:
     """Build a feature whose exact constant is known analytically.
 
     Used for min-distance and half-difference features: the triangle
@@ -127,14 +126,14 @@ def distance_feature(space: MMSpace, anchor_set) -> Feature:
     ids = np.unique(space.check_ids(list(anchor_set), "anchor ids"))
     if ids.size == 0:
         raise InputError("anchor set must be nonempty")
-    return _set_feature(space, ids, space.min_dist_to(ids))
+    return _set_feature(ids, space.min_dist_to(ids))
 
 
-def _set_feature(space: MMSpace, ids: np.ndarray, values: np.ndarray) -> Feature:
+def _set_feature(ids: np.ndarray, values: np.ndarray) -> Feature:
     """The distance feature of the sorted anchor ids `ids`, with `values`."""
     name = f"dist_to_{{{','.join(map(str, ids.tolist()))}}}" if ids.size <= 4 \
         else f"dist_to_set(|A|={ids.size})"
-    return _certify_distance_combination(space, values, name)
+    return _certify_distance_combination(values, name)
 
 
 def dictionary(space: MMSpace, kind: str, k: int | None = None,
@@ -176,7 +175,8 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
     if kind == "anchors_all":
         ids = np.arange(space.n)
     else:
-        rng = np.random.default_rng(None if seed is None else check_int(seed, "seed"))
+        rng = np.random.default_rng(
+            None if seed is None else check_int(seed, "seed", least=0))
         if kind == "anchors_random":
             ids = rng.choice(space.n, size=k, replace=False)
         else:  # the pairs (p, q), one after the other
@@ -184,8 +184,7 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
                             for _ in range(k)])
     rows = space.iter_rows(ids)
     if kind == "halfspace_differences":  # p's row copied: q's may start the next block
-        return [_certify_distance_combination(space, (row_p - row_q) / 2.0,
-                                              f"half_diff({p},{q})")
+        return [_certify_distance_combination((row_p - row_q) / 2.0, f"half_diff({p},{q})")
                 for (p, q), row_p, row_q in zip(ids.reshape(-1, 2).tolist(),
                                                 map(np.copy, rows), rows)]
-    return [_set_feature(space, ids[j : j + 1], row) for j, row in enumerate(rows)]
+    return [_set_feature(ids[j : j + 1], row) for j, row in enumerate(rows)]

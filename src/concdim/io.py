@@ -5,6 +5,9 @@ CSV and JSON file it writes through :func:`write_csv` and
 :func:`write_json`, so reruns with equal inputs produce identical bytes:
 floats are written as ``repr(float(v))`` (the shortest round-tripping
 form), everything else as ``csv`` formats it, and JSON keys are sorted.
+Every manifest, of a command or of an experiment, is written by
+:func:`write_manifest`, which stamps it with the package version and the
+RNG algorithm.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ import json
 
 import numpy as np
 
+from . import __version__
 from .errors import InputError
+
+#: the bit generator behind every seeded draw, recorded in each manifest.
+RNG_ALGORITHM = "numpy PCG64"
 
 
 def read_csv_rows(path) -> tuple[list[str] | None, list[list[float]]]:
@@ -90,3 +97,11 @@ def write_json(path, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def write_manifest(path, **fields) -> dict:
+    """Write `fields`, with the package version and the RNG algorithm, as
+    JSON (:func:`write_json`); return what was written."""
+    payload = {"package_version": __version__, "rng_algorithm": RNG_ALGORITHM, **fields}
+    write_json(path, payload)
+    return payload

@@ -29,12 +29,15 @@ Every distance of a coordinate-backed space comes from one kernel,
 below, and two readers of caller-chosen rows are the only ones that
 choose between a held matrix and computed rows: ``dist_block`` copies
 the rows into a block, and ``iter_rows`` yields them one at a time, as
-views of a held matrix or else as rows of blocks that ``dist_block``
+views of a held matrix or else as the rows of ``iter_blocks(ids=...)``,
+the one blocked reader of chosen rows, whose blocks ``dist_block``
 computes into one buffer.  The other reads of chosen rows are built on
-``iter_rows``: ``dist_row``, ``distance``, ``submatrix`` and each group
-of ``iter_set_distances`` (``min_dist_to``: one set, as ids).  Whole
-passes read ``iter_blocks()``, views of a held matrix, or its
-upper-triangle form; loops that take one point's row at a time read
+these: ``dist_row``, ``distance``, ``submatrix`` and each group of
+``iter_set_distances`` (``min_dist_to``: one set, as ids) on
+``iter_rows``, and the ball-complement witness on
+``iter_blocks(ids=...)``.  Whole passes read ``iter_blocks()``, views
+of a held matrix, or its upper-triangle form; loops that take one
+point's row at a time read
 through the read-ahead reader ``RowCache``; the pair sample of
 ``char_size`` reads ``_pair_distances``.  A test parses this module and
 fails if any other function looks at the held matrix.  Every accessor
@@ -49,8 +52,8 @@ ints ``[1, 0]``, so the check looks at the elements of a list.
   space holds it iff ``n <= AUTO_DENSE``, and builds it, through
   ``dist``, on its first read of the whole space: ``dist``,
   ``iter_blocks()`` or a new ``RowCache``.  Reads of chosen rows
-  (``dist_block``, ``iter_rows`` and the reads built on it) use the
-  matrix only if it exists, and construction computes no distance: the
+  (``dist_block``, ``iter_blocks(ids=...)``, ``iter_rows`` and the reads
+  built on them) use the matrix only if it exists, and construction computes no distance: the
   named metrics satisfy the axioms by construction, so only finiteness
   and weights are checked.  An explicit ``dist`` request builds the
   matrix of any space up to ``MATERIALIZE_LIMIT`` points.  The default
@@ -218,7 +221,7 @@ ints ``[1, 0]``, so the check looks at the elements of a list.
   together compute 2000 rows.  The ball-complement witness needs no
   cache: it takes its rows in the order of the centre's sorted row,
   known before the first, so it reads them in blocks of ``block_rows``
-  through ``dist_block``.  On 10^4 unheld Gaussian points in 50
+  through ``iter_blocks(ids=...)``.  On 10^4 unheld Gaussian points in 50
   coordinates a witness took 0.48-0.58 s that way, against 2.3-2.8 s one
   ``RowCache`` row at a time, with the same output bits.
 * Narrowed scans.  A scan that stops reading some points' distances
@@ -312,10 +315,12 @@ def _as_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def check_int(x, what: str) -> int:
-    """`x` as an int; InputError unless it is an integer and not a bool."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise InputError(f"{what} must be an integer, got {x!r}")
+def check_int(x, what: str, least=None) -> int:
+    """`x` as an int; InputError unless it is an integer, not a bool, and at
+    least `least` if given."""
+    bound = "" if least is None else f" >= {least}"
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or bound and x < least:
+        raise InputError(f"{what} must be an integer{bound}, got {x!r}")
     return int(x)
 
 
@@ -657,56 +662,52 @@ class MMSpace:
             return np.take(self._dist_cache, ids, axis=0, out=out, mode="clip")
         return self._pairwise(ids, out=out)
 
-    def iter_blocks(self, upper=False):
-        """Yield ``(block_ids, block)`` over every point in order,
+    def iter_blocks(self, upper=False, ids=None):
+        """Yield ``(block_ids, block)`` over every point in order, or over
+        the caller-chosen `ids` in their order (repeats allowed),
         ``block_rows`` rows at a time, ``block`` the distance rows of
         ``block_ids``.
 
-        With `upper`, a block of the rows ``i0:i1`` holds only their
-        columns from ``i0`` on: the upper triangle, its leading ``i1 - i0``
-        columns a square and the rest a rectangle whose mirror image no
-        block holds.  Its blocks take ``block_rows`` rounded down to a
-        multiple of 8 rows, so each starts at a column where the GEMM kernel
-        can start its product (``_gemm_pairwise``).
+        With `upper`, a block of the rows ``i0:i1`` of a whole pass holds
+        only their columns from ``i0`` on: the upper triangle, its leading
+        ``i1 - i0`` columns a square and the rest a rectangle whose mirror
+        image no block holds.  Its blocks take ``block_rows`` rounded down
+        to a multiple of 8 rows, so each starts at a column where the GEMM
+        kernel can start its product (``_gemm_pairwise``).  Chosen ids
+        always read full rows.
 
-        On a space that holds its matrix (see :meth:`dense`) the blocks are
-        read-only views of it.  Otherwise every block is written into one
-        buffer, so a block is valid only until the next is yielded: copy
-        what must outlive it.  Reusing the buffer saves allocating, and
-        faulting in, a block per step.
+        A whole pass on a space that holds its matrix (see :meth:`dense`)
+        yields read-only views of it.  Otherwise every block is written
+        into one buffer, chosen rows by :meth:`dist_block` (a copy of the
+        held rows, or computed; never a matrix build), so a block is valid
+        only until the next is yielded: copy what must outlive it.  Reusing
+        the buffer saves allocating, and faulting in, a block per step.
         """
-        m = self.dense()
+        m = self.dense() if ids is None else None
         step = self.block_rows
         if upper:
             step = step - step % 8 or step
+        order = np.arange(self.n) if ids is None else self.check_ids(ids)
         if m is None:
-            buf = np.empty((min(step, self.n), self.n))
-        for i0 in range(0, self.n, step):
-            part = np.arange(i0, min(i0 + step, self.n))
+            buf = np.empty((min(step, order.size), self.n))
+        for i0 in range(0, order.size, step):
+            part = order[i0 : i0 + step]
             if m is not None:
                 yield part, m[i0 : i0 + part.size, i0 if upper else 0 :]
+            elif ids is not None:
+                yield part, self.dist_block(part, out=buf[: part.size])
             else:
                 cols = np.arange(i0, self.n) if upper else None
                 yield part, self._pairwise(part, cols, buf[: part.size])
 
     def iter_rows(self, ids):
         """Each id's distance row, in order: a read-only view of a held
-        matrix, else a row of a block of ``block_rows`` rows computed by
-        :meth:`dist_block` into one buffer, valid until the next block.
-        The ids are checked at the call."""
+        matrix, else a row of the blocks of :meth:`iter_blocks` of `ids`,
+        valid until the next block.  The ids are checked at the call."""
         ids, m = self.check_ids(ids), self._dist_cache
         if m is not None:
             return (m[i] for i in ids.tolist())
-        return self._computed_rows(ids)
-
-    def _computed_rows(self, ids):
-        """The generator of :meth:`iter_rows` on checked ids where no matrix
-        is held."""
-        step = self.block_rows
-        buf = np.empty((min(step, ids.size), self.n))
-        for i0 in range(0, ids.size, step):
-            part = ids[i0 : i0 + step]
-            yield from self.dist_block(part, out=buf[: part.size])
+        return (row for _, blk in self.iter_blocks(ids=ids) for row in blk)
 
     def check_ids(self, ids, what: str = "point ids") -> np.ndarray:
         """`ids` as a 1-D int array; InputError unless they are a flat
@@ -1048,7 +1049,7 @@ def generate(spec: GeneratorSpec) -> MMSpace:
 
     All families produce uniform weights.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(check_int(spec.seed, "seed", least=0))
     fam = spec.family
     p = dict(spec.params)
     label = spec.describe()

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import stat
@@ -182,20 +183,71 @@ def test_exit_code_unwritable_output_file_collision(tmp_path):
                    "--out", str(target)) == 5
 
 
-@pytest.mark.parametrize("args", [["sep", "--mode", "exact"], ["alpha", "--mode", "exact"],
-                                  ["dims"], ["net", "--radius", "0.5"]])
+@pytest.mark.parametrize("args, name", [
+    (["alpha", "--family", "hamming_cube", "--param", "d=3"], "alpha.csv"),
+    (["gen", "--family", "hamming_cube", "--param", "d=2"], "manifest.json"),
+    (["experiment", "--name", "hamming_dimension", "--param", "d_values=3,5"],
+     "hamming_sep_dimension.csv"),
+])
+def test_an_output_file_that_cannot_be_written_exits_5(tmp_path, capsys, args, name):
+    # --out is a writable directory, but a directory stands where a file goes
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert run_cli(*args, "--out", str(tmp_path / "out")) == 5
+    assert "output error" in capsys.readouterr().err
+
+
+CUBE4 = ["--family", "hamming_cube", "--param", "d=4"]
+
+
+@pytest.mark.parametrize("args", [["sep", "--mode", "exact", *CUBE4],
+                                  ["alpha", "--mode", "exact", *CUBE4], ["dims", *CUBE4],
+                                  ["net", "--radius", "0.5", *CUBE4],
+                                  ["experiment", "--name", "hamming_dimension"]])
 def test_an_unwritable_output_is_refused_before_the_space_is_read(tmp_path, monkeypatch,
                                                                   args):
     # the output directory is made only after the work, so whether it can
     # be made is checked, without making it, before the work
     import concdim.cli as cli
+    from concdim import experiments
 
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(cli, "_load_space", lambda args: pytest.fail("space read"))
-    assert run_cli(*args, "--family", "hamming_cube", "--param", "d=4",
+    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension",
+                        lambda spec: pytest.fail("experiment run"))
+    assert run_cli(*args, "--out", str(blocker / "out")) == 5
+    assert blocker.is_file()
+
+
+def test_an_experiment_output_that_cannot_be_made_after_the_run_exits_5(tmp_path,
+                                                                        monkeypatch):
+    # --out passes the check before the run; a file put in its way during
+    # the run stops the directory being made, and the run's files with it
+    from concdim import experiments
+
+    blocker = tmp_path / "late"
+
+    def runner(spec):
+        blocker.write_text("")
+        return {"mode": "analytic"}, [("x.csv", lambda path: path.write_text(""))]
+
+    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension", runner)
+    assert run_cli("experiment", "--name", "hamming_dimension",
                    "--out", str(blocker / "out")) == 5
     assert blocker.is_file()
+
+
+def test_every_command_makes_its_output_directory_in_one_place():
+    # cli's one writer, _emit, is the only caller of _out_dir
+    import concdim.cli as cli
+
+    def calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_out_dir"]
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = [unit.name for unit in tree.body for _ in calls(unit)]
+    assert callers == ["_emit"] and len(calls(tree)) == 1
 
 
 def test_experiment_cli_runs_small(tmp_path):
@@ -272,6 +324,10 @@ CLOUD = ["--family", "gaussian_cloud", "--param", "d=3", "--param", "n=12"]
     ["obsdiam", "--kappa", "0.1", *CLOUD],
     ["net", "--radius", "0.5", *CLOUD],
     ["gen", *CLOUD],
+    ["experiment", "--name", "nosuch"],
+    ["experiment", "--name", "sampling_convergence", "--param", "sizes=3"],
+    ["experiment", "--name", "sampling_convergence", "--param", "sizes=50,",
+     "--param", "n_seeds=1", "--seed", "-1"],
 ])
 def test_refusals_come_before_the_output_directory(tmp_path, args):
     out = tmp_path / "out"
@@ -411,6 +467,18 @@ VALUES = {"--kappa": ["0", "-0.5", "nan", "inf", "1", "0.5", "1e-300", "x"],
           "--constant-C": ["0", "-1", "nan", "inf", "1e308"],
           "--grid": ["nan", "-1", "0", "1e308"]}
 
+#: command lines that must exit 2: a seed below 0 is refused before any work
+SEED_BELOW_0 = [
+    ["gen", "--family", "gaussian_cloud", "--param", "d=3", "--param", "sigma=1",
+     "--param", "n=40", "--seed", "-1"],
+    ["sep", "--family", "gaussian_cloud", "--param", "d=3", "--param", "sigma=1",
+     "--param", "n=40", "--seed", "-1"],
+    ["alpha", "--family", "sphere", "--param", "n_dim=2", "--param", "n=40",
+     "--mode", "heuristic", "--seed", "-1"],
+    ["experiment", "--name", "sampling_convergence", "--param", "sizes=50,",
+     "--param", "n_seeds=1", "--seed", "-1"],
+]
+
 #: command lines whose inputs are all on the line
 FIXED = [
     ["gen", "--family", "gaussian_cloud", "--param", "d=2", "--param", "sigma=1",
@@ -448,6 +516,7 @@ FIXED = [
     ["experiment", "--name", "sphere_alpha_line", "--param", "nosuch=1"],
     ["experiment", "--name", "sampling_convergence", "--param", "restarts=1000000000",
      "--param", "n_seeds=1", "--param", "sizes=50,"],
+    *SEED_BELOW_0,
 ]
 
 #: six points on a line
@@ -504,7 +573,7 @@ def _malformed_table(seed: int, per_command: int):
     """``(files, command line, expected exit code or None)`` cases."""
     rng = np.random.default_rng(seed)
     valid = {"d.csv": VALID["dist"][0], "w.csv": VALID["weights"][0]}
-    cases = [({}, line, None) for line in FIXED]
+    cases = [({}, line, 2 if line in SEED_BELOW_0 else None) for line in FIXED]
     cases += [({"in.csv": text}, line, code) for text, line, code in NAMED]
     for text, lines in VALID.values():
         for line in lines:

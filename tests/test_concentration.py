@@ -1682,10 +1682,18 @@ def test_non_finite_parameters_are_input_errors(call):
     lambda s: dictionary(s, "anchors_random", k=2.5),
     lambda s: dictionary(s, "halfspace_differences", k=2.5),
     lambda s: dictionary(s, "anchors_random", k=2, seed=1.5),
+    lambda s: sep_lower(s, restarts=0),
+    lambda s: sep_lower(s, seed=-1),
+    lambda s: dictionary(s, "anchors_random", k=2, seed=-1),
+    lambda s: generate(GeneratorSpec("hamming_cube", -1, {"d": 2})),
+    lambda s: generate(GeneratorSpec("hamming_cube", True, {"d": 2})),
 ], ids=["sep_lower_restarts", "sep_lower_restarts_bool", "sep_lower_seed",
-        "anchors_random_k", "halfspace_differences_k", "dictionary_seed"])
+        "anchors_random_k", "halfspace_differences_k", "dictionary_seed",
+        "sep_lower_no_restart", "sep_lower_seed_below_0", "dictionary_seed_below_0",
+        "generate_seed_below_0", "generate_seed_bool"])
 def test_non_integer_counts_are_input_errors(call, monkeypatch):
-    # checked before any distance is computed
+    # checked before any distance is computed or any draw made: a seed
+    # below 0 would reach numpy as a ValueError
     s = from_points([[0.0], [1.0], [3.0]])
     calls = count_rows(monkeypatch)
     with pytest.raises(InputError, match="must be an integer"):

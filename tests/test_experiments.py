@@ -34,6 +34,30 @@ def test_params_of_another_type_rejected(tmp_path, name, params, match):
         run(ExperimentSpec(name, 0, params), tmp_path)
 
 
+@pytest.mark.parametrize("spec, match", [
+    (ExperimentSpec("nope"), "unknown experiment"),
+    (ExperimentSpec("sampling_convergence", 0, {"sizes": 3}), "must be a list"),
+    (ExperimentSpec("hamming_dimension", -1), "seed must be an integer >= 0, got -1"),
+])
+def test_a_refused_spec_leaves_no_output_directory(tmp_path, spec, match):
+    out = tmp_path / "out"
+    with pytest.raises(InputError, match=match):
+        run(spec, out)
+    assert not out.exists()
+
+
+def test_a_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
+    # the runner computes everything before run makes the directory
+    def fail(spec):
+        raise RuntimeError("the runner failed")
+
+    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension", fail)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="the runner failed"):
+        run(ExperimentSpec("hamming_dimension"), out)
+    assert not out.exists()
+
+
 def test_integral_float_params_pass_as_integers(tmp_path):
     # the command line reads n=1e4 as a float
     run(ExperimentSpec("sampling_convergence", 0,

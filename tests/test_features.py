@@ -164,7 +164,7 @@ def test_coincident_points_read_equal_rows(monkeypatch):
         for p in range(150):
             values = (s.dist_row(p) - s.dist_row(p + 150)) / 2.0
             assert not values.any()
-            f = _certify_distance_combination(s, values, "half_diff")
+            f = _certify_distance_combination(values, "half_diff")
             assert f.lipschitz_bound == 0.0 == check_lipschitz(s, values).lipschitz_bound
         assert s.is_dense == (auto_dense > 0)
 

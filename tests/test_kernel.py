@@ -534,6 +534,33 @@ def test_upper_blocks_are_the_upper_triangle(kind, held, monkeypatch):
     assert space.is_dense == (held or kind == "matrix")
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 64])
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("kind", sorted(SET_SPACES))
+def test_chosen_blocks_are_the_rows_dist_block_reads(kind, held, block_rows, monkeypatch):
+    # iter_blocks(ids=...) yields the ids in their order, repeats included,
+    # block_rows at a time, and iter_rows their rows; a chosen-row read
+    # never builds the matrix
+    n = 300
+    monkeypatch.setattr(mmspace, "AUTO_DENSE", mmspace.AUTO_DENSE if held else 0)
+    space = SET_SPACES[kind](n)
+    if held:
+        space.dist
+    monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", block_rows * n)
+    ids = np.r_[7, 3, 7, 299, 0, 150, 150, 150, 42, 280:200:-3]
+    want = space.dist_block(ids)
+    got_ids, got = [], []
+    for part, blk in space.iter_blocks(ids=ids):
+        assert blk.shape == (part.size, n) and part.size <= block_rows
+        got_ids += part.tolist()
+        got.append(blk.tobytes())
+    assert got_ids == ids.tolist()
+    assert b"".join(got) == want.tobytes()
+    assert [row.tobytes() for row in space.iter_rows(ids)] == [r.tobytes() for r in want]
+    assert list(space.iter_blocks(ids=[])) == []
+    assert space.is_dense == (held or kind == "matrix")
+
+
 def lower_median_holds(space: MMSpace, c: float) -> bool:
     """The pairs below `c` miss half the pairs and those up to `c` reach it,
     counted over full rows."""

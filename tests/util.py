@@ -137,14 +137,16 @@ def pair_table_medians(s: MMSpace) -> tuple[float, float]:
 
 
 def count_passes(monkeypatch) -> list:
-    """Record the `upper` flag of every ``MMSpace.iter_blocks`` call, a
-    pass over every point, until the monkeypatch is undone."""
+    """Record the `upper` flag of every ``MMSpace.iter_blocks`` call
+    without ids, a pass over every point, until the monkeypatch is
+    undone."""
     passes = []
     inner = MMSpace.iter_blocks
 
-    def iter_blocks(self, upper=False):
-        passes.append(upper)
-        return inner(self, upper)
+    def iter_blocks(self, upper=False, ids=None):
+        if ids is None:
+            passes.append(upper)
+        return inner(self, upper, ids)
 
     monkeypatch.setattr(MMSpace, "iter_blocks", iter_blocks)
     return passes
