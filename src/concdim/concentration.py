@@ -32,13 +32,11 @@ quadrature every dimension functional uses: alpha over ``[0, diameter]``,
 sep over ``[0, 1/2]`` extended to 0 by its first value.  ``metadata()``
 is the ``profile`` block of the CLI's JSON files (kind, mode, step,
 diameter, grid size), and ``to_csv`` writes the columns ``eps,alpha`` or
-``kappa,sep``.  A step profile integrates by the step rule, exactly for
-an exact profile whose grid holds every jump; other profiles take the
-trapezoid rule, an estimate.  Every exact and analytic separation profile
-is a step profile, and no lower-bound one is, so ``SeparationProfile``
-reads ``step`` off its mode.  ``ConcentrationProfile`` takes ``step``:
-an exact alpha profile on a caller's grid misses jumps between its
-points, so its mode does not decide it.
+``kappa,sep``.  ``step`` is read off the mode: an exact or analytic
+profile is a step profile and integrates by the step rule, exactly where
+its grid holds every jump and from above on any other grid (the lemma in
+``ConcentrationProfile``); a lower-bound profile takes the trapezoid
+rule, an estimate.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import numpy as np
 
 from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .features import Feature
+from .features import LIPSCHITZ_TOL, Feature
 from .io import write_csv
 from .mmspace import (MMSpace, RowCache, check_count, check_int, diameter,
                       pick_order_stats, uniform_weights, weighted_median)
@@ -72,12 +70,12 @@ DEFAULT_KAPPA_POINTS = 50
 #: when there are at most this many, quantiles of them otherwise.
 MAX_EPS_GRID = 512
 
-#: largest cube dimension accepted by sep_hamming_analytic: 6 ms at
-#: d=850 for kappa = 2**-680, 7-10 ms for kappa = 1/4 (Python 3.11, one
-#: core of a 2-core Xeon).
+#: largest cube dimension accepted by sep_hamming_analytic: at d=850,
+#: 1.0 ms for kappa = 2**-680, 5.3 ms for 1/4 and 0.9 ms for 1/2 (Python
+#: 3.11, one core of a 2-core Xeon).
 MAX_ANALYTIC_CUBE_DIM = 850
 
-#: largest cube dimension accepted by sep_hamming_profile: 0.24-0.31 s at
+#: largest cube dimension accepted by sep_hamming_profile: 0.15 s at
 #: d=105 on the same machine.
 MAX_PROFILE_CUBE_DIM = 105
 
@@ -138,6 +136,12 @@ class _Profile:
         """``(grid, values)``."""
         return tuple(getattr(self, f.name) for f in fields(self)[:2])
 
+    @property
+    def step(self) -> bool:
+        """True unless the profile is a lower bound: exact and analytic
+        profiles are step functions on their grids."""
+        return self.mode != "lower_bound"
+
     def at(self, x: float) -> float:
         """Lower bound on the function at `x`: the value at the least knot
         at or above ``x - _offset``, 0 beyond the last."""
@@ -160,20 +164,24 @@ class _Profile:
 class ConcentrationProfile(_Profile):
     """alpha on an ascending eps grid in ``[0, diameter]``.
 
-    ``mode`` is ``"exact"`` or ``"lower_bound"``; ``step=True`` marks
-    exact profiles evaluated at every realized distance, for which the
-    right-continuous step quadrature reproduces the integral of alpha
-    exactly.  ``step=False`` takes the trapezoid rule, an estimate: alpha
-    may drop right after a knot, so even on a lower-bound profile it can
-    exceed the exact integral (the right-end rule cannot).  ``mode`` does
-    not decide ``step``: an exact profile on a caller's grid misses steps.
+    ``mode`` is ``"exact"`` or ``"lower_bound"``.  An exact profile is a
+    step profile and integrates by the left step rule, ``sum_k a_k
+    (g_{k+1} - g_k)``.  Lemma: on any grid this is at least the integral
+    of alpha, and equal to it when the grid holds every jump, but on the
+    first interval, where ``a_0`` is the conventional 1/2.  alpha is
+    non-increasing, so ``alpha <= a_k`` on ``[g_k, g_{k+1})``; with closed
+    neighborhoods it is right-continuous and constant between its jumps,
+    the realized distances, so for ``k >= 1`` there ``alpha = a_k``
+    unless a jump lies strictly inside.  A lower-bound profile takes the
+    trapezoid rule, an estimate: alpha may drop right after a knot, so
+    even on a lower-bound profile it can exceed the exact integral (the
+    right-end rule cannot).
     """
 
     eps_grid: np.ndarray
     alpha: np.ndarray
     mode: str
     diameter: float
-    step: bool = True
 
     _kind = "concentration_profile"
     _header = ("eps", "alpha")
@@ -221,12 +229,6 @@ class SeparationProfile(_Profile):
     _header = ("kappa", "sep")
     _offset = MASS_TOL
 
-    @property
-    def step(self) -> bool:
-        """True unless the profile is a lower bound: exact and analytic
-        profiles are right-end step functions on their grids."""
-        return self.mode != "lower_bound"
-
     def _check(self, g: np.ndarray, s: np.ndarray) -> None:
         _check_kappa_grid(g)
         if np.any(s < -1e-12) or np.any(s > self.diameter + 1e-9):
@@ -264,25 +266,25 @@ def default_eps_grid(space: MMSpace) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], vals, [diam]]))
 
 
-def _eps_grid(space: MMSpace, eps_grid, default) -> tuple[np.ndarray, float]:
+def _eps_grid(space: MMSpace, eps_grid) -> tuple[np.ndarray, float]:
     """``(grid, diameter)``: the distinct values of `eps_grid`, or of
-    ``default(space)`` if it is None, with 0 and the diameter, checked."""
+    ``default_eps_grid`` if it is None, with 0 and the diameter, checked."""
     diam = diameter(space)
-    given = default(space) if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    given = default_eps_grid(space) if eps_grid is None else np.asarray(eps_grid, float)
     grid = np.unique(np.concatenate([[0.0, diam], given.ravel()]))
     _check_eps_grid(grid, diam)
     return grid, diam
 
 
-def _alpha_profile(grid: np.ndarray, alpha: np.ndarray, mode: str, diam: float,
-                   step: bool) -> ConcentrationProfile:
+def _alpha_profile(grid: np.ndarray, alpha: np.ndarray, mode: str,
+                   diam: float) -> ConcentrationProfile:
     """The profile of the `alpha` values on `grid` (from 0), clipped to
     ``[0, 1/2]``, 0 from the diameter on, 1/2 at 0 by convention, and
     made non-increasing over float dust by a running minimum."""
     alpha = np.minimum(np.maximum(alpha, 0.0), 0.5)
     alpha[(grid >= diam) & (grid > 0)] = 0.0
     alpha[0] = 0.5
-    return ConcentrationProfile(grid, np.minimum.accumulate(alpha), mode, diam, step)
+    return ConcentrationProfile(grid, np.minimum.accumulate(alpha), mode, diam)
 
 
 def _kappa_grid(kappa_grid) -> np.ndarray:
@@ -362,8 +364,11 @@ def alpha_exact(space: MMSpace, eps: float) -> float:
 def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     """Exact concentration profile on a grid (default: realized distances).
 
-    On the default grid the profile captures every step of alpha, so its
-    step quadrature integrates alpha exactly.
+    The default grid, `default_eps_grid`, holds every realized distance up
+    to ``ORACLE_LIMIT`` points, so the profile captures every jump of
+    alpha, and its step quadrature is the integral of alpha but on the
+    first interval; on any other grid it is an upper bound (the lemma in
+    ``ConcentrationProfile``).
 
     Every distance is ranked once against the grid, and the distinct
     ranks are numbered in order (their levels).  Ranking is monotone, so
@@ -390,7 +395,7 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     with the grid but the profile itself.
     """
     _require_oracle_size(space, "alpha_lower")
-    grid, diam = _eps_grid(space, eps_grid, lambda s: s.dist)
+    grid, diam = _eps_grid(space, eps_grid)
     subs, _ = _minimal_half_subsets(space.weights)
     n = space.n
     # rank[x, a] is the first grid index with grid[j] >= d(x, a); x lies in
@@ -431,7 +436,7 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
         least[ranks.size - 1] = min(least[ranks.size - 1], mass[-1].min())
     envelope = np.minimum.accumulate(least[-2::-1])[::-1]
     inside = envelope[np.searchsorted(ranks, np.arange(grid.size), side="right") - 1]
-    return _alpha_profile(grid, 1.0 - inside, "exact", diam, eps_grid is None)
+    return _alpha_profile(grid, 1.0 - inside, "exact", diam)
 
 
 def _threshold_kappa(dist: np.ndarray, t: float, masses: np.ndarray,
@@ -475,40 +480,34 @@ def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
     ascending thresholds, and bisection finds its last element exactly
     where a scan of every threshold would.
 
-    One bisection over the threshold index serves every floor: it
-    evaluates the middle threshold of an open range, sends the floors it
-    admits to the upper half and the rest to the lower half, and stops
-    where a range is empty.  Each evaluated ``kappa(t)`` is memoised on the
-    space as a scalar, so later calls share DPs; the mask tables (the
-    ``2**n`` masses, the two ``2**(n-1)`` DP buffers) live only for this
-    call.
+    Each floor is bisected on its own (``bisect.bisect_left`` over the
+    threshold indices).  Each evaluated ``kappa(t)`` is memoised on the
+    space as a scalar, so floors whose bisections pass through the same
+    threshold, in this call or a later one, share its DP; the mask tables
+    (the ``2**n`` masses, the two ``2**(n-1)`` DP buffers) are made at the
+    first DP and live only for this call.
     """
     dist = space.dist
     thresholds = np.unique(dist[dist > 0])
     memo = vars(space).setdefault("_threshold_kappas", {})
-    sep = np.zeros(floors.size)
-    bufs = None
-    # (lo, hi, ids): the answers of floors `ids` lie at thresholds[lo - 1]
-    # (0 if lo == 0) up to thresholds[hi - 1]
-    todo = [(0, thresholds.size, np.arange(floors.size))]
-    while todo:
-        lo, hi, ids = todo.pop()
-        if ids.size == 0:
-            continue
-        if lo == hi:
-            sep[ids] = thresholds[lo - 1] if lo else 0.0
-            continue
-        mid = (lo + hi) // 2
-        t = float(thresholds[mid])
+    bufs = []
+
+    def kappa(i: int) -> float:
+        t = float(thresholds[i])
         if t not in memo:
-            if bufs is None:
+            if not bufs:
                 size = 1 << (space.n - 1)
-                bufs = (_subset_table(space.weights, 0.0, np.add),
-                        np.empty(size, dtype=np.int64),
-                        np.empty(size))
+                bufs.extend((_subset_table(space.weights, 0.0, np.add),
+                             np.empty(size, dtype=np.int64), np.empty(size)))
             memo[t] = _threshold_kappa(dist, t, *bufs)
-        ok = memo[t] >= floors[ids]
-        todo += [(lo, mid, ids[~ok]), (mid + 1, hi, ids[ok])]
+        return memo[t]
+
+    sep = np.zeros(floors.size)
+    for k, floor in enumerate(floors):
+        # the first threshold index whose kappa falls below the floor
+        i = bisect.bisect_left(range(thresholds.size), True,
+                               key=lambda i: kappa(i) < floor)
+        sep[k] = thresholds[i - 1] if i else 0.0
     return sep
 
 
@@ -529,7 +528,7 @@ def sep_exact(space: MMSpace, kappa: float) -> float:
 
 def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
     """Exact separation profile on a kappa grid (default {i/100}), from
-    one bisection shared by all grid points."""
+    one bisection per grid point, which share their DPs (`_sep_levels`)."""
     _require_oracle_size(space, "sep_lower")
     grid = _kappa_grid(kappa_grid)
     return SeparationProfile(grid, _sep_levels(space, grid - MASS_TOL), "exact",
@@ -537,6 +536,14 @@ def sep_exact_profile(space: MMSpace, kappa_grid=None) -> SeparationProfile:
 
 
 # -- heuristics -------------------------------------------------------------------
+
+
+def _check_features(space: MMSpace, feats) -> None:
+    """Refuse a feature whose values are not one per point of `space`."""
+    for f in feats:
+        if f.values.shape != (space.n,):
+            raise InputError(f"feature {f.name!r} has {f.values.size} values, "
+                             f"but the space has {space.n} points")
 
 
 def _witness_outside_profile(space: MMSpace, d_to_a: np.ndarray,
@@ -560,9 +567,11 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     ones: an anchor feature's sublevel set is its anchor's ball.  Each
     distinct set is evaluated once, all in one ``iter_set_distances`` pass.
     Every value is ``1 - mu(A_eps)`` for one of them, hence at most the
-    exact alpha.  Ball centers must be point ids in ``[0, n)``.
+    exact alpha.  Ball centers must be point ids in ``[0, n)``, and the
+    features must have one value per point.
     """
-    grid, diam = _eps_grid(space, eps_grid, default_eps_grid)
+    _check_features(space, dictionary or ())
+    grid, diam = _eps_grid(space, eps_grid)
     anchors = np.random.default_rng(0).choice(
         space.n, size=space.n if space.n <= 64 else 32, replace=False)
     centers = anchors if ball_centers is None else space.check_ids(
@@ -583,7 +592,7 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
             np.array(masks, dtype=bool).reshape(-1, space.n)):
         for d_to_a in d_to_sets:
             np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
-    return _alpha_profile(grid, best, "lower_bound", diam, False)
+    return _alpha_profile(grid, best, "lower_bound", diam)
 
 
 def _greedy_growth_curve(space: MMSpace, i: int, j: int
@@ -871,24 +880,17 @@ def _max_bit_separation(a: int, d: int, balls: list[int]) -> int:
     closes to the ball ``balls[r+t+1]``; the closure is ``2**d`` once
     ``r + t > d``; t = 0 gives m.
 
-    Closures grow with the step count, so ``j - 1`` is searched upward by
-    doubling from 1, then bisected: about ``2 log2 j`` closure
-    evaluations, each one walk of the cascade.
+    Closures grow with the step count, so ``j - 1`` is bisected over
+    ``[0, d]``: the 0-step closure is the set itself, which fits, and the
+    d-step closure is the whole cube, which does not.  About ``log2 d``
+    closure evaluations, each one walk of the cascade.
     """
     room = (1 << d) - a
     if a > room:
         return 0
-    fits, t = 0, 1  # the t-step closure is tried next
-    while t < d and _closure(a, t, d, balls) <= room:
-        fits, t = t, 2 * t
-    over = min(t, d)  # too large a closure, or beyond the cap
-    while over - fits > 1:
-        mid = (fits + over) // 2
-        if _closure(a, mid, d, balls) <= room:
-            fits = mid
-        else:
-            over = mid
-    return fits + 1
+    # the steps 1..d-1 whose closure leaves room, a prefix
+    return 1 + bisect.bisect_right(range(1, d), room,
+                                   key=lambda t: _closure(a, t, d, balls))
 
 
 def _check_cube_dim(d: int, limit: int) -> int:
@@ -919,34 +921,35 @@ def sep_hamming_profile(d: int) -> SeparationProfile:
 
     Knots sit exactly where the separation drops as the required mass
     grows, so the step quadrature of this profile integrates the
-    separation function exactly.  From the least size a not yet covered,
-    the separation j of a is found, then by bisection the largest size
-    that keeps it: m vertices keep at least j bits exactly when the
-    ``(j-1)``-step closure of an initial segment of size m leaves m
-    vertices outside.  By the iterated-shadow lemma (see
-    ``_max_bit_separation``: ``balls[r+t] + sum_i C(a_i, k_i - t)``, terms
-    with a negative lower index 0, the whole cube once ``r + t > d``) that
-    test is one walk of a cascade, not j - 1 closure steps.
+    separation function exactly.  m vertices admit a pair j bits apart
+    exactly when the ``(j-1)``-step closure of an initial segment of size
+    m leaves m vertices outside, and the largest such m, ``m_j``, grows as
+    j falls, up to ``m_1 = 2**(d-1)``.  So j runs from d down to 1: each
+    ``m_j`` is bisected from the last knot up to half the cube, and a knot
+    ``(m_j / 2**d, j / d)`` is added where ``m_j`` grows.  By the
+    iterated-shadow lemma (see ``_max_bit_separation``:
+    ``balls[r+t] + sum_i C(a_i, k_i - t)``, terms with a negative lower
+    index 0, the whole cube once ``r + t > d``) each test is one walk of a
+    cascade, not j - 1 closure steps.
     """
     d = _check_cube_dim(d, MAX_PROFILE_CUBE_DIM)
     balls = _ball_sizes(d)
     full = 1 << d
-    half = full // 2
     knots: list[float] = []
     vals: list[float] = []
-    a = 1
-    while a <= half:
-        j = _max_bit_separation(a, d, balls)
-        lo, hi = a, half  # largest size keeping separation >= j
+    last = 0  # m_j of the last knot
+    for j in range(d, 0, -1):
+        lo, hi = last, full // 2  # the largest m in [last, 2**(d-1)] keeping j
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if _closure(mid, j - 1, d, balls) <= full - mid:
                 lo = mid
             else:
                 hi = mid - 1
-        knots.append(lo / full)
-        vals.append(j / d)
-        a = lo + 1
+        if lo > last:
+            knots.append(lo / full)
+            vals.append(j / d)
+            last = lo
     return SeparationProfile(np.asarray(knots), np.asarray(vals), "analytic", 1.0)
 
 
@@ -1063,6 +1066,7 @@ def observable_diameter(space: MMSpace, kappa: float,
         raise InputError(f"kappa must lie in (0, 1), got {kappa!r}")
     if not dictionary:
         raise InputError("observable_diameter requires a nonempty dictionary")
+    _check_features(space, dictionary)
     w = space.weights
     u, target = ((None, math.ceil(kappa * space.n * space.n)) if uniform_weights(w)
                  else (w, kappa - 1e-15))
@@ -1081,7 +1085,8 @@ def margin_error(space: MMSpace, labels, feature: Feature, gamma: float) -> floa
         raise InputError("labels must be a binary vector of length n")
     if not isinstance(feature, Feature):
         raise InputError("margin_error requires a certified Feature")
-    if feature.lipschitz_bound > 1.0 + 1e-12:
+    _check_features(space, [feature])
+    if feature.lipschitz_bound > 1.0 + LIPSCHITZ_TOL:
         raise InputError(
             f"feature is not certified 1-Lipschitz "
             f"(bound {feature.lipschitz_bound!r})"

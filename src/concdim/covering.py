@@ -35,8 +35,8 @@ class CoveringProfile:
         lo = np.asarray(self.n_lower, dtype=np.int64)
         if g.ndim != 1 or g.size == 0 or up.shape != g.shape or lo.shape != g.shape:
             raise InputError("u_grid, n_upper, n_lower must be matching 1-D arrays")
-        if np.any(np.diff(g) <= 0) or g[0] <= 0:
-            raise InputError("u grid must be positive and strictly ascending")
+        if not np.isfinite(g).all() or np.any(np.diff(g) <= 0) or g[0] <= 0:
+            raise InputError("u grid must be finite, positive and strictly ascending")
         if np.any(lo > up):
             raise InputError("n_lower must not exceed n_upper")
         if np.any(np.diff(up) > 0) or np.any(np.diff(lo) > 0):

@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .concentration import (
+    MASS_TOL,
     SeparationProfile,
     alpha_lower,
     default_kappa_grid,
@@ -207,7 +208,7 @@ def _noise_profile(space: MMSpace, min_side_mass: float, min_distance: float,
     """Combine the separated-subset witness with greedy growth bounds."""
     grid = np.unique(np.concatenate([default_kappa_grid(), [0.475]]))
     greedy = sep_lower(space, grid, restarts=restarts, seed=seed)
-    witness = np.where(grid <= min_side_mass + 1e-12, min_distance, 0.0)
+    witness = np.where(grid <= min_side_mass + MASS_TOL, min_distance, 0.0)
     vals = np.maximum(greedy.sep, witness)
     vals = np.minimum.accumulate(vals)
     return SeparationProfile(grid, vals, "lower_bound", greedy.diameter)

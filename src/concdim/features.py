@@ -137,7 +137,7 @@ def _set_feature(ids: np.ndarray, values: np.ndarray) -> Feature:
 
 
 def dictionary(space: MMSpace, kind: str, k: int | None = None,
-               seed: int | None = None) -> list[Feature]:
+               seed: int = 0) -> list[Feature]:
     """A finite family of certified non-expanding features.
 
     Kinds
@@ -149,6 +149,10 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
     halfspace_differences
         ``k`` features ``x -> (d(x,p) - d(x,q))/2`` over seeded random
         point pairs.
+
+    The random kinds draw from ``numpy.random.default_rng(seed)``, seed 0
+    by default as in ``sep_lower``, so a dictionary is a function of its
+    arguments.
 
     Features are the rows and half-differences as read, with no shift:
     adding a constant changes no value difference, so no observable
@@ -175,8 +179,7 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
     if kind == "anchors_all":
         ids = np.arange(space.n)
     else:
-        rng = np.random.default_rng(
-            None if seed is None else check_int(seed, "seed", least=0))
+        rng = np.random.default_rng(check_int(seed, "seed", least=0))
         if kind == "anchors_random":
             ids = rng.choice(space.n, size=k, replace=False)
         else:  # the pairs (p, q), one after the other

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -398,7 +399,7 @@ def _alpha_lower_two_loops(space, eps_grid=None, dictionary=None, ball_centers=N
     best[(grid >= diam) & (grid > 0)] = 0.0
     best[0] = 0.5
     best = np.minimum.accumulate(best)
-    return ConcentrationProfile(grid, best, "lower_bound", diam, step=False)
+    return ConcentrationProfile(grid, best, "lower_bound", diam)
 
 
 def _full_matrix_eps_grid(space):
@@ -556,9 +557,10 @@ def _concentration_profiles():
     yield alpha_exact_profile(s)
     yield alpha_lower(s)
     yield alpha_lower(s, np.linspace(0.0, diameter(s), 7))
-    for step in (True, False):
+    yield alpha_exact_profile(s, np.linspace(0.0, diameter(s), 7))
+    for mode in ("exact", "lower_bound"):
         yield ConcentrationProfile([0.1, 0.4, 0.7, 1.3], [0.45, 0.3, 0.1, 0.0],
-                                   "lower_bound", 1.5, step=step)
+                                   mode, 1.5)
 
 
 def test_integral_up_to_a_limit_matches_the_truncated_integral():
@@ -622,14 +624,32 @@ def test_profiles_share_one_contract(tmp_path, kind):
 
 
 def test_only_a_lower_bound_separation_profile_is_no_step_profile():
-    for mode in ("exact", "analytic", "lower_bound"):
-        prof = SeparationProfile([0.25, 0.5], [0.5, 0.25], mode, 1.0)
-        assert prof.step == prof.metadata()["step"] == (mode != "lower_bound")
-    with pytest.raises(TypeError):
-        SeparationProfile([0.25, 0.5], [0.5, 0.25], "exact", 1.0, step=True)
-    for step in (True, False):
-        prof = ConcentrationProfile([0.0, 0.5], [0.5, 0.0], "exact", 1.0, step)
-        assert prof.step == prof.metadata()["step"] == step
+    """Both profile kinds read ``step`` off the mode and take no flag."""
+    for cls, grid, values in ((SeparationProfile, [0.25, 0.5], [0.5, 0.25]),
+                              (ConcentrationProfile, [0.0, 0.5], [0.5, 0.0])):
+        for mode in ("exact", "analytic", "lower_bound"):
+            prof = cls(grid, values, mode, 1.0)
+            assert prof.step == prof.metadata()["step"] == (mode != "lower_bound")
+        with pytest.raises(TypeError):
+            cls(grid, values, "exact", 1.0, step=True)
+
+
+def test_an_exact_alpha_profile_integrates_from_above_on_any_grid():
+    """The left step rule on an exact profile does not change on a grid
+    that adds points past the first jump (the default grid holds them all),
+    and is at least that on any other grid."""
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        s = random_space(rng)
+        full = alpha_exact_profile(s)
+        exact = full.integral()
+        finer = np.union1d(full.eps_grid, (full.eps_grid[1:-1] + full.eps_grid[2:]) / 2)
+        assert alpha_exact_profile(s, finer).integral() == pytest.approx(exact, abs=1e-12)
+        for _ in range(4):
+            sub = rng.choice(full.eps_grid, size=rng.integers(1, full.eps_grid.size + 1),
+                             replace=False)
+            coarse = alpha_exact_profile(s, sub)
+            assert coarse.step and coarse.integral() >= exact - 1e-12
 
 
 # -- separation oracle --------------------------------------------------------
@@ -1161,6 +1181,28 @@ def test_hamming_analytic_matches_exact_on_dyadic_grid():
             assert sep_hamming_analytic(d, kap) == sep_exact(c, float(kap))
 
 
+# Exact references beyond ORACLE_LIMIT on the full uniform cube {0,1}^d:
+# sep from its closed form, and alpha at eps = t/d by Harper's theorem.
+# For odd d the half-size initial segment of the simplicial order is the
+# ball of radius (d-1)/2, so alpha(t/d) = 1 - |B((d-1)/2 + t)| / 2**d.
+
+
+@pytest.mark.parametrize("d", range(8, 13))
+def test_sep_lower_on_the_full_cube_never_exceeds_the_closed_form(d):
+    prof = sep_lower(cube(d))
+    exact = np.array([sep_hamming_analytic(d, kappa) for kappa in prof.kappa_grid])
+    assert np.all(prof.sep <= exact + 1e-12)
+
+
+@pytest.mark.parametrize("d", [9, 11])
+def test_alpha_lower_on_an_odd_cube_never_exceeds_harpers_ball(d):
+    steps = range(1, 5)
+    prof = alpha_lower(cube(d), [t / d for t in steps])
+    for t in steps:
+        ball = sum(math.comb(d, i) for i in range((d - 1) // 2 + t + 1))
+        assert prof.at(t / d) <= 1.0 - ball / 2**d + 1e-12
+
+
 def linear_cascade_shadow(s: int, k: int) -> int:
     """Cascade shadow with each digit found by a linear scan."""
     total = 0
@@ -1571,6 +1613,21 @@ def test_obsdiam_sphere_scaling_ratio():
     ratio = (observable_diameter(spaces[100], 1e-2, feats[100])
              / observable_diameter(spaces[25], 1e-2, feats[25]))
     assert 0.3 <= ratio <= 0.7
+
+
+def test_features_from_another_space_are_refused_before_any_work(monkeypatch):
+    s40 = from_points(np.random.default_rng(0).normal(size=(40, 2)))
+    s20 = from_points(np.random.default_rng(1).normal(size=(20, 2)))
+    feats = dictionary(s20, "anchors_random", k=2, seed=0)
+    monkeypatch.setattr(conc, "diameter", lambda space: pytest.fail("work before the check"))
+    monkeypatch.setattr(conc, "_kth_largest_abs_diff",
+                        lambda *a: pytest.fail("work before the check"))
+    message = f"feature '{feats[0].name}' has 20 values, but the space has 40 points"
+    for call in (lambda: observable_diameter(s40, 0.1, feats),
+                 lambda: alpha_lower(s40, dictionary=feats),
+                 lambda: margin_error(s40, np.zeros(40, dtype=int), feats[0], 0.1)):
+        with pytest.raises(InputError, match=re.escape(message)):
+            call()
 
 
 # -- margins ----------------------------------------------------------------------

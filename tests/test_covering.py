@@ -70,6 +70,12 @@ def test_covering_profile_invariants():
         assert np.all(np.diff(prof.n_lower) <= 0)
 
 
+def test_a_covering_profile_refuses_a_radius_that_is_not_finite():
+    for grid in ([math.nan, 1.0], [0.1, math.inf], [math.nan]):
+        with pytest.raises(InputError, match="finite"):
+            CoveringProfile(grid, [2, 1][: len(grid)], [1, 1][: len(grid)])
+
+
 @pytest.mark.parametrize("net, u, match", [
     ([], 0.5, "nonempty"),
     ([60], 0.5, "out of range"),

@@ -100,6 +100,9 @@ def test_dictionary_random_anchors_deterministic():
     assert len(a) == 5
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.values, fb.values)
+    for kind in ("anchors_random", "halfspace_differences"):  # seed 0 by default
+        assert ([f.name for f in dictionary(s, kind, k=5)]
+                == [f.name for f in dictionary(s, kind, k=5, seed=0)])
 
 
 def test_dictionary_rejects_unknown_kind():
