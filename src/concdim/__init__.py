@@ -4,7 +4,8 @@ certified-direction heuristics at scale."""
 
 __version__ = "0.1.0"
 
-from .errors import ConcdimError, InputError, InvariantViolation, ResourceLimitError
+from .errors import (ConcdimError, InputError, InvariantViolation, OutputError,
+                     ResourceLimitError)
 from .mmspace import (
     GeneratorSpec,
     MMSpace,
@@ -45,7 +46,8 @@ from .transport import TransportPlan, dconc_upper_via_emd, emd
 from .covering import CoveringProfile, covering_profile, greedy_net, sample_size_bound
 
 __all__ = [
-    "ConcdimError", "InputError", "InvariantViolation", "ResourceLimitError",
+    "ConcdimError", "InputError", "InvariantViolation", "OutputError",
+    "ResourceLimitError",
     "GeneratorSpec", "MMSpace", "char_size", "char_size_interval", "diameter",
     "from_distance_matrix", "from_points", "generate", "load_distance_csv",
     "load_points_csv",

@@ -1,8 +1,9 @@
 """Command-line interface: dataset generation, invariants, experiments.
 
 Exit codes: 0 success, 2 input error, 3 resource limit, 4 internal
-invariant violation, 5 unwritable output location.  Any other exception
-is a fault of the package, not of the input, and is not mapped to a code.
+invariant violation, 5 unwritable output location: one for each class of
+`errors`, mapped in one table, ``_FAILURES``.  Any other exception is a
+fault of the package, not of the input, and is not mapped to a code.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,10 +30,10 @@ from .concentration import (
 )
 from .covering import covering_profile, greedy_net, sample_size_bound, CoveringProfile
 from .dimension import dimension_report
-from .errors import InputError, InvariantViolation, ResourceLimitError
+from .errors import InputError, InvariantViolation, OutputError, ResourceLimitError
 from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run as run_experiment
 from .features import dictionary as make_dictionary
-from .io import read_csv_rows, write_csv, write_manifest
+from .io import check_writable, read_csv_rows, write_csv, write_outputs
 from .mmspace import (
     GeneratorSpec,
     MMSpace,
@@ -41,12 +41,21 @@ from .mmspace import (
     load_distance_csv,
     load_points_csv,
 )
+from .transport import emd
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_INVARIANT = 4
 EXIT_OUTPUT = 5
+
+#: each failure the CLI maps to an exit code, and the label of its message
+_FAILURES = {
+    InputError: ("input error", EXIT_INPUT),
+    ResourceLimitError: ("resource limit", EXIT_LIMIT),
+    InvariantViolation: ("internal invariant violation", EXIT_INVARIANT),
+    OutputError: ("output error", EXIT_OUTPUT),
+}
 
 
 def _parse_value(text: str):
@@ -86,67 +95,42 @@ def _load_space(args) -> tuple[MMSpace, dict]:
     return space, {"input_file": args.points or args.dist, "n": space.n}
 
 
-def _check_out(args) -> None:
-    """Refuse an ``--out`` that cannot be made before any work is done:
-    its nearest existing ancestor must be a writable directory.  Nothing
-    is created; `_emit`, or `experiments.run` for an experiment, makes
-    ``--out`` once the work is done."""
-    p = Path(args.out).absolute()
-    while not p.exists():
-        p = p.parent
-    if not (p.is_dir() and os.access(p, os.W_OK | os.X_OK)):
-        raise _Unwritable(f"output directory {args.out} is not writable: "
-                          f"{p} is not a writable directory")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-class _Unwritable(Exception):
-    pass
-
-
 def _emit(args, manifest: str, fields: dict, files=(), lines=()) -> int:
-    """The one writer of a command's results, called once they are all
-    computed: make ``--out``, write each ``(name, write)`` pair of `files`
-    as ``write(path)``, then the JSON manifest `manifest` (the command, the
-    seed, ``outputs``, the names of `files` if any, and `fields`), and print
-    `lines`.  An OSError while making or writing ``--out`` is exit 5."""
+    """Hand a command's results, once they are all computed, to
+    `io.write_outputs`: each ``(name, write)`` pair of `files`, then the
+    JSON manifest `manifest` (the command, the seed, ``outputs``, the names
+    of `files` if any, and `fields`); then print `lines`."""
     outputs = {"outputs": [name for name, _ in files]} if files else {}
-    try:
-        out = _out_dir(args)
-        for name, write in files:
-            write(out / name)
-        write_manifest(out / manifest, command=args.command, seed=args.seed, **outputs,
-                       **fields)
-    except OSError as exc:
-        raise _Unwritable(f"output directory {Path(args.out)} is not writable: "
-                          f"{exc}") from exc
+    write_outputs(args.out, files, manifest, command=args.command, seed=args.seed,
+                  **outputs, **fields)
     for line in lines:
         print(line)
     return EXIT_OK
 
 
-def _make_features(space: MMSpace, spec: str, seed: int):
-    if ":" in spec:
-        kind, k = spec.split(":", 1)
-        return make_dictionary(space, kind, k=int(k), seed=seed)
-    return make_dictionary(space, spec, seed=seed)
+def _features(args):
+    """The features of ``--dictionary``, ``kind`` or ``kind:k`` with k a
+    decimal integer, as a function of the space.  The spec is parsed here,
+    before any space is read, so that any other is refused first;
+    `features.dictionary` checks the kind."""
+    kind, colon, k = args.dictionary.partition(":")
+    if colon and not k.isdecimal():
+        raise InputError("--dictionary must be kind or kind:k with k a decimal "
+                         f"integer, got {args.dictionary!r}")
+    opts = {"k": int(k)} if colon else {}
+    return lambda space: make_dictionary(space, kind, seed=args.seed, **opts)
 
 
-def _profile(args, space: MMSpace, kind: str, grid=None):
+def _profile(args, space: MMSpace, kind: str, grid=None, features=None):
     """The `kind` ("alpha" or "sep") profile of `space` on `grid`: exact
     under ``--mode exact``, and under ``auto`` (``dims`` has no --mode) up
-    to ``ORACLE_LIMIT`` points; else witness lower bounds."""
+    to ``ORACLE_LIMIT`` points; else witness lower bounds, alpha's from the
+    dictionary that `features` (see `_features`) makes of `space`."""
     mode = getattr(args, "mode", "auto")
     if mode == "exact" or mode == "auto" and space.n <= ORACLE_LIMIT:
         return (alpha_exact_profile if kind == "alpha" else sep_exact_profile)(space, grid)
     if kind == "alpha":
-        feats = _make_features(space, args.dictionary, args.seed)
-        return alpha_lower(space, grid, dictionary=feats)
+        return alpha_lower(space, grid, dictionary=features(space))
     return sep_lower(space, grid, restarts=args.restarts, seed=args.seed)
 
 
@@ -161,13 +145,13 @@ def _cmd_gen(args) -> int:
         [f"wrote {Path(args.out) / 'points.csv'} (n={space.n}, metric={space.metric})"])
 
 
-def _write_profile(args, kind: str, var: str, x, oracle) -> int:
+def _write_profile(args, kind: str, var: str, x, oracle, features=None) -> int:
     """Write the `kind` profile to ``<kind>.csv`` and ``<kind>.json``, with
     its value at ``x`` (the option ``--<var>``) if given: `oracle`'s in
     exact mode, the profile's lower bound otherwise."""
     space, provenance = _load_space(args)
     grid = np.asarray(args.grid, dtype=float) if args.grid else None
-    profile = _profile(args, space, kind, grid)
+    profile = _profile(args, space, kind, grid, features)
     fields, lines = dict(provenance, profile=profile.metadata()), []
     if x is not None:
         value = oracle(space, x) if profile.mode == "exact" else profile.at(x)
@@ -181,7 +165,7 @@ def _write_profile(args, kind: str, var: str, x, oracle) -> int:
 def _cmd_alpha(args) -> int:
     if args.eps is not None and not 0 <= args.eps < math.inf:
         raise InputError(f"eps must be finite and nonnegative, got {args.eps!r}")
-    return _write_profile(args, "alpha", "eps", args.eps, alpha_exact)
+    return _write_profile(args, "alpha", "eps", args.eps, alpha_exact, _features(args))
 
 
 def _cmd_sep(args) -> int:
@@ -201,9 +185,9 @@ def _cmd_sep(args) -> int:
 def _cmd_obsdiam(args) -> int:
     if not 0 < args.kappa < 1:
         raise InputError(f"kappa must lie in (0, 1), got {args.kappa!r}")
+    features = _features(args)
     space, provenance = _load_space(args)
-    feats = _make_features(space, args.dictionary, args.seed)
-    val = observable_diameter(space, args.kappa, feats)
+    val = observable_diameter(space, args.kappa, features(space))
     return _emit(args, "obsdiam.json", dict(
         provenance, kappa=args.kappa, dictionary=args.dictionary,
         observable_diameter=val, mode="lower_bound"),
@@ -211,8 +195,9 @@ def _cmd_obsdiam(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    features = _features(args)
     space, provenance = _load_space(args)
-    alpha_profile = _profile(args, space, "alpha")
+    alpha_profile = _profile(args, space, "alpha", features=features)
     sep_profile = _profile(args, space, "sep")
     report = dimension_report(space, alpha_profile, sep_profile).to_json_dict()
     return _emit(args, "dimensions.json", dict(provenance, report=report), lines=[
@@ -233,9 +218,7 @@ def _read_vector(path) -> np.ndarray:
 def _cmd_emd(args) -> int:
     space = load_distance_csv(args.space)
     mu, nu = _read_vector(args.mu), _read_vector(args.nu)
-    from .transport import emd as solve_emd
-
-    plan = solve_emd(space, mu, nu)
+    plan = emd(space, mu, nu)
     upper = float(np.sqrt(plan.cost))
     return _emit(args, "emd.json", dict(
         space=args.space, cost=plan.cost, dconc_upper=upper,
@@ -279,14 +262,10 @@ def _cmd_bound(args) -> int:
 
 def _cmd_experiment(args) -> int:
     """Run the experiment, which writes its own files once it is done (see
-    `experiments.run`); its runners read no file, so an OSError is the
-    output's."""
+    `experiments.run`)."""
     spec = ExperimentSpec(args.name, args.seed, _parse_params(args.param))
     out = Path(args.out)
-    try:
-        manifest = run_experiment(spec, out)
-    except OSError as exc:
-        raise _Unwritable(f"output directory {out} is not writable: {exc}") from exc
+    manifest = run_experiment(spec, out)
     print(f"experiment {args.name}: wrote {out / 'manifest.json'}")
     for name in manifest["summary"].get("curves", []):
         print(f"  curve: {out / name}")
@@ -388,20 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_out(args)
+        check_writable(args.out)
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except InvariantViolation as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except _Unwritable as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+    except tuple(_FAILURES) as exc:
+        label, code = _FAILURES[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -579,17 +579,11 @@ def alpha_lower(space: MMSpace, eps_grid=None, dictionary: list[Feature] | None 
     if dictionary is None:
         centers = np.union1d(anchors, centers)
     w = space.weights
-    masks, seen = [], set()
-    for v in itertools.chain((f.values for f in dictionary or ()),
-                             space.iter_rows(centers)):
-        inside = v <= weighted_median(v, w)
-        key = np.packbits(inside).tobytes()
-        if key not in seen:
-            seen.add(key)
-            masks.append(inside)
+    insides = [v <= weighted_median(v, w) for v in itertools.chain(
+        (f.values for f in dictionary or ()), space.iter_rows(centers))]
     best = np.zeros(grid.size)
     for _, d_to_sets in space.iter_set_distances(
-            np.array(masks, dtype=bool).reshape(-1, space.n)):
+            np.unique(np.array(insides, dtype=bool).reshape(-1, space.n), axis=0)):
         for d_to_a in d_to_sets:
             np.maximum(best, _witness_outside_profile(space, d_to_a, grid), out=best)
     return _alpha_profile(grid, best, "lower_bound", diam)
@@ -783,7 +777,7 @@ def split_witness(space: MMSpace, subset_ids) -> tuple[float, np.ndarray, np.nda
     ``delta``-separated, the pair (A, B) certifies ``sep(kappa) >= delta``
     for every ``kappa`` up to the min side mass.
     """
-    ids = np.asarray(subset_ids, dtype=int)
+    ids = space.check_ids(subset_ids, "subset ids")
     order = ids[np.argsort(-space.weights[ids], kind="stable")]
     side_a, side_b = [], []
     mass_a = mass_b = 0.0
@@ -909,8 +903,7 @@ def sep_hamming_analytic(d: int, kappa) -> float:
     throughout; `kappa` may be a float or a Fraction.
     """
     d = _check_cube_dim(d, MAX_ANALYTIC_CUBE_DIM)
-    kap = Fraction(kappa)
-    if not (0 < kap <= Fraction(1, 2)):
+    if not (math.isfinite(kappa) and 0 < (kap := Fraction(kappa)) <= Fraction(1, 2)):
         raise InputError(f"kappa must lie in (0, 1/2], got {kappa!r}")
     a = int(math.ceil(kap * (1 << d)))
     return _max_bit_separation(a, d, _ball_sizes(d)) / d

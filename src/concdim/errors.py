@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies.
+The CLI maps each class onto its own exit code, so library code should
+raise the most specific class that applies: `InputError` is exit 2,
+`ResourceLimitError` exit 3, `InvariantViolation` exit 4 and
+`OutputError` exit 5.
 """
 
 
@@ -19,3 +21,7 @@ class ResourceLimitError(ConcdimError):
 
 class InvariantViolation(ConcdimError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+class OutputError(ConcdimError):
+    """An output directory or file could not be made or written."""

@@ -2,12 +2,15 @@
 
 Each experiment is declared by an :class:`ExperimentSpec`.  Its runner
 computes everything first and returns its summary and its files, one CSV
-per curve; only then does :func:`run` make the output directory and write
-them, with a ``manifest.json`` capturing everything needed to rerun it
+per curve; only then does :func:`run` hand them to ``io.write_outputs``,
+which makes the output directory and writes them, with a
+``manifest.json`` capturing everything needed to rerun it
 byte-identically: the spec, derived seeds, grids, certificate modes, and
 the RNG algorithm.  So a refused spec, or a run that fails, leaves no
-directory.  Numbers are serialized with ``repr`` so reruns with an equal
-spec produce identical bytes.
+directory.  An output directory that cannot be made or written is an
+``OutputError``, raised before the run where ``io.check_writable`` can
+tell.  Numbers are serialized with ``repr`` so reruns with an equal spec
+produce identical bytes.
 
 Experiments
 -----------
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .concentration import (
 from .dimension import dconc_to_point_bracket, dim_separation
 from .errors import InputError, ResourceLimitError
 from .features import dictionary as make_dictionary
-from .io import write_csv, write_manifest
+from .io import check_writable, write_csv, write_outputs
 from .mmspace import GeneratorSpec, MMSpace, check_int, diameter, generate
 
 #: per-space sample-size ceiling for experiment runs.
@@ -287,20 +289,19 @@ _RUNNERS = {
 
 
 def run(spec: ExperimentSpec, out_dir) -> dict:
-    """Run one experiment, then make `out_dir` and write its curves and
-    ``manifest.json`` there; return the manifest.  The runner computes
-    everything and writes nothing, and `out_dir` is made only once it has
-    returned, so a refused spec or a failed run leaves no directory."""
+    """Run one experiment, then write its curves and ``manifest.json`` to
+    `out_dir` through ``io.write_outputs``; return the manifest.  The runner
+    computes everything and writes nothing, and `out_dir` is made only once
+    it has returned, so a refused spec or a failed run leaves no directory.
+    An `out_dir` that cannot be made is an ``OutputError`` before the run
+    (``io.check_writable``), and one that cannot be written after it."""
     if spec.name not in _RUNNERS:
         raise InputError(
             f"unknown experiment {spec.name!r}; choose from {EXPERIMENT_NAMES}"
         )
     check_int(spec.seed, "seed", least=0)
+    check_writable(out_dir)
     summary, files = _RUNNERS[spec.name](spec)
     summary["curves"] = [name for name, _ in files]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, write in files:
-        write(out / name)
-    return write_manifest(out / "manifest.json", experiment=spec.to_json_dict(),
-                          summary=summary)
+    return write_outputs(out_dir, files, "manifest.json",
+                         experiment=spec.to_json_dict(), summary=summary)

@@ -8,17 +8,25 @@ form), everything else as ``csv`` formats it, and JSON keys are sorted.
 Every manifest, of a command or of an experiment, is written by
 :func:`write_manifest`, which stamps it with the package version and the
 RNG algorithm.
+
+This module also owns the output directory.  :func:`check_writable`
+refuses, before any work and without creating anything, a directory that
+cannot be made; :func:`write_outputs`, called once the work is done, is
+the one place that makes an output directory and writes its files and
+manifest.  Either failure is an ``OutputError``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import InputError
+from .errors import InputError, OutputError
 
 #: the bit generator behind every seeded draw, recorded in each manifest.
 RNG_ALGORITHM = "numpy PCG64"
@@ -105,3 +113,30 @@ def write_manifest(path, **fields) -> dict:
     payload = {"package_version": __version__, "rng_algorithm": RNG_ALGORITHM, **fields}
     write_json(path, payload)
     return payload
+
+
+def check_writable(out_dir) -> None:
+    """Refuse an `out_dir` that cannot be made, before any work is done:
+    its nearest existing ancestor must be a writable directory.  Nothing is
+    created; :func:`write_outputs` makes `out_dir` once the work is done."""
+    p = Path(out_dir).absolute()
+    while not p.exists():
+        p = p.parent
+    if not (p.is_dir() and os.access(p, os.W_OK | os.X_OK)):
+        raise OutputError(f"output directory {out_dir} is not writable: "
+                          f"{p} is not a writable directory")
+
+
+def write_outputs(out_dir, files, manifest: str, **fields) -> dict:
+    """Make `out_dir`, write each ``(name, write)`` pair of `files` as
+    ``write(path)``, then `fields` as the manifest `manifest`
+    (:func:`write_manifest`); return the manifest.  An OSError on the way
+    is an ``OutputError``."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files:
+            write(out / name)
+        return write_manifest(out / manifest, **fields)
+    except OSError as exc:
+        raise OutputError(f"output directory {out} is not writable: {exc}") from exc

@@ -238,16 +238,17 @@ def test_an_experiment_output_that_cannot_be_made_after_the_run_exits_5(tmp_path
 
 
 def test_every_command_makes_its_output_directory_in_one_place():
-    # cli's one writer, _emit, is the only caller of _out_dir
-    import concdim.cli as cli
-
-    def calls(tree):
-        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "_out_dir"]
-
-    tree = ast.parse(Path(cli.__file__).read_text())
-    callers = [unit.name for unit in tree.body for _ in calls(unit)]
-    assert callers == ["_emit"] and len(calls(tree)) == 1
+    # io.write_outputs, the one writer of every command and experiment, is
+    # the only function in the package that makes a directory
+    callers = []
+    for path in sorted(Path(concdim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for unit in ast.walk(tree):
+            if isinstance(unit, ast.FunctionDef):
+                callers += [f"{path.stem}.{unit.name}" for node in ast.walk(unit)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "attr", None) == "mkdir"]
+    assert callers == ["io.write_outputs"]
 
 
 def test_experiment_cli_runs_small(tmp_path):
@@ -310,6 +311,8 @@ def test_out_of_range_parameters_exit_2(tmp_path, args):
 
 
 CLOUD = ["--family", "gaussian_cloud", "--param", "d=3", "--param", "n=12"]
+CLOUD40 = ["--family", "gaussian_cloud", "--param", "d=3", "--param", "n=40",
+           "--param", "sigma=1"]
 
 
 @pytest.mark.parametrize("args", [
@@ -328,6 +331,10 @@ CLOUD = ["--family", "gaussian_cloud", "--param", "d=3", "--param", "n=12"]
     ["experiment", "--name", "sampling_convergence", "--param", "sizes=3"],
     ["experiment", "--name", "sampling_convergence", "--param", "sizes=50,",
      "--param", "n_seeds=1", "--seed", "-1"],
+    # a --dictionary count that is not a decimal integer, refused in any mode
+    ["obsdiam", "--kappa", "0.1", "--dictionary", "anchors_random:x", *CLOUD40],
+    ["alpha", "--dictionary", "anchors_random:1.5", *CLOUD40],
+    ["dims", "--dictionary", "anchors_random:", *CLOUD, "--param", "sigma=1"],
 ])
 def test_refusals_come_before_the_output_directory(tmp_path, args):
     out = tmp_path / "out"

@@ -497,6 +497,9 @@ def test_alpha_lower_rejects_centers_that_are_not_point_ids(centers):
     s = generate(GeneratorSpec("sphere", 1, {"n_dim": 2, "n": 40}))
     with pytest.raises(InputError, match="ball centers"):
         alpha_lower(s, ball_centers=centers)
+    # split_witness refuses the same ids
+    with pytest.raises(InputError, match="subset ids"):
+        split_witness(s, centers)
 
 
 def test_alpha_lower_computes_each_row_at_most_once(monkeypatch):
@@ -1373,10 +1376,9 @@ def test_hamming_cube_dimension_ceilings():
 
 
 def test_hamming_analytic_rejects_bad_kappa():
-    with pytest.raises(InputError):
-        sep_hamming_analytic(4, 0.75)
-    with pytest.raises(InputError):
-        sep_hamming_analytic(4, 0.0)
+    for kappa in (0.75, 0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match=r"kappa must lie in \(0, 1/2\]"):
+            sep_hamming_analytic(4, kappa)
 
 
 def test_hamming_profile_integrates_exactly():

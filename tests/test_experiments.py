@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from concdim import concentration as conc, experiments, mmspace
-from concdim.errors import InputError
+from concdim.errors import InputError, OutputError
 from concdim.experiments import ExperimentSpec, derived_seed, run
 
 from util import count_rows, forbid_point_reads
@@ -56,6 +56,26 @@ def test_a_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="the runner failed"):
         run(ExperimentSpec("hamming_dimension"), out)
     assert not out.exists()
+
+
+def test_an_output_directory_under_a_file_is_refused_before_the_run(tmp_path,
+                                                                   monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension",
+                        lambda spec: pytest.fail("experiment run"))
+    with pytest.raises(OutputError, match="is not writable"):
+        run(ExperimentSpec("hamming_dimension"), blocker / "out")
+    assert blocker.is_file()
+
+
+def test_an_output_file_that_cannot_be_written_is_an_output_error(tmp_path):
+    # the directory is writable, but a directory stands where a file goes
+    (tmp_path / "hamming_sep_dimension.csv").mkdir()
+    with pytest.raises(OutputError, match="is not writable") as info:
+        run(ExperimentSpec("hamming_dimension", 0, {"d_values": [3]}), tmp_path)
+    assert isinstance(info.value.__cause__, IsADirectoryError)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_integral_float_params_pass_as_integers(tmp_path):
