@@ -37,6 +37,7 @@ from .io import check_writable, read_csv_rows, write_csv, write_outputs
 from .mmspace import (
     GeneratorSpec,
     MMSpace,
+    check_int,
     generate,
     load_distance_csv,
     load_points_csv,
@@ -169,6 +170,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_sep(args) -> int:
+    check_int(args.restarts, "--restarts", least=1)
     if args.kappa is not None and not 0 < args.kappa <= 0.5:
         raise InputError(f"kappa must lie in (0, 1/2], got {args.kappa!r}")
     if args.analytic_d is None:
@@ -195,6 +197,7 @@ def _cmd_obsdiam(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    check_int(args.restarts, "--restarts", least=1)
     features = _features(args)
     space, provenance = _load_space(args)
     alpha_profile = _profile(args, space, "alpha", features=features)

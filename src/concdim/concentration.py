@@ -54,7 +54,7 @@ from . import mmspace
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .features import LIPSCHITZ_TOL, Feature
 from .io import write_csv
-from .mmspace import (MMSpace, RowCache, check_count, check_int, diameter,
+from .mmspace import (MMSpace, RowCache, check_int, diameter,
                       pick_order_stats, uniform_weights, weighted_median)
 
 #: exact oracles enumerate all 2**n subsets; refuse above this size.
@@ -712,7 +712,7 @@ def sep_lower(space: MMSpace, kappa_grid=None, restarts: int = 8,
     distance.
     """
     grid = _kappa_grid(kappa_grid)
-    check_int(restarts, "restarts", least=1)
+    restarts = check_int(restarts, "restarts", least=1)
     rng = np.random.default_rng(check_int(seed, "seed", least=0))
     n = space.n
     best = np.zeros(grid.size)
@@ -888,7 +888,7 @@ def _max_bit_separation(a: int, d: int, balls: list[int]) -> int:
 
 
 def _check_cube_dim(d: int, limit: int) -> int:
-    if check_count(d, "d") > limit:
+    if check_int(d, "d", least=1) > limit:
         raise InputError(f"d must lie in [1, {limit}], got {d!r}")
     return int(d)
 

@@ -6,10 +6,13 @@ per curve; only then does :func:`run` hand them to ``io.write_outputs``,
 which makes the output directory and writes them, with a
 ``manifest.json`` capturing everything needed to rerun it
 byte-identically: the spec, derived seeds, grids, certificate modes, and
-the RNG algorithm.  So a refused spec, or a run that fails, leaves no
-directory.  An output directory that cannot be made or written is an
-``OutputError``, raised before the run where ``io.check_writable`` can
-tell.  Numbers are serialized with ``repr`` so reruns with an equal spec
+the RNG algorithm.  Parameters take their default's type, an integer
+through ``mmspace.check_int``, and the values no library call checks (a
+``sampling_convergence`` ``n_seeds`` below 1 or size below 2, a
+``noise_instability`` ``sigma2`` below 0) are refused before the run.  So
+a refused spec, or a run that fails, leaves no directory.  An output
+directory that cannot be made or written is an ``OutputError``, raised
+before the run where ``io.check_writable`` can tell.  Numbers are serialized with ``repr`` so reruns with an equal spec
 produce identical bytes.
 
 Experiments
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,14 +62,6 @@ from .mmspace import GeneratorSpec, MMSpace, check_int, diameter, generate
 
 #: per-space sample-size ceiling for experiment runs.
 MAX_EXPERIMENT_POINTS = 100_000
-
-EXPERIMENT_NAMES = (
-    "sphere_separation",
-    "sphere_alpha_line",
-    "hamming_dimension",
-    "noise_instability",
-    "sampling_convergence",
-)
 
 
 @dataclass(frozen=True)
@@ -103,22 +98,19 @@ def _params(spec: ExperimentSpec, defaults: dict) -> dict:
 
 def _typed(name: str, value, default):
     """`value` in the type of `default`: a list of the type of its first
-    element, an int (an integral float passes, as the command line reads
-    ``n=1e4``) or a finite float; InputError otherwise.  Bools are not
-    numbers."""
+    element, an integer (``mmspace.check_int``) or a finite float;
+    InputError otherwise.  Bools are not numbers."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise InputError(f"param {name} must be a list, got {value!r} "
                              f"(one value is written {name}={value},)")
         return [_typed(name, v, default[0]) for v in value]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and isinstance(default, int) and (isinstance(value, int)
-                                                 or value.is_integer()):
-        return int(value)
-    if number and isinstance(default, float) and abs(value) <= sys.float_info.max:
+    if isinstance(default, int):
+        return check_int(value, f"param {name}")
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
         return float(value)
-    kind = "an integer" if isinstance(default, int) else "a finite number"
-    raise InputError(f"param {name} must be {kind}, got {value!r}")
+    raise InputError(f"param {name} must be a finite number, got {value!r}")
 
 
 def _sphere(dim: int, n: int, seed: int) -> MMSpace:
@@ -219,6 +211,8 @@ def _noise_profile(space: MMSpace, min_side_mass: float, min_distance: float,
 def _run_noise_instability(spec: ExperimentSpec) -> tuple[dict, list]:
     p = _params(spec, {"d": 50, "sigma2": 1.0 / 50.0, "n": 10_000, "n_seeds": 5,
                        "min_distance": 1.0, "restarts": 2})
+    if p["sigma2"] < 0:
+        raise InputError(f"param sigma2 must be >= 0, got {p['sigma2']!r}")
     rows = []
     summaries = []
     for s in range(p["n_seeds"]):
@@ -251,6 +245,9 @@ def _run_noise_instability(spec: ExperimentSpec) -> tuple[dict, list]:
 def _run_sampling_convergence(spec: ExperimentSpec) -> tuple[dict, list]:
     p = _params(spec, {"d": 8, "sizes": [50, 100, 150, 200, 256], "n_seeds": 20,
                        "restarts": 4})
+    check_int(p["n_seeds"], "param n_seeds", least=1)
+    for size in p["sizes"]:  # a 1-point sample has dimension inf
+        check_int(size, "param sizes", least=2)
     cube = generate(GeneratorSpec("hamming_cube", 0, {"d": p["d"]}))
     cube_dim = dim_separation(sep_hamming_profile(p["d"]))
     rows = []
@@ -287,6 +284,9 @@ _RUNNERS = {
     "sampling_convergence": _run_sampling_convergence,
 }
 
+#: every experiment's name, for messages and the command line's help.
+EXPERIMENT_NAMES = tuple(_RUNNERS)
+
 
 def run(spec: ExperimentSpec, out_dir) -> dict:
     """Run one experiment, then write its curves and ``manifest.json`` to
@@ -294,12 +294,13 @@ def run(spec: ExperimentSpec, out_dir) -> dict:
     computes everything and writes nothing, and `out_dir` is made only once
     it has returned, so a refused spec or a failed run leaves no directory.
     An `out_dir` that cannot be made is an ``OutputError`` before the run
-    (``io.check_writable``), and one that cannot be written after it."""
+    (``io.check_writable``), and one that cannot be written after it.  An
+    integral float seed runs, and is recorded, as its int."""
     if spec.name not in _RUNNERS:
         raise InputError(
             f"unknown experiment {spec.name!r}; choose from {EXPERIMENT_NAMES}"
         )
-    check_int(spec.seed, "seed", least=0)
+    spec = replace(spec, seed=check_int(spec.seed, "seed", least=0))
     check_writable(out_dir)
     summary, files = _RUNNERS[spec.name](spec)
     summary["curves"] = [name for name, _ in files]

@@ -169,7 +169,7 @@ def dictionary(space: MMSpace, kind: str, k: int | None = None,
     elif kind not in ("anchors_random", "halfspace_differences"):
         raise InputError("kind must be one of anchors_all, anchors_random, "
                          f"halfspace_differences; got {kind!r}")
-    elif k is None or check_int(k, "k") < 1:
+    elif k is None or (k := check_int(k, "k")) < 1:
         raise InputError(f"{kind} requires k >= 1")
     elif kind == "anchors_random":
         k = min(k, space.n)

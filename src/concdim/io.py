@@ -1,19 +1,20 @@
 """The package's one reader and one writer of files.
 
 Every CSV file concdim reads goes through :func:`read_csv_rows`, and every
-CSV and JSON file it writes through :func:`write_csv` and
-:func:`write_json`, so reruns with equal inputs produce identical bytes:
+file it writes through :func:`write_outputs`, CSV files by way of
+:func:`write_csv`, so reruns with equal inputs produce identical bytes:
 floats are written as ``repr(float(v))`` (the shortest round-tripping
 form), everything else as ``csv`` formats it, and JSON keys are sorted.
-Every manifest, of a command or of an experiment, is written by
-:func:`write_manifest`, which stamps it with the package version and the
+Every manifest, of a command or of an experiment, is encoded by
+:func:`write_outputs`, which stamps it with the package version and the
 RNG algorithm.
 
 This module also owns the output directory.  :func:`check_writable`
 refuses, before any work and without creating anything, a directory that
 cannot be made; :func:`write_outputs`, called once the work is done, is
 the one place that makes an output directory and writes its files and
-manifest.  Either failure is an ``OutputError``.
+manifest, after the manifest is encoded.  Either failure is an
+``OutputError``.
 """
 
 from __future__ import annotations
@@ -98,23 +99,6 @@ def write_csv(path, header, rows) -> None:
             w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def write_json(path, payload: dict) -> None:
-    """Write `payload` with sorted keys, two-space indent and a final newline.
-    A non-finite float is a ValueError, raised before the file is opened:
-    JSON has no such number."""
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def write_manifest(path, **fields) -> dict:
-    """Write `fields`, with the package version and the RNG algorithm, as
-    JSON (:func:`write_json`); return what was written."""
-    payload = {"package_version": __version__, "rng_algorithm": RNG_ALGORITHM, **fields}
-    write_json(path, payload)
-    return payload
-
-
 def check_writable(out_dir) -> None:
     """Refuse an `out_dir` that cannot be made, before any work is done:
     its nearest existing ancestor must be a writable directory.  Nothing is
@@ -128,15 +112,23 @@ def check_writable(out_dir) -> None:
 
 
 def write_outputs(out_dir, files, manifest: str, **fields) -> dict:
-    """Make `out_dir`, write each ``(name, write)`` pair of `files` as
-    ``write(path)``, then `fields` as the manifest `manifest`
-    (:func:`write_manifest`); return the manifest.  An OSError on the way
-    is an ``OutputError``."""
+    """Write a finished piece of work to `out_dir`; return its manifest.
+
+    `fields`, stamped with the package version and the RNG algorithm, are
+    encoded first, as JSON with sorted keys, a two-space indent and a final
+    newline: a non-finite float is a ValueError, raised before anything is
+    made, as JSON has no such number.  Only then is `out_dir` made, each
+    ``(name, write)`` pair of `files` written as ``write(path)``, and the
+    manifest written to the file `manifest`.  An OSError on the way is an
+    ``OutputError``."""
+    payload = {"package_version": __version__, "rng_algorithm": RNG_ALGORITHM, **fields}
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, write in files:
             write(out / name)
-        return write_manifest(out / manifest, **fields)
+        (out / manifest).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OutputError(f"output directory {out} is not writable: {exc}") from exc
+    return payload

@@ -316,21 +316,14 @@ def _as_weights(weights, n: int) -> np.ndarray:
 
 
 def check_int(x, what: str, least=None) -> int:
-    """`x` as an int; InputError unless it is an integer, not a bool, and at
-    least `least` if given."""
+    """`x` as an int; InputError unless it is an integer, and at least
+    `least` if given.  An int, a numpy integer or an integral float is an
+    integer (the command line reads ``n=1e4`` as a float); a bool is not."""
     bound = "" if least is None else f" >= {least}"
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or bound and x < least:
-        raise InputError(f"{what} must be an integer{bound}, got {x!r}")
-    return int(x)
-
-
-def check_count(x, what: str) -> int:
-    """`x` as an int; InputError unless it is an integer >= 1, not a bool.
-    An integral float passes: the command line reads ``n=1e4`` as one."""
     whole = (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
              or isinstance(x, (float, np.floating)) and float(x).is_integer())
-    if not whole or x < 1:
-        raise InputError(f"{what} must be an integer >= 1, got {x!r}")
+    if not whole or bound and x < least:
+        raise InputError(f"{what} must be an integer{bound}, got {x!r}")
     return int(x)
 
 
@@ -1014,7 +1007,7 @@ def _require(params: dict, family: str, *names: str) -> list:
 
 
 def _check_sample_size(n) -> int:
-    n = check_count(n, "sample size n")
+    n = check_int(n, "sample size n", least=1)
     if n > MAX_POINTS:
         raise ResourceLimitError(f"sample size {n} exceeds the limit {MAX_POINTS}")
     return n
@@ -1055,7 +1048,8 @@ def generate(spec: GeneratorSpec) -> MMSpace:
     label = spec.describe()
     if fam == "sphere":
         n_dim, n = _require(p, fam, "n_dim", "n")
-        n, n_dim = _check_sample_size(n), check_count(n_dim, "sphere dimension n_dim")
+        n = _check_sample_size(n)
+        n_dim = check_int(n_dim, "sphere dimension n_dim", least=1)
         pts = rng.standard_normal((n, n_dim + 1))
         norms = np.linalg.norm(pts, axis=1, keepdims=True)
         if np.any(norms == 0):  # pragma: no cover - probability zero
@@ -1063,7 +1057,7 @@ def generate(spec: GeneratorSpec) -> MMSpace:
         return from_points(pts / norms, metric="euclidean", label=label)
     if fam == "hamming_cube":
         (d,) = _require(p, fam, "d")
-        d = check_count(d, "cube dimension d")
+        d = check_int(d, "cube dimension d", least=1)
         if d > MAX_CUBE_DIM:
             raise ResourceLimitError(
                 f"hamming_cube requires d <= {MAX_CUBE_DIM} (2**d points); got d={d}"
@@ -1073,18 +1067,18 @@ def generate(spec: GeneratorSpec) -> MMSpace:
         return from_points(bits.astype(float), metric="normalized_hamming", label=label)
     if fam == "hamming_sample":
         d, n = _require(p, fam, "d", "n")
-        n, d = _check_sample_size(n), check_count(d, "string length d")
+        n, d = _check_sample_size(n), check_int(d, "string length d", least=1)
         bits = rng.integers(0, 2, size=(n, d))
         return from_points(bits.astype(float), metric="normalized_hamming", label=label)
     if fam == "gaussian_cloud":
         d, sigma, n = _require(p, fam, "d", "sigma", "n")
-        n, d = _check_sample_size(n), check_count(d, "dimension d")
+        n, d = _check_sample_size(n), check_int(d, "dimension d", least=1)
         pts = rng.normal(0.0, _check_sigma(sigma), size=(n, d))
         return from_points(pts, metric="euclidean", label=label)
     if fam == "noisy_embedding":
         base, ambient_d, sigma, n = _require(p, fam, "base", "ambient_d", "sigma", "n")
         n, sigma = _check_sample_size(n), _check_sigma(sigma)
-        ambient_d = check_count(ambient_d, "ambient dimension ambient_d")
+        ambient_d = check_int(ambient_d, "ambient dimension ambient_d", least=1)
         if not isinstance(base, MMSpace) or base.coords is None:
             raise InputError("noisy_embedding requires a coordinate-backed base space")
         bd = base.coords.shape[1]

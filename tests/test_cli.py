@@ -335,6 +335,9 @@ CLOUD40 = ["--family", "gaussian_cloud", "--param", "d=3", "--param", "n=40",
     ["obsdiam", "--kappa", "0.1", "--dictionary", "anchors_random:x", *CLOUD40],
     ["alpha", "--dictionary", "anchors_random:1.5", *CLOUD40],
     ["dims", "--dictionary", "anchors_random:", *CLOUD, "--param", "sigma=1"],
+    # a --restarts below 1, refused in any mode
+    ["dims", "--restarts", "0", *CLOUD, "--param", "sigma=1"],
+    ["sep", "--mode", "exact", "--restarts", "-2", *CLOUD, "--param", "sigma=1"],
 ])
 def test_refusals_come_before_the_output_directory(tmp_path, args):
     out = tmp_path / "out"

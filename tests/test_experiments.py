@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from concdim import concentration as conc, experiments, mmspace
+from concdim.concentration import sep_hamming_analytic, sep_lower
 from concdim.errors import InputError, OutputError
 from concdim.experiments import ExperimentSpec, derived_seed, run
+from concdim.features import dictionary
+from concdim.mmspace import GeneratorSpec, from_points, generate
 
 from util import count_rows, forbid_point_reads
 
@@ -38,6 +41,13 @@ def test_params_of_another_type_rejected(tmp_path, name, params, match):
     (ExperimentSpec("nope"), "unknown experiment"),
     (ExperimentSpec("sampling_convergence", 0, {"sizes": 3}), "must be a list"),
     (ExperimentSpec("hamming_dimension", -1), "seed must be an integer >= 0, got -1"),
+    # no library call checks these; each ended in a ValueError
+    (ExperimentSpec("sampling_convergence", 0, {"n_seeds": 0}),
+     "n_seeds must be an integer >= 1, got 0"),
+    (ExperimentSpec("sampling_convergence", 0, {"sizes": [1], "n_seeds": 1}),
+     "sizes must be an integer >= 2, got 1"),
+    (ExperimentSpec("noise_instability", 0, {"sigma2": -1.0, "n": 5, "n_seeds": 1}),
+     "sigma2 must be >= 0, got -1.0"),
 ])
 def test_a_refused_spec_leaves_no_output_directory(tmp_path, spec, match):
     out = tmp_path / "out"
@@ -84,6 +94,42 @@ def test_integral_float_params_pass_as_integers(tmp_path):
                        {"n_seeds": 1.0, "sizes": [50.0], "d": 4.0}), tmp_path)
     rows = (tmp_path / "sampling_convergence.csv").read_text().splitlines()
     assert rows[1].startswith("0,50,")
+
+
+CLOUD = from_points(np.random.default_rng(5).normal(size=(30, 2)))
+
+
+def _written(spec, out, names=None) -> dict:
+    """Run `spec` into `out`; the bytes of each file it wrote, or of `names`."""
+    run(spec, out)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if names is None or p.name in names}
+
+
+#: each call takes one integer input, `v`, and an output directory, and
+#: returns the bytes of its result
+@pytest.mark.parametrize("call, v", [
+    (lambda v, out: sep_lower(CLOUD, restarts=v, seed=v + 1).sep.tobytes(), 2),
+    (lambda v, out: b"".join(f.values.tobytes()
+                             for f in dictionary(CLOUD, "anchors_random", k=v)), 2),
+    (lambda v, out: generate(GeneratorSpec(
+        "gaussian_cloud", 0, {"d": 2, "sigma": 1.0, "n": v})).coords.tobytes(), 100),
+    (lambda v, out: np.float64(sep_hamming_analytic(v, 0.25)).tobytes(), 9),
+    # the manifest records the params as given, so compare the curve alone
+    (lambda v, out: _written(ExperimentSpec("sampling_convergence", 0, {
+        "d": 4, "sizes": [8], "n_seeds": v}), out, ["sampling_convergence.csv"]), 2),
+    (lambda v, out: _written(ExperimentSpec("sampling_convergence", v, {
+        "d": 4, "sizes": [8], "n_seeds": 2}), out), 1),
+], ids=["sep_lower", "dictionary", "generate", "sep_hamming_analytic",
+        "experiment_param", "experiment_seed"])
+def test_an_integral_float_passes_wherever_an_integer_is_taken(tmp_path, call, v):
+    # the command line reads n=1e2 as a float; the result is the int's, bit
+    # for bit, and an experiment's manifest records the seed 1.0 as 1
+    assert call(float(v), tmp_path / "float") == call(v, tmp_path / "int")
+    for bad in (v + 0.5, True):
+        with pytest.raises(InputError, match="must be an integer"):
+            call(bad, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_derived_seed_deterministic():

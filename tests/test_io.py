@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import concdim
-from concdim.io import write_csv, write_json
+from concdim.io import write_csv, write_outputs
 
 
 def test_only_io_writes_csv_or_json():
@@ -39,12 +39,13 @@ def test_write_csv_writes_floats_as_repr(tmp_path):
     assert path.read_bytes() == b"i,x\r\n3,0.1\r\n4,1e-17\r\n5,2.0\r\n"
 
 
-def test_write_json_refuses_non_finite_numbers_before_writing(tmp_path):
-    path = tmp_path / "t.json"
+def test_write_outputs_refuses_non_finite_numbers_before_writing(tmp_path):
+    out = tmp_path / "out"
+    files = [("t.csv", lambda path: write_csv(path, ["x"], [[1.0]]))]
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
-            write_json(path, {"diameter": bad})
-        assert not path.exists()
+            write_outputs(out, files, "t.json", diameter=bad)
+        assert not out.exists() and not (out / "t.csv").exists()
 
 
 def test_a_header_must_name_every_column(tmp_path):
