@@ -10,7 +10,8 @@ Three functionals are provided, all growing as the space concentrates:
 Degenerate inputs (zero integral, zero variance) yield ``math.inf``
 explicitly; no large sentinel values are used.  The module also brackets
 the concentration distance from the space to a one-point space via the
-profile's crossing with the line ``alpha = eps/2``.
+profile's crossing with the line ``alpha = eps/2``, read off the profile's
+grid by a lemma (``dconc_to_point_bracket``).
 """
 
 from __future__ import annotations
@@ -89,21 +90,34 @@ class PointBracket:
 def dconc_to_point_bracket(profile: ConcentrationProfile) -> PointBracket:
     """Bracket the concentration distance to a one-point space.
 
-    Let ``eps*`` be the least grid point with ``alpha(eps) <= eps/2``.
-    For an exact profile the distance lies in ``[eps*/2, eps*]``; for a
-    lower-bound profile only the lower end is certified and the upper end
-    is the diameter, flagged via ``certified_upper=False``.
+    The distance lies in ``[c/2, c]``, ``c = inf{eps : alpha(eps) <=
+    eps/2}``.  ``c`` is read off the grid ``g_k`` and values ``a_k`` by a
+    lemma, with alpha 0 from the diameter on.
+
+    * Exact profile.  The grid holds every jump of alpha, as the default
+      grid does and as the step integral assumes, so alpha is ``a_k`` on
+      ``[g_k, g_{k+1})``, but on the first interval, where ``a_0`` is the
+      conventional 1/2.  The least eps of that interval with ``a_k <=
+      eps/2`` is ``max(g_k, 2 a_k)`` if it falls below ``g_{k+1}``, so
+      ``c`` is the least such value, and the bracket is ``[c/2, c]``.
+    * Lower-bound profile.  alpha is non-increasing and at least
+      ``a_{k+1}`` at ``g_{k+1}``, so ``alpha >= a_{k+1}`` on ``(g_k,
+      g_{k+1}]``: a crossing there is at least ``max(g_k, 2 a_{k+1})``,
+      and there is none if that exceeds ``g_{k+1}``.  The least such value
+      that is at most ``g_{k+1}`` is a certified lower end for ``c``; the
+      upper end is the diameter, flagged via ``certified_upper=False``.
     """
-    if profile.diameter == 0.0:
+    diam = float(profile.diameter)
+    if diam == 0.0:
         return PointBracket(0.0, 0.0, True)
-    below = profile.alpha <= profile.eps_grid / 2.0
-    if not below.any():
-        eps_star = float(profile.diameter)
-    else:
-        eps_star = float(profile.eps_grid[int(np.argmax(below))])
+    g = np.append(profile.eps_grid, diam)
+    a = np.append(profile.alpha, 0.0)
     if profile.mode == "exact":
-        return PointBracket(eps_star / 2.0, eps_star, True)
-    return PointBracket(eps_star / 2.0, float(profile.diameter), False)
+        cand = np.maximum(g, 2.0 * a)
+        c = float(cand[cand < np.append(g[1:], np.inf)].min())
+        return PointBracket(c / 2.0, c, True)
+    cand = np.maximum(g[:-1], 2.0 * a[1:])
+    return PointBracket(float(cand[cand <= g[1:]].min()) / 2.0, diam, False)
 
 
 @dataclass(frozen=True)

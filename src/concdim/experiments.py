@@ -1,19 +1,24 @@
 """Reproducible experiment harness: seeded runs emitting CSV curves.
 
-Each experiment is declared by an :class:`ExperimentSpec`.  Its runner
-computes everything first and returns its summary and its files, one CSV
-per curve; only then does :func:`run` hand them to ``io.write_outputs``,
-which makes the output directory and writes them, with a
-``manifest.json`` capturing everything needed to rerun it
-byte-identically: the spec, derived seeds, grids, certificate modes, and
-the RNG algorithm.  Parameters take their default's type, an integer
-through ``mmspace.check_int``, and the values no library call checks (a
-``sampling_convergence`` ``n_seeds`` below 1 or size below 2, a
-``noise_instability`` ``sigma2`` below 0) are refused before the run.  So
-a refused spec, or a run that fails, leaves no directory.  An output
-directory that cannot be made or written is an ``OutputError``, raised
-before the run where ``io.check_writable`` can tell.  Numbers are serialized with ``repr`` so reruns with an equal spec
-produce identical bytes.
+Each experiment is an entry of one table, ``_EXPERIMENTS``: its runner and
+the defaults of its parameters.  :func:`run` reads an
+:class:`ExperimentSpec`'s parameters once against those defaults, and the
+runner takes the values read and the seed.  It computes everything first
+and returns its summary and its files, one CSV per curve; only then does
+:func:`run` hand them to ``io.write_outputs``, which makes the output
+directory and writes them, with a ``manifest.json`` capturing everything
+needed to rerun it byte-identically: the name, the seed, each given
+parameter as read, derived seeds, grids, certificate modes, and the RNG
+algorithm.  A parameter takes its default's type, an integer through
+``mmspace.check_int``, so ``n_seeds=1e0`` runs, and is recorded, as
+``n_seeds=1``.  The values no library call checks (a
+``sampling_convergence`` ``n_seeds`` below 1 or size below 2 or above
+the cube's ``2**d`` points, a ``noise_instability`` ``sigma2`` below 0)
+are refused before the run.  So a refused spec, or a run that fails,
+leaves no directory.  An output directory that cannot be made or written
+is an ``OutputError``, raised before the run where ``io.check_writable``
+can tell.  Numbers are serialized with ``repr`` so reruns with an equal
+spec produce identical bytes.
 
 Experiments
 -----------
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,10 +77,6 @@ class ExperimentSpec:
     seed: int = 0
     params: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "seed": self.seed,
-                "params": {k: self.params[k] for k in sorted(self.params)}}
-
 
 def derived_seed(root: int, *path: int) -> int:
     """Deterministic child seed for an indexed sub-task."""
@@ -83,12 +84,15 @@ def derived_seed(root: int, *path: int) -> int:
 
 
 def _params(spec: ExperimentSpec, defaults: dict) -> dict:
+    """`defaults` with `spec`'s parameters over them, each read in its
+    default's type (`_typed`); InputError for a name `defaults` lacks,
+    ResourceLimitError for more than ``MAX_EXPERIMENT_POINTS`` points."""
     unknown = sorted(set(spec.params) - set(defaults))
     if unknown:
         raise InputError(f"unknown params for {spec.name}: {unknown}")
     merged = dict(defaults)
     merged.update({k: _typed(k, v, defaults[k]) for k, v in spec.params.items()})
-    if merged.get("n", 0) and int(merged["n"]) > MAX_EXPERIMENT_POINTS:
+    if merged.get("n", 0) > MAX_EXPERIMENT_POINTS:
         raise ResourceLimitError(
             f"experiments are limited to {MAX_EXPERIMENT_POINTS} points per "
             f"space; got n={merged['n']}"
@@ -113,21 +117,21 @@ def _typed(name: str, value, default):
     raise InputError(f"param {name} must be a finite number, got {value!r}")
 
 
-def _sphere(dim: int, n: int, seed: int) -> MMSpace:
-    return generate(GeneratorSpec("sphere", seed, {"n_dim": dim, "n": n}))
+def _spheres(p: dict, seed: int):
+    """``(dim, space, seed)`` for each of ``p["dims"]`` in turn: a sample of
+    ``p["n"]`` points on the sphere S^dim, and the seed of its witnesses."""
+    for idx, dim in enumerate(p["dims"]):
+        space = generate(GeneratorSpec("sphere", derived_seed(seed, idx),
+                                       {"n_dim": dim, "n": p["n"]}))
+        yield dim, space, derived_seed(seed, idx, 1)
 
 
-def _run_sphere_separation(spec: ExperimentSpec) -> tuple[dict, list]:
-    p = _params(spec, {"dims": [3, 10, 30, 100], "n": 3000, "restarts": 4,
-                       "check_kappas": [0.05, 0.1, 0.2]})
+def _run_sphere_separation(p: dict, seed: int) -> tuple[dict, list]:
     grid = default_kappa_grid()
     files = []
     curves = {}
-    for idx, dim in enumerate(p["dims"]):
-        seed = derived_seed(spec.seed, idx)
-        space = _sphere(dim, p["n"], seed)
-        prof = sep_lower(space, grid, restarts=p["restarts"],
-                         seed=derived_seed(spec.seed, idx, 1))
+    for dim, space, witness_seed in _spheres(p, seed):
+        prof = sep_lower(space, grid, restarts=p["restarts"], seed=witness_seed)
         files.append((f"sep_sphere_d{dim}.csv", prof.to_csv))
         curves[dim] = prof
     checks = {}
@@ -149,17 +153,14 @@ def _mean_nn_spacing(space: MMSpace) -> float:
     return float(np.concatenate(nearest).mean())
 
 
-def _run_sphere_alpha_line(spec: ExperimentSpec) -> tuple[dict, list]:
-    p = _params(spec, {"dims": [1, 2, 3], "n": 3000, "anchors": 16})
+def _run_sphere_alpha_line(p: dict, seed: int) -> tuple[dict, list]:
     files = []
     crossings = []
     midpoints = []
     spacings = []
-    for idx, dim in enumerate(p["dims"]):
-        seed = derived_seed(spec.seed, idx)
-        space = _sphere(dim, p["n"], seed)
+    for dim, space, witness_seed in _spheres(p, seed):
         feats = make_dictionary(space, "anchors_random", k=p["anchors"],
-                                seed=derived_seed(spec.seed, idx, 1))
+                                seed=witness_seed)
         grid = np.linspace(0.0, diameter(space), 201)
         prof = alpha_lower(space, grid, dictionary=feats)
         files.append((f"alpha_sphere_d{dim}.csv", prof.to_csv))
@@ -181,15 +182,9 @@ def _run_sphere_alpha_line(spec: ExperimentSpec) -> tuple[dict, list]:
     }, files
 
 
-def _run_hamming_dimension(spec: ExperimentSpec) -> tuple[dict, list]:
-    p = _params(spec, {"d_values": list(range(11, 26, 2))})
-    rows = []
-    dims = []
-    for d in p["d_values"]:
-        prof = sep_hamming_profile(int(d))
-        dim = dim_separation(prof)
-        rows.append([int(d), float(dim)])
-        dims.append(dim)
+def _run_hamming_dimension(p: dict, seed: int) -> tuple[dict, list]:
+    dims = [dim_separation(sep_hamming_profile(d)) for d in p["d_values"]]
+    rows = [[d, float(dim)] for d, dim in zip(p["d_values"], dims)]
     return {
         "monotone_increasing": all(a < b for a, b in zip(dims, dims[1:])),
         "mode": "analytic",
@@ -208,24 +203,21 @@ def _noise_profile(space: MMSpace, min_side_mass: float, min_distance: float,
     return SeparationProfile(grid, vals, "lower_bound", greedy.diameter)
 
 
-def _run_noise_instability(spec: ExperimentSpec) -> tuple[dict, list]:
-    p = _params(spec, {"d": 50, "sigma2": 1.0 / 50.0, "n": 10_000, "n_seeds": 5,
-                       "min_distance": 1.0, "restarts": 2})
+def _run_noise_instability(p: dict, seed: int) -> tuple[dict, list]:
     if p["sigma2"] < 0:
         raise InputError(f"param sigma2 must be >= 0, got {p['sigma2']!r}")
     rows = []
     summaries = []
     for s in range(p["n_seeds"]):
-        seed = derived_seed(spec.seed, s)
         space = generate(GeneratorSpec(
-            "gaussian_cloud", seed,
+            "gaussian_cloud", derived_seed(seed, s),
             {"d": p["d"], "sigma": math.sqrt(p["sigma2"]), "n": p["n"]},
         ))
         subset = greedy_separated_subset(space, p["min_distance"])
         coverage = len(subset) / space.n
         min_side, _, _ = split_witness(space, subset)
         prof = _noise_profile(space, min_side, p["min_distance"],
-                              derived_seed(spec.seed, s, 1), p["restarts"])
+                              derived_seed(seed, s, 1), p["restarts"])
         sep_0475 = prof.at(0.475)
         dim = dim_separation(prof)
         rows.append([s, float(coverage), float(min_side), sep_0475, float(dim)])
@@ -242,27 +234,26 @@ def _run_noise_instability(spec: ExperimentSpec) -> tuple[dict, list]:
                "sep_at_0.475", "dim_separation"], rows))]
 
 
-def _run_sampling_convergence(spec: ExperimentSpec) -> tuple[dict, list]:
-    p = _params(spec, {"d": 8, "sizes": [50, 100, 150, 200, 256], "n_seeds": 20,
-                       "restarts": 4})
+def _run_sampling_convergence(p: dict, seed: int) -> tuple[dict, list]:
     check_int(p["n_seeds"], "param n_seeds", least=1)
+    cube = generate(GeneratorSpec("hamming_cube", 0, {"d": p["d"]}))
     for size in p["sizes"]:  # a 1-point sample has dimension inf
         check_int(size, "param sizes", least=2)
-    cube = generate(GeneratorSpec("hamming_cube", 0, {"d": p["d"]}))
+        if size > cube.n:
+            raise InputError(f"param sizes must be at most 2**d = {cube.n}, got {size}")
     cube_dim = dim_separation(sep_hamming_profile(p["d"]))
     rows = []
     errors: dict[int, list[float]] = {size: [] for size in p["sizes"]}
     for s in range(p["n_seeds"]):
         for size in p["sizes"]:
-            seed = derived_seed(spec.seed, s, size)
-            rng = np.random.default_rng(seed)
-            ids = rng.choice(cube.n, size=min(size, cube.n), replace=False)
+            rng = np.random.default_rng(derived_seed(seed, s, size))
+            ids = rng.choice(cube.n, size=size, replace=False)
             sub = cube.subspace(np.sort(ids))
             prof = sep_lower(sub, restarts=p["restarts"],
-                             seed=derived_seed(spec.seed, s, size, 1))
+                             seed=derived_seed(seed, s, size, 1))
             dim = dim_separation(prof)
             err = abs(dim - cube_dim)
-            rows.append([s, int(size), float(dim), float(err)])
+            rows.append([s, size, float(dim), float(err)])
             errors[size].append(err)
     medians = [float(np.median(errors[size])) for size in p["sizes"]]
     return {
@@ -274,35 +265,54 @@ def _run_sampling_convergence(spec: ExperimentSpec) -> tuple[dict, list]:
         path, ["seed_index", "sample_size", "dim_separation", "abs_error"], rows))]
 
 
-#: each runner returns its summary and its files, as ``(name, write)``
-#: pairs that `run` calls with the file's path once the run is done.
-_RUNNERS = {
-    "sphere_separation": _run_sphere_separation,
-    "sphere_alpha_line": _run_sphere_alpha_line,
-    "hamming_dimension": _run_hamming_dimension,
-    "noise_instability": _run_noise_instability,
-    "sampling_convergence": _run_sampling_convergence,
+#: each experiment's runner and the defaults of its parameters.  `run`
+#: reads the parameters (`_params`) and calls ``runner(params, seed)``,
+#: which returns its summary and its files, as ``(name, write)`` pairs
+#: that `run` calls with the file's path once the run is done.
+_EXPERIMENTS = {
+    "sphere_separation": (_run_sphere_separation, {
+        "dims": [3, 10, 30, 100], "n": 3000, "restarts": 4,
+        "check_kappas": [0.05, 0.1, 0.2]}),
+    "sphere_alpha_line": (_run_sphere_alpha_line, {
+        "dims": [1, 2, 3], "n": 3000, "anchors": 16}),
+    "hamming_dimension": (_run_hamming_dimension, {
+        "d_values": list(range(11, 26, 2))}),
+    "noise_instability": (_run_noise_instability, {
+        "d": 50, "sigma2": 1.0 / 50.0, "n": 10_000, "n_seeds": 5,
+        "min_distance": 1.0, "restarts": 2}),
+    "sampling_convergence": (_run_sampling_convergence, {
+        "d": 8, "sizes": [50, 100, 150, 200, 256], "n_seeds": 20, "restarts": 4}),
 }
 
 #: every experiment's name, for messages and the command line's help.
-EXPERIMENT_NAMES = tuple(_RUNNERS)
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run(spec: ExperimentSpec, out_dir) -> dict:
     """Run one experiment, then write its curves and ``manifest.json`` to
-    `out_dir` through ``io.write_outputs``; return the manifest.  The runner
-    computes everything and writes nothing, and `out_dir` is made only once
-    it has returned, so a refused spec or a failed run leaves no directory.
-    An `out_dir` that cannot be made is an ``OutputError`` before the run
-    (``io.check_writable``), and one that cannot be written after it.  An
-    integral float seed runs, and is recorded, as its int."""
-    if spec.name not in _RUNNERS:
+    `out_dir` through ``io.write_outputs``; return the manifest.
+
+    The name and the seed are checked and the parameters read once
+    (`_params`), all before `out_dir` is checked and the runner called
+    with the values read.  The runner computes everything and writes
+    nothing, and `out_dir` is made only once it has returned, so a refused
+    spec or a failed run leaves no directory.  An `out_dir` that cannot be
+    made is an ``OutputError`` before the run (``io.check_writable``), and
+    one that cannot be written after it.  The manifest's ``experiment``
+    block records the name, the seed and each given parameter as read: an
+    integral float seed or integer parameter runs, and is recorded, as its
+    int."""
+    if spec.name not in _EXPERIMENTS:
         raise InputError(
             f"unknown experiment {spec.name!r}; choose from {EXPERIMENT_NAMES}"
         )
-    spec = replace(spec, seed=check_int(spec.seed, "seed", least=0))
+    runner, defaults = _EXPERIMENTS[spec.name]
+    seed = check_int(spec.seed, "seed", least=0)
+    p = _params(spec, defaults)
     check_writable(out_dir)
-    summary, files = _RUNNERS[spec.name](spec)
+    summary, files = runner(p, seed)
     summary["curves"] = [name for name, _ in files]
+    experiment = {"name": spec.name, "seed": seed,
+                  "params": {k: p[k] for k in spec.params}}
     return write_outputs(out_dir, files, "manifest.json",
-                         experiment=spec.to_json_dict(), summary=summary)
+                         experiment=experiment, summary=summary)

@@ -213,8 +213,8 @@ def test_an_unwritable_output_is_refused_before_the_space_is_read(tmp_path, monk
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(cli, "_load_space", lambda args: pytest.fail("space read"))
-    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension",
-                        lambda spec: pytest.fail("experiment run"))
+    monkeypatch.setitem(experiments._EXPERIMENTS, "hamming_dimension",
+                        (lambda p, seed: pytest.fail("experiment run"), {}))
     assert run_cli(*args, "--out", str(blocker / "out")) == 5
     assert blocker.is_file()
 
@@ -227,11 +227,11 @@ def test_an_experiment_output_that_cannot_be_made_after_the_run_exits_5(tmp_path
 
     blocker = tmp_path / "late"
 
-    def runner(spec):
+    def runner(p, seed):
         blocker.write_text("")
         return {"mode": "analytic"}, [("x.csv", lambda path: path.write_text(""))]
 
-    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension", runner)
+    monkeypatch.setitem(experiments._EXPERIMENTS, "hamming_dimension", (runner, {}))
     assert run_cli("experiment", "--name", "hamming_dimension",
                    "--out", str(blocker / "out")) == 5
     assert blocker.is_file()

@@ -124,6 +124,32 @@ def test_bracket_lower_bound_profile_is_one_sided():
     assert 0.0 <= br.lo <= br.hi
 
 
+def _crossing(d, alpha) -> float:
+    """inf{eps : alpha(eps) <= eps/2} where alpha is ``alpha[k]`` on
+    ``[d[k], d[k+1])`` and 0 from ``d[-1]`` on."""
+    return min(max(e, 2 * a) for e, a, end in zip(d, alpha, [*d[1:], np.inf])
+               if max(e, 2 * a) < end)
+
+
+def test_bracket_reads_the_crossing_on_random_spaces():
+    # alpha_exact alone, apart from the profile's sums: alpha is constant
+    # from each realized distance to the next.  The step profile reads the
+    # conventional 1/2 at 0 over all of [0, d_1), where alpha is
+    # alpha_exact(d_1 / 2), so the exact bracket equals the crossing of that
+    # reading, and the lower-bound bracket is checked against the true one
+    from concdim.concentration import alpha_exact, alpha_lower
+
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        s = from_points(rng.normal(size=(int(rng.integers(6, 15)), 3)))
+        d = np.unique(s.dist)
+        alpha = [alpha_exact(s, e) for e in d]
+        c_step = _crossing(d, alpha)
+        c = _crossing(d, [alpha_exact(s, d[1] / 2), *alpha[1:]])
+        assert abs(dconc_to_point_bracket(alpha_exact_profile(s)).lo - c_step / 2) <= 1e-12
+        assert dconc_to_point_bracket(alpha_lower(s)).lo <= c / 2 + 1e-12
+
+
 def test_bracket_consistent_with_emd_upper_bound():
     # sqrt of the transport cost to a point mass upper-bounds the distance
     # to a point space, which can never undercut the bracket's lower end

@@ -48,6 +48,9 @@ def test_params_of_another_type_rejected(tmp_path, name, params, match):
      "sizes must be an integer >= 2, got 1"),
     (ExperimentSpec("noise_instability", 0, {"sigma2": -1.0, "n": 5, "n_seeds": 1}),
      "sigma2 must be >= 0, got -1.0"),
+    # the 3-cube has 8 points; a draw of 20 was recorded as 20 points
+    (ExperimentSpec("sampling_convergence", 0, {"d": 3, "sizes": [4, 20], "n_seeds": 1}),
+     r"sizes must be at most 2\*\*d = 8, got 20"),
 ])
 def test_a_refused_spec_leaves_no_output_directory(tmp_path, spec, match):
     out = tmp_path / "out"
@@ -58,10 +61,10 @@ def test_a_refused_spec_leaves_no_output_directory(tmp_path, spec, match):
 
 def test_a_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
     # the runner computes everything before run makes the directory
-    def fail(spec):
+    def fail(p, seed):
         raise RuntimeError("the runner failed")
 
-    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension", fail)
+    monkeypatch.setitem(experiments._EXPERIMENTS, "hamming_dimension", (fail, {}))
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="the runner failed"):
         run(ExperimentSpec("hamming_dimension"), out)
@@ -72,8 +75,8 @@ def test_an_output_directory_under_a_file_is_refused_before_the_run(tmp_path,
                                                                    monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    monkeypatch.setitem(experiments._RUNNERS, "hamming_dimension",
-                        lambda spec: pytest.fail("experiment run"))
+    monkeypatch.setitem(experiments._EXPERIMENTS, "hamming_dimension",
+                        (lambda p, seed: pytest.fail("experiment run"), {}))
     with pytest.raises(OutputError, match="is not writable"):
         run(ExperimentSpec("hamming_dimension"), blocker / "out")
     assert blocker.is_file()
@@ -91,7 +94,7 @@ def test_an_output_file_that_cannot_be_written_is_an_output_error(tmp_path):
 def test_integral_float_params_pass_as_integers(tmp_path):
     # the command line reads n=1e4 as a float
     run(ExperimentSpec("sampling_convergence", 0,
-                       {"n_seeds": 1.0, "sizes": [50.0], "d": 4.0}), tmp_path)
+                       {"n_seeds": 1.0, "sizes": [50.0], "d": 6.0}), tmp_path)
     rows = (tmp_path / "sampling_convergence.csv").read_text().splitlines()
     assert rows[1].startswith("0,50,")
 
@@ -115,7 +118,7 @@ def _written(spec, out, names=None) -> dict:
     (lambda v, out: generate(GeneratorSpec(
         "gaussian_cloud", 0, {"d": 2, "sigma": 1.0, "n": v})).coords.tobytes(), 100),
     (lambda v, out: np.float64(sep_hamming_analytic(v, 0.25)).tobytes(), 9),
-    # the manifest records the params as given, so compare the curve alone
+    # the curve alone; test_params_are_recorded_as_read compares manifests
     (lambda v, out: _written(ExperimentSpec("sampling_convergence", 0, {
         "d": 4, "sizes": [8], "n_seeds": v}), out, ["sampling_convergence.csv"]), 2),
     (lambda v, out: _written(ExperimentSpec("sampling_convergence", v, {
@@ -130,6 +133,23 @@ def test_an_integral_float_passes_wherever_an_integer_is_taken(tmp_path, call, v
         with pytest.raises(InputError, match="must be an integer"):
             call(bad, tmp_path / "bad")
     assert not (tmp_path / "bad").exists()
+
+
+def test_params_are_recorded_as_read(tmp_path):
+    # the command line reads 1e0 and 50.0 as floats; they run, and are
+    # recorded in the manifest, as the ints 1 and 50
+    from concdim.cli import main
+
+    written = []
+    for n_seeds, sizes in (("1e0", "50.0,"), ("1", "50,")):
+        out = tmp_path / n_seeds
+        assert main(["experiment", "--name", "sampling_convergence", "--param",
+                     f"n_seeds={n_seeds}", "--param", f"sizes={sizes}",
+                     "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    params = json.loads(written[0]["manifest.json"])["experiment"]["params"]
+    assert repr(params) == "{'n_seeds': 1, 'sizes': [50]}"  # ints, not 1.0 and 50.0
 
 
 def test_derived_seed_deterministic():

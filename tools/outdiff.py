@@ -8,7 +8,7 @@ Usage::
 PARENT and DIR (default: this checkout) are checkouts holding
 ``src/concdim``.  Each side gets its own temporary work directory.  The
 tool writes the input CSVs there from a fixed seed, then runs each of the
-51 invocations of `INVOCATIONS` as ``python -m concdim.cli ARGS`` in a
+53 invocations of `INVOCATIONS` as ``python -m concdim.cli ARGS`` in a
 fresh process, in that directory, with relative paths and the side's
 ``src`` first on ``PYTHONPATH``.  The commands write to their own
 ``--out`` directories; ``bound`` reads the covering CSV that ``net
@@ -86,12 +86,17 @@ INVOCATIONS = [
      "--param", "n_seeds=2", "--param", "d=20"],
     ["experiment", "--name", "sampling_convergence", "--param", "sizes=50,100",
      "--param", "n_seeds=3"],
+    # integral floats: run, and recorded in the manifest, as ints
+    ["experiment", "--name", "sampling_convergence", "--param", "n_seeds=1e0",
+     "--param", "sizes=50,"],
     # refusals: each exits 2 and writes nothing
     ["experiment", "--name", "sampling_convergence", "--param", "n_seeds=0"],
     ["experiment", "--name", "sampling_convergence", "--param", "sizes=1,",
      "--param", "n_seeds=1"],
     ["experiment", "--name", "noise_instability", "--param", "sigma2=-1",
      "--param", "n=5", "--param", "n_seeds=1"],
+    ["experiment", "--name", "sampling_convergence", "--param", "d=3",
+     "--param", "sizes=4,20", "--param", "n_seeds=1"],
     ["dims", *CLOUD, "--restarts", "0"],
     ["sep", *CLOUD, "--mode", "exact", "--restarts", "-2"],
 ]
