@@ -4,9 +4,12 @@ Every quantity comes in two flavors with an explicit certificate direction:
 
 * exact oracles (subset enumeration over all ``2**n`` masks, or
   threshold-graph search over the ``2**(n-1)`` masks without point 0),
-  available up to ``ORACLE_LIMIT`` points.  Every table over the masks
-  (subset masses, minima, common far sets) comes from one DP,
-  `_subset_table`, which folds a ufunc over the point bits;
+  available up to ``ORACLE_LIMIT`` points.  Every table over masks
+  (subset masses, minima, common far sets, least keys) comes from one DP,
+  `_subset_table`, which folds a ufunc over the point bits.  The sep
+  oracles tabulate all ``2**(n-1)`` masks; the alpha oracles hold no
+  table over all masks: they list the minimal half-mass subsets chunk
+  by chunk and read each through two tables over half the point bits;
 * witness-based heuristics for arbitrary sizes, whose values are certified
   lower bounds of the exact quantities.
 
@@ -329,18 +332,40 @@ def _common_far(far: np.ndarray, out=None) -> np.ndarray:
     return _subset_table(rows, (1 << n) - 1, np.bitwise_and, out)
 
 
-def _minimal_half_subsets(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of inclusion-minimal subsets with mass >= 1/2, plus all masses.
+def _minimal_half_subsets(weights: np.ndarray) -> np.ndarray:
+    """Ascending masks of the inclusion-minimal subsets with mass >= 1/2.
 
     Dropping any point of such a subset pushes its mass below one half;
     every half-mass subset contains one, and enlarging a witness set can
     only shrink the complement of its neighborhood, so maximizing over the
-    minimal subsets is exhaustive.
+    minimal subsets is exhaustive.  A subset is minimal when its mass less
+    its least weight is below one half.
+
+    The masks are listed in chunks of ``2**low``, one per value of the top
+    ``n - low`` point bits.  The low bits' subset masses and minima come
+    from `_subset_table` once, and a chunk adds its top bits' weights to
+    them in ascending bit order: the additions, in the order, of the
+    ``2**n`` table ``_subset_table(weights, 0.0, np.add)``, so every mass
+    keeps its bits.  The chunk's four float arrays, 32 bytes a mask, fit
+    in ``mmspace.BLOCK_ENTRIES`` bytes.
     """
-    masses = _subset_table(weights, 0.0, np.add)
-    admissible = masses >= 0.5 - MASS_TOL
-    still = (masses - _subset_table(weights, np.inf, np.minimum)) >= 0.5 - MASS_TOL
-    return np.flatnonzero(admissible & ~still), masses
+    n = weights.size
+    low = min(n, max(0, (mmspace.BLOCK_ENTRIES // 32).bit_length() - 1))
+    low_mass = _subset_table(weights[:low], 0.0, np.add)
+    low_min = _subset_table(weights[:low], np.inf, np.minimum)
+    mass, rest = np.empty_like(low_mass), np.empty_like(low_min)
+    half = 0.5 - MASS_TOL
+    found = []
+    for top in range(1 << (n - low)):
+        np.copyto(mass, low_mass)
+        np.copyto(rest, low_min)
+        for i in range(low, n):
+            if top >> (i - low) & 1:
+                mass += weights[i]
+                np.minimum(rest, weights[i], out=rest)
+        np.subtract(mass, rest, out=rest)
+        found.append(np.flatnonzero((mass >= half) & (rest < half)) + (top << low))
+    return np.concatenate(found)
 
 
 def alpha_exact(space: MMSpace, eps: float) -> float:
@@ -350,15 +375,45 @@ def alpha_exact(space: MMSpace, eps: float) -> float:
     with closed eps-neighborhoods; at ``eps=0`` the conventional value 1/2.
     The mass outside ``A_eps`` is the mass of the points farther than eps
     from every member of A.
+
+    A minimal half-mass subset's common far set is the AND of two
+    `_common_far` tables, over the low and the high half of the point
+    bits.  Its mass adds its points' weights in ascending order from 0:
+    the low half's from a `_subset_table` of masses, then each high bit's
+    weight where the bit is set.  These are the additions, in the order,
+    of the ``2**n`` table of subset masses, so every value keeps its bits.
+    The subsets are read in batches of ``mmspace.BLOCK_ENTRIES`` bytes,
+    into buffers made once.
     """
     _require_oracle_size(space, "alpha_lower")
     if not eps >= 0:
         raise InputError(f"eps must be nonnegative, got {eps!r}")
     if eps == 0.0:
         return 0.5
-    subs, masses = _minimal_half_subsets(space.weights)
-    outside = masses[_common_far(space.dist.T > eps)[subs]]
-    return float(min(max(outside.max(), 0.0), 0.5))
+    subs = _minimal_half_subsets(space.weights)
+    n, w = space.n, space.weights
+    h = (n + 1) // 2
+    far = space.dist.T > eps
+    low, high = _common_far(far[:h]), _common_far(far[h:])
+    low_mass = _subset_table(w[:h], 0.0, np.add)
+    # per subset a batch holds three 8-byte words, a mass and a flag
+    batch = max(1, mmspace.BLOCK_ENTRIES // 33)
+    size = min(batch, subs.size)
+    bufs = (*np.empty((3, size), dtype=np.int64), np.empty(size), np.empty(size, dtype=bool))
+    best = 0.0
+    for start in range(0, subs.size, batch):
+        masks = subs[start : start + batch]
+        sets, idx, other, mass, bit = (b[: masks.size] for b in bufs)
+        # the indices are in range; mode="raise" would buffer `out`
+        np.take(low, np.bitwise_and(masks, (1 << h) - 1, out=idx), out=sets, mode="clip")
+        np.take(high, np.right_shift(masks, h, out=idx), out=other, mode="clip")
+        np.bitwise_and(sets, other, out=sets)  # each common far set
+        np.take(low_mass, np.bitwise_and(sets, (1 << h) - 1, out=idx), out=mass, mode="clip")
+        for i in range(h, n):  # the high bits' weights, in ascending order
+            np.not_equal(np.bitwise_and(sets, 1 << i, out=idx), 0, out=bit)
+            np.add(mass, w[i], out=mass, where=bit)
+        best = max(best, float(mass.max()))
+    return min(best, 0.5)
 
 
 def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
@@ -377,9 +432,9 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     two subset-min tables of keys, over the low and the high half of the
     point bits (``2**ceil(n/2)`` rows at most), give a mask's keys as one
     ``np.minimum`` of two gathers.  The minimal half-mass subsets are
-    processed in batches under the ``mmspace.BLOCK_ENTRIES`` budget, and
-    each mask's keys are sorted once: its points by level, then in point
-    order.
+    processed in batches of ``mmspace.BLOCK_ENTRIES`` bytes, written into
+    buffers made once per call, and each mask's keys are sorted once: its
+    points by level, then in point order.
 
     The mass inside the closed neighborhood of a level sums the weights in
     point order within each level, from 0, and then the levels' sums in
@@ -396,43 +451,58 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
     """
     _require_oracle_size(space, "alpha_lower")
     grid, diam = _eps_grid(space, eps_grid)
-    subs, _ = _minimal_half_subsets(space.weights)
+    subs = _minimal_half_subsets(space.weights)
     n = space.n
     # rank[x, a] is the first grid index with grid[j] >= d(x, a); x lies in
     # the closed grid[j]-neighborhood of A from the least rank over A on
     ranks, level = np.unique(np.searchsorted(grid, space.dist, side="left"),
                              return_inverse=True)
     bits = max(n - 1, 1).bit_length()
-    # key[a, x] packs (level of d(x, a), x); the last row lies above them all
-    key = ((np.vstack([level.reshape(n, n).T, np.full(n, ranks.size)]) << bits)
-           | np.arange(n)).astype(np.int32)
+    # key[a, x] packs (level of d(x, a), x) into an intp, so its point
+    # indexes the weights without a cast; the last row lies above them all
+    key = (np.vstack([level.reshape(n, n).T, np.full(n, ranks.size)]) << bits) | np.arange(n)
     h = (n + 1) // 2
     low = _subset_table(key[:h], key[n], np.minimum)
     high = _subset_table(key[h:n], key[n], np.minimum)
     # least[p]: the least mass inside over the runs whose level interval
     # ends at level p; the spare last entry takes what ends before level 0
     least = np.ones(ranks.size + 1)
-    # per mask a batch holds n keys, their transpose, levels and masses
-    batch = max(1, mmspace.BLOCK_ENTRIES // (4 * n))
+    # per mask a batch holds two gathers of n keys, n masses (8 bytes
+    # each), n - 1 flags, a carry and a table index
+    batch = max(1, mmspace.BLOCK_ENTRIES // (25 * n + 15))
+    size = min(batch, subs.size)
+    gathers = np.empty((2, size * n), dtype=np.int64)
+    masses, flags = np.empty(size * n), np.empty(size * (n - 1), dtype=bool)
+    carries, indices = np.empty(size), np.empty(size, dtype=np.int64)
     for start in range(0, subs.size, batch):
         masks = subs[start : start + batch]
-        keys = np.minimum(low[masks & ((1 << h) - 1)], high[masks >> h])
+        k = masks.size
+        carry, idx = carries[:k], indices[:k]
+        keys, other = (g[: k * n].reshape(k, n) for g in gathers)
+        np.take(low, np.bitwise_and(masks, (1 << h) - 1, out=idx), axis=0, out=keys,
+                mode="clip")
+        np.take(high, np.right_shift(masks, h, out=idx), axis=0, out=other, mode="clip")
+        np.minimum(keys, other, out=keys)
         keys.sort(axis=1)
-        keys = np.ascontiguousarray(keys.T)  # row i: each mask's i-th key
-        lev = keys >> bits
-        mass = space.weights[keys & ((1 << bits) - 1)]
-        same = lev[1:] == lev[:-1]
-        carry = np.empty(len(masks))
+        # row i of the transpose: each mask's i-th key, split into its
+        # level and its point
+        lev, pts = (g[: k * n].reshape(n, k) for g in gathers)
+        np.copyto(pts, keys.T)
+        np.right_shift(pts, bits, out=lev)
+        np.bitwise_and(pts, (1 << bits) - 1, out=pts)
+        mass = masses[: k * n].reshape(n, k)
+        np.take(space.weights, pts, out=mass, mode="clip")
+        same = np.equal(lev[1:], lev[:-1], out=flags[: k * (n - 1)].reshape(n - 1, k))
         for i in range(1, n):  # each level's sum, in point order
             mass[i] += np.multiply(mass[i - 1], same[i - 1], out=carry)
         mass[:-1] *= np.logical_not(same, out=same)  # a level's sum stays at its last point
         for i in range(1, n):  # the levels' sums, in level order
             mass[i] += mass[i - 1]
-        del carry
         # a run ending at i - 1 holds mass[i - 1] up to level lev[i] - 1;
         # inside a run, mass[i - 1] repeats the entry of the run before it,
         # and inside the first run it is 0 and lands on the spare entry
-        np.minimum.at(least, (lev[1:] - 1).ravel(), mass[:-1].ravel())
+        np.minimum.at(least, np.subtract(lev[1:], 1, out=lev[1:]).ravel(),
+                      mass[:-1].ravel())
         least[ranks.size - 1] = min(least[ranks.size - 1], mass[-1].min())
     envelope = np.minimum.accumulate(least[-2::-1])[::-1]
     inside = envelope[np.searchsorted(ranks, np.arange(grid.size), side="right") - 1]

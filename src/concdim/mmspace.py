@@ -1168,18 +1168,24 @@ def _pair_sample_bracket(space: MMSpace, u, p_lo: float, p_hi: float
 
 def _pair_distances(space: MMSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``d(rows[k], cols[k])`` for each k: from the held matrix, else from
-    coordinate differences, 1024 pairs at a time.  Not canonical rows (see
-    the module notes): the bits may differ from the kernel's."""
+    coordinate differences, 1024 pairs at a time, gathered and subtracted
+    in two buffers made once.  Not canonical rows (see the module notes):
+    the bits may differ from the kernel's."""
     if space._dist_cache is not None:
         return space._dist_cache[rows, cols]
     c, out = space._scaled, np.empty(rows.size)
-    step = max(1, min(1024, BLOCK_ENTRIES // c.shape[1]))
+    step = max(1, min(1024, BLOCK_ENTRIES // c.shape[1], rows.size))
+    bufs = np.empty((2, step, c.shape[1]))
     for k in range(0, rows.size, step):
-        diff = c[rows[k : k + step]] - c[cols[k : k + step]]
+        m = min(step, rows.size - k)
+        diff, other = bufs[0, :m], bufs[1, :m]
+        np.take(c, rows[k : k + m], axis=0, out=diff, mode="clip")
+        np.take(c, cols[k : k + m], axis=0, out=other, mode="clip")
+        np.subtract(diff, other, out=diff)
         if space._metric == "euclidean":
-            out[k : k + step] = np.einsum("ij,ij->i", diff, diff)
+            np.einsum("ij,ij->i", diff, diff, out=out[k : k + m])
         else:
-            out[k : k + step] = np.count_nonzero(diff, axis=1) / c.shape[1]
+            out[k : k + m] = np.count_nonzero(diff, axis=1) / c.shape[1]
     if space._metric == "euclidean":
         np.multiply(np.sqrt(out, out=out), space._unit, out=out)
     return out

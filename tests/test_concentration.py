@@ -107,13 +107,66 @@ def test_alpha_exact_matches_naive_oracle():
         assert alpha_exact(s, eps) == pytest.approx(naive_alpha(s, eps), abs=1e-12)
 
 
+def _reference_minimal_half_subsets(weights):
+    """The minimal half-mass subsets from three ``2**n`` tables: every
+    subset's mass and least weight, each folded over the point bits in
+    ascending order (`_subset_table`)."""
+    masses = conc._subset_table(weights, 0.0, np.add)
+    admissible = masses >= 0.5 - MASS_TOL
+    still = (masses - conc._subset_table(weights, np.inf, np.minimum)) >= 0.5 - MASS_TOL
+    return np.flatnonzero(admissible & ~still)
+
+
+def _half_mass_weights(rng, n, kind):
+    """Weights of `kind`: uniform; random; random with about a third
+    zero; or dyadic, multiples of 2**-10 whose subset sums are exact, so
+    many subsets have mass exactly 1/2."""
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    if kind == "dyadic":
+        return rng.multinomial(1 << 10, np.full(n, 1.0 / n)) / float(1 << 10)
+    w = rng.random(n) + 0.1
+    if kind == "zeros":
+        w[rng.random(n) < 0.35] = 0.0
+        w[int(rng.integers(n))] = 1.0
+    return w / w.sum()
+
+
+_WEIGHT_KINDS = ("uniform", "random", "zeros", "dyadic")
+
+
+def test_minimal_half_subsets_equal_the_table_reference():
+    rng = np.random.default_rng(31)
+    for n in range(1, ORACLE_LIMIT + 1):
+        for kind in _WEIGHT_KINDS:
+            w = _half_mass_weights(rng, n, kind)
+            got = _minimal_half_subsets(w)
+            assert np.array_equal(got, _reference_minimal_half_subsets(w)), (n, kind)
+    # a subset of mass exactly 1/2 is admissible; its supersets are not minimal
+    w = np.array([0.25, 0.25, 0.5])
+    assert _minimal_half_subsets(w).tolist() == [0b011, 0b100]
+
+
+def test_minimal_half_subsets_in_many_chunks(monkeypatch):
+    # a chunk holds BLOCK_ENTRIES // 32 masks, rounded down to a power of
+    # two, and at least one: 1, 2 and 8 masks here
+    rng = np.random.default_rng(32)
+    cases = [(n, kind, _half_mass_weights(rng, n, kind))
+             for n in range(1, 13) for kind in _WEIGHT_KINDS]
+    for budget in (8, 64, 256):
+        monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", budget)
+        for n, kind, w in cases:
+            got = _minimal_half_subsets(w)
+            assert np.array_equal(got, _reference_minimal_half_subsets(w)), (n, kind, budget)
+
+
 def _reference_alpha_exact(space, eps):
     """alpha_exact as one pass per point over the minimal half-mass
     subsets, adding the weight of each point outside the eps-neighborhood
     in point order: the reference for the common-far-set lookup."""
     if eps == 0.0:
         return 0.5
-    subs, _ = _minimal_half_subsets(space.weights)
+    subs = _reference_minimal_half_subsets(space.weights)
     powers = 1 << np.arange(space.n, dtype=np.int64)
     balls = (space.dist <= eps).astype(np.int64) @ powers  # balls[x]: {a : d(x, a) <= eps}
     outside = np.zeros(len(subs))
@@ -143,6 +196,44 @@ def test_alpha_exact_matches_the_per_point_loop_bit_for_bit():
                 assert repr(alpha_exact(s, float(eps))) == repr(want), (n, kind, eps)
                 cases += 1
     assert cases > 1000
+
+
+def test_alpha_exact_batches_keep_every_bit(monkeypatch):
+    # a batch holds BLOCK_ENTRIES // 33 subsets: 1, 3 and 7 of them here
+    rng = np.random.default_rng(24)
+    cases = []
+    for n in (5, 8, 10):
+        for kind in _WEIGHT_KINDS:
+            s = from_points(np.round(rng.random((n, 2)), 1),
+                            weights=_half_mass_weights(rng, n, kind))
+            vals = np.unique(s.dist)
+            mids = (vals[:-1] + vals[1:]) / 2.0
+            for eps in (*vals[1 :: max(1, vals.size // 5)], *mids[:: max(1, mids.size // 3)]):
+                cases.append((s, float(eps), _reference_alpha_exact(s, float(eps))))
+    for batch in (1, 3, 7):
+        monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 33 * batch)
+        for s, eps, want in cases:
+            assert repr(alpha_exact(s, eps)) == repr(want), (s.n, eps, batch)
+
+
+def test_alpha_oracles_hold_no_mask_tables():
+    # at 20 points a 2**n table of floats is 8 MiB.  The oracles hold a
+    # chunk's arrays, then a batch's buffers, BLOCK_ENTRIES bytes each,
+    # and the mask list, twice while its chunks are joined
+    import tracemalloc
+
+    s = from_points(np.random.default_rng(25).normal(size=(20, 3)))
+    s.dist
+    masks = _minimal_half_subsets(s.weights)
+    bound = 2 * mmspace.BLOCK_ENTRIES + 2 * masks.nbytes
+    assert bound < 8 << 20
+    eps = float(np.median(s.dist))
+    for call in (lambda: alpha_exact_profile(s), lambda: alpha_exact(s, eps)):
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= bound, peak
 
 
 def test_alpha_profile_matches_pointwise_oracle():
@@ -218,8 +309,8 @@ def test_alpha_profile_batches_split_subset_list(monkeypatch):
         s = _weighted_space(rng, n)
         grid = _caller_grid(rng, s)
         want = alpha_exact_profile(s, grid)
-        n_subsets = _minimal_half_subsets(s.weights)[0].size
-        per_mask = 4 * n  # the profile's batch budget per mask
+        n_subsets = _minimal_half_subsets(s.weights).size
+        per_mask = 25 * n + 15  # the profile's batch bytes per mask
         for batch in (1, 3, n_subsets - 1):
             assert 1 <= batch < n_subsets
             monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", batch * per_mask)
@@ -237,7 +328,7 @@ def _reference_alpha_profile(space, eps_grid=None):
     diam = diameter(space)
     extra = space.dist if eps_grid is None else np.asarray(eps_grid, dtype=float)
     grid = np.unique(np.concatenate([[0.0, diam], extra.ravel()]))
-    subs, _ = _minimal_half_subsets(space.weights)
+    subs = _reference_minimal_half_subsets(space.weights)
     n, g = space.n, grid.size
     rank = np.searchsorted(grid, space.dist, side="left")
     batch = max(1, mmspace.BLOCK_ENTRIES // (n + 2 * g))
@@ -310,9 +401,10 @@ def test_alpha_profile_on_a_caller_grid_of_1e5_points():
 
 def test_alpha_profile_at_oracle_limit_matches_pointwise_oracle():
     # a 22-point profile enumerates C(22, 11) = 705432 minimal subsets: the
-    # call below takes about 1.0 s on 2 cores (the profile 0.3-0.4 s of it),
-    # where a per-member pass over every batch took 2.4 s and the per-subset
-    # loop before it 17-21 s
+    # call below takes 0.53-0.58 s on 2 cores at 92 MB (the profile
+    # 0.24-0.34 s of it), where the 2**n tables took 0.66-0.81 s at 180 MB,
+    # a per-member pass over every batch 2.4 s and the per-subset loop
+    # before it 17-21 s
     setup = f"""
 import numpy as np
 from concdim.concentration import alpha_exact, alpha_exact_profile
@@ -329,7 +421,7 @@ def profile_and_points():
     assert any(0.0 < v < 0.5 for v in oracle_vals)
     assert prof_vals == pytest.approx(oracle_vals, abs=1e-12)
     assert wall_s < 10.0
-    assert peak_rss_mb < 1024.0
+    assert peak_rss_mb < 120.0
 
 
 def test_alpha_oracle_size_limit():
