@@ -35,7 +35,6 @@ from .concentration import (
     sep_lower,
 )
 from .dimension import (
-    DimensionReport,
     dconc_to_point_bracket,
     dim_chavez,
     dim_concentration,
@@ -56,8 +55,8 @@ __all__ = [
     "alpha_exact_profile", "alpha_lower", "greedy_separated_subset",
     "margin_error", "observable_diameter", "sep_exact", "sep_exact_profile",
     "sep_hamming_analytic", "sep_hamming_profile", "sep_lower",
-    "DimensionReport", "dconc_to_point_bracket", "dim_chavez",
-    "dim_concentration", "dim_separation", "dimension_report",
+    "dconc_to_point_bracket", "dim_chavez", "dim_concentration",
+    "dim_separation", "dimension_report",
     "TransportPlan", "dconc_upper_via_emd", "emd",
     "CoveringProfile", "covering_profile", "greedy_net", "sample_size_bound",
 ]

@@ -202,7 +202,7 @@ def _cmd_dims(args) -> int:
     space, provenance = _load_space(args)
     alpha_profile = _profile(args, space, "alpha", features=features)
     sep_profile = _profile(args, space, "sep")
-    report = dimension_report(space, alpha_profile, sep_profile).to_json_dict()
+    report = dimension_report(space, alpha_profile, sep_profile)
     return _emit(args, "dimensions.json", dict(provenance, report=report), lines=[
         f"modes: alpha={alpha_profile.mode}, sep={sep_profile.mode}",
         json.dumps(report, sort_keys=True, indent=2)])

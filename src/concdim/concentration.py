@@ -101,9 +101,11 @@ def _check_eps_grid(g: np.ndarray, diameter: float) -> None:
 
 
 def _check_kappa_grid(g: np.ndarray) -> None:
+    if g.size == 0:
+        raise InputError("kappa grid must be nonempty")
     if not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
         raise InputError("kappa grid must be finite and strictly ascending")
-    if g.size and (g.min() <= 0 or g.max() > 0.5 + 1e-12):
+    if g.min() <= 0 or g.max() > 0.5 + 1e-12:
         raise InputError("kappa grid must lie within (0, 1/2]")
 
 
@@ -196,16 +198,10 @@ class ConcentrationProfile(_Profile):
         if g[0] == 0.0 and abs(a[0] - 0.5) > 1e-12:
             raise InvariantViolation("alpha(0) must equal 1/2 by convention")
 
-    def integral(self, upper: float = math.inf) -> float:
-        """Integral of alpha over [grid start, min(upper, grid end)]; a cut
-        inside the grid ends it at `upper`, at the interpolated value."""
+    def integral(self) -> float:
+        """Integral of alpha over the grid, ``[0, diameter]`` on the default
+        grid; 0.0 on a one-point grid."""
         g, a = self.eps_grid, self.alpha
-        if upper < g[-1]:
-            hi = int(np.searchsorted(g, upper, side="right"))
-            end = a[hi] if self.step else np.interp(upper, g, a)
-            g, a = np.append(g[:hi], upper), np.append(a[:hi], end)
-        if g.size == 1:
-            return 0.0
         if self.step:
             return float(np.sum(a[:-1] * np.diff(g)))
         return float(np.trapezoid(a, g))
@@ -238,10 +234,9 @@ class SeparationProfile(_Profile):
             raise InvariantViolation("sep values outside [0, diameter]")
 
     def integral(self) -> float:
-        """Integral over [0, grid end], extending by the first value near 0."""
+        """Integral over [0, grid end], extending by the first value near 0;
+        that head alone on a one-point grid."""
         head = float(self.sep[0] * self.kappa_grid[0])
-        if self.kappa_grid.size == 1:
-            return head
         if self.step:
             return head + float(np.sum(self.sep[1:] * np.diff(self.kappa_grid)))
         return head + float(np.trapezoid(self.sep, self.kappa_grid))

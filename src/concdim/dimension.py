@@ -1,17 +1,21 @@
 """Intrinsic-dimension functionals built on concentration/separation profiles.
 
-Three functionals are provided, all growing as the space concentrates:
+Three functionals are provided, each with one definition, all growing as
+the space concentrates:
 
 * concentration dimension ``1 / (2 * int_0^diam alpha)**2``;
 * separation dimension ``1 / (2 * int_0^{1/2} sep)**2``;
 * distance-distribution dimension ``m**2 / (2 * sigma**2)`` with ``m`` and
-  ``sigma**2`` the product-measure mean and variance of the distance.
+  ``sigma**2`` the mean and variance of the distance under the product
+  measure, diagonal pairs included.
 
-Degenerate inputs (zero integral, zero variance) yield ``math.inf``
-explicitly; no large sentinel values are used.  The module also brackets
-the concentration distance from the space to a one-point space via the
+The two integrals are the profiles' own ``integral()``.  Degenerate
+inputs (zero integral, zero variance) yield ``math.inf`` explicitly; no
+large sentinel values are used.  The module also brackets the
+concentration distance from the space to a one-point space via the
 profile's crossing with the line ``alpha = eps/2``, read off the profile's
-grid by a lemma (``dconc_to_point_bracket``).
+grid by a lemma (``dconc_to_point_bracket``).  ``dimension_report``
+gathers all of them as the JSON ``report`` block of ``dimensions.json``.
 """
 
 from __future__ import annotations
@@ -24,15 +28,13 @@ import numpy as np
 from .concentration import ConcentrationProfile, SeparationProfile
 from .mmspace import MMSpace, _unit_moments
 
-def dim_concentration(profile: ConcentrationProfile, unit_range: bool = False) -> float:
+def dim_concentration(profile: ConcentrationProfile) -> float:
     """Concentration dimension ``1 / (2 I)**2`` with ``I = int alpha``.
 
-    The integral runs over ``[0, diameter]`` so the functional is defined
-    for unnormalized spaces; ``unit_range=True`` truncates it to
-    ``[0, 1]`` (identical whenever the diameter is at most 1).  Returns
-    ``inf`` when the integral vanishes.
+    The integral runs over ``[0, diameter]``, so the functional is defined
+    for unnormalized spaces.  Returns ``inf`` when the integral vanishes.
     """
-    return _inverse_square(profile.integral(1.0 if unit_range else math.inf))
+    return _inverse_square(profile.integral())
 
 
 def dim_separation(profile: SeparationProfile) -> float:
@@ -55,16 +57,14 @@ def _inverse_square(i: float) -> float:
         return 0.0
 
 
-def dim_chavez(space: MMSpace, include_diagonal: bool = True) -> float:
+def dim_chavez(space: MMSpace) -> float:
     """Distance-distribution dimension ``m**2 / (2 sigma**2)``.
 
     ``m`` and ``sigma**2`` are the mean and variance of the distance under
-    the product measure (diagonal pairs included by default; pass
-    ``include_diagonal=False`` to condition on distinct index pairs).
-    Scale-invariant; ``inf`` when the variance vanishes, singletons
-    included.
+    the product measure, diagonal pairs included.  Scale-invariant;
+    ``inf`` when the variance vanishes, singletons included.
     """
-    m, var = _unit_moments(space, include_diagonal)  # no overflow; the ratio has no unit
+    m, var = _unit_moments(space)  # no overflow; the ratio has no unit
     if var <= 0.0:
         return math.inf
     return m * m / (2.0 * var)
@@ -120,45 +120,26 @@ def dconc_to_point_bracket(profile: ConcentrationProfile) -> PointBracket:
     return PointBracket(float(cand[cand <= g[1:]].min()) / 2.0, diam, False)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """All dimension functionals of one space plus the point bracket."""
-
-    dim_concentration: float
-    dim_separation: float
-    dim_chavez: float
-    dconc_to_point: tuple[float, float]
-    provenance: dict
-
-    def to_json_dict(self) -> dict:
-        def enc(v: float):
-            return "inf" if math.isinf(v) else v
-
-        return {
-            "dim_concentration": enc(self.dim_concentration),
-            "dim_separation": enc(self.dim_separation),
-            "dim_chavez": enc(self.dim_chavez),
-            "dconc_to_point": [self.dconc_to_point[0], self.dconc_to_point[1]],
-            "provenance": self.provenance,
-        }
-
-
 def dimension_report(space: MMSpace, alpha_profile: ConcentrationProfile,
-                     sep_profile: SeparationProfile) -> DimensionReport:
-    """Assemble a report from precomputed profiles."""
+                     sep_profile: SeparationProfile) -> dict:
+    """All dimension functionals of one space and the point bracket, from
+    precomputed profiles, as the JSON ``report`` block: an infinite
+    dimension reads ``"inf"``."""
+    def enc(v: float):
+        return "inf" if math.isinf(v) else v
+
     bracket = dconc_to_point_bracket(alpha_profile)
-    provenance = {
-        "alpha": alpha_profile.metadata(),
-        "sep": sep_profile.metadata(),
-        "chavez_include_diagonal": True,
-        "bracket_certified_upper": bracket.certified_upper,
-        "n": space.n,
-        "label": space.label,
+    return {
+        "dim_concentration": enc(dim_concentration(alpha_profile)),
+        "dim_separation": enc(dim_separation(sep_profile)),
+        "dim_chavez": enc(dim_chavez(space)),
+        "dconc_to_point": [bracket.lo, bracket.hi],
+        "provenance": {
+            "alpha": alpha_profile.metadata(),
+            "sep": sep_profile.metadata(),
+            "chavez_include_diagonal": True,
+            "bracket_certified_upper": bracket.certified_upper,
+            "n": space.n,
+            "label": space.label,
+        },
     }
-    return DimensionReport(
-        dim_concentration=dim_concentration(alpha_profile),
-        dim_separation=dim_separation(sep_profile),
-        dim_chavez=dim_chavez(space),
-        dconc_to_point=(bracket.lo, bracket.hi),
-        provenance=provenance,
-    )

@@ -1331,15 +1331,14 @@ def product_distance_moments(space: MMSpace) -> tuple[float, float]:
     """Mean and variance of the distance under the product measure.  The
     variance is inf where it passes the largest float.
     """
-    m1, var = _unit_moments(space, True)
+    m1, var = _unit_moments(space)
     return m1 * space._unit, var * space._unit * space._unit
 
 
-def _unit_moments(space: MMSpace, include_diagonal: bool) -> tuple[float, float]:
+def _unit_moments(space: MMSpace) -> tuple[float, float]:
     """:func:`product_distance_moments` of the distances over the space's
     power-of-two unit (1 unless they are large), so squares do not
-    overflow.  With ``include_diagonal=False`` the measure is conditioned
-    on distinct index pairs (renormalized by ``1 - sum(w_i**2)``)."""
+    overflow; diagonal pairs count, as in the product measure."""
     w = space.weights
     m1 = m2 = 0.0
     for ids, blk in space.iter_blocks():
@@ -1347,11 +1346,6 @@ def _unit_moments(space: MMSpace, include_diagonal: bool) -> tuple[float, float]
             blk = blk / space._unit
         m1 += float(w[ids] @ (blk @ w))
         m2 += float(w[ids] @ ((blk * blk) @ w))
-    if not include_diagonal:
-        off = 1.0 - float(np.sum(w * w))
-        if off <= 0.0:
-            return 0.0, 0.0
-        m1, m2 = m1 / off, m2 / off
     var = max(m2 - m1 * m1, 0.0)
     return m1, var
 

@@ -166,7 +166,7 @@ def test_criterion_5_chavez_closed_form():
     worst = 0.0
     for d in range(4, 13):
         cube = generate(GeneratorSpec("hamming_cube", 0, {"d": d}))
-        got = dim_chavez(cube, include_diagonal=True)
+        got = dim_chavez(cube)
         worst = max(worst, abs(got - d / 2))
     report("criterion 5 (distance-dimension closed form)", worst <= 1e-9,
            f"max |dim - d/2| = {worst:.2e} over d in 4..12")

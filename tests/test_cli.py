@@ -11,7 +11,7 @@ import pytest
 
 import concdim
 from concdim.cli import main
-from concdim.concentration import sep_exact
+from concdim.concentration import DEFAULT_KAPPA_POINTS, sep_exact
 from concdim.mmspace import GeneratorSpec, generate
 from util import run_fresh
 
@@ -61,6 +61,19 @@ def test_sep_exact_on_two_point_csv(tmp_path):
     payload = json.loads((out / "sep.json").read_text())
     assert payload["sep_at_kappa"]["sep"] == 1.0
     assert payload["profile"]["mode"] == "exact"
+
+
+def test_a_bare_sep_grid_means_the_default_grid(tmp_path):
+    points = tmp_path / "pts.csv"
+    points.write_text("x0,x1\n0,0\n1,0\n0,2\n3,1\n1,1\n")
+    for mode in ("exact", "heuristic"):
+        outs = [tmp_path / f"{mode}{k}" for k in range(2)]
+        for out, grid in zip(outs, ([], ["--grid"])):
+            assert run_cli("sep", "--points", str(points), "--mode", mode, *grid,
+                           "--out", str(out)) == 0
+        csvs = [(out / "sep.csv").read_bytes() for out in outs]
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) == DEFAULT_KAPPA_POINTS + 1
 
 
 def test_dims_singleton_reports_infinite(tmp_path):

@@ -283,7 +283,7 @@ def test_oracle_profiles_check_the_grid_before_enumerating(monkeypatch):
     for grid in ([0.1, 1.5 * diameter(s)], [-0.1, 0.1]):
         with pytest.raises(InputError, match="eps grid"):
             alpha_exact_profile(s, grid)
-    for grid in ([0.0, 0.25], [0.25, 0.6], [0.3, 0.2]):
+    for grid in ([0.0, 0.25], [0.25, 0.6], [0.3, 0.2], []):
         with pytest.raises(InputError, match="kappa grid"):
             sep_exact_profile(s, grid)
 
@@ -298,7 +298,7 @@ def test_witness_bounds_check_the_grid_before_witness_work(monkeypatch):
     for grid in ([0.1, 1.5 * diameter(s)], [-0.1, 0.1]):
         with pytest.raises(InputError, match="eps grid"):
             alpha_lower(s, grid)
-    for grid in ([0.0, 0.25], [0.25, 0.6], [0.3, 0.2]):
+    for grid in ([0.0, 0.25], [0.25, 0.6], [0.3, 0.2], []):
         with pytest.raises(InputError, match="kappa grid"):
             sep_lower(s, grid)
 
@@ -621,25 +621,6 @@ def _bound_at(grid, bounds, x):
     return float(bounds[i]) if i < bounds.size else 0.0
 
 
-def _truncated_integral(profile, upper):
-    """The unit-range integral dimension functionals took before profiles
-    integrated up to a limit themselves."""
-    g = profile.eps_grid
-    a = profile.alpha
-    if upper >= g[-1]:
-        return profile.integral()
-    if upper <= g[0]:
-        return 0.0
-    hi = int(np.searchsorted(g, upper, side="right"))
-    gt = np.concatenate([g[:hi], [upper]])
-    if profile.step:
-        at = a[: gt.size]
-        return float(np.sum(at[:-1] * np.diff(gt)))
-    a_up = float(np.interp(upper, g, a))
-    at = np.concatenate([a[:hi], [a_up]])
-    return float(np.trapezoid(at, gt))
-
-
 def _probe_points(grid):
     """Points below, on, between and beyond the grid points."""
     mids = (grid[:-1] + grid[1:]) / 2.0
@@ -656,13 +637,6 @@ def _concentration_profiles():
     for mode in ("exact", "lower_bound"):
         yield ConcentrationProfile([0.1, 0.4, 0.7, 1.3], [0.45, 0.3, 0.1, 0.0],
                                    mode, 1.5)
-
-
-def test_integral_up_to_a_limit_matches_the_truncated_integral():
-    for prof in _concentration_profiles():
-        for upper in _probe_points(prof.eps_grid):
-            assert prof.integral(upper) == _truncated_integral(prof, upper)
-        assert prof.integral() == prof.integral(math.inf)
 
 
 def test_profile_reads_match_the_former_command_line_read():
@@ -745,6 +719,19 @@ def test_an_exact_alpha_profile_integrates_from_above_on_any_grid():
                              replace=False)
             coarse = alpha_exact_profile(s, sub)
             assert coarse.step and coarse.integral() >= exact - 1e-12
+
+
+def test_one_point_profiles_integrate_to_zero_and_to_the_head():
+    """On a one-point grid the alpha integral is 0.0 and the sep integral
+    ``sep[0] * kappa[0]``, bit for bit, in every mode."""
+    for mode in ("exact", "lower_bound"):
+        for g, a in (([0.0], [0.5]), ([0.7], [0.3])):
+            assert ConcentrationProfile(g, a, mode, 1.5).integral().hex() == (0.0).hex()
+    assert alpha_exact_profile(from_points([[2.0]])).integral().hex() == (0.0).hex()
+    for mode in ("exact", "lower_bound", "analytic"):
+        for k, v in ((0.5, 0.9), (0.3, 1 / 3), (0.1, 0.0)):
+            got = SeparationProfile([k], [v], mode, 1.0).integral()
+            assert got.hex() == (v * k).hex()
 
 
 # -- separation oracle --------------------------------------------------------

@@ -37,6 +37,9 @@ def singleton():
 def test_two_point_concentration_dimension_is_one():
     prof = alpha_exact_profile(two_point())
     assert dim_concentration(prof) == pytest.approx(1.0)
+    # alpha = 1/2 on [0, 3): the integral runs over the whole diameter
+    prof = alpha_exact_profile(from_points([[0.0], [3.0]]))
+    assert dim_concentration(prof) == pytest.approx(1.0 / 9.0)
 
 
 def test_two_point_separation_dimension_is_one():
@@ -60,16 +63,7 @@ def test_chavez_hamming_closed_forms():
         s = generate(GeneratorSpec("hamming_cube", 0, {"d": d}))
         # product-measure distance is Binomial(d, 1/2)/d: mean 1/2 and
         # variance 1/(4d) give exactly d/2 with the diagonal included
-        assert dim_chavez(s, include_diagonal=True) == pytest.approx(d / 2, abs=1e-9)
-        # conditioning away the diagonal rescales both moments by
-        # q/(q-1): closed form (d/2) * q / (q - 1 - d), q = 2**d
-        q = 2**d
-        want = (d / 2) * q / (q - 1 - d)
-        assert dim_chavez(s, include_diagonal=False) == pytest.approx(want, rel=1e-9)
-
-
-def test_chavez_two_point_excluding_diagonal_is_infinite():
-    assert dim_chavez(two_point(), include_diagonal=False) == math.inf
+        assert dim_chavez(s) == pytest.approx(d / 2, abs=1e-9)
 
 
 # -- scale covariance -----------------------------------------------------------
@@ -87,14 +81,6 @@ def test_scale_covariance_exact():
         j_s = dim_separation(sep_exact_profile(s))
         j_t = dim_separation(sep_exact_profile(t))
         assert j_t == j_s / 4.0
-
-
-def test_unit_range_flag_truncates():
-    s = from_points([[0.0], [3.0]])
-    prof = alpha_exact_profile(s)
-    # alpha = 1/2 on [0, 3): full-range integral 1.5, unit-range 0.5
-    assert dim_concentration(prof) == pytest.approx(1.0 / 9.0)
-    assert dim_concentration(prof, unit_range=True) == pytest.approx(1.0)
 
 
 # -- brackets ---------------------------------------------------------------------
@@ -247,8 +233,7 @@ def test_sphere_low_dim_profile_dimensions_monotone():
 
 def test_dimension_report_roundtrip():
     s = two_point()
-    rep = dimension_report(s, alpha_exact_profile(s), sep_exact_profile(s))
-    d = rep.to_json_dict()
+    d = dimension_report(s, alpha_exact_profile(s), sep_exact_profile(s))
     assert d["dim_concentration"] == pytest.approx(1.0)
     assert d["dim_separation"] == pytest.approx(1.0)
     assert d["dim_chavez"] == pytest.approx(0.5)
@@ -258,8 +243,7 @@ def test_dimension_report_roundtrip():
 
 def test_dimension_report_infinite_encoding():
     s = singleton()
-    rep = dimension_report(s, alpha_exact_profile(s), sep_exact_profile(s))
-    d = rep.to_json_dict()
+    d = dimension_report(s, alpha_exact_profile(s), sep_exact_profile(s))
     assert d["dim_concentration"] == "inf"
     assert d["dim_separation"] == "inf"
     assert d["dim_chavez"] == "inf"

@@ -84,3 +84,14 @@ def test_cli_section_lists_the_files_each_command_writes(tmp_path):
         if inv == "experiment":
             want |= set(json.loads((out / "manifest.json").read_text())["summary"]["curves"])
         assert set(os.listdir(out)) == want, inv
+
+
+def test_the_library_quick_tour_runs(capsys):
+    section = README.read_text().split("\n## Library quick tour\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README quick tour", "exec"), namespace)
+    report = namespace["report"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{report['dim_separation']} {report['dconc_to_point']}"
+    assert len(lines) == 2 and float(lines[1]) == namespace["plan"].cost

@@ -15,7 +15,7 @@ def run(args, exit=0, stdout="", stderr=""):
 
 
 def test_the_invocations_parse_and_write_to_their_own_directories():
-    assert len(outdiff.INVOCATIONS) == 53
+    assert len(outdiff.INVOCATIONS) == 55
     outs = []
     for k, args in enumerate(outdiff.INVOCATIONS):
         outs.append(build_parser().parse_args(args).out if "--out" in args else f"out/{k}")
@@ -28,8 +28,8 @@ def test_the_inputs_are_the_same_bytes_each_time(tmp_path):
         outdiff.write_inputs(tmp_path / side)
     a, b = (outdiff.read_tree(tmp_path / side) for side in ("a", "b"))
     assert a == b
-    assert sorted(a) == ["d12.csv", "mu.csv", "nu.csv", "p12.csv", "p20.csv",
-                         "p300.csv", "w12.csv"]
+    assert sorted(a) == ["big.csv", "d12.csv", "mu.csv", "nu.csv", "p1.csv", "p12.csv",
+                         "p20.csv", "p300.csv", "w12.csv"]
 
 
 def test_compare_reports_every_kind_of_difference():

@@ -8,7 +8,7 @@ Usage::
 PARENT and DIR (default: this checkout) are checkouts holding
 ``src/concdim``.  Each side gets its own temporary work directory.  The
 tool writes the input CSVs there from a fixed seed, then runs each of the
-53 invocations of `INVOCATIONS` as ``python -m concdim.cli ARGS`` in a
+55 invocations of `INVOCATIONS` as ``python -m concdim.cli ARGS`` in a
 fresh process, in that directory, with relative paths and the side's
 ``src`` first on ``PYTHONPATH``.  The commands write to their own
 ``--out`` directories; ``bound`` reads the covering CSV that ``net
@@ -65,6 +65,9 @@ INVOCATIONS = [
     ["alpha", "--points", "p300.csv", "--eps", "0.7"],
     ["sep", "--points", "p300.csv", "--kappa", "0.3"],
     ["dims", "--points", "p300.csv"],
+    # one point: every dimension is "inf"; distances past 2^511: the unit path
+    ["dims", "--points", "p1.csv"],
+    ["dims", "--points", "big.csv"],
     ["alpha", "--dist", "d12.csv", "--eps", "0.7"],
     ["sep", "--analytic-d", "9", "--kappa", "0.25"],
     ["sep", "--analytic-d", "13", "--kappa", "0.5"],
@@ -111,7 +114,8 @@ def _write_rows(path: Path, header, rows) -> None:
 def write_inputs(work: Path) -> None:
     """The input CSVs, from `SEED`: 12-, 20- and 300-point clouds in two
     coordinates, the 12 points with a ``weight`` column, their distance
-    matrix, and two measures on it."""
+    matrix, two measures on it, and a single point; and the three points
+    ``1e200, -1e200, 0`` on a line."""
     rng = np.random.default_rng(SEED)
     header = ["x0", "x1"]
     for n in (12, 20, 300):
@@ -124,6 +128,8 @@ def write_inputs(work: Path) -> None:
     for name in ("mu", "nu"):
         w = rng.uniform(0.5, 2.0, size=12)
         _write_rows(work / f"{name}.csv", None, (w / w.sum())[:, None])
+    _write_rows(work / "p1.csv", header, rng.normal(size=(1, 2)))
+    _write_rows(work / "big.csv", ["x"], [[1e200], [-1e200], [0.0]])
 
 
 def run_side(checkout: Path, work: Path, invocations=INVOCATIONS) -> list[dict]:
