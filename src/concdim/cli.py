@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 input error, 3 resource limit, 4 internal
 invariant violation, 5 unwritable output location: one for each class of
 `errors`, mapped in one table, ``_FAILURES``.  Any other exception is a
 fault of the package, not of the input, and is not mapped to a code.
+
+Each option group that several subcommands share (``--seed`` with
+``--out``; ``--param``; the space options on top of those; ``--mode``;
+``--grid``; ``--dictionary``; ``--restarts``) is declared once, as an
+argparse parent parser, and each subcommand adds only its own options.
 """
 
 from __future__ import annotations
@@ -44,18 +49,12 @@ from .mmspace import (
 )
 from .transport import emd
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_LIMIT = 3
-EXIT_INVARIANT = 4
-EXIT_OUTPUT = 5
-
 #: each failure the CLI maps to an exit code, and the label of its message
 _FAILURES = {
-    InputError: ("input error", EXIT_INPUT),
-    ResourceLimitError: ("resource limit", EXIT_LIMIT),
-    InvariantViolation: ("internal invariant violation", EXIT_INVARIANT),
-    OutputError: ("output error", EXIT_OUTPUT),
+    InputError: ("input error", 2),
+    ResourceLimitError: ("resource limit", 3),
+    InvariantViolation: ("internal invariant violation", 4),
+    OutputError: ("output error", 5),
 }
 
 
@@ -106,7 +105,7 @@ def _emit(args, manifest: str, fields: dict, files=(), lines=()) -> int:
                   **outputs, **fields)
     for line in lines:
         print(line)
-    return EXIT_OK
+    return 0
 
 
 def _features(args):
@@ -232,8 +231,12 @@ def _cmd_emd(args) -> int:
 def _cmd_net(args) -> int:
     if args.radius is not None and not math.isfinite(args.radius):
         raise InputError(f"radius must be finite, got {args.radius!r}")
+    if args.radius is not None and not args.radius > 0:
+        raise InputError(f"radius must be positive, got {args.radius!r}")
     if args.radius is None and not args.grid:
         raise InputError("net requires --radius or --grid")
+    if args.grid and not all(0 < u < math.inf for u in args.grid):
+        raise InputError("u grid must be positive and finite")
     space, provenance = _load_space(args)
     if args.grid:
         profile = covering_profile(space, np.asarray(args.grid, dtype=float))
@@ -272,96 +275,84 @@ def _cmd_experiment(args) -> int:
     print(f"experiment {args.name}: wrote {out / 'manifest.json'}")
     for name in manifest["summary"].get("curves", []):
         print(f"  curve: {out / name}")
-    return EXIT_OK
-
-
-def _add_space_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points", help="point-cloud CSV (optional header; "
-                                    "weight column allowed)")
-    p.add_argument("--dist", help="distance-matrix CSV")
-    p.add_argument("--family", help="generator family instead of a file")
-    p.add_argument("--param", action="append", default=[],
-                   help="generator parameter key=value (repeatable)")
-    p.add_argument("--metric", default="euclidean",
-                   choices=["euclidean", "normalized_hamming"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".", help="output directory")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="concdim",
-        description="Concentration invariants and intrinsic dimensions of "
-                    "finite metric measure spaces.")
+    ap = argparse.ArgumentParser(prog="concdim", description="Concentration invariants and "
+                                 "intrinsic dimensions of finite metric measure spaces.")
     ap.add_argument("--version", action="version", version=f"concdim {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic space as CSV")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default=".", help="output directory")
+    param = argparse.ArgumentParser(add_help=False)
+    param.add_argument("--param", action="append", default=[],
+                       help="generator or experiment parameter key=value (repeatable)")
+    space = argparse.ArgumentParser(add_help=False, parents=[common, param])
+    space.add_argument("--points", help="point-cloud CSV (optional header; "
+                                        "weight column allowed)")
+    space.add_argument("--dist", help="distance-matrix CSV")
+    space.add_argument("--family", help="generator family instead of a file")
+    space.add_argument("--metric", default="euclidean",
+                       choices=["euclidean", "normalized_hamming"])
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", default="auto", choices=["auto", "exact", "heuristic"])
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=float, nargs="*", help="explicit eps/kappa/u grid")
+    dictionary = argparse.ArgumentParser(add_help=False)
+    dictionary.add_argument("--dictionary", default="anchors_random:32")
+    restarts = argparse.ArgumentParser(add_help=False)
+    restarts.add_argument("--restarts", type=int, default=8)
+
+    p = sub.add_parser("gen", parents=[common, param],
+                       help="generate a synthetic space as CSV")
     p.add_argument("--family", required=True)
-    p.add_argument("--param", action="append", default=[])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("alpha", help="concentration profile")
-    _add_space_options(p)
-    p.add_argument("--mode", default="auto", choices=["auto", "exact", "heuristic"])
+    p = sub.add_parser("alpha", parents=[space, mode, grid, dictionary],
+                       help="concentration profile")
     p.add_argument("--eps", type=float, help="also report alpha at this eps")
-    p.add_argument("--grid", type=float, nargs="*", help="explicit eps grid")
-    p.add_argument("--dictionary", default="anchors_random:32")
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("sep", help="separation profile")
-    _add_space_options(p)
-    p.add_argument("--mode", default="auto", choices=["auto", "exact", "heuristic"])
+    p = sub.add_parser("sep", parents=[space, mode, grid, restarts],
+                       help="separation profile")
     p.add_argument("--kappa", type=float, help="also report sep at this kappa")
-    p.add_argument("--grid", type=float, nargs="*", help="explicit kappa grid")
-    p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--analytic-d", type=int,
                    help="exact Hamming-cube value for this d (no input space)")
     p.set_defaults(func=_cmd_sep)
 
-    p = sub.add_parser("obsdiam", help="observable diameter via a dictionary")
-    _add_space_options(p)
+    p = sub.add_parser("obsdiam", parents=[space, dictionary],
+                       help="observable diameter via a dictionary")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--dictionary", default="anchors_random:32")
     p.set_defaults(func=_cmd_obsdiam)
 
-    p = sub.add_parser("dims", help="dimension report (all functionals)")
-    _add_space_options(p)
-    p.add_argument("--dictionary", default="anchors_random:32")
-    p.add_argument("--restarts", type=int, default=8)
-    p.set_defaults(func=_cmd_dims)
+    sub.add_parser("dims", parents=[space, dictionary, restarts],
+                   help="dimension report (all functionals)").set_defaults(func=_cmd_dims)
 
-    p = sub.add_parser("emd", help="exact transport distance between measures")
+    p = sub.add_parser("emd", parents=[common],
+                       help="exact transport distance between measures")
     p.add_argument("--space", required=True, help="distance-matrix CSV")
     p.add_argument("--mu", required=True, help="first weight vector CSV")
     p.add_argument("--nu", required=True, help="second weight vector CSV")
-    p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_emd)
 
-    p = sub.add_parser("net", help="greedy net / covering profile")
-    _add_space_options(p)
+    p = sub.add_parser("net", parents=[space, grid], help="greedy net / covering profile")
     p.add_argument("--radius", type=float)
-    p.add_argument("--grid", type=float, nargs="*")
     p.set_defaults(func=_cmd_net)
 
-    p = sub.add_parser("bound", help="sampling-size bound from a covering profile")
+    p = sub.add_parser("bound", parents=[common],
+                       help="sampling-size bound from a covering profile")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--constant-C", type=float, default=1.0, dest="constant_C")
     p.add_argument("--cover", required=True, help="covering-profile CSV")
-    p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("experiment", help="run a named reproduction experiment")
-    p.add_argument("--name", required=True,
-                   help=f"one of {', '.join(EXPERIMENT_NAMES)}")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--param", action="append", default=[])
-    p.add_argument("--out", default=".")
+    p = sub.add_parser("experiment", parents=[common, param],
+                       help="run a named reproduction experiment")
+    p.add_argument("--name", required=True, help=f"one of {', '.join(EXPERIMENT_NAMES)}")
     p.set_defaults(func=_cmd_experiment)
 
     return ap

@@ -232,6 +232,65 @@ def test_an_unwritable_output_is_refused_before_the_space_is_read(tmp_path, monk
     assert blocker.is_file()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--radius", "0"], "radius must be positive, got 0.0"),
+    (["--radius", "-1"], "radius must be positive, got -1.0"),
+    (["--grid", "0", "1"], "u grid must be positive and finite"),
+    (["--grid", "-1"], "u grid must be positive and finite"),
+    # a radius is checked whenever it is given, also beside a grid
+    (["--radius", "0", "--grid", "0.5"], "radius must be positive, got 0.0"),
+])
+def test_net_refuses_an_out_of_range_radius_or_grid_before_the_space_is_read(
+        tmp_path, monkeypatch, capsys, args, message):
+    import concdim.cli as cli
+
+    monkeypatch.setattr(cli, "_load_space", lambda args: pytest.fail("space read"))
+    out = tmp_path / "out"
+    assert run_cli("net", *CUBE4, *args, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+#: the options every space-reading command shares, at their defaults
+SPACE_DEFAULTS = {"points": None, "dist": None, "family": None, "param": [],
+                  "metric": "euclidean", "seed": 0, "out": "."}
+
+#: a minimal command line of each subcommand, and the namespace it parses to
+PARSED = [
+    (["gen", "--family", "f"],
+     {"command": "gen", "family": "f", "param": [], "seed": 0, "out": "."}),
+    (["alpha"], {"command": "alpha", **SPACE_DEFAULTS, "mode": "auto", "eps": None,
+                 "grid": None, "dictionary": "anchors_random:32"}),
+    (["sep"], {"command": "sep", **SPACE_DEFAULTS, "mode": "auto", "kappa": None,
+               "grid": None, "restarts": 8, "analytic_d": None}),
+    (["obsdiam", "--kappa", "0.1"], {"command": "obsdiam", **SPACE_DEFAULTS,
+                                     "kappa": 0.1, "dictionary": "anchors_random:32"}),
+    (["dims"], {"command": "dims", **SPACE_DEFAULTS, "dictionary": "anchors_random:32",
+                "restarts": 8}),
+    (["emd", "--space", "s", "--mu", "m", "--nu", "v"],
+     {"command": "emd", "space": "s", "mu": "m", "nu": "v", "seed": 0, "out": "."}),
+    (["net"], {"command": "net", **SPACE_DEFAULTS, "radius": None, "grid": None}),
+    (["bound", "--eps", "0.5", "--delta", "0.1", "--cover", "c"],
+     {"command": "bound", "eps": 0.5, "delta": 0.1, "constant_C": 1.0, "cover": "c",
+      "seed": 0, "out": "."}),
+    (["experiment", "--name", "x"],
+     {"command": "experiment", "name": "x", "param": [], "seed": 0, "out": "."}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[a[0] for a, _ in PARSED])
+def test_each_command_parses_to_its_options_and_defaults(capsys, argv, expected):
+    from concdim.cli import build_parser
+
+    parsed = vars(build_parser().parse_args(argv))
+    assert callable(parsed.pop("func"))
+    assert parsed == expected
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args([argv[0], "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: concdim {argv[0]}")
+
+
 def test_an_experiment_output_that_cannot_be_made_after_the_run_exits_5(tmp_path,
                                                                         monkeypatch):
     # --out passes the check before the run; a file put in its way during

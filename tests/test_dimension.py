@@ -151,6 +151,38 @@ def test_bracket_consistent_with_emd_upper_bound():
         assert best >= br.lo - 1e-9
 
 
+def _cube_alpha(d: int, t: int) -> float:
+    """alpha(t/d) on the odd-dimensional Hamming cube: by Harper's theorem
+    the ball of radius (d-1)/2, of mass exactly 1/2, is a worst half-mass
+    set, and its closed t/d-neighbourhood is the ball of radius
+    (d-1)/2 + t."""
+    return 1 - sum(math.comb(d, k) for k in range(min(d, (d - 1) // 2 + t) + 1)) / 2**d
+
+
+def test_bracket_on_the_hamming_cube_matches_the_closed_form():
+    # the grid is the realized distances t/d; c is the least
+    # max(t/d, 2 alpha(t/d)) below (t+1)/d, and the lower-bound profile's
+    # certified end is the least max(t/d, 2 alpha((t+1)/d)) at most (t+1)/d
+    from concdim.concentration import alpha_lower
+
+    for d in (3, 5, 7, 9, 11):
+        s = generate(GeneratorSpec("hamming_cube", 0, {"d": d}))
+        a = [_cube_alpha(d, t) for t in range(d + 1)]
+        ends = [(t + 1) / d for t in range(d)] + [math.inf]
+        c = min(max(t / d, 2 * a[t]) for t in range(d + 1) if max(t / d, 2 * a[t]) < ends[t])
+        lo = min(max(t / d, 2 * a[t + 1]) for t in range(d)
+                 if max(t / d, 2 * a[t + 1]) <= ends[t]) / 2
+        if d == 3:
+            br = dconc_to_point_bracket(alpha_exact_profile(s))
+            assert br.certified_upper
+            assert abs(br.lo - c / 2) <= 1e-12 and abs(br.hi - c) <= 1e-12
+        br = dconc_to_point_bracket(alpha_lower(s))
+        assert abs(br.lo - lo) <= 1e-12
+        assert br.lo <= c / 2
+        if d == 9:
+            assert c == 2 / 9 and abs(lo - 46 / 512) <= 1e-15
+
+
 # -- trend properties ---------------------------------------------------------------
 
 
