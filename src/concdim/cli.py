@@ -235,6 +235,8 @@ def _cmd_net(args) -> int:
         raise InputError(f"radius must be positive, got {args.radius!r}")
     if args.radius is None and not args.grid:
         raise InputError("net requires --radius or --grid")
+    if args.radius is not None and args.grid:
+        raise InputError("net takes --radius or --grid, not both")
     if args.grid and not all(0 < u < math.inf for u in args.grid):
         raise InputError("u grid must be positive and finite")
     space, provenance = _load_space(args)

@@ -7,9 +7,12 @@ Every quantity comes in two flavors with an explicit certificate direction:
   available up to ``ORACLE_LIMIT`` points.  Every table over masks
   (subset masses, minima, common far sets, least keys) comes from one DP,
   `_subset_table`, which folds a ufunc over the point bits.  The sep
-  oracles tabulate all ``2**(n-1)`` masks; the alpha oracles hold no
-  table over all masks: they list the minimal half-mass subsets chunk
-  by chunk and read each through two tables over half the point bits;
+  oracles hold the ``2**n`` subset masses and read the ``2**(n-1)``
+  masks in chunks of ``mmspace.BLOCK_ENTRIES`` bytes, each the AND of a
+  table over the low point bits with its high bits' rows; the alpha
+  oracles hold no table over all masks: they list the minimal half-mass
+  subsets chunk by chunk and read each through two tables over half the
+  point bits;
 * witness-based heuristics for arbitrary sizes, whose values are certified
   lower bounds of the exact quantities.
 
@@ -505,7 +508,7 @@ def alpha_exact_profile(space: MMSpace, eps_grid=None) -> ConcentrationProfile:
 
 
 def _threshold_kappa(dist: np.ndarray, t: float, masses: np.ndarray,
-                     neigh: np.ndarray, partner: np.ndarray) -> float:
+                     low_table: np.ndarray, neigh: np.ndarray, partner: np.ndarray) -> float:
     """The largest kappa admitting disjoint (A, B) with all cross
     distances >= t (t > 0).
 
@@ -519,15 +522,40 @@ def _threshold_kappa(dist: np.ndarray, t: float, masses: np.ndarray,
     not, since ``d(0, 0) = 0 < t``, and ``N(B)`` contains A*, since the
     distances are exactly symmetric.  A subset's computed mass never
     exceeds its superset's (the lemma of `_sep_levels`), so ``(B, N(B))``
-    attains at least ``min(mass(N(A*)), mass(A*))``.  So one subset DP
-    folds the rows of points 1..n-1 over the ``2**(n-1)`` masks m of A
-    without point 0, whose full mask is ``2 m``: A's mass is
-    ``masses[::2][m]``, the same sum.  The DP writes into the
-    ``2**(n-1)`` buffers `neigh` (int64) and `partner` (float).
+    attains at least ``min(mass(N(A*)), mass(A*))``.  So the DP reads the
+    ``2**(n-1)`` masks m of A without point 0, whose full mask is ``2 m``:
+    A's mass is ``masses[::2][m]``, the same sum.
+
+    The masks are read in chunks of ``2**low``, `low_table`'s size, one
+    per value ``top`` of the high mask bits (points low+1..n-1).  The rows
+    of points 1..low fold once into `low_table`, the common neighborhoods
+    over the low bits; the set high rows AND into one scalar, and a
+    chunk's neighborhoods are `low_table` AND-ed with it.  Bitwise AND is
+    exact in any order, so every N(A) is the one the fold over all n - 1
+    rows gives, and each chunk's own masses are a slice of
+    ``masses[::2]``.  The maximum over the chunks is the maximum over all
+    masks, and the lemma holds in each chunk: its A's are the same masks
+    without point 0.  `neigh` (int64) and `partner` (float) are the
+    chunk's buffers, of `low_table`'s size.
     """
-    _common_far(dist[1:] >= t, out=neigh)
-    np.take(masses, neigh, out=partner, mode="wrap")  # in range: unbuffered
-    return float(np.minimum(masses[::2], partner, out=partner).max())
+    n = dist.shape[0]
+    full = (1 << n) - 1
+    rows = (dist[1:] >= t).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    low = low_table.size.bit_length() - 1
+    _subset_table(rows[:low], full, np.bitwise_and, out=low_table)
+    high = [int(r) for r in rows[low:]]
+    own = masses[::2]
+    best = 0.0
+    for top in range(1 << len(high)):
+        common = full
+        for i, row in enumerate(high):
+            if top >> i & 1:
+                common &= row
+        np.bitwise_and(low_table, common, out=neigh)
+        np.take(masses, neigh, out=partner, mode="clip")  # in range: unbuffered
+        chunk = own[top << low : (top + 1) << low]
+        best = max(best, float(np.minimum(chunk, partner, out=partner).max()))
+    return best
 
 
 def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
@@ -548,9 +576,12 @@ def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
     Each floor is bisected on its own (``bisect.bisect_left`` over the
     threshold indices).  Each evaluated ``kappa(t)`` is memoised on the
     space as a scalar, so floors whose bisections pass through the same
-    threshold, in this call or a later one, share its DP; the mask tables
-    (the ``2**n`` masses, the two ``2**(n-1)`` DP buffers) are made at the
-    first DP and live only for this call.
+    threshold, in this call or a later one, share its DP.  The ``2**n``
+    masses and the DP's three chunk buffers are made at the first DP and
+    live only for this call.  A chunk holds three 8-byte words per mask
+    (the low-bits neighborhood, the chunk's neighborhood, the partner
+    mass), so its ``2**low`` masks, ``low`` at most n - 1, fit in
+    ``mmspace.BLOCK_ENTRIES`` bytes.
     """
     dist = space.dist
     thresholds = np.unique(dist[dist > 0])
@@ -561,9 +592,9 @@ def _sep_levels(space: MMSpace, floors: np.ndarray) -> np.ndarray:
         t = float(thresholds[i])
         if t not in memo:
             if not bufs:
-                size = 1 << (space.n - 1)
+                low = min(space.n - 1, max(0, (mmspace.BLOCK_ENTRIES // 24).bit_length() - 1))
                 bufs.extend((_subset_table(space.weights, 0.0, np.add),
-                             np.empty(size, dtype=np.int64), np.empty(size)))
+                             *np.empty((2, 1 << low), dtype=np.int64), np.empty(1 << low)))
             memo[t] = _threshold_kappa(dist, t, *bufs)
         return memo[t]
 

@@ -239,6 +239,8 @@ def test_an_unwritable_output_is_refused_before_the_space_is_read(tmp_path, monk
     (["--grid", "-1"], "u grid must be positive and finite"),
     # a radius is checked whenever it is given, also beside a grid
     (["--radius", "0", "--grid", "0.5"], "radius must be positive, got 0.0"),
+    # a valid radius beside a grid: the grid would write no net
+    (["--radius", "0.5", "--grid", "0.1", "1"], "net takes --radius or --grid, not both"),
 ])
 def test_net_refuses_an_out_of_range_radius_or_grid_before_the_space_is_read(
         tmp_path, monkeypatch, capsys, args, message):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concdim import concentration as conc, features, mmspace
 from concdim.concentration import (
@@ -874,13 +875,81 @@ def test_threshold_kappa_over_half_the_masks_equals_the_full_dp():
     for s in _half_mask_spaces():
         masses = conc._subset_table(s.weights, 0.0, np.add)
         half = 1 << (s.n - 1)
-        neigh, partner = np.empty(half, dtype=np.int64), np.empty(half)
+        bufs = (*np.empty((2, half), dtype=np.int64), np.empty(half))
         thresholds, want = _threshold_curve(s)
-        got = [conc._threshold_kappa(s.dist, float(t), masses, neigh, partner)
+        got = [conc._threshold_kappa(s.dist, float(t), masses, *bufs)
                for t in thresholds]
         assert np.array(got, dtype=float).tobytes() == want.tobytes()
         tried += thresholds.size > 0
     assert tried >= 100
+
+
+def test_sep_dp_chunks_keep_every_bit(monkeypatch):
+    # a chunk holds BLOCK_ENTRIES // 24 masks, rounded down to a power of
+    # two: 1, 2 and 8 of them here.  Up to 10 points a DP reads at most
+    # 2**9 chunks; the default budget reads the 20-point space of
+    # _bisection_spaces in 8 (test_sep_exact_bisection_matches_the_full_threshold_curve)
+    spaces = [s for s in (*_half_mask_spaces(), *_bisection_spaces()) if s.n <= 10]
+    curves = [_threshold_curve(s) for s in spaces]
+    grid = np.arange(1, 51, 4) / 100.0
+    for masks in (1, 2, 8):
+        monkeypatch.setattr(mmspace, "BLOCK_ENTRIES", 24 * masks)
+        for s, (thresholds, kappas) in zip(spaces, curves):
+            size = min(masks, 1 << (s.n - 1))
+            bufs = (*np.empty((2, size), dtype=np.int64), np.empty(size))
+            masses = conc._subset_table(s.weights, 0.0, np.add)
+            picks = np.arange(0, thresholds.size, max(1, thresholds.size // 4))
+            got = [conc._threshold_kappa(s.dist, float(thresholds[i]), masses, *bufs)
+                   for i in picks]
+            assert np.array(got, dtype=float).tobytes() == kappas[picks].tobytes()
+            want = np.array([_sep_from_curve((thresholds, kappas), k) for k in grid])
+            fresh = from_distance_matrix(s.dist, weights=s.weights)
+            assert sep_exact_profile(fresh, grid).sep.tobytes() == want.tobytes(), (s.n, masks)
+
+
+def test_sep_exact_profile_holds_the_mass_table_and_one_chunk():
+    # at 20 points the 2**n mass table is 8 MiB; the DP adds a chunk of
+    # BLOCK_ENTRIES bytes at most, not two 2**(n-1) buffers (8 MiB more)
+    import tracemalloc
+
+    s = from_points(np.random.default_rng(26).normal(size=(20, 3)))
+    s.dist
+    tracemalloc.start()
+    sep_exact_profile(s)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= (8 << 20) + mmspace.BLOCK_ENTRIES + (64 << 10), peak
+
+
+@st.composite
+def _lattice_spaces(draw):
+    """2 to 12 points with integer coordinates in [-4, 4]: many tied
+    distances; uniform weights, integer weights, or integer weights with
+    zeros among them."""
+    n = draw(st.integers(2, 12))
+    coords = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["uniform", "integer", "zeros"]))
+    w = None
+    if kind != "uniform":
+        least = 1 if kind == "integer" else 0
+        w = np.array(draw(st.lists(st.integers(least, 5), min_size=n, max_size=n)),
+                      dtype=float)
+        if not w.any():
+            w[0] = 1.0
+        w = w / w.sum()
+    return from_points(np.array(coords, dtype=float), weights=w)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_lattice_spaces())
+def test_sep_exact_profile_equals_the_threshold_curve(s):
+    # several chunks a DP: at most 8 masks each
+    grid = default_kappa_grid()
+    want = np.array([_sep_from_curve(_threshold_curve(s), k) for k in grid])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmspace, "BLOCK_ENTRIES", 24 * 8)
+        assert sep_exact_profile(s, grid).sep.tobytes() == want.tobytes()
 
 
 def _is_power_of_two_of(node):
@@ -990,7 +1059,7 @@ def profile_and_held_sizes():
     assert 0.0 < sep[-1] <= sep[0]
     assert ORACLE_LIMIT**2 in held
     assert max(held) < 2**ORACLE_LIMIT
-    assert peak_rss_mb <= 206.0
+    assert peak_rss_mb <= 125.0
 
 
 def test_sep_lower_dominated_by_exact():

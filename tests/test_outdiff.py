@@ -15,7 +15,7 @@ def run(args, exit=0, stdout="", stderr=""):
 
 
 def test_the_invocations_parse_and_write_to_their_own_directories():
-    assert len(outdiff.INVOCATIONS) == 57
+    assert len(outdiff.INVOCATIONS) == 58
     outs = []
     for k, args in enumerate(outdiff.INVOCATIONS):
         outs.append(build_parser().parse_args(args).out if "--out" in args else f"out/{k}")

@@ -8,7 +8,7 @@ Usage::
 PARENT and DIR (default: this checkout) are checkouts holding
 ``src/concdim``.  Each side gets its own temporary work directory.  The
 tool writes the input CSVs there from a fixed seed, then runs each of the
-57 invocations of `INVOCATIONS` as ``python -m concdim.cli ARGS`` in a
+58 invocations of `INVOCATIONS` as ``python -m concdim.cli ARGS`` in a
 fresh process, in that directory, with relative paths and the side's
 ``src`` first on ``PYTHONPATH``.  The commands write to their own
 ``--out`` directories; ``bound`` reads the covering CSV that ``net
@@ -104,6 +104,7 @@ INVOCATIONS = [
     ["sep", *CLOUD, "--mode", "exact", "--restarts", "-2"],
     ["net", "--points", "p300.csv", "--radius", "0"],
     ["net", "--points", "p300.csv", "--grid", "0", "1"],
+    ["net", "--points", "p12.csv", "--radius", "0.5", "--grid", "0.1", "1"],
 ]
 
 
